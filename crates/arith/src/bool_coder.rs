@@ -202,17 +202,6 @@ impl BoolEncoder {
         branch.record(bit);
     }
 
-    /// [`BoolEncoder::put`] with the bin's probability refresh deferred:
-    /// the counts adapt now, the cached probability stays stale until
-    /// the caller's batched [`crate::refresh_probs`] sweep. Emits the
-    /// same bytes as `put` — the probability is read before the record
-    /// either way — provided no bin is queried again before the sweep.
-    #[inline]
-    pub fn put_deferred(&mut self, bit: bool, branch: &mut Branch) {
-        self.put_with_prob(bit, branch.prob_false());
-        branch.record_deferred(bit);
-    }
-
     /// Encode `bit` given `prob_false`, the 16-bit fixed-point probability
     /// that `bit` is `false`. The probability must lie in `1..=65535`.
     #[inline]
@@ -342,16 +331,6 @@ impl<S: ByteSource> BoolDecoder<S> {
     pub fn get(&mut self, branch: &mut Branch) -> bool {
         let bit = self.get_with_prob(branch.prob_false());
         branch.record(bit);
-        bit
-    }
-
-    /// [`BoolDecoder::get`] with the bin's probability refresh deferred
-    /// (the decode mirror of [`BoolEncoder::put_deferred`]; same
-    /// batched-sweep contract).
-    #[inline]
-    pub fn get_deferred(&mut self, branch: &mut Branch) -> bool {
-        let bit = self.get_with_prob(branch.prob_false());
-        branch.record_deferred(bit);
         bit
     }
 

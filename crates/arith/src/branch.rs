@@ -98,10 +98,7 @@ const FRESH_PROB: u16 = prob_from_counts(1, 1);
 /// count at least 1), which gives recent history more weight — the same
 /// scheme the production Lepton `Branch` uses. The derived probability is
 /// 16-bit fixed point: `P(bit == false) ≈ prob_false() / 65536`.
-// `repr(C)` pins the byte layout ({c0, c1, prob_lo, prob_hi} per bin)
-// that the vectorized [`refresh_probs`] sweep depends on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(C)]
 pub struct Branch {
     /// `counts[0]` tracks `false` bits, `counts[1]` tracks `true` bits.
     counts: [u8; 2],
@@ -138,20 +135,6 @@ impl Branch {
     /// Record an observed bit and adapt the probability.
     #[inline]
     pub fn record(&mut self, bit: bool) {
-        self.record_deferred(bit);
-        self.refresh();
-    }
-
-    /// Record an observed bit WITHOUT refreshing the cached probability.
-    ///
-    /// The bin is left with a stale `prob` (still the pre-record value);
-    /// the caller must run [`Branch::refresh`] or [`refresh_probs`]
-    /// before the next probability query on this bin. Correct whenever
-    /// each bin in a batch is touched at most once between refreshes —
-    /// the coder reads the probability *before* recording, so the stale
-    /// window is never observed.
-    #[inline]
-    pub fn record_deferred(&mut self, bit: bool) {
         let idx = bit as usize;
         if self.counts[idx] == 255 {
             // Saturated: halve both counts (rounding up, so each stays >= 1)
@@ -160,13 +143,6 @@ impl Branch {
             self.counts[1] = (self.counts[1] >> 1) | 1;
         }
         self.counts[idx] += 1;
-    }
-
-    /// Recompute the cached probability from the counts, restoring the
-    /// invariant after [`Branch::record_deferred`]. Idempotent on bins
-    /// whose cache is already consistent.
-    #[inline]
-    pub fn refresh(&mut self) {
         self.prob = prob_recip(self.counts[0], self.counts[1]);
     }
 
@@ -180,72 +156,6 @@ impl Branch {
     #[inline]
     pub fn is_fresh(&self) -> bool {
         self.counts == [1, 1]
-    }
-}
-
-/// Refresh the cached probability of every bin in the slice — the batch
-/// companion to [`Branch::record_deferred`]. On AVX2 hosts the sweep
-/// runs four bins per step: counts are byte-gathered into 32-bit lanes,
-/// the per-denominator reciprocal is vector-gathered from `RECIP_40`,
-/// and the rounded division becomes one widening multiply + shift per
-/// lane — bit-identical to [`Branch::refresh`] (the numerator is below
-/// 2^24, so both 32×32→64 partial products are exact). Other dispatch
-/// levels use the scalar loop: the sweep is gather-bound, and SSE2 has
-/// no vector gather to win with.
-pub fn refresh_probs(bins: &mut [Branch]) {
-    #[cfg(target_arch = "x86_64")]
-    if lepton_simd::level() == lepton_simd::SimdLevel::Avx2 {
-        // SAFETY: dispatch guarantees the CPU supports AVX2.
-        unsafe { x86::refresh_probs_avx2(bins) };
-        return;
-    }
-    for b in bins.iter_mut() {
-        b.refresh();
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::{Branch, RECIP_40};
-    use std::arch::x86_64::*;
-
-    /// Four-wide deferred-probability refresh (see [`super::refresh_probs`]).
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn refresh_probs_avx2(bins: &mut [Branch]) {
-        // Byte-gather masks: bin k of a 4-bin group (16 bytes, repr(C))
-        // contributes its count bytes (offsets 4k and 4k+1) into 32-bit
-        // lane k, zero-extended.
-        let c0_mask = _mm_setr_epi8(0, -1, -1, -1, 4, -1, -1, -1, 8, -1, -1, -1, 12, -1, -1, -1);
-        let c1_mask = _mm_setr_epi8(1, -1, -1, -1, 5, -1, -1, -1, 9, -1, -1, -1, 13, -1, -1, -1);
-        let mut i = 0usize;
-        while i + 4 <= bins.len() {
-            let v = _mm_loadu_si128(bins.as_ptr().add(i) as *const __m128i);
-            let c0 = _mm_shuffle_epi8(v, c0_mask);
-            let c1 = _mm_shuffle_epi8(v, c1_mask);
-            let d = _mm_add_epi32(c0, c1);
-            // n = (c0 << 16) + (d >> 1), the rounded-division numerator.
-            let n = _mm_add_epi32(_mm_slli_epi32(c0, 16), _mm_srli_epi32(d, 1));
-            let recip = _mm256_i32gather_epi64::<8>(RECIP_40.as_ptr() as *const i64, d);
-            let n64 = _mm256_cvtepu32_epi64(n);
-            // n < 2^24 ⇒ n·recip = n·recip_lo + (n·recip_hi << 32) with
-            // both 32×32→64 partial products exact.
-            let prod = _mm256_add_epi64(
-                _mm256_mul_epu32(n64, recip),
-                _mm256_slli_epi64(_mm256_mul_epu32(n64, _mm256_srli_epi64(recip, 32)), 32),
-            );
-            let mut p = [0u64; 4];
-            _mm256_storeu_si256(p.as_mut_ptr() as *mut __m256i, _mm256_srli_epi64(prod, 40));
-            for (k, &pk) in p.iter().enumerate() {
-                bins[i + k].prob = pk as u16;
-            }
-            i += 4;
-        }
-        for b in &mut bins[i..] {
-            b.refresh();
-        }
     }
 }
 
@@ -390,70 +300,6 @@ mod tests {
                     };
                     assert_eq!((n0, n1), (e0, e1), "counts after record");
                     assert!(n0 >= 1 && n1 >= 1, "counts never reach zero");
-                }
-            }
-        }
-    }
-
-    /// Deferred record + refresh lands in exactly the state `record`
-    /// produces, from every reachable state.
-    #[test]
-    fn deferred_record_then_refresh_equals_record() {
-        for c0 in 1..=255u8 {
-            for c1 in 1..=255u8 {
-                for bit in [false, true] {
-                    let start = Branch {
-                        counts: [c0, c1],
-                        prob: prob_from_counts(c0, c1),
-                    };
-                    let mut eager = start;
-                    eager.record(bit);
-                    let mut deferred = start;
-                    deferred.record_deferred(bit);
-                    // Stale window: counts moved, prob untouched.
-                    assert_eq!(deferred.prob_false(), start.prob_false());
-                    deferred.refresh();
-                    assert_eq!(deferred, eager, "from ({c0}, {c1}) bit {bit}");
-                }
-            }
-        }
-    }
-
-    /// The batch sweep equals per-bin `refresh` for every reachable
-    /// count pair, at every dispatch level, for every slice tail shape.
-    /// (The AVX2 sweep runs groups of 4 with a scalar tail, so lengths
-    /// 0..=9 cover all group/tail splits.)
-    #[test]
-    fn refresh_probs_matches_scalar_exhaustively() {
-        // Every reachable pair once, packed into one big slice: bins are
-        // seeded with a WRONG cached probability so the test fails if any
-        // lane is skipped.
-        let mut bins = Vec::with_capacity(255 * 255);
-        for c0 in 1..=255u8 {
-            for c1 in 1..=255u8 {
-                bins.push(Branch {
-                    counts: [c0, c1],
-                    prob: 0x5555,
-                });
-            }
-        }
-        let detected = {
-            lepton_simd::force_level(None);
-            lepton_simd::level()
-        };
-        for lvl in [lepton_simd::SimdLevel::Scalar, detected] {
-            for len in (0..=9usize).chain([bins.len()]) {
-                let mut got = bins[..len].to_vec();
-                lepton_simd::force_level(Some(lvl));
-                refresh_probs(&mut got);
-                lepton_simd::force_level(None);
-                for (i, b) in got.iter().enumerate() {
-                    let (c0, c1) = b.counts();
-                    assert_eq!(
-                        b.prob_false(),
-                        prob_from_counts(c0, c1),
-                        "({c0}, {c1}) at {i} len {len} level {lvl:?}"
-                    );
                 }
             }
         }

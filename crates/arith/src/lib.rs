@@ -49,4 +49,4 @@ mod bool_coder;
 mod branch;
 
 pub use bool_coder::{BoolDecoder, BoolEncoder, ByteSource, SliceSource, VecSource};
-pub use branch::{prob_from_counts, refresh_probs, Branch, PROB_LUT};
+pub use branch::{prob_from_counts, Branch, PROB_LUT};

@@ -193,8 +193,8 @@ fn bench_codec(c: &mut Criterion) {
         Json::from(mbps(stream.len(), destuff_secs)),
     ));
 
-    // Border IDCT: full blocks across the sparsity range the edge
-    // predictors actually see (mostly-zero high bands).
+    // Border IDCT: blocks across the sparsity range the predictors
+    // actually see (mostly-zero high bands).
     let blocks: Vec<[i32; 64]> = {
         let mut x = 0x1DC7_B10C_5EEDu64;
         (0..256)
@@ -218,28 +218,22 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("idct_block", |b| {
         b.iter(|| {
             for blk in &blocks {
-                std::hint::black_box(lepton_jpeg::dct::idct_i32(blk));
-                std::hint::black_box(lepton_jpeg::dct::idct_i32_border_tl(blk));
-                std::hint::black_box(lepton_jpeg::dct::idct_i32_border_br(blk));
+                std::hint::black_box(lepton_jpeg::dct::idct_ac_borders(blk));
             }
         })
     });
     let idct_secs = median_secs(samples, || {
         for blk in &blocks {
-            std::hint::black_box(lepton_jpeg::dct::idct_i32(blk));
-            std::hint::black_box(lepton_jpeg::dct::idct_i32_border_tl(blk));
-            std::hint::black_box(lepton_jpeg::dct::idct_i32_border_br(blk));
+            std::hint::black_box(lepton_jpeg::dct::idct_ac_borders(blk));
         }
     });
-    // ns per (full + tl + br) triple — the per-block cost on the
-    // decode edge path.
+    // ns per block of the one border pass the context derivation runs.
     record.push((
         "idct_block_ns",
         Json::from(idct_secs * 1e9 / blocks.len() as f64),
     ));
 
-    // Multi-symbol Huffman decode: serial scan decode over the main
-    // bench corpus (the fast path decodes AC pairs per refill).
+    // Huffman decode: serial scan decode over the main bench corpus.
     let parsed_main: Vec<_> = files
         .iter()
         .map(|f| lepton_jpeg::parse(f).expect("parse"))

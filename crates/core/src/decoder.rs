@@ -24,8 +24,7 @@ use lepton_arith::{BoolDecoder, VecSource};
 use lepton_jpeg::bitio::ScanWriter;
 use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
 use lepton_jpeg::scan::ScanEncoders;
-use lepton_jpeg::CoefBlock;
-use lepton_model::context::BlockNeighbors;
+use lepton_model::context::{BlockNeighbors, CodedBlock};
 use lepton_model::{ComponentModel, ModelConfig};
 use std::sync::mpsc::Sender;
 
@@ -130,14 +129,19 @@ impl<T: SegSink> BlockOp for SegDecoder<'_, T> {
         _bx: usize,
         _gy: usize,
         nbr: &BlockNeighbors<'_>,
-    ) -> Result<CoefBlock, LeptonError> {
-        let block = self.models[class].decode_block(&mut self.dec, nbr);
+        out: &mut CodedBlock,
+    ) -> Result<(), LeptonError> {
+        self.models[class].decode_block(&mut self.dec, nbr, out);
         let comp_index = self.parsed.scan.components[scan_idx].comp_index;
         self.huff
             .component(scan_idx)
-            .encode(&mut self.writer, &block, &mut self.prev_dc[comp_index])
-            .map_err(LeptonError::Jpeg)?;
-        Ok(block)
+            .encode_masked(
+                &mut self.writer,
+                &out.coefs,
+                out.nz_mask,
+                &mut self.prev_dc[comp_index],
+            )
+            .map_err(LeptonError::Jpeg)
     }
 
     fn mcu_end(&mut self, _mcu: u32) -> Result<(), LeptonError> {
@@ -363,16 +367,17 @@ fn decode_segment_job<T: SegSink>(
 ) -> Result<usize, LeptonError> {
     // The per-segment arenas this job is about to touch: a model pair
     // (reset, not reallocated, but still part of the job's working set
-    // — same constant `decode_working_set` plans with) and the walk's
-    // row rings.
-    meter.charge(2 * 2 * 90_000 + crate::driver::ring_bytes(parsed))?;
+    // — the figure `decode_working_set` plans with) and the walk's row
+    // rings.
+    meter.charge(crate::security::model_pair_bytes() + crate::driver::ring_bytes(parsed))?;
     let pad_bit = header.pad_bit != 0; // "unknown" defaults to 1s
     let handover = seg.handover.to_handover(seg.mcu_start);
+    let (models, rings) = scratch.walk_arenas(model_cfg);
     let mut op = SegDecoder {
         parsed,
         huff,
         dec: BoolDecoder::new(VecSource::new(stream)),
-        models: scratch.models_mut(model_cfg),
+        models,
         writer: ScanWriter::resume(handover.partial, handover.bits_used),
         prev_dc: handover.prev_dc,
         rst_emitted: handover.rst_so_far,
@@ -384,7 +389,7 @@ fn decode_segment_job<T: SegSink>(
         tx,
         receiver_gone: false,
     };
-    walk_segment(parsed, seg.mcu_start, seg.mcu_end, &mut op)?;
+    walk_segment(parsed, seg.mcu_start, seg.mcu_end, rings, &mut op)?;
     // Final flush with padding; truncation caps the tail
     // spill-over of non-final chunks.
     op.writer.align(pad_bit);

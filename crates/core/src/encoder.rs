@@ -23,7 +23,7 @@ use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
 use lepton_jpeg::scan::{decode_scan_into, Handover, ScanDecoder, ScanStats};
 use lepton_jpeg::{CoefPlanes, JpegError};
 use lepton_model::component::CategoryBytes;
-use lepton_model::context::BlockNeighbors;
+use lepton_model::context::{BlockNeighbors, CodedBlock};
 use lepton_model::{ComponentModel, ModelConfig};
 
 /// Thread-segment selection policy.
@@ -130,11 +130,12 @@ impl BlockOp for SegEncoder<'_> {
         bx: usize,
         gy: usize,
         nbr: &BlockNeighbors<'_>,
-    ) -> Result<lepton_jpeg::CoefBlock, LeptonError> {
+        out: &mut CodedBlock,
+    ) -> Result<(), LeptonError> {
         let comp_index = self.parsed.scan.components[scan_idx].comp_index;
-        let block = *self.planes.planes[comp_index].block(bx, gy);
-        self.models[class].encode_block(&mut self.enc, &block, nbr);
-        Ok(block)
+        let block = self.planes.planes[comp_index].block(bx, gy);
+        self.models[class].encode_block(&mut self.enc, block, nbr, out);
+        Ok(())
     }
 }
 
@@ -555,21 +556,22 @@ fn encode_segment_job(
     slot: &mut Option<SegmentResult>,
     meter: &JobMeter,
 ) {
-    // This segment's share of the working set: a model pair (the same
-    // constant `decode_working_set` plans with — arenas are pooled but
+    // This segment's share of the working set: a model pair (the
+    // figure `decode_working_set` plans with — arenas are pooled but
     // still resident for the job's duration).
-    if let Err(e) = meter.charge(2 * 2 * 90_000) {
+    if let Err(e) = meter.charge(crate::security::model_pair_bytes()) {
         *slot = Some(Err(e));
         return;
     }
     let enc = BoolEncoder::with_buffer(std::mem::take(&mut scratch.arith_buf));
+    let (models, rings) = scratch.walk_arenas(model_cfg);
     let mut op = SegEncoder {
         planes,
         parsed,
         enc,
-        models: scratch.models_mut(model_cfg),
+        models,
     };
-    let r = walk_segment(parsed, bounds[i], bounds[i + 1], &mut op);
+    let r = walk_segment(parsed, bounds[i], bounds[i + 1], rings, &mut op);
     let mut cat = op.models[0].stats();
     cat.add(&op.models[1].stats());
     let SegEncoder { enc, .. } = op; // release the arena borrow

@@ -28,6 +28,7 @@
 //! the fleet's replicated blockservers — shares one engine and its warm
 //! arenas.
 
+use crate::driver::RingArena;
 use crate::error::LeptonError;
 use lepton_jpeg::CoefPlanes;
 use lepton_model::{ComponentModel, ModelConfig};
@@ -110,22 +111,28 @@ pub(crate) type EnvJob<'env> = Box<dyn FnOnce(&mut Scratch) + Send + 'env>;
 pub(crate) struct Scratch {
     /// Resident per-class model pair (luma, chroma), reset per job.
     models: Option<[ComponentModel; 2]>,
+    /// Resident neighbour-ring storage for the segment walk.
+    rings: RingArena,
     /// Resident arithmetic output buffer (encode side). Jobs take it,
     /// encode into it, and put it back so its capacity survives.
     pub(crate) arith_buf: Vec<u8>,
 }
 
 impl Scratch {
-    /// The model pair, reset to the fresh 50-50 state under `cfg`.
-    /// First use allocates; every later job reuses the arena.
-    pub(crate) fn models_mut(&mut self, cfg: ModelConfig) -> &mut [ComponentModel; 2] {
+    /// What a segment walk codes with: the model pair, reset to the
+    /// fresh 50-50 state under `cfg`, and the ring storage. First use
+    /// allocates; every later job reuses the arena.
+    pub(crate) fn walk_arenas(
+        &mut self,
+        cfg: ModelConfig,
+    ) -> (&mut [ComponentModel; 2], &mut RingArena) {
         if let Some(pair) = &mut self.models {
             pair[0].reset(cfg);
             pair[1].reset(cfg);
         } else {
             self.models = Some([ComponentModel::new(cfg), ComponentModel::new(cfg)]);
         }
-        self.models.as_mut().expect("just ensured")
+        (self.models.as_mut().expect("just ensured"), &mut self.rings)
     }
 }
 

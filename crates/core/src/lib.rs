@@ -53,7 +53,7 @@ pub mod security;
 pub mod verify;
 
 pub use decoder::{decompress, decompress_opts, decompress_streaming, DecompressOptions};
-pub use driver::{walk_segment, BlockOp};
+pub use driver::{walk_segment, BlockOp, RingArena};
 pub use encoder::{
     compress, compress_chunked, compress_with_stats, CompressOptions, CompressStats, ThreadPolicy,
 };

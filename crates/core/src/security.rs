@@ -148,22 +148,23 @@ impl JobMeter {
     }
 }
 
-/// Estimate the decoder's steady-state working set for a frame: ring
-/// rows, edge caches, and per-thread models — *not* full coefficient
-/// planes, because decode streams row-by-row (§1 "Memory").
+/// Bytes of the per-class model pair (luma, chroma) one thread segment
+/// keeps resident.
+pub(crate) fn model_pair_bytes() -> usize {
+    2 * lepton_model::ComponentModel::arena_bytes()
+}
+
+/// Estimate the decoder's steady-state working set for a frame: the
+/// driver's row rings and the per-thread models — *not* full coefficient
+/// planes, because decode streams row-by-row (§1 "Memory"). Per segment
+/// this is exactly what a decode job charges its meter for them.
 pub fn decode_working_set(frame: &lepton_jpeg::FrameInfo, segments: usize) -> usize {
-    let per_segment_rows: usize = frame
+    let rings: usize = frame
         .components
         .iter()
-        .map(|c| {
-            // (v+1) rows of (block + edges) per component.
-            let per_block = 64 * 2 + std::mem::size_of::<[i64; 32]>();
-            c.blocks_w * (c.v as usize + 1) * per_block
-        })
+        .map(crate::driver::component_ring_bytes)
         .sum();
-    // Two component models (~2 bytes per bin) per segment.
-    let model_bytes = 2 * 2 * 90_000;
-    segments * (per_segment_rows + model_bytes)
+    segments * (rings + model_pair_bytes())
 }
 
 #[cfg(test)]

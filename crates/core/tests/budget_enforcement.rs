@@ -151,3 +151,92 @@ fn budget_error_reports_honest_numbers() {
         other => panic!("{other:?}"),
     }
 }
+
+#[test]
+fn decode_meter_charges_exactly_what_the_job_keeps() {
+    // The meter's total for an honest container is the sum of what the
+    // decode really holds: the output, the header parts, the demuxed
+    // arithmetic streams, and per segment a model pair plus the
+    // driver's row rings at their true sizes (`decode_working_set`,
+    // which the allocation tests in `driver` and `lepton_model` pin to
+    // the bytes actually allocated). A budget of exactly that admits
+    // the file; one byte less is refused, reporting that figure.
+    use lepton_core::format::read_container;
+    use lepton_core::security::decode_working_set;
+    use lepton_core::ThreadPolicy;
+    let jpeg = corpus().remove(1);
+    for segments in [1usize, 4] {
+        let container = compress(
+            &jpeg,
+            &CompressOptions {
+                threads: ThreadPolicy::Fixed(segments),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let header = read_container(&container).unwrap().header;
+        assert_eq!(header.segments.len(), segments);
+        let frame = lepton_jpeg::parse(&header.jpeg_header).unwrap().frame;
+        let expected = header.output_size as usize
+            + header.jpeg_header.len()
+            + header.prepend.len()
+            + header.append.len()
+            + header
+                .segments
+                .iter()
+                .map(|s| s.arith_bytes as usize)
+                .sum::<usize>()
+            + decode_working_set(&frame, segments);
+        let with_budget = |decode_bytes| DecompressOptions {
+            budget: ResourceBudget {
+                decode_bytes,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(
+            decompress_opts(&container, &with_budget(expected)).unwrap(),
+            jpeg
+        );
+        match decompress_opts(&container, &with_budget(expected - 1)) {
+            Err(LeptonError::BudgetExceeded { required, .. }) => assert_eq!(required, expected),
+            other => panic!("expected a one-byte breach, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn largest_served_chunk_fits_the_default_decode_budget() {
+    // The biggest file the service benchmark converts: 3 MB, 2048 px
+    // wide, 8 thread segments — taken at its costliest subsampling
+    // (4:4:4: three full-width rings per segment) and with arithmetic
+    // streams as large as the output. With models and ring slots
+    // charged at their real sizes it must still decode under §4.2's
+    // 24 MiB.
+    use lepton_core::security::decode_working_set;
+    let blocks_w = 2048 / 8;
+    let component = |id| lepton_jpeg::Component {
+        id,
+        h: 1,
+        v: 1,
+        tq: 0,
+        blocks_w,
+        blocks_h: 192,
+    };
+    let frame = lepton_jpeg::FrameInfo {
+        precision: 8,
+        width: 2048,
+        height: 1536,
+        components: vec![component(1), component(2), component(3)],
+        mcus_x: blocks_w,
+        mcus_y: 192,
+        hmax: 1,
+        vmax: 1,
+    };
+    let file = 3_000_000;
+    let total = 2 * file + decode_working_set(&frame, 8);
+    assert!(
+        ResourceBudget::default().admits_decode(total),
+        "{total} bytes"
+    );
+}

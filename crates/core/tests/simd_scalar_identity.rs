@@ -2,8 +2,7 @@
 //! with every SIMD kernel engaged must equal the bytes produced with
 //! dispatch forced to scalar — and each must decompress back to the
 //! original JPEG under the *other* level. This is the end-to-end gate
-//! over all four vectorized kernels (destuff scan, multi-symbol
-//! Huffman, border IDCTs, deferred bin refresh) at once.
+//! over the vectorized kernels (destuff scan, dequantize) at once.
 
 use lepton_core::{CompressOptions, Engine, ThreadPolicy};
 use lepton_corpus::{Corpus, CorpusSpec};
@@ -27,9 +26,6 @@ fn containers_byte_identical_across_dispatch_levels() {
         force_level(None);
         lepton_simd::level()
     };
-    // Pair decode is a perf opt-in (off by default); force it on so
-    // the SIMD legs below cover the multi-symbol path end-to-end.
-    lepton_jpeg::scan::set_ac_pair_decode(Some(true));
     // Fixed thread counts cover the inline single-segment path and the
     // pipelined multi-segment path.
     for threads in [1usize, 3] {
@@ -58,5 +54,4 @@ fn containers_byte_identical_across_dispatch_levels() {
             assert_eq!(&back, jpeg, "file {i}: scalar decode mismatch");
         }
     }
-    lepton_jpeg::scan::set_ac_pair_decode(None);
 }

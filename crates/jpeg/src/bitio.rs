@@ -291,16 +291,6 @@ impl<'a> ScanReader<'a> {
         (self.win >> (64 - n as u32)) as u32
     }
 
-    /// The next `n` bits (1 ≤ n ≤ 57), MSB-first in the low bits of a
-    /// `u64`, without consuming. Requires `ensure_bits(n)` to have
-    /// returned `true`. This is the wide-window form the multi-symbol
-    /// Huffman decode peeks once per two-coefficient transaction.
-    #[inline]
-    pub fn peek_bits64(&self, n: u8) -> u64 {
-        debug_assert!((1..=57).contains(&n) && n <= self.win_len);
-        self.win >> (64 - n as u32)
-    }
-
     /// Consume `n` previously peeked bits, keeping the exact consumed
     /// position (`pos`/`bits_used`) in sync across stuffing bytes.
     #[inline]
@@ -488,12 +478,21 @@ impl<'a> ScanReader<'a> {
 
 /// Bit writer for entropy-coded segments: inserts `0xFF00` stuffing and
 /// supports starting from a mid-byte handover position.
+///
+/// Pending bits wait in a 64-bit accumulator and leave four bytes at a
+/// time: a word without a `0xFF` byte (nearly all of them) is appended
+/// whole, one with is stuffed bytewise. Everything that observes bytes
+/// — lengths, drains, the handover state — accounts for the up to three
+/// whole bytes still in the accumulator, so callers see exactly what a
+/// byte-at-a-time writer would show them.
 #[derive(Clone, Debug)]
 pub struct ScanWriter {
     out: Vec<u8>,
-    /// Bits accumulated (high bits of the next byte).
-    acc: u8,
-    nbits: u8,
+    /// The low `nbits` bits are pending output, oldest bit highest;
+    /// bits above them are stale.
+    acc: u64,
+    /// Pending bits in `acc`; below 32 between calls.
+    nbits: u32,
     /// Bytes already handed out via [`ScanWriter::take_bytes`].
     drained: usize,
 }
@@ -501,12 +500,7 @@ pub struct ScanWriter {
 impl ScanWriter {
     /// Fresh writer starting at a byte boundary.
     pub fn new() -> Self {
-        ScanWriter {
-            out: Vec::new(),
-            acc: 0,
-            nbits: 0,
-            drained: 0,
-        }
+        Self::resume(0, 0)
     }
 
     /// Writer resuming mid-byte: `partial`'s high `bits_used` bits were
@@ -517,8 +511,8 @@ impl ScanWriter {
         debug_assert_eq!(partial & (0xFF >> bits_used), 0, "low bits must be zero");
         ScanWriter {
             out: Vec::new(),
-            acc: partial,
-            nbits: bits_used,
+            acc: partial as u64 >> (8 - bits_used),
+            nbits: bits_used as u32,
             drained: 0,
         }
     }
@@ -531,54 +525,61 @@ impl ScanWriter {
         }
     }
 
-    /// Write one bit.
-    #[inline]
-    pub fn put_bit(&mut self, bit: bool) {
-        if bit {
-            self.acc |= 0x80 >> self.nbits;
-        }
-        self.nbits += 1;
-        if self.nbits == 8 {
-            let b = self.acc;
-            self.acc = 0;
-            self.nbits = 0;
-            self.push_byte(b);
+    /// Move the whole bytes waiting in the accumulator to `out`.
+    fn flush_bytes(&mut self) {
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.push_byte((self.acc >> self.nbits) as u8);
         }
     }
 
-    /// Write the low `n` bits of `v`, MSB-first. Bytewise: the pending
-    /// partial byte and the new bits are merged left-justified into one
-    /// 64-bit window and emitted a byte at a time — this is the Huffman
-    /// re-encode's inner loop, so it must not pay a shift/branch per bit.
+    /// Output bytes (stuffing included) the accumulator's whole bytes
+    /// will become.
+    fn acc_bytes(&self) -> usize {
+        (1..=self.nbits / 8)
+            .map(|i| 1 + ((self.acc >> (self.nbits - 8 * i)) as u8 == 0xFF) as usize)
+            .sum()
+    }
+
+    /// Write one bit.
+    #[inline]
+    pub fn put_bit(&mut self, bit: bool) {
+        self.put_bits(bit as u32, 1);
+    }
+
+    /// Write the low `n` bits of `v` (n ≤ 32), MSB-first. This is the
+    /// Huffman re-encode's inner loop: one shift-or, and every fourth
+    /// byte or so one four-byte append.
     #[inline]
     pub fn put_bits(&mut self, v: u32, n: u8) {
-        debug_assert!(n <= 26);
-        if n == 0 {
-            return;
+        debug_assert!(n <= 32);
+        self.acc = (self.acc << n) | (v as u64 & ((1u64 << n) - 1));
+        self.nbits += n as u32;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            // Zero high bytes never read as `0xFF`.
+            if contains_ff(word as u64) {
+                for b in word.to_be_bytes() {
+                    self.push_byte(b);
+                }
+            } else {
+                self.out.extend_from_slice(&word.to_be_bytes());
+            }
         }
-        let v = v & (u32::MAX >> (32 - n as u32));
-        let mut total = self.nbits as u32 + n as u32; // <= 33
-        let mut buf = ((self.acc as u64) << 56) | ((v as u64) << (64 - total));
-        while total >= 8 {
-            self.push_byte((buf >> 56) as u8);
-            buf <<= 8;
-            total -= 8;
-        }
-        self.acc = (buf >> 56) as u8;
-        self.nbits = total as u8;
     }
 
     /// Pad with `pad_bit` to the next byte boundary.
     pub fn align(&mut self, pad_bit: bool) {
-        while self.nbits != 0 {
-            self.put_bit(pad_bit);
-        }
+        let pad = (8 - self.nbits % 8) % 8;
+        self.put_bits(if pad_bit { 0xFF } else { 0 }, pad as u8);
     }
 
     /// Write a restart marker (must be byte-aligned).
     pub fn write_rst(&mut self, idx: u8) {
         debug_assert!(idx < 8);
-        debug_assert_eq!(self.nbits, 0);
+        debug_assert_eq!(self.nbits % 8, 0);
+        self.flush_bytes();
         // Raw marker bytes, no stuffing.
         self.out.push(0xFF);
         self.out.push(0xD0 + idx);
@@ -587,31 +588,35 @@ impl ScanWriter {
     /// Completed bytes so far (stuffing and markers included; drained
     /// bytes are counted).
     pub fn byte_len(&self) -> usize {
-        self.drained + self.out.len()
+        self.drained + self.pending_len()
     }
 
     /// Drain the completed bytes accumulated so far, leaving the partial
     /// byte intact. Lets a streaming decoder emit output while the scan
     /// is still being written (time-to-first-byte, §3.4).
     pub fn take_bytes(&mut self) -> Vec<u8> {
+        self.flush_bytes();
         self.drained += self.out.len();
         std::mem::take(&mut self.out)
     }
 
     /// Completed bytes currently buffered (not yet drained).
     pub fn pending_len(&self) -> usize {
-        self.out.len()
+        self.out.len() + self.acc_bytes()
     }
 
     /// Current partial-byte state `(partial, bits_used)` for handover to
     /// the next segment.
     pub fn partial_state(&self) -> (u8, u8) {
-        (self.acc, self.nbits)
+        let used = self.nbits % 8;
+        // With `used == 0` the shift leaves no pending bit in the byte.
+        ((self.acc << (8 - used)) as u8, used as u8)
     }
 
     /// Finish the segment *without* flushing the partial byte (the next
     /// segment owns it); returns completed bytes.
-    pub fn finish_segment(self) -> Vec<u8> {
+    pub fn finish_segment(mut self) -> Vec<u8> {
+        self.flush_bytes();
         self.out
     }
 
@@ -619,7 +624,7 @@ impl ScanWriter {
     /// return all bytes.
     pub fn finish_scan(mut self, pad_bit: bool) -> Vec<u8> {
         self.align(pad_bit);
-        self.out
+        self.finish_segment()
     }
 }
 

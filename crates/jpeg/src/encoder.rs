@@ -465,7 +465,7 @@ pub fn decode_luma_approx(data: &[u8]) -> Result<(usize, usize, Vec<u8>), JpegEr
             for i in 0..64 {
                 deq[i] = block[i] as i32 * quant[i] as i32;
             }
-            let idct = crate::dct::idct_i32(&deq);
+            let idct = crate::dct::idct_i32_scalar(&deq);
             for yy in 0..8 {
                 for xx in 0..8 {
                     let (x, y) = (bx * 8 + xx, by * 8 + yy);

@@ -36,14 +36,6 @@ pub struct HuffTable {
     /// codes of `len ≤ LOOKAHEAD_BITS`; `0` = longer code (or invalid
     /// prefix), resolved by the Annex F `maxcode` walk.
     lookup: [u16; 1 << LOOKAHEAD_BITS],
-    /// Decode: packed fast-path LUT for the multi-coefficient AC loop,
-    /// same index as `lookup`. Non-zero iff the prefix resolves (within
-    /// [`LOOKAHEAD_BITS`] bits) to a *plain coefficient* symbol — run in
-    /// `0..=15`, size in `1..=10` — i.e. none of the special codes
-    /// (EOB/EOBn, ZRL, out-of-range sizes) that need bespoke control
-    /// flow. Layout: bit 31 set | `run << 24` | `size << 16` |
-    /// `len << 8` | `len + size` (the whole-transaction bit count).
-    ac_fast: [u32; 1 << LOOKAHEAD_BITS],
 }
 
 impl HuffTable {
@@ -68,7 +60,6 @@ impl HuffTable {
         let mut valptr = [0usize; 17];
 
         let mut lookup = [0u16; 1 << LOOKAHEAD_BITS];
-        let mut ac_fast = [0u32; 1 << LOOKAHEAD_BITS];
         let mut k = 0usize; // index into values
         let mut next_code = 0u32;
         for l in 1..=16usize {
@@ -91,17 +82,6 @@ impl HuffTable {
                     let base = (next_code as usize) << pad;
                     let entry = ((l as u16) << 8) | sym as u16;
                     lookup[base..base + (1 << pad)].fill(entry);
-                    // Plain-coefficient symbols additionally get a
-                    // packed fast entry (AC interpretation: run|size).
-                    let (run, size) = (sym >> 4, sym & 15);
-                    if (1..=10).contains(&size) {
-                        let fast = (1u32 << 31)
-                            | ((run as u32) << 24)
-                            | ((size as u32) << 16)
-                            | ((l as u32) << 8)
-                            | (l + size) as u32;
-                        ac_fast[base..base + (1 << pad)].fill(fast);
-                    }
                 }
                 next_code += 1;
                 k += 1;
@@ -122,7 +102,6 @@ impl HuffTable {
             maxcode,
             valptr,
             lookup,
-            ac_fast,
         })
     }
 
@@ -201,16 +180,6 @@ impl HuffTable {
             }
         }
         None
-    }
-
-    /// Fast-path probe for the multi-coefficient AC decode: the packed
-    /// entry (see the `ac_fast` field docs) for the code at the head of
-    /// `peek8`, the next [`LOOKAHEAD_BITS`] peeked bits. `0` means "no
-    /// fast entry" — longer code, special symbol, or invalid prefix —
-    /// and the caller must take the general single-coefficient path.
-    #[inline]
-    pub fn ac_fast_entry(&self, peek8: u32) -> u32 {
-        self.ac_fast[(peek8 & 0xFF) as usize]
     }
 
     /// Serialize as a DHT payload fragment: 16 `bits` bytes then values

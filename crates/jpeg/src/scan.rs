@@ -17,8 +17,7 @@ use crate::error::JpegError;
 use crate::huffman::HuffTable;
 use crate::parser::ParsedJpeg;
 use crate::types::ZIGZAG;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Force the reference per-bit scan-decode path process-wide.
 ///
@@ -38,41 +37,6 @@ pub fn set_reference_scan_decode(on: bool) {
 /// Is the reference per-bit scan-decode path currently forced?
 pub fn reference_scan_decode() -> bool {
     REFERENCE_DECODE.load(Ordering::Relaxed)
-}
-
-/// Pair-decode selection: `0` = follow the `LEPTON_AC_PAIR` environment
-/// variable (read once), `1` = forced off, `2` = forced on.
-static AC_PAIR: AtomicU8 = AtomicU8::new(0);
-
-/// Force the multi-coefficient (pair) AC decode on or off process-wide,
-/// or `None` to fall back to the `LEPTON_AC_PAIR` environment variable.
-///
-/// The pair path is byte-identical to the single-symbol body by
-/// construction — the equivalence suites pin that — so this only
-/// changes speed, never output. Default **off**: on the 1-core bench
-/// host the pair attempt (52-bit peek + packed-LUT probe per
-/// iteration) measured ~10% *slower* than the already-prefetched
-/// single-symbol loop, which saturates the decode. Kept as an opt-in
-/// (`LEPTON_AC_PAIR=1`) to re-measure on hardware with more cache and
-/// wider issue.
-pub fn set_ac_pair_decode(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    AC_PAIR.store(v, Ordering::Relaxed);
-}
-
-/// Is the multi-coefficient (pair) AC decode currently enabled?
-/// (Only takes effect on SIMD dispatch levels.)
-pub fn ac_pair_decode() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    match AC_PAIR.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *ENV.get_or_init(|| std::env::var_os("LEPTON_AC_PAIR").is_some_and(|v| v == "1")),
-    }
 }
 
 /// Resume state at an MCU boundary ("Huffman handover word", App. A.1).
@@ -313,88 +277,7 @@ impl BlockDecode<'_> {
         stats.dc_bits += (r.bit_offset() - start_bits) as u64;
 
         let mut k = 1usize;
-        // Multi-coefficient transactions (SIMD dispatch levels only):
-        // one 52-bit peek covers *two* plain coefficients — each is at
-        // most an 8-bit code plus a 10-bit magnitude, 26 bits. Both
-        // are decoded from the single peeked word via the packed fast
-        // LUT; each still gets its own `consume_bits`, because the
-        // per-category statistics are attributed from `bit_offset`
-        // deltas (which charge stuffing-byte overhead to the coefficient
-        // that crosses it) and must match the reference path exactly.
-        // Special symbols (EOB/ZRL), long codes, and window-starved
-        // tails have no fast entry and fall through to the
-        // single-symbol body below.
-        //
-        // The gate is **opportunistic**: the pair path runs only when
-        // the window *already* holds 52 bits (`window_len()`, no
-        // `ensure`), so it never adds refill pressure over the
-        // single-coefficient body — demanding 52 bits via `ensure_bits`
-        // forces a refill nearly every pair and measures *slower* than
-        // not pairing at all. When the window runs low, the
-        // single-symbol body's 26-bit ensure tops it back up, re-arming
-        // the pair path for the next iteration.
-        //
-        // Even so, the pair attempt is **off by default** (see
-        // [`set_ac_pair_decode`]): measured head-to-head on the bench
-        // host, the per-iteration 52-bit peek + fast-entry probe costs
-        // more than the harvested second coefficient saves, because the
-        // single-symbol body below already decodes from a prefetched
-        // 26-bit word. `LEPTON_AC_PAIR=1` re-enables it for wider cores.
-        let pair_ok = ac_pair_decode() && lepton_simd::level().is_simd();
         while k <= 63 {
-            if pair_ok && r.window_len() >= 52 {
-                let w = r.peek_bits64(52);
-                let e1 = self.ac.ac_fast_entry((w >> 44) as u32);
-                if e1 != 0 {
-                    let sym_start = r.bit_offset();
-                    let total1 = (e1 & 0xFF) as u8;
-                    k += ((e1 >> 24) & 0x0F) as usize;
-                    if k > 63 {
-                        // The reference consumes the code before noticing
-                        // the run overflows the block.
-                        r.consume_bits(((e1 >> 8) & 0xFF) as u8);
-                        return Err(JpegError::AcOutOfRange);
-                    }
-                    let size1 = ((e1 >> 16) & 0x0F) as u8;
-                    let bits1 = ((w >> (52 - total1 as u32)) & ((1u64 << size1) - 1)) as u32;
-                    r.consume_bits(total1);
-                    out[ZIGZAG[k]] = extend(bits1, size1) as i16;
-                    let spent = (r.bit_offset() - sym_start) as u64;
-                    if is_edge_zigzag(k) {
-                        stats.edge_bits += spent;
-                    } else {
-                        stats.ac77_bits += spent;
-                    }
-                    k += 1;
-                    if k > 63 {
-                        break;
-                    }
-                    // Second coefficient from the same peeked word.
-                    let e2 = self.ac.ac_fast_entry((w >> (44 - total1 as u32)) as u32);
-                    if e2 != 0 {
-                        let sym_start = r.bit_offset();
-                        let total2 = (e2 & 0xFF) as u8;
-                        k += ((e2 >> 24) & 0x0F) as usize;
-                        if k > 63 {
-                            r.consume_bits(((e2 >> 8) & 0xFF) as u8);
-                            return Err(JpegError::AcOutOfRange);
-                        }
-                        let size2 = ((e2 >> 16) & 0x0F) as u8;
-                        let bits2 = ((w >> (52 - total1 as u32 - total2 as u32))
-                            & ((1u64 << size2) - 1)) as u32;
-                        r.consume_bits(total2);
-                        out[ZIGZAG[k]] = extend(bits2, size2) as i16;
-                        let spent = (r.bit_offset() - sym_start) as u64;
-                        if is_edge_zigzag(k) {
-                            stats.edge_bits += spent;
-                        } else {
-                            stats.ac77_bits += spent;
-                        }
-                        k += 1;
-                    }
-                    continue;
-                }
-            }
             let sym_start = r.bit_offset();
             // AC: code ≤ 16 bits + magnitude ≤ 10 bits.
             let (sym, prefetched) = if r.ensure_bits(26) {
@@ -464,10 +347,9 @@ impl BlockDecode<'_> {
 /// harness entry point, not part of the codec API.
 ///
 /// `path` selects the implementation: `0` = Annex F reference (per-bit),
-/// anything else = the windowed fast decoder (whose single- vs
-/// multi-coefficient behavior follows the current `lepton_simd` dispatch
-/// level). All four outputs — coefficients, reader position, statistics,
-/// and the error — must be identical across every path.
+/// anything else = the windowed fast decoder. All four outputs —
+/// coefficients, reader position, statistics, and the error — must be
+/// identical across every path.
 #[doc(hidden)]
 pub fn decode_block_for_tests(
     dc: &HuffTable,
@@ -725,9 +607,26 @@ impl<'t> BlockHuffEncoder<'t> {
     pub fn encode(
         &self,
         w: &mut ScanWriter,
-        block: &[i16; 64],
+        block: &CoefBlock,
         prev_dc: &mut i16,
     ) -> Result<(), JpegError> {
+        self.encode_masked(w, block, nonzero_mask(block), prev_dc)
+    }
+
+    /// [`Self::encode`] for a caller that already knows which
+    /// coefficients are nonzero (`nz_mask` as [`nonzero_mask`] would
+    /// compute it; the Lepton decoder builds it while decoding): the AC
+    /// loop then visits only the set bits instead of testing all 63
+    /// positions, and each symbol's code and magnitude bits leave in
+    /// one write.
+    pub fn encode_masked(
+        &self,
+        w: &mut ScanWriter,
+        block: &CoefBlock,
+        nz_mask: u64,
+        prev_dc: &mut i16,
+    ) -> Result<(), JpegError> {
+        debug_assert_eq!(nz_mask >> 1, nonzero_mask(block) >> 1);
         let diff = block[0] as i32 - *prev_dc as i32;
         *prev_dc = block[0];
         let s = category(diff);
@@ -738,19 +637,15 @@ impl<'t> BlockHuffEncoder<'t> {
             .dc
             .encode(s)
             .ok_or(JpegError::BadHuffman("DC symbol uncodable"))?;
-        w.put_bits(code as u32, len);
-        if s > 0 {
-            let v = if diff < 0 { diff + (1 << s) - 1 } else { diff };
-            w.put_bits(v as u32, s);
-        }
+        w.put_bits(((code as u32) << s) | magnitude_bits(diff, s), len + s);
 
-        let mut run = 0usize;
-        for k in 1..=63usize {
-            let v = block[ZIGZAG[k]] as i32;
-            if v == 0 {
-                run += 1;
-                continue;
-            }
+        let mut todo = nz_mask & !1;
+        let mut next = 1u32; // first zigzag position not yet coded
+        while todo != 0 {
+            let k = todo.trailing_zeros();
+            todo &= todo - 1;
+            let mut run = k - next;
+            next = k + 1;
             while run > 15 {
                 let (code, len) = self
                     .ac
@@ -759,21 +654,18 @@ impl<'t> BlockHuffEncoder<'t> {
                 w.put_bits(code as u32, len);
                 run -= 16;
             }
+            let v = block[ZIGZAG[k as usize]] as i32;
             let s = category(v);
             if s > 10 {
                 return Err(JpegError::AcOutOfRange);
             }
-            let sym = ((run as u8) << 4) | s;
             let (code, len) = self
                 .ac
-                .encode(sym)
+                .encode(((run as u8) << 4) | s)
                 .ok_or(JpegError::BadHuffman("AC symbol uncodable"))?;
-            w.put_bits(code as u32, len);
-            let bits = if v < 0 { v + (1 << s) - 1 } else { v };
-            w.put_bits(bits as u32, s);
-            run = 0;
+            w.put_bits(((code as u32) << s) | magnitude_bits(v, s), len + s);
         }
-        if run > 0 {
+        if next <= 63 {
             let (code, len) = self
                 .ac
                 .encode(0x00)
@@ -782,6 +674,19 @@ impl<'t> BlockHuffEncoder<'t> {
         }
         Ok(())
     }
+}
+
+/// Bit `k` set iff the coefficient at zigzag position `k` is nonzero
+/// (bit 0 is the DC).
+pub fn nonzero_mask(block: &CoefBlock) -> u64 {
+    (0..64).fold(0, |m, k| m | (((block[ZIGZAG[k]] != 0) as u64) << k))
+}
+
+/// The `s` magnitude bits T.81 F.1.2.1 appends for a value of category
+/// `s` (negative values are sent as `v - 1` in `s`-bit two's complement).
+#[inline]
+fn magnitude_bits(v: i32, s: u8) -> u32 {
+    (v + (v >> 31)) as u32 & ((1u32 << s) - 1)
 }
 
 /// Pre-resolved [`BlockHuffEncoder`]s for every scan component.

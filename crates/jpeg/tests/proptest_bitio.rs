@@ -19,6 +19,79 @@ fn bit_items() -> impl Strategy<Value = Vec<(u32, u8)>> {
     )
 }
 
+/// One call on a [`ScanWriter`].
+#[derive(Clone, Copy, Debug)]
+enum WriterOp {
+    Bits(u32, u8),
+    Align(bool),
+    /// Pad to a byte boundary, then RSTn.
+    Restart(u8),
+    Take,
+}
+
+/// Mostly `put_bits` of 0..=32 bits — half of them all-ones, so `0xFF`
+/// bytes land on every side of the four-byte flush — with the other
+/// operations sprinkled in.
+fn writer_ops() -> impl Strategy<Value = Vec<WriterOp>> {
+    let op =
+        (0u8..16, any::<u32>(), 0u8..=32, any::<bool>()).prop_map(
+            |(kind, v, n, flag)| match kind {
+                0 => WriterOp::Align(flag),
+                1 => WriterOp::Restart((v % 8) as u8),
+                2 => WriterOp::Take,
+                _ if flag => WriterOp::Bits(u32::MAX, n),
+                _ => WriterOp::Bits(v, n),
+            },
+        );
+    proptest::collection::vec(op, 0..400)
+}
+
+/// The writer [`ScanWriter`] used to be: one bit at a time into a
+/// one-byte accumulator, stuffing as each byte completes.
+struct BitOracle {
+    out: Vec<u8>,
+    acc: u8,
+    nbits: u8,
+    drained: usize,
+}
+
+impl BitOracle {
+    fn resume(partial: u8, bits_used: u8) -> Self {
+        BitOracle {
+            out: Vec::new(),
+            acc: partial,
+            nbits: bits_used,
+            drained: 0,
+        }
+    }
+
+    fn put_bit(&mut self, bit: bool) {
+        if bit {
+            self.acc |= 0x80 >> self.nbits;
+        }
+        self.nbits += 1;
+        if self.nbits == 8 {
+            self.out.push(self.acc);
+            if self.acc == 0xFF {
+                self.out.push(0x00);
+            }
+            (self.acc, self.nbits) = (0, 0);
+        }
+    }
+
+    fn put_bits(&mut self, v: u32, n: u8) {
+        for i in (0..n).rev() {
+            self.put_bit((v >> i) & 1 == 1);
+        }
+    }
+
+    fn align(&mut self, pad_bit: bool) {
+        while self.nbits != 0 {
+            self.put_bit(pad_bit);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn scan_writer_reader_roundtrip(items in bit_items(), pad in any::<bool>()) {
@@ -90,6 +163,50 @@ proptest! {
         out.extend(second.finish_scan(pad));
 
         prop_assert_eq!(out, reference);
+    }
+
+    /// The word-at-a-time writer is observationally the bit-at-a-time
+    /// one: same bytes out of every drain, same lengths, same handover
+    /// state after every operation — from every resume offset, with
+    /// `0xFF` runs that straddle the four-byte flush, mid-stream
+    /// `take_bytes`, `align` and restart markers.
+    #[test]
+    fn scan_writer_equals_bit_at_a_time_oracle(ops in writer_ops(), pad in any::<bool>()) {
+        for used in 0..8u8 {
+            let partial = 0xA5u8 & !(0xFF >> used);
+            let mut w = ScanWriter::resume(partial, used);
+            let mut o = BitOracle::resume(partial, used);
+            for &op in &ops {
+                match op {
+                    WriterOp::Bits(v, n) => {
+                        w.put_bits(v, n);
+                        o.put_bits(v, n);
+                    }
+                    WriterOp::Align(bit) => {
+                        w.align(bit);
+                        o.align(bit);
+                    }
+                    WriterOp::Restart(idx) => {
+                        w.align(pad);
+                        w.write_rst(idx);
+                        o.align(pad);
+                        o.out.extend([0xFF, 0xD0 + idx]);
+                    }
+                    WriterOp::Take => {
+                        let taken = std::mem::take(&mut o.out);
+                        o.drained += taken.len();
+                        prop_assert_eq!(w.take_bytes(), taken);
+                    }
+                }
+                prop_assert_eq!(w.pending_len(), o.out.len(), "after {:?} from {}", op, used);
+                prop_assert_eq!(w.byte_len(), o.drained + o.out.len());
+                prop_assert_eq!(w.partial_state(), (o.acc, o.nbits));
+            }
+            // Both ways a segment can end.
+            prop_assert_eq!(w.clone().finish_segment(), o.out.clone());
+            o.align(pad);
+            prop_assert_eq!(w.finish_scan(pad), o.out);
+        }
     }
 
     /// Tables built from arbitrary frequency histograms must encode

@@ -9,10 +9,16 @@
 //! — the same errors. These tests pin that over (a) every code of the
 //! four standard tables, (b) random optimal tables fed random valid
 //! bitstreams, and (c) crafted hostile streams.
+//!
+//! The encode side has the same shape: the mask-driven block encoder
+//! (visit only the nonzero positions, one write per symbol) against
+//! the 63-position loop it replaced.
 
 use lepton_jpeg::bitio::{ScanReader, ScanWriter};
 use lepton_jpeg::error::JpegError;
 use lepton_jpeg::huffman::{std_ac_chroma, std_ac_luma, std_dc_chroma, std_dc_luma, HuffTable};
+use lepton_jpeg::scan::{nonzero_mask, BlockHuffEncoder};
+use lepton_jpeg::ZIGZAG;
 use proptest::prelude::*;
 
 /// Reference decode of one symbol: Annex F DECODE over per-bit reads.
@@ -193,5 +199,128 @@ proptest! {
             // Clone the buffer so marker bytes stay wherever they fall.
             assert_equivalent(&table, &data, 64);
         }
+    }
+}
+
+/// The block encoder [`BlockHuffEncoder::encode_masked`] replaced: test
+/// all 63 zigzag positions, write code and magnitude separately.
+fn encode_block_reference(
+    dc: &HuffTable,
+    ac: &HuffTable,
+    w: &mut ScanWriter,
+    block: &[i16; 64],
+    prev_dc: &mut i16,
+) -> Result<(), JpegError> {
+    let category = |v: i32| (32 - v.unsigned_abs().leading_zeros()) as u8;
+    let magnitude = |v: i32, s: u8| if v < 0 { v + (1 << s) - 1 } else { v } as u32;
+    let diff = block[0] as i32 - *prev_dc as i32;
+    *prev_dc = block[0];
+    let s = category(diff);
+    if s > 11 {
+        return Err(JpegError::DcOutOfRange);
+    }
+    let (code, len) = dc.encode(s).expect("std DC table");
+    w.put_bits(code as u32, len);
+    w.put_bits(magnitude(diff, s), s);
+    let mut run = 0u8;
+    for k in 1..=63 {
+        let v = block[ZIGZAG[k]] as i32;
+        if v == 0 {
+            run += 1;
+            continue;
+        }
+        while run > 15 {
+            let (code, len) = ac.encode(0xF0).expect("std AC table");
+            w.put_bits(code as u32, len);
+            run -= 16;
+        }
+        let s = category(v);
+        if s > 10 {
+            return Err(JpegError::AcOutOfRange);
+        }
+        let (code, len) = ac.encode((run << 4) | s).expect("std AC table");
+        w.put_bits(code as u32, len);
+        w.put_bits(magnitude(v, s), s);
+        run = 0;
+    }
+    if run > 0 {
+        let (code, len) = ac.encode(0x00).expect("std AC table");
+        w.put_bits(code as u32, len);
+    }
+    Ok(())
+}
+
+/// Encode `blocks` back to back through the reference and through the
+/// mask-driven encoder (mask given, and mask computed): same result per
+/// block, same bytes.
+fn assert_block_encoders_agree(blocks: &[[i16; 64]]) {
+    let (dc, ac) = (std_dc_luma(), std_ac_luma());
+    let enc = BlockHuffEncoder::new(&dc, &ac);
+    let mut writers = [ScanWriter::new(), ScanWriter::new(), ScanWriter::new()];
+    let mut prev = [0i16; 3];
+    for (i, block) in blocks.iter().enumerate() {
+        let [wr, wm, we] = &mut writers;
+        let want = encode_block_reference(&dc, &ac, wr, block, &mut prev[0]);
+        let masked = enc.encode_masked(wm, block, nonzero_mask(block), &mut prev[1]);
+        assert_eq!(masked, want, "block {i}: {block:?}");
+        assert_eq!(enc.encode(we, block, &mut prev[2]), want, "block {i}");
+        if want.is_err() {
+            break;
+        }
+    }
+    let [wr, wm, we] = writers.map(|w| w.finish_scan(true));
+    assert_eq!(wm, wr, "masked encode bytes");
+    assert_eq!(we, wr, "self-masking encode bytes");
+}
+
+/// The shapes the mask walk has to get right, one by one.
+#[test]
+fn masked_block_encode_corner_cases() {
+    let at = |pairs: &[(usize, i16)]| {
+        let mut b = [0i16; 64];
+        for &(k, v) in pairs {
+            b[ZIGZAG[k]] = v;
+        }
+        b
+    };
+    assert_block_encoders_agree(&[
+        [0; 64],                               // all zero: DC size 0, EOB
+        at(&[(0, -37)]),                       // DC only
+        at(&[(63, 1)]),                        // three ZRLs, no EOB
+        at(&[(1, -1), (63, 1023)]),            // run of 61 between them
+        at(&[(17, 5)]),                        // run of exactly 16 → one ZRL, run 0
+        at(&[(16, -5), (33, 2), (50, -1023)]), // runs of 15 / 16 / 16
+        at(&[(0, 2047), (62, -7)]),            // ends one short of 63: EOB
+        [1; 64],                               // dense: no runs, no EOB
+        [-1023; 64],                           // dense, longest magnitudes
+    ]);
+    // Out-of-range values: the same error, after the same bytes.
+    assert_block_encoders_agree(&[at(&[(2, 3), (5, 1024)])]);
+    assert_block_encoders_agree(&[at(&[(0, -2048), (3, 9)])]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random block sequences at every density, from nearly empty
+    /// (long runs, ZRLs) to fully dense.
+    #[test]
+    fn masked_block_encode_equals_reference(
+        cells in proptest::collection::vec((any::<u16>(), -1023i16..=1023), 64..640),
+        density in 0u16..=64,
+    ) {
+        let blocks: Vec<[i16; 64]> = cells
+            .chunks_exact(64)
+            .map(|chunk| {
+                let mut b = [0i16; 64];
+                for (slot, &(dice, v)) in b.iter_mut().zip(chunk) {
+                    if dice % 64 < density {
+                        *slot = v;
+                    }
+                }
+                b
+            })
+            .collect();
+        assert_block_encoders_agree(&blocks);
     }
 }

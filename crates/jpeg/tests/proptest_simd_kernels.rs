@@ -1,6 +1,6 @@
 //! SIMD-vs-scalar kernel equivalence: the vectorized refill horizon
-//! (destuff/marker scan) and the multi-coefficient Huffman decode must
-//! be *indistinguishable* from their scalar reference forms — same
+//! (destuff/marker scan) and the windowed Huffman decode running on it
+//! must be *indistinguishable* from their scalar reference forms — same
 //! values, same consumed positions, same statistics, same errors — over
 //! adversarial stuffing placement, every window alignment, and the
 //! random-table corpus.
@@ -142,41 +142,39 @@ fn block_trace(
     (res, out, (p.byte, p.bits_used), r.bit_offset(), stats, prev)
 }
 
-/// Reference vs single-symbol (fast @ scalar) vs multi-symbol (fast @
-/// detected level, pair decode forced on): all observables equal.
+/// Reference vs windowed (fast @ scalar refill) vs windowed on the
+/// vector refill (fast @ detected level): all observables equal.
 fn assert_block_paths_agree(dc: &HuffTable, ac: &HuffTable, data: &[u8], ctx: &str) {
-    // Pair decode defaults off (perf choice, see `set_ac_pair_decode`);
-    // force it on so the multi-symbol trace actually runs the pair
-    // path. The scalar traces ignore the flag (`is_simd()` gate).
-    lepton_jpeg::scan::set_ac_pair_decode(Some(true));
     force_level(Some(SimdLevel::Scalar));
     let reference = block_trace(dc, ac, data, 0);
-    let single = block_trace(dc, ac, data, 1);
+    let scalar_refill = block_trace(dc, ac, data, 1);
     let lvl = detected_level();
     force_level(Some(lvl));
-    let multi = block_trace(dc, ac, data, 1);
+    let vector_refill = block_trace(dc, ac, data, 1);
     force_level(None);
-    lepton_jpeg::scan::set_ac_pair_decode(None);
-    assert_eq!(reference, single, "single-symbol diverged ({ctx})");
-    assert_eq!(reference, multi, "multi-symbol diverged ({ctx}, {lvl:?})");
+    assert_eq!(reference, scalar_refill, "windowed decode diverged ({ctx})");
+    assert_eq!(
+        reference, vector_refill,
+        "windowed decode diverged ({ctx}, {lvl:?})"
+    );
 }
 
-/// Standard-table blocks with dense coefficient runs (the shape the
-/// pair loop accelerates), plus stuffing-heavy magnitudes.
+/// Standard-table blocks with dense coefficient runs, plus
+/// stuffing-heavy magnitudes.
 #[test]
-fn multi_symbol_standard_tables_equivalent() {
+fn windowed_decode_standard_tables_equivalent() {
     let _g = dispatch_lock();
     let dc = std_dc_luma();
     let ac = std_ac_luma();
     // Craft blocks from (run, size) sequences with varied magnitudes;
-    // 0xFFFF-ish magnitude patterns force stuffed bytes mid-pair.
+    // 0xFFFF-ish magnitude patterns force stuffed bytes mid-symbol.
     let patterns: &[&[(u8, u8)]] = &[
         &[(0, 1); 63],                // fully dense, shortest codes
         &[(1, 2), (0, 3), (2, 1)],    // mixed runs then EOB
-        &[(15, 0), (15, 0), (0, 4)],  // ZRL pairs (no fast entry)
-        &[(0, 10), (0, 10), (0, 10)], // max fast size, long magnitudes
+        &[(15, 0), (15, 0), (0, 4)],  // ZRL pairs
+        &[(0, 10), (0, 10), (0, 10)], // max size, long magnitudes
         &[(4, 6), (3, 5), (7, 2)],    // interior scatter
-        &[(0, 1), (15, 0), (0, 1)],   // fast, special, fast
+        &[(0, 1), (15, 0), (0, 1)],   // plain, special, plain
         &[(11, 1), (11, 1), (11, 1)], // run overflow mid-block
         &[],                          // immediate EOB
     ];
@@ -240,13 +238,13 @@ proptest! {
         force_level(None);
     }
 
-    /// The PR-5 random-table corpus, replayed against the
-    /// multi-coefficient decode: random optimal AC tables, random
+    /// The PR-5 random-table corpus, replayed against the windowed
+    /// decode at both refill levels: random optimal AC tables, random
     /// symbol/magnitude streams (valid prefixes, possibly dying into
     /// pad bits) — same symbols, same positions, same errors across
-    /// reference, single-symbol, and multi-symbol paths.
+    /// the reference and both windowed runs.
     #[test]
-    fn multi_symbol_random_tables_equivalent(
+    fn windowed_decode_random_tables_equivalent(
         seed_freqs in proptest::collection::vec(0u32..1000, 40),
         picks in proptest::collection::vec(any::<u16>(), 0..120),
         dc_mag in any::<u32>(),
@@ -283,7 +281,7 @@ proptest! {
     /// Random garbage through all three block-decode paths: agreement
     /// on the first error is required even when nothing is valid.
     #[test]
-    fn multi_symbol_garbage_equivalent(
+    fn windowed_decode_garbage_equivalent(
         data in proptest::collection::vec(any::<u8>(), 0..96),
     ) {
         let _g = dispatch_lock();

@@ -5,9 +5,9 @@
 //! compiler — led the authors to wrap every bin array in a class that
 //! enforces bounds checks, at a measured ~10% cost they chose to keep.
 //! [`BinGrid`] is that abstraction: a flat `Vec<Branch>` with explicit
-//! dimensions, where every lookup asserts each coordinate against its
-//! axis (not just the flattened offset, which is what the reversed index
-//! defeated).
+//! (inline, rank ≤ 4) dimensions, where every lookup asserts each
+//! coordinate against its axis (not just the flattened offset, which is
+//! what the reversed index defeated).
 //!
 //! Two generations of accessors coexist:
 //!
@@ -26,28 +26,41 @@
 
 use lepton_arith::Branch;
 
-/// A dense N-dimensional grid of adaptive bins with per-axis checking.
+/// Highest grid rank the model uses; `dims`/`strides` are stored inline
+/// at this length so a hot-path lookup reads them without a pointer
+/// chase or a slice bounds check.
+const MAX_RANK: usize = 4;
+
+/// A dense N-dimensional grid (N ≤ 4) of adaptive bins with per-axis
+/// checking.
 #[derive(Clone, Debug)]
 pub struct BinGrid {
-    dims: Vec<usize>,
+    rank: usize,
+    /// Axis lengths; axes at and beyond `rank` have length 1.
+    dims: [usize; MAX_RANK],
     /// `strides[i]` = number of bins spanned by one step along axis `i`
-    /// (`strides[last] == 1`). Precomputed so hot-path offset math is a
-    /// few multiplies instead of a walk over `dims`.
-    strides: Vec<usize>,
+    /// (`strides[rank - 1] == 1`). Precomputed so hot-path offset math
+    /// is a few multiplies instead of a walk over `dims`.
+    strides: [usize; MAX_RANK],
     bins: Vec<Branch>,
 }
 
 impl BinGrid {
     /// Allocate a grid with the given dimensions, all bins fresh (50-50).
-    pub fn new(dims: &[usize]) -> Self {
+    pub fn new(shape: &[usize]) -> Self {
+        let rank = shape.len();
+        assert!((1..=MAX_RANK).contains(&rank), "bin grid rank {rank}");
+        let mut dims = [1usize; MAX_RANK];
+        dims[..rank].copy_from_slice(shape);
         let n: usize = dims.iter().product();
         assert!(n > 0, "empty bin grid");
-        let mut strides = vec![1usize; dims.len()];
-        for i in (0..dims.len().saturating_sub(1)).rev() {
+        let mut strides = [1usize; MAX_RANK];
+        for i in (0..rank - 1).rev() {
             strides[i] = strides[i + 1] * dims[i + 1];
         }
         BinGrid {
-            dims: dims.to_vec(),
+            rank,
+            dims,
             strides,
             bins: vec![Branch::new(); n],
         }
@@ -74,10 +87,10 @@ impl BinGrid {
     fn flatten(&self, idx: &[usize]) -> usize {
         assert_eq!(
             idx.len(),
-            self.dims.len(),
+            self.rank,
             "bin index rank {} != grid rank {}",
             idx.len(),
-            self.dims.len()
+            self.rank
         );
         let mut off = 0usize;
         for (i, (&x, &d)) in idx.iter().zip(self.dims.iter()).enumerate() {
@@ -114,7 +127,7 @@ impl BinGrid {
     /// Mutable bin of a rank-1 grid (per-axis checked, stride-free).
     #[inline]
     pub fn at1(&mut self, a: usize) -> &mut Branch {
-        debug_assert_eq!(self.dims.len(), 1, "at1 on rank-{} grid", self.dims.len());
+        debug_assert_eq!(self.rank, 1, "at1 on rank-{} grid", self.rank);
         self.check_axis(0, a);
         &mut self.bins[a]
     }
@@ -122,7 +135,7 @@ impl BinGrid {
     /// Mutable bin of a rank-2 grid (per-axis checked, strided offset).
     #[inline]
     pub fn at2(&mut self, a: usize, b: usize) -> &mut Branch {
-        debug_assert_eq!(self.dims.len(), 2, "at2 on rank-{} grid", self.dims.len());
+        debug_assert_eq!(self.rank, 2, "at2 on rank-{} grid", self.rank);
         self.check_axis(0, a);
         self.check_axis(1, b);
         let off = a * self.strides[0] + b;
@@ -132,7 +145,7 @@ impl BinGrid {
     /// The whole bin row of a rank-1 grid.
     #[inline]
     pub fn row0(&mut self) -> &mut [Branch] {
-        debug_assert_eq!(self.dims.len(), 1, "row0 on rank-{} grid", self.dims.len());
+        debug_assert_eq!(self.rank, 1, "row0 on rank-{} grid", self.rank);
         &mut self.bins
     }
 
@@ -140,7 +153,7 @@ impl BinGrid {
     /// (per-axis checked, strided offset).
     #[inline]
     pub fn row1(&mut self, a: usize) -> &mut [Branch] {
-        debug_assert_eq!(self.dims.len(), 2, "row1 on rank-{} grid", self.dims.len());
+        debug_assert_eq!(self.rank, 2, "row1 on rank-{} grid", self.rank);
         self.check_axis(0, a);
         let start = a * self.strides[0];
         let len = self.strides[0];
@@ -150,7 +163,7 @@ impl BinGrid {
     /// Last-axis row of a rank-3 grid with both leading axes fixed.
     #[inline]
     pub fn row2(&mut self, a: usize, b: usize) -> &mut [Branch] {
-        debug_assert_eq!(self.dims.len(), 3, "row2 on rank-{} grid", self.dims.len());
+        debug_assert_eq!(self.rank, 3, "row2 on rank-{} grid", self.rank);
         self.check_axis(0, a);
         self.check_axis(1, b);
         let start = a * self.strides[0] + b * self.strides[1];
@@ -161,7 +174,7 @@ impl BinGrid {
     /// Last-axis row of a rank-4 grid with the three leading axes fixed.
     #[inline]
     pub fn row3(&mut self, a: usize, b: usize, c: usize) -> &mut [Branch] {
-        debug_assert_eq!(self.dims.len(), 4, "row3 on rank-{} grid", self.dims.len());
+        debug_assert_eq!(self.rank, 4, "row3 on rank-{} grid", self.rank);
         self.check_axis(0, a);
         self.check_axis(1, b);
         self.check_axis(2, c);
@@ -177,17 +190,17 @@ impl BinGrid {
     pub fn row(&mut self, prefix: &[usize]) -> &mut [Branch] {
         assert_eq!(
             prefix.len() + 1,
-            self.dims.len(),
+            self.rank,
             "row prefix rank {} != grid rank {} - 1",
             prefix.len(),
-            self.dims.len()
+            self.rank
         );
         let mut off = 0usize;
         for (i, (&x, &d)) in prefix.iter().zip(self.dims.iter()).enumerate() {
             assert!(x < d, "bin axis {i} out of bounds: {x} >= {d}");
             off = off * d + x;
         }
-        let last = *self.dims.last().expect("non-empty dims");
+        let last = self.dims[self.rank - 1];
         let start = off * last;
         &mut self.bins[start..start + last]
     }

@@ -6,19 +6,12 @@
 //! sign (its own bin), then the `len-1` residual bits below the implicit
 //! leading one (per-position bins).
 
-use lepton_arith::{refresh_probs, BoolDecoder, BoolEncoder, Branch, ByteSource};
+use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource};
 
 /// Encode `v` with `|v| < 2^max_exp`.
 ///
 /// `exp_bins` must hold at least `max_exp` bins, `resid_bins` at least
 /// `max_exp - 1`.
-///
-/// On SIMD hosts the per-bin probability refresh is deferred and
-/// batched: the unary-exponent prefix and the residual run each touch a
-/// contiguous bin span exactly once, so recording with stale-prob bins
-/// and then running one vectorized [`refresh_probs`] sweep per span is
-/// byte-identical to the eager scalar path (each probability is read
-/// before its bin is recorded, and no bin is re-read before its sweep).
 pub fn encode_value(
     enc: &mut BoolEncoder,
     v: i32,
@@ -34,26 +27,6 @@ pub fn encode_value(
         "value {v} exceeds Exp-Golomb range 2^{max_exp}"
     );
     assert!(exp_bins.len() >= max_exp);
-    if lepton_simd::level().is_simd() {
-        // The unary loop below touches bins 0..touched, each once.
-        let touched = (exp + 1).min(max_exp);
-        for (i, bin) in exp_bins.iter_mut().enumerate().take(touched) {
-            enc.put_deferred(exp > i, bin);
-        }
-        refresh_probs(&mut exp_bins[..touched]);
-        if exp == 0 {
-            return;
-        }
-        enc.put(v < 0, sign_bin);
-        if exp > 1 {
-            let resid = mag - (1 << (exp - 1));
-            for j in (0..exp - 1).rev() {
-                enc.put_deferred((resid >> j) & 1 == 1, &mut resid_bins[j]);
-            }
-            refresh_probs(&mut resid_bins[..exp - 1]);
-        }
-        return;
-    }
     for i in 0..max_exp {
         let more = exp > i;
         enc.put(more, &mut exp_bins[i]);
@@ -74,10 +47,6 @@ pub fn encode_value(
 }
 
 /// Decode a value encoded by [`encode_value`] with the same parameters.
-///
-/// Mirrors the encoder's deferred-refresh batching on SIMD hosts (see
-/// [`encode_value`]); the decoded stream and final bin states are
-/// byte-identical either way.
 pub fn decode_value<S: ByteSource>(
     dec: &mut BoolDecoder<S>,
     max_exp: usize,
@@ -86,33 +55,6 @@ pub fn decode_value<S: ByteSource>(
     resid_bins: &mut [Branch],
 ) -> i32 {
     assert!(exp_bins.len() >= max_exp);
-    if lepton_simd::level().is_simd() {
-        let mut exp = 0usize;
-        let mut touched = max_exp;
-        for (i, bin) in exp_bins.iter_mut().enumerate().take(max_exp) {
-            if dec.get_deferred(bin) {
-                exp = i + 1;
-            } else {
-                touched = i + 1;
-                break;
-            }
-        }
-        refresh_probs(&mut exp_bins[..touched]);
-        if exp == 0 {
-            return 0;
-        }
-        let neg = dec.get(sign_bin);
-        let mut mag = 1u32 << (exp - 1);
-        if exp > 1 {
-            for j in (0..exp - 1).rev() {
-                if dec.get_deferred(&mut resid_bins[j]) {
-                    mag |= 1 << j;
-                }
-            }
-            refresh_probs(&mut resid_bins[..exp - 1]);
-        }
-        return if neg { -(mag as i32) } else { mag as i32 };
-    }
     let mut exp = 0usize;
     for i in 0..max_exp {
         if dec.get(&mut exp_bins[i]) {
@@ -239,63 +181,6 @@ mod tests {
         }
         let bytes = enc.finish();
         assert!(bytes.len() < 10_000 / 8, "got {} bytes", bytes.len());
-    }
-
-    /// The deferred-refresh SIMD path emits the byte stream the eager
-    /// scalar path emits — and leaves every bin in the same state — and
-    /// either stream decodes under either level (including crosswise).
-    #[test]
-    fn deferred_batching_is_byte_identical() {
-        use lepton_simd::{force_level, SimdLevel};
-        let vals: Vec<i32> = (0..4000)
-            .map(|i| {
-                let x = (i as i64 * 2654435761) % 4096 - 2048;
-                if i % 3 == 0 {
-                    0
-                } else {
-                    x as i32
-                }
-            })
-            .collect();
-        let encode_all = |lvl: SimdLevel| {
-            force_level(Some(lvl));
-            let mut enc = BoolEncoder::new();
-            let mut exp = vec![Branch::new(); 13];
-            let mut sign = Branch::new();
-            let mut resid = vec![Branch::new(); 13];
-            for &v in &vals {
-                encode_value(&mut enc, v, 13, &mut exp, &mut sign, &mut resid);
-            }
-            force_level(None);
-            (enc.finish(), exp, sign, resid)
-        };
-        let detected = {
-            force_level(None);
-            lepton_simd::level()
-        };
-        let scalar = encode_all(SimdLevel::Scalar);
-        let simd = encode_all(detected);
-        assert_eq!(scalar, simd, "stream or bin state diverged");
-        for lvl in [SimdLevel::Scalar, detected] {
-            force_level(Some(lvl));
-            let mut dec = BoolDecoder::new(SliceSource::new(&scalar.0));
-            let mut exp = vec![Branch::new(); 13];
-            let mut sign = Branch::new();
-            let mut resid = vec![Branch::new(); 13];
-            for &v in &vals {
-                assert_eq!(
-                    decode_value(&mut dec, 13, &mut exp, &mut sign, &mut resid),
-                    v,
-                    "decode under {lvl:?}"
-                );
-            }
-            force_level(None);
-            assert_eq!(
-                (&exp, &sign, &resid),
-                (&scalar.1, &scalar.2, &scalar.3),
-                "decoder bin state under {lvl:?}"
-            );
-        }
     }
 
     #[test]

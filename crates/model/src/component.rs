@@ -11,12 +11,14 @@ use crate::bins::{log159_bucket, magnitude_bucket, BinGrid};
 use crate::coef_coder::{decode_tree, decode_value, encode_tree, encode_value};
 use crate::config::{DcMode, EdgeMode, ModelConfig, ScanOrder};
 use crate::context::{
-    ac_border_pixels, count_nz77, count_nz_col, count_nz_row, dequantize, lakhani_col, lakhani_row,
-    predict_dc_first_cut, predict_dc_gradient, predict_dc_neighbor_avg, weighted_abs_at,
-    weighted_signed_at, BlockNeighbors, DcPrediction, INTERIOR_RASTER, INTERIOR_ZZ,
+    dequantize, lakhani_col, lakhani_row, nonzero_counts, predict_dc_first_cut,
+    predict_dc_gradient, predict_dc_neighbor_avg, weighted_abs_at, weighted_signed_at, BlockEdges,
+    BlockNeighbors, CodedBlock, DcPrediction, INTERIOR_RASTER, INTERIOR_ZZ,
 };
-use lepton_arith::{BoolDecoder, BoolEncoder, ByteSource};
-use lepton_jpeg::CoefBlock;
+use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource};
+use lepton_jpeg::dct::{idct_ac_borders, AcBorders};
+use lepton_jpeg::scan::nonzero_mask;
+use lepton_jpeg::{CoefBlock, ZIGZAG_INV};
 
 /// Maximum Exp-Golomb exponent for AC coefficients (baseline range
 /// ±1023, with headroom to ±2047).
@@ -94,24 +96,48 @@ pub struct ComponentModel {
     resid_dc: BinGrid,
 }
 
+/// Dimensions of every bin grid of a [`ComponentModel`], in field order.
+const GRID_DIMS: [&[usize]; 11] = [
+    &[10, 64],
+    &[2, 10, 8],
+    &[49, 12, 10, AC_MAX_EXP],
+    &[49, 3],
+    &[49, AC_MAX_EXP],
+    &[14, 12, 8, AC_MAX_EXP],
+    &[14, 3],
+    &[14, AC_MAX_EXP],
+    &[13, DC_MAX_EXP],
+    &[3],
+    &[DC_MAX_EXP],
+];
+
 impl ComponentModel {
     /// Fresh model, all bins at 50-50 (the per-thread starting state).
     pub fn new(cfg: ModelConfig) -> Self {
+        let [nz77, nz_edge, exp77, sign77, resid77, exp_edge, sign_edge, resid_edge, exp_dc, sign_dc, resid_dc] =
+            GRID_DIMS.map(BinGrid::new);
         ComponentModel {
             cfg,
             stats: CategoryBytes::default(),
-            nz77: BinGrid::new(&[10, 64]),
-            nz_edge: BinGrid::new(&[2, 10, 8]),
-            exp77: BinGrid::new(&[49, 12, 10, AC_MAX_EXP]),
-            sign77: BinGrid::new(&[49, 3]),
-            resid77: BinGrid::new(&[49, AC_MAX_EXP]),
-            exp_edge: BinGrid::new(&[14, 12, 8, AC_MAX_EXP]),
-            sign_edge: BinGrid::new(&[14, 3]),
-            resid_edge: BinGrid::new(&[14, AC_MAX_EXP]),
-            exp_dc: BinGrid::new(&[13, DC_MAX_EXP]),
-            sign_dc: BinGrid::new(&[3]),
-            resid_dc: BinGrid::new(&[DC_MAX_EXP]),
+            nz77,
+            nz_edge,
+            exp77,
+            sign77,
+            resid77,
+            exp_edge,
+            sign_edge,
+            resid_edge,
+            exp_dc,
+            sign_dc,
+            resid_dc,
         }
+    }
+
+    /// Heap bytes one model's bins occupy — what a job's memory meter
+    /// is charged per model it resets, and what sizing plans with.
+    pub fn arena_bytes() -> usize {
+        let bins: usize = GRID_DIMS.iter().map(|d| d.iter().product::<usize>()).sum();
+        bins * std::mem::size_of::<Branch>()
     }
 
     /// Reset to the per-thread starting state — every bin back at the
@@ -181,16 +207,12 @@ impl ComponentModel {
         }
     }
 
-    fn dc_prediction(&self, block: &CoefBlock, nbr: &BlockNeighbors) -> DcPrediction {
+    fn dc_prediction(&self, ac: &AcBorders, nbr: &BlockNeighbors) -> DcPrediction {
+        let above = nbr.above.map(|b| &b.edges);
+        let left = nbr.left.map(|b| &b.edges);
         let mut pred = match self.cfg.dc_mode {
-            DcMode::Gradient => {
-                let ac_px = ac_border_pixels(block, nbr.quant);
-                predict_dc_gradient(&ac_px, nbr.above_edges, nbr.left_edges, nbr.quant)
-            }
-            DcMode::FirstCut => {
-                let ac_px = ac_border_pixels(block, nbr.quant);
-                predict_dc_first_cut(&ac_px, nbr.above_edges, nbr.left_edges, nbr.quant)
-            }
+            DcMode::Gradient => predict_dc_gradient(ac, above, left, nbr.quant),
+            DcMode::FirstCut => predict_dc_first_cut(ac, above, left, nbr.quant),
             DcMode::NeighborAverage => predict_dc_neighbor_avg(nbr.above, nbr.left),
         };
         // Keep the delta within the Exp-Golomb range even for adversarial
@@ -199,11 +221,23 @@ impl ComponentModel {
         pred
     }
 
-    /// Encode one block (must contain in-range baseline coefficients).
-    pub fn encode_block(&mut self, enc: &mut BoolEncoder, block: &CoefBlock, nbr: &BlockNeighbors) {
+    /// Encode one block (must contain in-range baseline coefficients)
+    /// and fill `out` — the driver's ring slot for it — with everything
+    /// later blocks will consult.
+    pub fn encode_block(
+        &mut self,
+        enc: &mut BoolEncoder,
+        block: &CoefBlock,
+        nbr: &BlockNeighbors,
+        out: &mut CodedBlock,
+    ) {
+        out.coefs = *block;
+        dequantize(block, nbr.quant, &mut out.deq);
+        let nz_mask = nonzero_mask(block) & !1; // AC positions only
+        let (nz, nz_row, nz_col) = nonzero_counts(nz_mask);
+
         // 1. Interior nonzero count.
         let mark = enc.bytes_so_far() as u64;
-        let nz = count_nz77(block);
         let nz_bucket = log159_bucket(nbr.nz_context());
         encode_tree(enc, nz, 6, self.nz77.row1(nz_bucket));
         self.stats.nz += enc.bytes_so_far() as u64 - mark;
@@ -240,64 +274,36 @@ impl ComponentModel {
         let mark = enc.bytes_so_far() as u64;
 
         // 3. Edge strips (row then column).
-        let cur_deq = dequantize(block, nbr.quant);
-        let above_store = nbr.neighbor_deq_fallback(nbr.above, nbr.above_deq);
-        let above_deq = nbr.above_deq.or(above_store.as_ref());
-        let left_store = nbr.neighbor_deq_fallback(nbr.left, nbr.left_deq);
-        let left_deq = nbr.left_deq.or(left_store.as_ref());
         let nz77b = log159_bucket(nz);
-
-        let nz_row = count_nz_row(block);
-        encode_tree(enc, nz_row, 3, self.nz_edge.row2(0, nz77b));
-        let mut rem = nz_row as usize;
-        for u in 1..8usize {
-            if rem == 0 {
-                break;
-            }
-            let v = block[u] as i32;
-            let (pb, sc) = self.edge_ctx_row(u, &cur_deq, above_deq, nbr);
-            let idx = u - 1;
-            encode_value(
-                enc,
-                v,
-                AC_MAX_EXP,
-                self.exp_edge.row3(idx, pb, rem),
-                self.sign_edge.at2(idx, sc),
-                self.resid_edge.row1(idx),
-            );
-            if v != 0 {
-                rem -= 1;
-            }
-        }
-
-        let nz_col = count_nz_col(block);
-        encode_tree(enc, nz_col, 3, self.nz_edge.row2(1, nz77b));
-        let mut rem = nz_col as usize;
-        for vv in 1..8usize {
-            if rem == 0 {
-                break;
-            }
-            let v = block[vv * 8] as i32;
-            let (pb, sc) = self.edge_ctx_col(vv, &cur_deq, left_deq, nbr);
-            let idx = 7 + (vv - 1);
-            encode_value(
-                enc,
-                v,
-                AC_MAX_EXP,
-                self.exp_edge.row3(idx, pb, rem),
-                self.sign_edge.at2(idx, sc),
-                self.resid_edge.row1(idx),
-            );
-            if v != 0 {
-                rem -= 1;
+        for (strip, count) in [nz_row, nz_col].into_iter().enumerate() {
+            encode_tree(enc, count, 3, self.nz_edge.row2(strip, nz77b));
+            let mut rem = count as usize;
+            for i in 1..8usize {
+                if rem == 0 {
+                    break;
+                }
+                let v = block[edge_raster(strip, i)] as i32;
+                let (pb, sc) = self.edge_ctx(strip, i, &out.deq, nbr);
+                let idx = strip * 7 + i - 1;
+                encode_value(
+                    enc,
+                    v,
+                    AC_MAX_EXP,
+                    self.exp_edge.row3(idx, pb, rem),
+                    self.sign_edge.at2(idx, sc),
+                    self.resid_edge.row1(idx),
+                );
+                if v != 0 {
+                    rem -= 1;
+                }
             }
         }
-
         self.stats.edge += enc.bytes_so_far() as u64 - mark;
         let mark = enc.bytes_so_far() as u64;
 
         // 4. DC, last, as a delta from the prediction.
-        let pred = self.dc_prediction(block, nbr);
+        let ac = idct_ac_borders(&out.deq);
+        let pred = self.dc_prediction(&ac, nbr);
         let delta = block[0] as i32 - pred.value;
         encode_value(
             enc,
@@ -308,16 +314,31 @@ impl ComponentModel {
             self.resid_dc.row0(),
         );
         self.stats.dc += enc.bytes_so_far() as u64 - mark;
+
+        out.edges = BlockEdges::finish(&ac, out.deq[0]);
+        out.nz_mask = nz_mask;
+        out.nz77 = nz as u8;
     }
 
-    /// Decode one block. Inverse of [`Self::encode_block`]; adversarial
-    /// input produces garbage coefficients but never panics.
+    /// Decode one block into `out`, the driver's ring slot for it.
+    /// Inverse of [`Self::encode_block`] (and leaves `out` exactly as
+    /// the encoder did); adversarial input produces garbage
+    /// coefficients but never panics.
     pub fn decode_block<S: ByteSource>(
         &mut self,
         dec: &mut BoolDecoder<S>,
         nbr: &BlockNeighbors,
-    ) -> CoefBlock {
-        let mut block: CoefBlock = [0; 64];
+        out: &mut CodedBlock,
+    ) {
+        // Coefficients are patched in, dequantized, as they are decoded.
+        out.coefs = [0; 64];
+        out.deq = [0; 64];
+        let mut nz_mask = 0u64;
+        let mut set = |out: &mut CodedBlock, r: usize, v: i32| {
+            out.coefs[r] = v as i16;
+            out.deq[r] = v * nbr.quant[r] as i32;
+            nz_mask |= 1 << ZIGZAG_INV[r];
+        };
 
         let nz_bucket = log159_bucket(nbr.nz_context());
         let nz = decode_tree(dec, 6, self.nz77.row1(nz_bucket)).min(49);
@@ -339,62 +360,37 @@ impl ComponentModel {
                 self.sign77.at2(ki, sc),
                 self.resid77.row1(ki),
             );
-            block[r] = v as i16;
             if v != 0 {
+                set(out, r, v);
                 remaining -= 1;
             }
         }
 
-        let cur_deq_snapshot = dequantize(&block, nbr.quant);
-        let above_store = nbr.neighbor_deq_fallback(nbr.above, nbr.above_deq);
-        let above_deq = nbr.above_deq.or(above_store.as_ref());
-        let left_store = nbr.neighbor_deq_fallback(nbr.left, nbr.left_deq);
-        let left_deq = nbr.left_deq.or(left_store.as_ref());
         let nz77b = log159_bucket(nz);
-
-        let nz_row = decode_tree(dec, 3, self.nz_edge.row2(0, nz77b));
-        let mut rem = nz_row as usize;
-        for u in 1..8usize {
-            if rem == 0 {
-                break;
-            }
-            let (pb, sc) = self.edge_ctx_row(u, &cur_deq_snapshot, above_deq, nbr);
-            let idx = u - 1;
-            let v = decode_value(
-                dec,
-                AC_MAX_EXP,
-                self.exp_edge.row3(idx, pb, rem),
-                self.sign_edge.at2(idx, sc),
-                self.resid_edge.row1(idx),
-            );
-            block[u] = v as i16;
-            if v != 0 {
-                rem -= 1;
-            }
-        }
-
-        let nz_col = decode_tree(dec, 3, self.nz_edge.row2(1, nz77b));
-        let mut rem = nz_col as usize;
-        for vv in 1..8usize {
-            if rem == 0 {
-                break;
-            }
-            let (pb, sc) = self.edge_ctx_col(vv, &cur_deq_snapshot, left_deq, nbr);
-            let idx = 7 + (vv - 1);
-            let v = decode_value(
-                dec,
-                AC_MAX_EXP,
-                self.exp_edge.row3(idx, pb, rem),
-                self.sign_edge.at2(idx, sc),
-                self.resid_edge.row1(idx),
-            );
-            block[vv * 8] = v as i16;
-            if v != 0 {
-                rem -= 1;
+        for strip in 0..2 {
+            let mut rem = decode_tree(dec, 3, self.nz_edge.row2(strip, nz77b)) as usize;
+            for i in 1..8usize {
+                if rem == 0 {
+                    break;
+                }
+                let (pb, sc) = self.edge_ctx(strip, i, &out.deq, nbr);
+                let idx = strip * 7 + i - 1;
+                let v = decode_value(
+                    dec,
+                    AC_MAX_EXP,
+                    self.exp_edge.row3(idx, pb, rem),
+                    self.sign_edge.at2(idx, sc),
+                    self.resid_edge.row1(idx),
+                );
+                if v != 0 {
+                    set(out, edge_raster(strip, i), v);
+                    rem -= 1;
+                }
             }
         }
 
-        let pred = self.dc_prediction(&block, nbr);
+        let ac = idct_ac_borders(&out.deq);
+        let pred = self.dc_prediction(&ac, nbr);
         let delta = decode_value(
             dec,
             DC_MAX_EXP,
@@ -402,127 +398,118 @@ impl ComponentModel {
             self.sign_dc.at1(pred.sign_ctx),
             self.resid_dc.row0(),
         );
-        block[0] = (pred.value + delta).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
-        block
+        let dc = (pred.value + delta).clamp(i16::MIN as i32, i16::MAX as i32);
+        out.coefs[0] = dc as i16;
+        out.deq[0] = dc * nbr.quant[0] as i32;
+        out.edges = BlockEdges::finish(&ac, out.deq[0]);
+        out.nz_mask = nz_mask;
+        out.nz77 = nz as u8;
     }
 
-    /// Context (prediction bucket, sign context) for a top-row edge
-    /// coefficient. The Lakhani formula only reads interior positions of
-    /// the current block, so passing a fully-populated block on encode
-    /// and an interior-only block on decode yields identical results.
-    fn edge_ctx_row(
+    /// Context (prediction bucket, sign context) for edge coefficient
+    /// `i` (1..=7) of the top row (`strip` 0) or the left column
+    /// (`strip` 1). The Lakhani formula only reads interior positions of
+    /// the current block, so a fully dequantized block on encode and an
+    /// interior-only one on decode yield identical results.
+    fn edge_ctx(
         &self,
-        u: usize,
+        strip: usize,
+        i: usize,
         cur_deq: &[i32; 64],
-        above_deq: Option<&[i32; 64]>,
         nbr: &BlockNeighbors,
     ) -> (usize, usize) {
         match self.cfg.edge_mode {
-            EdgeMode::Lakhani => match above_deq {
-                Some(a) => {
-                    let p = lakhani_row(a, cur_deq, u, nbr.quant);
-                    (magnitude_bucket(p.unsigned_abs(), AC_MAX_EXP), sign_ctx(p))
-                }
-                None => (0, 1),
-            },
-            EdgeMode::Averaged => (
-                magnitude_bucket(nbr.weighted_abs(u), AC_MAX_EXP),
-                sign_ctx(nbr.weighted_signed(u)),
-            ),
+            EdgeMode::Lakhani => {
+                let p = match (strip, nbr.above, nbr.left) {
+                    (0, Some(a), _) => lakhani_row(&a.deq, cur_deq, i, nbr.quant),
+                    (1, _, Some(l)) => lakhani_col(&l.deq, cur_deq, i, nbr.quant),
+                    _ => return (0, 1),
+                };
+                (magnitude_bucket(p.unsigned_abs(), AC_MAX_EXP), sign_ctx(p))
+            }
+            EdgeMode::Averaged => {
+                let r = edge_raster(strip, i);
+                (
+                    magnitude_bucket(nbr.weighted_abs(r), AC_MAX_EXP),
+                    sign_ctx(nbr.weighted_signed(r)),
+                )
+            }
         }
     }
+}
 
-    /// Context for a left-column edge coefficient.
-    fn edge_ctx_col(
-        &self,
-        v: usize,
-        cur_deq: &[i32; 64],
-        left_deq: Option<&[i32; 64]>,
-        nbr: &BlockNeighbors,
-    ) -> (usize, usize) {
-        match self.cfg.edge_mode {
-            EdgeMode::Lakhani => match left_deq {
-                Some(l) => {
-                    let p = lakhani_col(l, cur_deq, v, nbr.quant);
-                    (magnitude_bucket(p.unsigned_abs(), AC_MAX_EXP), sign_ctx(p))
-                }
-                None => (0, 1),
-            },
-            EdgeMode::Averaged => (
-                magnitude_bucket(nbr.weighted_abs(v * 8), AC_MAX_EXP),
-                sign_ctx(nbr.weighted_signed(v * 8)),
-            ),
-        }
+/// Raster index of edge coefficient `i` (1..=7) of the top row
+/// (`strip` 0) or the left column (`strip` 1).
+#[inline]
+fn edge_raster(strip: usize, i: usize) -> usize {
+    if strip == 0 {
+        i
+    } else {
+        i * 8
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{block_edges, EdgeCache};
     use lepton_arith::SliceSource;
     use lepton_jpeg::coeffs::Plane;
 
-    /// Encode an entire plane the way the core codec does (row-by-row
-    /// with an edge cache), then decode and compare.
-    fn roundtrip_plane(plane: &Plane, quant: &[u16; 64], cfg: ModelConfig) -> usize {
+    /// The slot to fill for block (`bx`, `by`) of a plane-sized slot
+    /// array, with the neighbors the core driver would show it.
+    fn open<'a>(
+        slots: &'a mut [CodedBlock],
+        w: usize,
+        (bx, by): (usize, usize),
+        quant: &'a [u16; 64],
+    ) -> (&'a mut CodedBlock, BlockNeighbors<'a>) {
+        let (done, rest) = slots.split_at_mut(by * w + bx);
+        let done = &*done;
+        let at = |x: Option<usize>, y: Option<usize>| Some(&done[y? * w + x?]);
+        let nbr = BlockNeighbors {
+            above: at(Some(bx), by.checked_sub(1)),
+            left: at(bx.checked_sub(1), Some(by)),
+            above_left: at(bx.checked_sub(1), by.checked_sub(1)),
+            quant,
+        };
+        (&mut rest[0], nbr)
+    }
+
+    /// Encode an entire plane the way the core codec does; returns the
+    /// stream and the slots the encoder left behind.
+    fn encode_plane(
+        plane: &Plane,
+        quant: &[u16; 64],
+        model: &mut ComponentModel,
+    ) -> (Vec<u8>, Vec<CodedBlock>) {
         let mut enc = BoolEncoder::new();
-        let mut model = ComponentModel::new(cfg);
-        let mut cache = EdgeCache::new(plane.blocks_w);
+        let mut slots = vec![CodedBlock::ZERO; plane.blocks_w * plane.blocks_h];
         for by in 0..plane.blocks_h {
-            if by > 0 {
-                cache.next_row();
-            }
             for bx in 0..plane.blocks_w {
-                let nbr = BlockNeighbors {
-                    above: (by > 0).then(|| plane.block(bx, by - 1)),
-                    left: (bx > 0).then(|| plane.block(bx - 1, by)),
-                    above_left: (bx > 0 && by > 0).then(|| plane.block(bx - 1, by - 1)),
-                    above_deq: None,
-                    left_deq: None,
-                    above_edges: cache.above(bx),
-                    left_edges: cache.left(bx),
-                    above_nz77: None,
-                    left_nz77: None,
-                    quant,
-                };
-                model.encode_block(&mut enc, plane.block(bx, by), &nbr);
-                cache.push(bx, block_edges(plane.block(bx, by), quant));
+                let (out, nbr) = open(&mut slots, plane.blocks_w, (bx, by), quant);
+                model.encode_block(&mut enc, plane.block(bx, by), &nbr, out);
             }
         }
-        let bytes = enc.finish();
-        let nbytes = bytes.len();
+        (enc.finish(), slots)
+    }
+
+    /// Encode, decode, compare: the coefficients come back, and the
+    /// decoder leaves every ring slot exactly as the encoder did.
+    fn roundtrip_plane(plane: &Plane, quant: &[u16; 64], cfg: ModelConfig) -> usize {
+        let (bytes, encoded) = encode_plane(plane, quant, &mut ComponentModel::new(cfg));
 
         let mut dec = BoolDecoder::new(SliceSource::new(&bytes));
         let mut model = ComponentModel::new(cfg);
-        let mut cache = EdgeCache::new(plane.blocks_w);
-        let mut out = Plane::new(plane.blocks_w, plane.blocks_h);
+        let mut decoded = vec![CodedBlock::ZERO; encoded.len()];
         for by in 0..plane.blocks_h {
-            if by > 0 {
-                cache.next_row();
-            }
             for bx in 0..plane.blocks_w {
-                let block = {
-                    let nbr = BlockNeighbors {
-                        above: (by > 0).then(|| out.block(bx, by - 1)),
-                        left: (bx > 0).then(|| out.block(bx - 1, by)),
-                        above_left: (bx > 0 && by > 0).then(|| out.block(bx - 1, by - 1)),
-                        above_deq: None,
-                        left_deq: None,
-                        above_edges: cache.above(bx),
-                        left_edges: cache.left(bx),
-                        above_nz77: None,
-                        left_nz77: None,
-                        quant,
-                    };
-                    model.decode_block(&mut dec, &nbr)
-                };
-                cache.push(bx, block_edges(&block, quant));
-                *out.block_mut(bx, by) = block;
+                let (out, nbr) = open(&mut decoded, plane.blocks_w, (bx, by), quant);
+                model.decode_block(&mut dec, &nbr, out);
+                assert_eq!(&out.coefs, plane.block(bx, by), "block ({bx}, {by})");
             }
         }
-        assert_eq!(out.raw(), plane.raw(), "plane mismatch");
-        nbytes
+        assert!(decoded == encoded, "encoder and decoder slots differ");
+        bytes.len()
     }
 
     fn synthetic_plane(w: usize, h: usize, seed: u64) -> Plane {
@@ -651,39 +638,18 @@ mod tests {
         assert!(m.bin_count() > 50_000, "bins: {}", m.bin_count());
         assert!(m.bin_count() < 1_000_000, "bins: {}", m.bin_count());
         assert_eq!(m.bins_touched(), 0);
+        // What the memory meter charges per model is what `new` allocated.
+        assert_eq!(
+            ComponentModel::arena_bytes(),
+            m.bin_count() * std::mem::size_of::<Branch>()
+        );
     }
 
     #[test]
     fn reset_model_is_indistinguishable_from_fresh() {
         let plane = synthetic_plane(4, 3, 11);
         let quant = [5u16; 64];
-        // Encode once with a fresh model to get the reference bytes.
-        let encode_plane = |model: &mut ComponentModel| -> Vec<u8> {
-            let mut enc = BoolEncoder::new();
-            let mut cache = EdgeCache::new(plane.blocks_w);
-            for by in 0..plane.blocks_h {
-                if by > 0 {
-                    cache.next_row();
-                }
-                for bx in 0..plane.blocks_w {
-                    let nbr = BlockNeighbors {
-                        above: (by > 0).then(|| plane.block(bx, by - 1)),
-                        left: (bx > 0).then(|| plane.block(bx - 1, by)),
-                        above_left: (bx > 0 && by > 0).then(|| plane.block(bx - 1, by - 1)),
-                        above_deq: None,
-                        left_deq: None,
-                        above_edges: cache.above(bx),
-                        left_edges: cache.left(bx),
-                        above_nz77: None,
-                        left_nz77: None,
-                        quant: &quant,
-                    };
-                    model.encode_block(&mut enc, plane.block(bx, by), &nbr);
-                    cache.push(bx, block_edges(plane.block(bx, by), &quant));
-                }
-            }
-            enc.finish()
-        };
+        let encode_plane = |model: &mut ComponentModel| encode_plane(&plane, &quant, model).0;
         let mut fresh = ComponentModel::new(ModelConfig::default());
         let reference = encode_plane(&mut fresh);
         assert!(fresh.bins_touched() > 0);
@@ -718,22 +684,10 @@ mod tests {
                 .collect();
             let mut dec = BoolDecoder::new(SliceSource::new(&garbage));
             let mut model = ComponentModel::new(ModelConfig::default());
-            let mut prev: Option<CoefBlock> = None;
-            for _ in 0..8 {
-                let nbr = BlockNeighbors {
-                    above: None,
-                    left: prev.as_ref(),
-                    above_left: None,
-                    above_deq: None,
-                    left_deq: None,
-                    above_edges: None,
-                    left_edges: None,
-                    above_nz77: None,
-                    left_nz77: None,
-                    quant: &quant,
-                };
-                let b = model.decode_block(&mut dec, &nbr);
-                prev = Some(b);
+            let mut slots = vec![CodedBlock::ZERO; 8];
+            for bx in 0..8 {
+                let (out, nbr) = open(&mut slots, 8, (bx, 0), &quant);
+                model.decode_block(&mut dec, &nbr, out);
             }
         }
     }

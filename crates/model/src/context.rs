@@ -4,9 +4,9 @@
 //! any platform, any thread count) compute bit-identical contexts — the
 //! determinism requirement of §5.2 built in by construction.
 
-use lepton_jpeg::dct::{idct_i32, idct_i32_border_br, idct_i32_border_tl, BASIS_FIX, SCALE_BITS};
+use lepton_jpeg::dct::{AcBorders, BASIS_FIX, DC_ACC_GAIN, SCALE_BITS};
 use lepton_jpeg::CoefBlock;
-use lepton_jpeg::{ZIGZAG, ZIGZAG_INV};
+use lepton_jpeg::ZIGZAG;
 
 /// Raster indices of the 49 interior ("7x7") coefficients in zigzag
 /// transmission order.
@@ -42,44 +42,35 @@ pub const INTERIOR_RASTER: [usize; 49] = {
     out
 };
 
-/// Count of non-zero interior coefficients (0..=49).
-#[inline]
-pub fn count_nz77(block: &CoefBlock) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if lepton_simd::level().is_simd() {
-        // One compare + movemask per row beats 49 branches; the same
-        // SSE2 routine serves both SIMD tiers (the kernel is bound by
-        // the 7 row loads either way).
-        return x86::count_nz77_sse2(block);
-    }
-    count_nz77_scalar(block)
-}
-
-/// Scalar reference for [`count_nz77`] (the dispatch fallback and the
-/// equivalence-test oracle).
-#[inline]
-pub fn count_nz77_scalar(block: &CoefBlock) -> u32 {
-    let mut n = 0;
-    for v in 1..8 {
-        for u in 1..8 {
-            if block[v * 8 + u] != 0 {
-                n += 1;
-            }
+/// Zigzag-position masks (bit `k` = zigzag position `k`, as in
+/// [`CodedBlock::nz_mask`]) of the 7x7 interior, the top edge row
+/// `u = 1..=7`, and the left edge column `v = 1..=7`.
+const ZZ_MASKS: (u64, u64, u64) = {
+    let (mut row, mut col, mut interior) = (0u64, 0u64, 0u64);
+    let mut k = 1;
+    while k < 64 {
+        let r = ZIGZAG[k];
+        if r / 8 == 0 {
+            row |= 1 << k;
+        } else if r.is_multiple_of(8) {
+            col |= 1 << k;
+        } else {
+            interior |= 1 << k;
         }
+        k += 1;
     }
-    n
-}
+    (interior, row, col)
+};
 
-/// Count of non-zero coefficients in the top edge row (u = 1..=7).
+/// Non-zero counts `(interior 0..=49, edge row 0..=7, edge column
+/// 0..=7)` of a block, from its zigzag nonzero mask.
 #[inline]
-pub fn count_nz_row(block: &CoefBlock) -> u32 {
-    (1..8).filter(|&u| block[u] != 0).count() as u32
-}
-
-/// Count of non-zero coefficients in the left edge column (v = 1..=7).
-#[inline]
-pub fn count_nz_col(block: &CoefBlock) -> u32 {
-    (1..8).filter(|&v| block[v * 8] != 0).count() as u32
+pub fn nonzero_counts(nz_mask: u64) -> (u32, u32, u32) {
+    (
+        (nz_mask & ZZ_MASKS.0).count_ones(),
+        (nz_mask & ZZ_MASKS.1).count_ones(),
+        (nz_mask & ZZ_MASKS.2).count_ones(),
+    )
 }
 
 /// Pixel rows/columns of a fully decoded block that later neighbors
@@ -93,143 +84,85 @@ pub struct BlockEdges {
     pub cols: [[i64; 8]; 2],
 }
 
+impl BlockEdges {
+    /// Finish the bottom-right borders of a block from its AC pass and
+    /// its (now known) dequantized DC: the DC basis is flat, so it
+    /// enters every accumulator as the same term before the shift —
+    /// bit-identical to a full inverse DCT of the whole block.
+    pub fn finish(ac: &AcBorders, dc_deq: i32) -> Self {
+        let dc = DC_ACC_GAIN * dc_deq as i64;
+        let line = |acc: &[i64; 8]| acc.map(|a| (a + dc) >> SCALE_BITS);
+        BlockEdges {
+            rows: [line(&ac.rows[2]), line(&ac.rows[3])],
+            cols: [line(&ac.cols[2]), line(&ac.cols[3])],
+        }
+    }
+}
+
 /// Dequantize a block into i32 raster coefficients.
 #[inline]
-pub fn dequantize(block: &CoefBlock, quant: &[u16; 64]) -> [i32; 64] {
+pub fn dequantize(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
     #[cfg(target_arch = "x86_64")]
     match lepton_simd::level() {
         // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        lepton_simd::SimdLevel::Avx2 => return unsafe { x86::dequantize_avx2(block, quant) },
-        lepton_simd::SimdLevel::Sse2 => return x86::dequantize_sse2(block, quant),
+        lepton_simd::SimdLevel::Avx2 => return unsafe { x86::dequantize_avx2(block, quant, out) },
+        lepton_simd::SimdLevel::Sse2 => return x86::dequantize_sse2(block, quant, out),
         lepton_simd::SimdLevel::Scalar => {}
     }
-    dequantize_scalar(block, quant)
+    dequantize_scalar(block, quant, out)
 }
 
 /// Scalar reference for [`dequantize`] (the dispatch fallback and the
 /// equivalence-test oracle).
 #[inline]
-pub fn dequantize_scalar(block: &CoefBlock, quant: &[u16; 64]) -> [i32; 64] {
-    let mut out = [0i32; 64];
+pub fn dequantize_scalar(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
     for i in 0..64 {
         out[i] = block[i] as i32 * quant[i] as i32;
     }
-    out
 }
 
-/// Everything the segment driver caches about a block it just coded, in
-/// one pass: the dequantized coefficients, the border pixels later
-/// neighbors consult, and the interior nonzero count. Fusing the three
-/// means the block is read while still in L1 and the dequantization
-/// feeds the border IDCT directly.
-#[inline]
-pub fn coded_block_meta(block: &CoefBlock, quant: &[u16; 64]) -> ([i32; 64], BlockEdges, u32) {
-    let deq = dequantize(block, quant);
-    let edges = block_edges_deq(&deq);
-    let nz77 = count_nz77(block);
-    (deq, edges, nz77)
+/// Everything later blocks consult about an already-coded block — one
+/// slot of the segment driver's neighbour ring, filled in place by
+/// [`crate::ComponentModel`] while it codes the block.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CodedBlock {
+    /// Quantized coefficients (raster order, absolute DC).
+    pub coefs: CoefBlock,
+    /// The same, dequantized (the Lakhani edge predictor works in
+    /// dequantized units; each block is dequantized once, here).
+    pub deq: [i32; 64],
+    /// Bottom-right border pixels.
+    pub edges: BlockEdges,
+    /// Bit `k` set iff the AC coefficient at zigzag position `k` is
+    /// nonzero (what the Huffman re-encode walks).
+    pub nz_mask: u64,
+    /// Interior nonzero count (0..=49).
+    pub nz77: u8,
 }
 
-/// IDCT of a block, extracting the edges later blocks will consult.
-pub fn block_edges(block: &CoefBlock, quant: &[u16; 64]) -> BlockEdges {
-    block_edges_deq(&dequantize(block, quant))
+impl CodedBlock {
+    /// An all-zero block (ring slots start out as this).
+    pub const ZERO: CodedBlock = CodedBlock {
+        coefs: [0; 64],
+        deq: [0; 64],
+        edges: BlockEdges {
+            rows: [[0; 8]; 2],
+            cols: [[0; 8]; 2],
+        },
+        nz_mask: 0,
+        nz77: 0,
+    };
 }
 
-/// [`block_edges`] from an already-dequantized block — the hot-path
-/// variant for callers (the segment driver) that cache dequantized
-/// coefficients anyway. Only the border outputs of the IDCT are
-/// computed; they match the full transform exactly.
-pub fn block_edges_deq(deq: &[i32; 64]) -> BlockEdges {
-    let px = idct_i32_border_br(deq);
-    let mut rows = [[0i64; 8]; 2];
-    let mut cols = [[0i64; 8]; 2];
-    for x in 0..8 {
-        rows[0][x] = px[6 * 8 + x];
-        rows[1][x] = px[7 * 8 + x];
-    }
-    for y in 0..8 {
-        cols[0][y] = px[y * 8 + 6];
-        cols[1][y] = px[y * 8 + 7];
-    }
-    BlockEdges { rows, cols }
-}
-
-/// Rolling cache of [`BlockEdges`] for one component plane, maintained
-/// row-by-row by the codec driver. Holds two block rows — exactly the
-/// "row-by-row" working set the paper's memory budget relies on (§1).
-#[derive(Clone, Debug)]
-pub struct EdgeCache {
-    blocks_w: usize,
-    above: Vec<Option<BlockEdges>>,
-    current: Vec<Option<BlockEdges>>,
-}
-
-impl EdgeCache {
-    /// Cache for a plane `blocks_w` blocks wide.
-    pub fn new(blocks_w: usize) -> Self {
-        EdgeCache {
-            blocks_w,
-            above: vec![None; blocks_w],
-            current: vec![None; blocks_w],
-        }
-    }
-
-    /// Advance to the next block row.
-    pub fn next_row(&mut self) {
-        std::mem::swap(&mut self.above, &mut self.current);
-        self.current.iter_mut().for_each(|e| *e = None);
-    }
-
-    /// Record a just-coded block's edges.
-    pub fn push(&mut self, bx: usize, edges: BlockEdges) {
-        self.current[bx] = Some(edges);
-    }
-
-    /// Edges of the block above (bx, by-1), if cached.
-    pub fn above(&self, bx: usize) -> Option<&BlockEdges> {
-        self.above.get(bx).and_then(|e| e.as_ref())
-    }
-
-    /// Edges of the block to the left (bx-1, by), if cached.
-    pub fn left(&self, bx: usize) -> Option<&BlockEdges> {
-        if bx == 0 {
-            None
-        } else {
-            self.current.get(bx - 1).and_then(|e| e.as_ref())
-        }
-    }
-
-    /// Plane width in blocks.
-    pub fn blocks_w(&self) -> usize {
-        self.blocks_w
-    }
-}
-
-/// Everything the model consults about a block's surroundings.
+/// The already-coded blocks the model may consult for one block, plus
+/// the component's quantization table.
 pub struct BlockNeighbors<'a> {
-    /// Above block's quantized coefficients.
-    pub above: Option<&'a CoefBlock>,
-    /// Left block's quantized coefficients.
-    pub left: Option<&'a CoefBlock>,
-    /// Above-left block's quantized coefficients.
-    pub above_left: Option<&'a CoefBlock>,
-    /// Above block's *dequantized* coefficients, when the caller caches
-    /// them (the segment driver does). `None` makes the model
-    /// dequantize on demand — same result, more work per block.
-    pub above_deq: Option<&'a [i32; 64]>,
-    /// Left block's dequantized coefficients (see `above_deq`).
-    pub left_deq: Option<&'a [i32; 64]>,
-    /// Above block's bottom pixel rows (from the [`EdgeCache`]).
-    pub above_edges: Option<&'a BlockEdges>,
-    /// Left block's right pixel columns.
-    pub left_edges: Option<&'a BlockEdges>,
-    /// Above block's interior nonzero count, when the caller caches it
-    /// (the segment driver does — the neighbor was counted when it was
-    /// coded). `None` makes [`BlockNeighbors::nz_context`] recount,
-    /// same result.
-    pub above_nz77: Option<u32>,
-    /// Left block's cached interior nonzero count (see `above_nz77`).
-    pub left_nz77: Option<u32>,
+    /// The block above, if coded earlier in this thread segment.
+    pub above: Option<&'a CodedBlock>,
+    /// The block to the left.
+    pub left: Option<&'a CodedBlock>,
+    /// The block above-left.
+    pub above_left: Option<&'a CodedBlock>,
     /// Quantization table for this component (raster order).
     pub quant: &'a [u16; 64],
 }
@@ -241,30 +174,14 @@ pub struct BlockNeighbors<'a> {
 static ZERO_BLOCK: CoefBlock = [0i16; 64];
 
 impl BlockNeighbors<'_> {
-    /// Dequantize `block` locally when the caller did not provide a
-    /// cached dequantization (`cached`), e.g. in tests; returns the
-    /// owned fallback storage (`None` when a cache exists or there is
-    /// no neighbor).
-    #[inline]
-    pub fn neighbor_deq_fallback(
-        &self,
-        block: Option<&CoefBlock>,
-        cached: Option<&[i32; 64]>,
-    ) -> Option<[i32; 64]> {
-        match (cached, block) {
-            (None, Some(b)) => Some(dequantize(b, self.quant)),
-            _ => None,
-        }
-    }
-
     /// The three neighbor blocks with missing ones resolved to the
     /// all-zero block — hoist this out of per-coefficient loops.
     #[inline]
     pub fn weight_sources(&self) -> (&CoefBlock, &CoefBlock, &CoefBlock) {
         (
-            self.above.unwrap_or(&ZERO_BLOCK),
-            self.left.unwrap_or(&ZERO_BLOCK),
-            self.above_left.unwrap_or(&ZERO_BLOCK),
+            self.above.map_or(&ZERO_BLOCK, |b| &b.coefs),
+            self.left.map_or(&ZERO_BLOCK, |b| &b.coefs),
+            self.above_left.map_or(&ZERO_BLOCK, |b| &b.coefs),
         )
     }
 
@@ -284,22 +201,10 @@ impl BlockNeighbors<'_> {
     }
 
     /// Neighbor non-zero-count context `(nA + nL) / 2` (App. A.2.1).
-    /// Uses the driver-cached counts when present; recounts otherwise.
     pub fn nz_context(&self) -> u32 {
-        let a = match (self.above_nz77, self.above) {
-            (Some(n), _) => Some(n),
-            (None, Some(b)) => Some(count_nz77(b)),
-            (None, None) => None,
-        };
-        let l = match (self.left_nz77, self.left) {
-            (Some(n), _) => Some(n),
-            (None, Some(b)) => Some(count_nz77(b)),
-            (None, None) => None,
-        };
-        match (a, l) {
-            (Some(a), Some(l)) => (a + l) / 2,
-            (Some(a), None) => a,
-            (None, Some(l)) => l,
+        match (self.above, self.left) {
+            (Some(a), Some(l)) => (a.nz77 as u32 + l.nz77 as u32) / 2,
+            (Some(n), None) | (None, Some(n)) => n.nz77 as u32,
             (None, None) => 0,
         }
     }
@@ -364,16 +269,24 @@ pub fn lakhani_col(left_deq: &[i32; 64], cur_deq: &[i32; 64], v: usize, quant: &
 #[inline]
 fn div_round(n: i64, d: i64) -> i64 {
     debug_assert!(d > 0);
-    if n >= 0 {
-        (n + d / 2) / d
-    } else {
-        (n - d / 2) / d
+    div_trunc(if n >= 0 { n + d / 2 } else { n - d / 2 }, d)
+}
+
+/// `n / d` for `d > 0`, divided in 32 bits when both operands fit: the
+/// same quotient, from a divide several times cheaper than the 64-bit
+/// one on most x86 cores. Real photos always fit; only adversarial
+/// quantization tables reach the wide divide.
+#[inline]
+fn div_trunc(n: i64, d: i64) -> i64 {
+    match (i32::try_from(n), i32::try_from(d)) {
+        (Ok(n), Ok(d)) => (n / d) as i64,
+        _ => n / d,
     }
 }
 
 /// Per-pixel DC contribution of one dequantized DC unit in the
 /// fixed-point IDCT: `(2896 · 2896) >> 13`.
-const DC_PIXEL_GAIN: i64 = (2896i64 * 2896) >> SCALE_BITS;
+const DC_PIXEL_GAIN: i64 = DC_ACC_GAIN >> SCALE_BITS;
 
 /// Outcome of DC prediction: the predicted quantized DC value and a
 /// confidence bucket derived from prediction spread.
@@ -388,31 +301,14 @@ pub struct DcPrediction {
     pub sign_ctx: usize,
 }
 
-/// AC-only pixel reconstruction of the current block (DC forced to 0),
-/// needed by the gradient predictor. Returns the full 64 scaled pixels.
-pub fn ac_only_pixels(cur: &CoefBlock, quant: &[u16; 64]) -> [i64; 64] {
-    let mut deq = dequantize(cur, quant);
-    deq[0] = 0;
-    idct_i32(&deq)
-}
-
-/// AC-only reconstruction of just the top-left border pixels (rows 0–1
-/// and columns 0–1; other slots zero) — exactly the pixels the DC
-/// predictors read. Hot-path variant of [`ac_only_pixels`]: border
-/// values match it bit-for-bit.
-pub fn ac_border_pixels(cur: &CoefBlock, quant: &[u16; 64]) -> [i64; 64] {
-    let mut deq = dequantize(cur, quant);
-    deq[0] = 0;
-    idct_i32_border_tl(&deq)
-}
-
 /// Gradient-continuation DC prediction (App. A.2.3, Figure 17 right).
 ///
 /// For each of up to 16 border pixel pairs, solve for the DC pixel
 /// offset that makes the neighbor's border gradient continue smoothly
-/// into the block's own (AC-only) gradient, then average.
+/// into the block's own (AC-only) gradient, then average. `ac` is the
+/// block's AC pass; only its top-left borders are read.
 pub fn predict_dc_gradient(
-    ac_px: &[i64; 64],
+    ac: &AcBorders,
     above_edges: Option<&BlockEdges>,
     left_edges: Option<&BlockEdges>,
     quant: &[u16; 64],
@@ -425,8 +321,8 @@ pub fn predict_dc_gradient(
         for x in 0..8 {
             let a1 = a.rows[0][x]; // row 6
             let a0 = a.rows[1][x]; // row 7 (adjacent)
-            let r0 = ac_px[x]; // row 0
-            let r1 = ac_px[8 + x]; // row 1
+            let r0 = ac.rows[0][x] >> SCALE_BITS;
+            let r1 = ac.rows[1][x] >> SCALE_BITS;
 
             // Solve 3(r0+dc) = 3a0 − a1 + (r1+dc) … wait: r1 also shifts
             // by dc, so: 3(r0+dc) = 3a0 − a1 + (r1+dc) ⇒
@@ -439,8 +335,8 @@ pub fn predict_dc_gradient(
         for y in 0..8 {
             let l1 = l.cols[0][y]; // col 6
             let l0 = l.cols[1][y]; // col 7 (adjacent)
-            let c0 = ac_px[y * 8]; // col 0
-            let c1 = ac_px[y * 8 + 1]; // col 1
+            let c0 = ac.cols[0][y] >> SCALE_BITS;
+            let c1 = ac.cols[1][y] >> SCALE_BITS;
             preds[n] = (3 * l0 - l1 + c1 - 3 * c0) / 2;
             n += 1;
         }
@@ -451,7 +347,7 @@ pub fn predict_dc_gradient(
 /// First-cut DC prediction (App. A.2.3, Figure 17 left): per-pair DC
 /// that equalizes the border pixels, median-8 averaged.
 pub fn predict_dc_first_cut(
-    ac_px: &[i64; 64],
+    ac: &AcBorders,
     above_edges: Option<&BlockEdges>,
     left_edges: Option<&BlockEdges>,
     quant: &[u16; 64],
@@ -461,13 +357,13 @@ pub fn predict_dc_first_cut(
     let mut n = 0usize;
     if let Some(a) = above_edges {
         for x in 0..8 {
-            preds[n] = a.rows[1][x] - ac_px[x];
+            preds[n] = a.rows[1][x] - (ac.rows[0][x] >> SCALE_BITS);
             n += 1;
         }
     }
     if let Some(l) = left_edges {
         for y in 0..8 {
-            preds[n] = l.cols[1][y] - ac_px[y * 8];
+            preds[n] = l.cols[1][y] - (ac.cols[0][y] >> SCALE_BITS);
             n += 1;
         }
     }
@@ -483,13 +379,12 @@ pub fn predict_dc_first_cut(
 
 /// PackJPG-style DC prediction: average of neighbor DC values.
 pub fn predict_dc_neighbor_avg(
-    above: Option<&CoefBlock>,
-    left: Option<&CoefBlock>,
+    above: Option<&CodedBlock>,
+    left: Option<&CodedBlock>,
 ) -> DcPrediction {
     let value = match (above, left) {
-        (Some(a), Some(l)) => (a[0] as i32 + l[0] as i32) / 2,
-        (Some(a), None) => a[0] as i32,
-        (None, Some(l)) => l[0] as i32,
+        (Some(a), Some(l)) => (a.coefs[0] as i32 + l.coefs[0] as i32) / 2,
+        (Some(n), None) | (None, Some(n)) => n.coefs[0] as i32,
         (None, None) => 0,
     };
     DcPrediction {
@@ -520,13 +415,18 @@ fn finish_dc_prediction(preds: &[i64], quant: &[u16; 64]) -> DcPrediction {
         };
     }
     let sum: i64 = preds.iter().sum();
-    let avg = sum / preds.len() as i64;
+    // One or both neighbors: constant divisors, so no divide at all.
+    let avg = match preds.len() {
+        8 => sum / 8,
+        16 => sum / 16,
+        n => sum / n as i64,
+    };
     // Convert a scaled pixel offset into a quantized DC value.
-    let q0 = quant[0] as i64;
-    let value = div_round(avg, DC_PIXEL_GAIN * q0) as i32;
-    let spread = (preds.iter().max().unwrap() - preds.iter().min().unwrap()) as u64;
+    let unit = DC_PIXEL_GAIN * quant[0] as i64;
+    let value = div_round(avg, unit) as i32;
+    let spread = preds.iter().max().unwrap() - preds.iter().min().unwrap();
     // Bucket the spread in quantized-DC units.
-    let spread_q = spread / (DC_PIXEL_GAIN * q0).max(1) as u64;
+    let spread_q = div_trunc(spread, unit) as u64;
     let confidence = (64 - (spread_q + 1).leading_zeros() as usize).min(12);
     DcPrediction {
         value,
@@ -535,25 +435,18 @@ fn finish_dc_prediction(preds: &[i64], quant: &[u16; 64]) -> DcPrediction {
     }
 }
 
-/// Re-export used by the interior ablation.
-pub fn zigzag_position(raster: usize) -> usize {
-    ZIGZAG_INV[raster]
-}
-
-/// SIMD context kernels: dequantization (8 signed×unsigned 16-bit
-/// products per step) and the interior nonzero count (one compare +
-/// movemask per row). Both are exact: the SSE2 dequantizer builds the
-/// true 32-bit product from `mullo`/`mulhi` with the standard
-/// signed×unsigned high-half correction, and the AVX2 one widens both
-/// operands before a 32-bit multiply.
+/// SIMD dequantization (8 signed×unsigned 16-bit products per step).
+/// Exact: the SSE2 kernel builds the true 32-bit product from
+/// `mullo`/`mulhi` with the standard signed×unsigned high-half
+/// correction, and the AVX2 one widens both operands before a 32-bit
+/// multiply.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use lepton_jpeg::CoefBlock;
     use std::arch::x86_64::*;
 
     /// 8-lane dequantize: `out[i] = block[i] as i32 * quant[i] as i32`.
-    pub fn dequantize_sse2(block: &CoefBlock, quant: &[u16; 64]) -> [i32; 64] {
-        let mut out = [0i32; 64];
+    pub fn dequantize_sse2(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
         // SAFETY: SSE2 intrinsics on x86_64 (baseline feature);
         // unaligned loads/stores, all in-bounds.
         unsafe {
@@ -577,7 +470,6 @@ mod x86 {
                 );
             }
         }
-        out
     }
 
     /// 8-lane dequantize via widening 32-bit multiplies.
@@ -585,8 +477,7 @@ mod x86 {
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dequantize_avx2(block: &CoefBlock, quant: &[u16; 64]) -> [i32; 64] {
-        let mut out = [0i32; 64];
+    pub unsafe fn dequantize_avx2(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
         for i in (0..64).step_by(8) {
             let a = _mm256_cvtepi16_epi32(_mm_loadu_si128(block.as_ptr().add(i) as *const __m128i));
             let q = _mm256_cvtepu16_epi32(_mm_loadu_si128(quant.as_ptr().add(i) as *const __m128i));
@@ -595,30 +486,33 @@ mod x86 {
                 _mm256_mullo_epi32(a, q),
             );
         }
-        out
-    }
-
-    /// Interior (7x7) nonzero count: compare each coefficient row to
-    /// zero, movemask, drop the u = 0 lane, popcount.
-    pub fn count_nz77_sse2(block: &CoefBlock) -> u32 {
-        let mut n = 0u32;
-        // SAFETY: SSE2 intrinsics on x86_64; row loads in-bounds.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            for v in 1..8 {
-                let row = _mm_loadu_si128(block.as_ptr().add(v * 8) as *const __m128i);
-                let zmask = _mm_movemask_epi8(_mm_cmpeq_epi16(row, zero)) as u32;
-                // Two mask bits per 16-bit lane; keep lanes 1..8 (u ≥ 1).
-                n += (!zmask & 0xFFFC).count_ones() / 2;
-            }
-        }
-        n
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lepton_jpeg::dct::idct_ac_borders;
+    use lepton_jpeg::scan::nonzero_mask;
+
+    fn deq(block: &CoefBlock, quant: &[u16; 64]) -> [i32; 64] {
+        let mut out = [0; 64];
+        dequantize(block, quant, &mut out);
+        out
+    }
+
+    /// The ring slot the model would leave for `coefs`.
+    fn coded(coefs: CoefBlock, quant: &[u16; 64]) -> CodedBlock {
+        let deq = deq(&coefs, quant);
+        let nz_mask = nonzero_mask(&coefs);
+        CodedBlock {
+            coefs,
+            deq,
+            edges: BlockEdges::finish(&idct_ac_borders(&deq), deq[0]),
+            nz_mask,
+            nz77: nonzero_counts(nz_mask).0 as u8,
+        }
+    }
 
     #[test]
     fn interior_tables_are_disjoint_from_edges() {
@@ -643,16 +537,16 @@ mod tests {
         b[8] = -3; // col edge
         b[9] = 7; // interior
         b[63] = -1; // interior
-        assert_eq!(count_nz77(&b), 2);
-        assert_eq!(count_nz_row(&b), 1);
-        assert_eq!(count_nz_col(&b), 1);
+        assert_eq!(nonzero_counts(nonzero_mask(&b)), (2, 1, 1));
+        // Every AC position is counted in exactly one class.
+        assert_eq!(nonzero_counts(u64::MAX), (49, 7, 7));
     }
 
-    /// SIMD dequantize and nz77 count equal their scalar references at
-    /// every dispatch level, over extreme magnitudes (i16::MIN/MAX ×
-    /// u16::MAX), every single-coefficient placement, and random fills.
+    /// SIMD dequantize equals its scalar reference at every dispatch
+    /// level, over extreme magnitudes (i16::MIN/MAX × u16::MAX), every
+    /// single-coefficient placement, and random fills.
     #[test]
-    fn simd_context_kernels_match_scalar() {
+    fn simd_dequantize_matches_scalar() {
         use lepton_simd::{force_level, SimdLevel};
         let detected = {
             force_level(None);
@@ -662,7 +556,7 @@ mod tests {
         // Extremes in every slot.
         cases.push(([i16::MIN; 64], [u16::MAX; 64]));
         cases.push(([i16::MAX; 64], [u16::MAX; 64]));
-        // Each coefficient hot alone (exercises the interior mask).
+        // Each coefficient hot alone.
         for i in 0..64 {
             let mut b = [0i16; 64];
             b[i] = if i % 2 == 0 { i16::MIN } else { i16::MAX };
@@ -687,16 +581,13 @@ mod tests {
             cases.push((b, q));
         }
         for (ci, (b, q)) in cases.iter().enumerate() {
-            let want = (dequantize_scalar(b, q), count_nz77_scalar(b));
+            let mut want = [0; 64];
+            dequantize_scalar(b, q, &mut want);
             for lvl in [SimdLevel::Scalar, SimdLevel::Sse2, detected] {
                 force_level(Some(lvl));
-                let got = (dequantize(b, q), count_nz77(b));
-                let meta = coded_block_meta(b, q);
+                let got = deq(b, q);
                 force_level(None);
                 assert_eq!(want, got, "case {ci} level {lvl:?}");
-                assert_eq!(meta.0, want.0, "meta deq case {ci} level {lvl:?}");
-                assert_eq!(meta.1, block_edges_deq(&want.0), "meta edges case {ci}");
-                assert_eq!(meta.2, want.1, "meta nz case {ci} level {lvl:?}");
             }
         }
     }
@@ -710,16 +601,11 @@ mod tests {
         l[9] = -10;
         al[9] = 16;
         let q = [1u16; 64];
+        let (a, l, al) = (coded(a, &q), coded(l, &q), coded(al, &q));
         let nbr = BlockNeighbors {
             above: Some(&a),
             left: Some(&l),
             above_left: Some(&al),
-            above_deq: None,
-            left_deq: None,
-            above_edges: None,
-            left_edges: None,
-            above_nz77: None,
-            left_nz77: None,
             quant: &q,
         };
         // (13*10 + 13*10 + 6*16)/32 = (130+130+96)/32 = 11
@@ -737,8 +623,8 @@ mod tests {
         above[0] = 50;
         let mut cur: CoefBlock = [0; 64];
         cur[0] = 50;
-        let a_deq = dequantize(&above, &q);
-        let c_deq = dequantize(&cur, &q);
+        let a_deq = deq(&above, &q);
+        let c_deq = deq(&cur, &q);
         for u in 1..8 {
             assert_eq!(lakhani_row(&a_deq, &c_deq, u, &q), 0, "u={u}");
         }
@@ -772,8 +658,8 @@ mod tests {
         };
         let top = to_block(&top_px);
         let bot = to_block(&bot_px);
-        let t_deq = dequantize(&top, &q);
-        let mut b_deq = dequantize(&bot, &q);
+        let t_deq = deq(&top, &q);
+        let mut b_deq = deq(&bot, &q);
         // Zero out the column 0 coefficients being predicted (they are
         // unknown at prediction time); interior stays.
         for v in 1..8 {
@@ -783,7 +669,7 @@ mod tests {
         let _ = pred;
         // For a vertical gradient the relevant continuity is top→bottom,
         // i.e. the ROW prediction of the bottom block.
-        let mut b_deq2 = dequantize(&bot, &q);
+        let mut b_deq2 = deq(&bot, &q);
         for u in 1..8 {
             b_deq2[u] = 0;
         }
@@ -818,9 +704,9 @@ mod tests {
         };
         let top = to_block(&top_px, &q);
         let bot = to_block(&bot_px, &q);
-        let edges = block_edges(&top, &q);
-        let ac_px = ac_only_pixels(&bot, &q);
-        let pred = predict_dc_gradient(&ac_px, Some(&edges), None, &q);
+        let edges = coded(top, &q).edges;
+        let ac = idct_ac_borders(&deq(&bot, &q));
+        let pred = predict_dc_gradient(&ac, Some(&edges), None, &q);
         let actual = bot[0] as i32;
         assert!(
             (pred.value - actual).abs() <= 1,
@@ -833,9 +719,8 @@ mod tests {
     #[test]
     fn dc_prediction_no_neighbors() {
         let q = [8u16; 64];
-        let blk: CoefBlock = [0; 64];
-        let ac_px = ac_only_pixels(&blk, &q);
-        let p = predict_dc_gradient(&ac_px, None, None, &q);
+        let ac = idct_ac_borders(&[0; 64]);
+        let p = predict_dc_gradient(&ac, None, None, &q);
         assert_eq!(p.value, 0);
         assert_eq!(p.confidence, 0);
     }
@@ -854,8 +739,8 @@ mod tests {
             cols: [[1000; 8]; 2],
         };
         above.rows[1][0] = 1_000_000; // outlier pair
-        let ac_px = [0i64; 64];
-        let p = predict_dc_first_cut(&ac_px, Some(&above), Some(&left), &q);
+        let ac = idct_ac_borders(&[0; 64]);
+        let p = predict_dc_first_cut(&ac, Some(&above), Some(&left), &q);
         let consensus = div_round(1000, DC_PIXEL_GAIN) as i32;
         assert!((p.value - consensus).abs() <= 1, "value {}", p.value);
     }
@@ -866,29 +751,13 @@ mod tests {
         let mut l: CoefBlock = [0; 64];
         a[0] = 100;
         l[0] = 50;
+        let q = [1u16; 64];
+        let (a, l) = (coded(a, &q), coded(l, &q));
         let p = predict_dc_neighbor_avg(Some(&a), Some(&l));
         assert_eq!(p.value, 75);
         let p = predict_dc_neighbor_avg(None, Some(&l));
         assert_eq!(p.value, 50);
         let p = predict_dc_neighbor_avg(None, None);
         assert_eq!(p.value, 0);
-    }
-
-    #[test]
-    fn edge_cache_rolls_rows() {
-        let mut c = EdgeCache::new(3);
-        let e = BlockEdges {
-            rows: [[1; 8]; 2],
-            cols: [[2; 8]; 2],
-        };
-        c.push(0, e);
-        c.push(1, e);
-        assert!(c.above(0).is_none());
-        assert!(c.left(1).is_some());
-        assert!(c.left(0).is_none());
-        c.next_row();
-        assert!(c.above(0).is_some());
-        assert!(c.above(2).is_none());
-        assert!(c.left(1).is_none());
     }
 }

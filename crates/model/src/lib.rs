@@ -37,4 +37,4 @@ pub mod context;
 
 pub use component::ComponentModel;
 pub use config::{DcMode, EdgeMode, ModelConfig};
-pub use context::{BlockNeighbors, EdgeCache};
+pub use context::{BlockNeighbors, CodedBlock};
