@@ -14,8 +14,6 @@
 //!   algebraically equivalent binary arithmetic coders, and the byte-wise
 //!   form is easier to prove correct. The probability resolution is 16
 //!   bits (VP8 uses 8); this only improves coding efficiency.
-//! * [`bitio`] — plain MSB-first bit readers/writers used by container
-//!   headers and the model's binarization helpers.
 //!
 //! # Streaming
 //!
@@ -44,7 +42,6 @@
 //! }
 //! ```
 
-pub mod bitio;
 mod bool_coder;
 mod branch;
 

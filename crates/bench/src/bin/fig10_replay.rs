@@ -169,8 +169,7 @@ fn replay_reads(
 
 /// Flatten a registry snapshot into a JSON object: counters as
 /// numbers, gauges as `{value, high_water}`, histograms as their
-/// count/mean/tail summary — the full telemetry record the replay
-/// leaves behind for `bench_diff.py`.
+/// count/mean/tail summary — the full telemetry record of the replay.
 fn snapshot_json(snap: &lepton_obs::Snapshot) -> Json {
     Json::obj(snap.entries.iter().map(|(name, v)| {
         let value = match v {

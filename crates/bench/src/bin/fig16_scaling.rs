@@ -10,9 +10,8 @@
 //!
 //! Per point it records throughput, the pool busy ratio (engine
 //! `busy_us` over `workers × wall`), and the queue-depth high water.
-//! The committed baseline (`BENCH_scaling.json`) is tagged with the
-//! honest host core count; `tools/bench_diff.py` refuses to compare
-//! scaling records across different core counts.
+//! The record is tagged with the honest host core count: scaling
+//! curves from different core counts are not comparable.
 
 use lepton_bench::json::{emit, Json};
 use lepton_bench::{bench_file_count, header, mbps, timed};

@@ -1,17 +1,11 @@
 //! Minimal JSON emission for the fig/tab harnesses.
 //!
-//! Every harness prints a human-readable table; the CI `bench-smoke`
-//! job additionally wants a machine-readable record per run so the
-//! perf trajectory is captured per-PR. This module is that channel:
-//! [`emit`] writes one compact JSON object — to stdout, and appended
-//! as one line to the file named by the `LEPTON_BENCH_JSON`
-//! environment variable when it is set (the smoke job points every
-//! binary at the same file and wraps the lines into an array).
+//! Every harness prints a human-readable table and closes with one
+//! machine-readable record of the same run: [`emit`] writes one
+//! compact JSON object to stdout.
 //!
 //! Hand-rolled because the environment is offline (no serde); only
 //! what the harnesses need is implemented.
-
-use std::io::Write as _;
 
 /// A JSON value. Construct with the helpers ([`Json::obj`],
 /// [`Json::arr`], `From` impls) rather than the variants directly.
@@ -158,8 +152,7 @@ impl std::fmt::Display for Json {
 /// by two machine-environment tags every record carries:
 ///
 /// * `host_cores` — the detected core count. Throughput numbers from
-///   different core counts are not comparable; `tools/bench_diff.py`
-///   skips the pair and says so instead of emitting a bogus warning.
+///   different core counts are not comparable.
 /// * `simd_dispatch` — the kernel dispatch level actually used
 ///   (`"scalar"` / `"sse2"` / `"avx2"`), honoring `LEPTON_FORCE_SCALAR`.
 pub fn record<K: Into<String>, V: Into<Json>>(
@@ -179,24 +172,9 @@ pub fn record<K: Into<String>, V: Into<Json>>(
     Json::Obj(pairs)
 }
 
-/// Emit one harness record (see [`record`] for the shape). Printed to
-/// stdout, and appended as a line to `$LEPTON_BENCH_JSON` if set.
+/// Emit one harness record (see [`record`] for the shape) to stdout.
 pub fn emit<K: Into<String>, V: Into<Json>>(id: &str, fields: impl IntoIterator<Item = (K, V)>) {
-    let record = record(id, fields);
-    println!("\n{record}");
-    if let Ok(path) = std::env::var("LEPTON_BENCH_JSON") {
-        if !path.is_empty() {
-            let line = format!("{record}\n");
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(line.as_bytes()));
-            if let Err(e) = written {
-                eprintln!("LEPTON_BENCH_JSON: cannot write {path}: {e}");
-            }
-        }
-    }
+    println!("\n{}", record(id, fields));
 }
 
 #[cfg(test)]
@@ -226,8 +204,8 @@ mod tests {
     }
 
     /// Every record is closed by the machine-environment tags that
-    /// `tools/bench_diff.py` keys comparability on, and the dispatch
-    /// tag reports the level the kernels actually run at.
+    /// comparability depends on, and the dispatch tag reports the
+    /// level the kernels actually run at.
     #[test]
     fn records_carry_environment_tags() {
         let rec = record("fig_test", [("mbps", Json::from(1.5))]);

@@ -78,7 +78,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 /// Iteration budget for harness runs, overridable via
 /// `LEPTON_BENCH_FILES`. Most harnesses spend it as a corpus file
 /// count; `fig7`/`fig8` spend it as a bound on how many size points
-/// run — either way, a small value (CI smoke uses 3) means a quick
+/// run — either way, a small value (say 3) means a quick
 /// pass and the unset default means the full run.
 pub fn bench_file_count(default: usize) -> usize {
     std::env::var("LEPTON_BENCH_FILES")

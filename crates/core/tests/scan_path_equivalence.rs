@@ -1,20 +1,25 @@
 //! The windowed lookahead scan decoder and the Annex F reference
-//! decoder must be interchangeable end-to-end: compressing the same
-//! corpus through either path yields byte-identical Lepton containers
-//! (same coefficients, same handover snapshots, same segment streams).
+//! decoder must be interchangeable, and the inline and pipelined
+//! encode paths must be too.
 //!
-//! This is the whole-system counterpart of the per-symbol equivalence
-//! proptests in `lepton_jpeg` — it drives the real encoder, including
-//! the pipelined multi-segment path, with the decoder implementation
-//! toggled process-wide.
+//! The first half compares the two block decoders where they actually
+//! differ — at the JPEG layer, MCU by MCU, over a whole corpus. The
+//! encoder sees a scan only through the values compared here
+//! (coefficients, `Handover` snapshots, `ScanEnd`), so equal values
+//! mean equal containers whichever decoder ran. The second half drives
+//! the real encoder on hostile inputs through its single-segment and
+//! multi-segment paths.
 
 use lepton_core::{CompressOptions, Engine, ExitCode, ThreadPolicy};
 use lepton_corpus::{mutate, Corpus, CorpusSpec, MutationKind};
-use lepton_jpeg::scan::set_reference_scan_decode;
+use lepton_jpeg::{CoefPlanes, ScanDecoder};
 use proptest::prelude::*;
 
+/// Six clean corpus files plus a golden vector with a restart interval
+/// that does not divide the MCU row (at every RST the windowed decoder
+/// drops its prefetch window and re-anchors).
 fn corpus() -> Vec<Vec<u8>> {
-    Corpus::generate(&CorpusSpec {
+    let mut files: Vec<Vec<u8>> = Corpus::generate(&CorpusSpec {
         count: 6,
         min_dim: 96,
         max_dim: 320,
@@ -24,43 +29,36 @@ fn corpus() -> Vec<Vec<u8>> {
     .files
     .into_iter()
     .map(|f| f.data)
-    .collect()
+    .collect();
+    files.push(include_bytes!("golden/gradient-420-rst7-opt-pad0.jpg").to_vec());
+    files
 }
 
 #[test]
 fn reference_and_fast_paths_produce_identical_containers() {
-    let engine = Engine::new(2);
-    let files = corpus();
-    // Fixed thread counts cover the inline single-segment path and the
-    // pipelined multi-segment path (where the fast serial decode races
-    // ahead of the arithmetic-encode jobs).
-    for threads in [1usize, 3] {
-        let opts = CompressOptions {
-            threads: ThreadPolicy::Fixed(threads),
-            verify: true,
-            ..Default::default()
-        };
-
-        set_reference_scan_decode(false);
-        let fast: Vec<Vec<u8>> = files
-            .iter()
-            .map(|f| engine.compress(f, &opts).expect("fast-path compress"))
-            .collect();
-
-        set_reference_scan_decode(true);
-        let reference: Vec<Vec<u8>> = files
-            .iter()
-            .map(|f| engine.compress(f, &opts).expect("reference compress"))
-            .collect();
-        set_reference_scan_decode(false);
-
-        for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
-            assert_eq!(a, b, "container diverged for file {i} at {threads} threads");
+    for (i, jpeg) in corpus().iter().enumerate() {
+        let parsed = lepton_jpeg::parse(jpeg).expect("parse");
+        let mcus = parsed.frame.mcu_count() as u32;
+        let mut coefs_ref = CoefPlanes::for_frame(&parsed.frame);
+        let mut coefs_fast = CoefPlanes::for_frame(&parsed.frame);
+        let mut reference = ScanDecoder::new_reference(jpeg, &parsed).expect("tables");
+        let mut fast = ScanDecoder::new(jpeg, &parsed).expect("tables");
+        for m in 1..=mcus {
+            reference.decode_to(m, &mut coefs_ref).expect("reference");
+            fast.decode_to(m, &mut coefs_fast).expect("fast");
+            assert_eq!(
+                reference.handover(),
+                fast.handover(),
+                "file {i}: handover diverged at mcu {m}"
+            );
         }
-        // And the containers round-trip to the original bytes.
-        for (f, c) in files.iter().zip(&fast) {
-            assert_eq!(&engine.decompress(c).expect("decompress"), f);
-        }
+        assert!(coefs_ref == coefs_fast, "file {i}: coefficients diverged");
+        let end_ref = reference.finish().expect("reference end");
+        let end_fast = fast.finish().expect("fast end");
+        assert_eq!(end_ref.pad, end_fast.pad, "file {i}");
+        assert_eq!(end_ref.rst_count, end_fast.rst_count, "file {i}");
+        assert_eq!(end_ref.scan_end, end_fast.scan_end, "file {i}");
+        assert_eq!(end_ref.stats, end_fast.stats, "file {i}");
     }
 }
 

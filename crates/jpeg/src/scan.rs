@@ -17,27 +17,6 @@ use crate::error::JpegError;
 use crate::huffman::HuffTable;
 use crate::parser::ParsedJpeg;
 use crate::types::ZIGZAG;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Force the reference per-bit scan-decode path process-wide.
-///
-/// Testing hook: the windowed lookahead decoder and the Annex F
-/// reference decoder must produce identical coefficients, positions,
-/// statistics, and errors — flipping this mid-flight only changes
-/// speed, never output. The equivalence suites compress the same corpus
-/// under both settings and compare containers byte-for-byte.
-static REFERENCE_DECODE: AtomicBool = AtomicBool::new(false);
-
-/// Select the scan-decode implementation: `true` pins the reference
-/// per-bit path, `false` (default) uses the windowed lookahead decoder.
-pub fn set_reference_scan_decode(on: bool) {
-    REFERENCE_DECODE.store(on, Ordering::Relaxed);
-}
-
-/// Is the reference per-bit scan-decode path currently forced?
-pub fn reference_scan_decode() -> bool {
-    REFERENCE_DECODE.load(Ordering::Relaxed)
-}
 
 /// Resume state at an MCU boundary ("Huffman handover word", App. A.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -431,7 +410,18 @@ impl<'a> ScanDecoder<'a> {
             stats: ScanStats::default(),
             mcu: 0,
             interval: parsed.restart_interval as u32,
-            fast: !reference_scan_decode(),
+            fast: true,
+        })
+    }
+
+    /// [`Self::new`] pinned to the Annex F per-bit block decoder — the
+    /// oracle the equivalence suites step beside the windowed decoder.
+    /// Not part of the codec API.
+    #[doc(hidden)]
+    pub fn new_reference(data: &'a [u8], parsed: &'a ParsedJpeg) -> Result<Self, JpegError> {
+        Ok(ScanDecoder {
+            fast: false,
+            ..Self::new(data, parsed)?
         })
     }
 
@@ -923,10 +913,8 @@ mod path_equivalence_tests {
             let mcus = parsed.frame.mcu_count() as u32;
             let mut cref = CoefPlanes::for_frame(&parsed.frame);
             let mut cfast = CoefPlanes::for_frame(&parsed.frame);
-            let mut dref = ScanDecoder::new(&jpg, &parsed).unwrap();
-            dref.fast = false;
+            let mut dref = ScanDecoder::new_reference(&jpg, &parsed).unwrap();
             let mut dfast = ScanDecoder::new(&jpg, &parsed).unwrap();
-            dfast.fast = true;
             for m in 1..=mcus {
                 dref.decode_to(m, &mut cref).expect("reference decode");
                 dfast.decode_to(m, &mut cfast).expect("fast decode");

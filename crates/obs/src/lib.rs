@@ -57,7 +57,7 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Enable or disable histogram and trace recording at runtime.
 ///
-/// Used by the `metrics_overhead` harness to measure telemetry cost
+/// Used by lepbench's `obs.overhead_pct` to measure telemetry cost
 /// without rebuilding; see the crate-level `stub` feature for the
 /// compile-time equivalent.
 pub fn set_enabled(on: bool) {

@@ -1,9 +1,9 @@
 //! The sharded, disk-backed blockstore: transparent compress-on-write
 //! behind a content address.
 //!
-//! [`BlockStore`](crate::BlockStore) models the paper's blockserver in
-//! memory; this module is the durable version a service actually runs
-//! on. Blocks live as files in N shard directories, each shard with
+//! This is the one store: what the CLI, the service and the fleet run
+//! on, and — over an in-memory [`Vfs`] — what tests and examples run
+//! on too. Blocks live as files in N shard directories, each shard with
 //! its own lock, so concurrent `put`/`get` from many threads contend
 //! only when they land on the same shard. The write path is the
 //! paper's admission rule made literal (§5.7): a JPEG-looking block is
@@ -384,13 +384,7 @@ impl std::fmt::Debug for ShardedStore {
 }
 
 /// Lowercase hex of a digest (the on-disk file name).
-pub fn hex(d: &Digest) -> String {
-    let mut s = String::with_capacity(64);
-    for b in d {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
+pub use crate::sha256::hex;
 
 /// Parse a 64-char lowercase/uppercase hex digest.
 pub fn parse_hex(s: &str) -> Option<Digest> {
@@ -1292,6 +1286,53 @@ mod tests {
         assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Raw));
         assert_eq!(store.get(&key).unwrap().unwrap(), data);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// No write path produces a `b'Z'` record, but the record format is
+    /// frozen: one an earlier build wrote must still read back, behind
+    /// the same hash gate as every other format.
+    #[test]
+    fn deflate_record_reads_back_and_is_hash_checked() {
+        use crate::vfs::{FaultConfig, FaultVfs, Vfs};
+        let vfs = FaultVfs::new(FaultConfig::default());
+        let cfg = StoreConfig {
+            cache_bytes: 0, // every read must go back to the record
+            ..Default::default()
+        };
+        let store = ShardedStore::open_on(vfs.clone(), "/store", cfg).unwrap();
+        let data = b"text an earlier build stored deflated. ".repeat(40);
+        let key = sha256(&data);
+        let z = lepton_deflate::zlib_compress(&data, lepton_deflate::Level::Default);
+        let mut record = RECORD_MAGIC.to_vec();
+        record.push(b'Z');
+        record.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        record.extend_from_slice(&z);
+        let path = store.block_path(&key);
+        vfs.write(&path, &record).unwrap();
+
+        assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Deflate));
+        assert_eq!(store.stored_size(&key).unwrap(), Some(z.len()));
+        assert_eq!(store.get(&key).unwrap().unwrap(), data);
+
+        // A flipped payload byte is refused as corrupt. The one flip
+        // that lands in the Deflate stream's final padding bits decodes
+        // to the same bytes and may be served; wrong bytes never are.
+        let mut refused = 0;
+        for i in HEADER_LEN..record.len() {
+            let mut bad = record.clone();
+            bad[i] ^= 0x10;
+            vfs.write(&path, &bad).unwrap();
+            match store.get(&key) {
+                Err(StoreError::Corrupt(k)) if k == key => refused += 1,
+                Ok(Some(bytes)) => assert_eq!(bytes, data, "wrong bytes at {i}"),
+                other => panic!("flip at {i}: {other:?}"),
+            }
+        }
+        assert!(
+            refused >= z.len() - 1,
+            "only {refused} of {} flips refused",
+            z.len()
+        );
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //!
 //! Run with: `cargo run --release --example photo_archive`
 
+use lepton::corpus::builder::clean_jpeg;
 use lepton::corpus::{Corpus, CorpusSpec};
-use lepton::storage::{BlockStore, StoredFormat};
+use lepton::storage::blockstore::{ShardedStore, StoreConfig};
+use lepton::storage::vfs::{FaultConfig, FaultVfs};
+use lepton::storage::StoredFormat;
 
 fn main() {
-    let store = BlockStore::default();
-    store.enable_safety_net(); // ramp-up posture (§5.7)
+    // The same store the service runs on, over an in-memory filesystem
+    // (a fault injector configured to inject nothing).
+    let vfs = FaultVfs::new(FaultConfig::default());
+    let store = ShardedStore::open_on(vfs, "/archive", StoreConfig::default()).expect("open");
 
     // A user directory: mostly photos, some other files, some corrupt.
     let corpus = Corpus::generate(&CorpusSpec {
@@ -20,35 +25,50 @@ fn main() {
         seed: 7,
     });
 
-    let mut manifests = Vec::new();
-    for f in &corpus.files {
-        manifests.push((store.put_file(&f.data), f.data.clone()));
-    }
+    let keys: Vec<_> = corpus
+        .files
+        .iter()
+        .map(|f| store.put(&f.data).expect("put never refuses content"))
+        .collect();
+    let stat = store.stat().expect("stat");
     println!(
-        "stored {} files / {} chunks; savings so far: {:.1}%",
-        manifests.len(),
-        store.chunk_count(),
-        store.metrics.savings() * 100.0
+        "stored {} files: {} as Lepton, {} raw; savings so far: {:.1}%",
+        stat.blocks,
+        stat.lepton_blocks,
+        stat.raw_blocks,
+        stat.savings() * 100.0
     );
-    println!("exit codes (paper §6.2 table):");
-    for (code, n) in store.exit_codes.lock().iter() {
-        println!("  {:<24} {}", code.label(), n);
-    }
 
     // Every file reads back byte-exactly, whatever format it landed in.
-    for (manifest, original) in &manifests {
-        let restored = store.get_file(manifest).expect("stored files read back");
-        assert_eq!(&restored, original);
+    for (key, f) in keys.iter().zip(&corpus.files) {
+        let restored = store
+            .get(key)
+            .expect("get")
+            .expect("stored files read back");
+        assert_eq!(restored, f.data);
     }
     println!("all files verified byte-exact ✓");
 
-    // Simulate the shutoff switch drill, then backfill.
-    store.set_shutoff(true);
-    let late = corpus.files[0].data.clone();
-    let key = store.put_chunk(&late[..late.len().min(1 << 20)]);
-    assert_ne!(store.format_of(&key), Some(StoredFormat::Lepton));
-    store.set_shutoff(false);
-    let (converted, saved) = store.backfill_pass();
-    println!("backfill converted {converted} chunk(s), saving {saved} bytes");
-    println!("final savings: {:.1}%", store.metrics.savings() * 100.0);
+    // Simulate the shutoff switch drill (§5.7), then backfill: the late
+    // photo lands raw, and the worker converts it in place.
+    let late = clean_jpeg(&CorpusSpec::default(), 99);
+    let key = store.put_raw(&late).expect("put");
+    assert_eq!(
+        store.format_of(&key).expect("header"),
+        Some(StoredFormat::Raw)
+    );
+    let report = store.backfill(2).expect("backfill");
+    println!(
+        "backfill converted {} block(s), saving {} bytes",
+        report.converted,
+        report.bytes_before - report.bytes_after
+    );
+    assert_eq!(
+        store.format_of(&key).expect("header"),
+        Some(StoredFormat::Lepton)
+    );
+    println!(
+        "final savings: {:.1}%",
+        store.stat().expect("stat").savings() * 100.0
+    );
 }

@@ -15,8 +15,10 @@
 //! * [`arith`] — the binary range coder and statistic bins.
 //! * [`deflate`] — Deflate/zlib, used for JPEG headers and as fallback.
 //! * [`baselines`] — the comparison codecs from the paper's evaluation.
-//! * [`storage`] — a content-addressed 4-MiB-chunk block store with
-//!   transparent Lepton recompression and round-trip admission control.
+//! * [`storage`] — the content-addressed block store
+//!   ([`storage::blockstore::ShardedStore`]): transparent Lepton
+//!   recompression behind round-trip admission control, on disk or —
+//!   over an in-memory `Vfs` — with no filesystem at all.
 //! * [`fleet`] — the replicated block fleet: a seeded consistent-hash
 //!   gateway over live blockserver nodes with failover, read-repair,
 //!   health ejection, and a rebalance driver.

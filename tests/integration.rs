@@ -4,7 +4,15 @@
 use lepton::codec::{compress, compress_chunked, decompress, CompressOptions, ThreadPolicy};
 use lepton::corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton::corpus::{Corpus, CorpusSpec as Spec2};
-use lepton::storage::{BlockStore, StoredFormat};
+use lepton::storage::blockstore::{ShardedStore, StoreConfig};
+use lepton::storage::vfs::{FaultConfig, FaultVfs};
+use lepton::storage::StoredFormat;
+
+/// The one store, on the fault-free in-memory filesystem.
+fn memory_store() -> ShardedStore {
+    let vfs = FaultVfs::new(FaultConfig::default());
+    ShardedStore::open_on(vfs, "/store", StoreConfig::default()).expect("open")
+}
 
 fn spec(max_dim: usize) -> CorpusSpec {
     CorpusSpec {
@@ -18,7 +26,7 @@ fn spec(max_dim: usize) -> CorpusSpec {
 fn corpus_to_storage_to_bytes() {
     // The full production path: synthesize user files, store them,
     // read them back byte-exactly.
-    let store = BlockStore::default();
+    let store = memory_store();
     let corpus = Corpus::generate(&Spec2 {
         count: 12,
         min_dim: 64,
@@ -27,9 +35,9 @@ fn corpus_to_storage_to_bytes() {
         seed: 0xABCD,
     });
     for f in &corpus.files {
-        let manifest = store.put_file(&f.data);
+        let key = store.put(&f.data).expect("put never refuses content");
         assert_eq!(
-            store.get_file(&manifest).expect("read back"),
+            store.get(&key).expect("read back").expect("present"),
             f.data,
             "kind {:?} seed {}",
             f.kind,
@@ -37,14 +45,10 @@ fn corpus_to_storage_to_bytes() {
         );
     }
     // Clean JPEGs landed as Lepton; savings accrued.
-    assert!(
-        store
-            .metrics
-            .lepton_chunks
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0
-    );
-    assert!(store.metrics.savings() > 0.05);
+    let stat = store.stat().expect("stat");
+    assert_eq!(stat.blocks, corpus.files.len() as u64);
+    assert!(stat.lepton_blocks > 0);
+    assert!(stat.savings() > 0.05);
 }
 
 #[test]
@@ -141,14 +145,20 @@ fn corrupted_containers_never_panic() {
 
 #[test]
 fn shutoff_and_backfill_flow() {
-    let store = BlockStore::default();
-    store.set_shutoff(true);
+    // §5.7: with the shutoff engaged a put still lands, just not as
+    // Lepton; the backfill converts it once encoding is allowed again.
+    let store = memory_store();
     let jpg = clean_jpeg(&spec(128), 8);
-    let key = store.put_chunk(&jpg);
-    assert_eq!(store.format_of(&key), Some(StoredFormat::Deflate));
-    store.set_shutoff(false);
-    let (n, _) = store.backfill_pass();
-    assert_eq!(n, 1);
-    assert_eq!(store.format_of(&key), Some(StoredFormat::Lepton));
-    assert_eq!(store.get_chunk(&key).expect("chunk"), jpg);
+    let key = store.put_raw(&jpg).expect("put");
+    assert_eq!(
+        store.format_of(&key).expect("header"),
+        Some(StoredFormat::Raw)
+    );
+    let report = store.backfill(1).expect("backfill");
+    assert_eq!(report.converted, 1);
+    assert_eq!(
+        store.format_of(&key).expect("header"),
+        Some(StoredFormat::Lepton)
+    );
+    assert_eq!(store.get(&key).expect("get").expect("present"), jpg);
 }

@@ -103,25 +103,28 @@ fn shutoff_degrades_to_deflate_then_recovers() {
     service.shutdown();
 }
 
-/// The serving path end to end: originals in a BlockStore, conversions
-/// over the wire, downloads byte-exact — storage and service agreeing
-/// on the same container format.
+/// The serving path end to end: originals in the blockstore,
+/// conversions over the wire, downloads byte-exact — storage and
+/// service agreeing on the same container format.
 #[test]
 fn store_and_serve_agree_on_containers() {
-    use lepton::storage::{BlockStore, StoredFormat};
+    use lepton::storage::blockstore::{ShardedStore, StoreConfig};
+    use lepton::storage::vfs::{FaultConfig, FaultVfs};
+    use lepton::storage::StoredFormat;
     let service = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let store = BlockStore::default();
+    let vfs = FaultVfs::new(FaultConfig::default());
+    let store = ShardedStore::open_on(vfs, "/store", StoreConfig::default()).unwrap();
     let jpeg = clean_jpeg(&spec(), 11);
 
     // Upload path: service compresses, store admits the original.
     let via_wire = client::compress(service.endpoint(), &jpeg, TIMEOUT).unwrap();
-    let key = store.put_chunk(&jpeg);
-    assert_eq!(store.format_of(&key), Some(StoredFormat::Lepton));
+    let key = store.put(&jpeg).unwrap();
+    assert_eq!(store.format_of(&key).unwrap(), Some(StoredFormat::Lepton));
 
     // The wire container decodes to what the store returns.
     assert_eq!(
         client::decompress(service.endpoint(), &via_wire, TIMEOUT).unwrap(),
-        store.get_chunk(&key).unwrap()
+        store.get(&key).unwrap().unwrap()
     );
     service.shutdown();
 }
