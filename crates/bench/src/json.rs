@@ -153,8 +153,8 @@ impl std::fmt::Display for Json {
 ///
 /// * `host_cores` — the detected core count. Throughput numbers from
 ///   different core counts are not comparable.
-/// * `simd_dispatch` — the kernel dispatch level actually used
-///   (`"scalar"` / `"sse2"` / `"avx2"`), honoring `LEPTON_FORCE_SCALAR`.
+/// * `simd_dispatch` — the host's detected vector ISA (`"scalar"` /
+///   `"sse2"` / `"avx2"`); a host tag, nothing dispatches on it.
 pub fn record<K: Into<String>, V: Into<Json>>(
     id: &str,
     fields: impl IntoIterator<Item = (K, V)>,

@@ -860,29 +860,6 @@ mod tests {
         assert_eq!(derive_output(&Input::Stdin, "lep"), None);
     }
 
-    /// `lepton stats` output carries the kernel dispatch level: the
-    /// `build.simd_level` gauge `Engine::global()` binds must survive
-    /// the snapshot → render pipeline with the detected value, so an
-    /// operator can read the tier (0 = scalar, 1 = SSE2, 2 = AVX2) off
-    /// the same surface as every other health metric.
-    #[test]
-    fn stats_render_reports_simd_dispatch_level() {
-        let _ = lepton_core::Engine::global();
-        let snap = lepton_obs::Registry::global().snapshot();
-        let mut out = Vec::new();
-        render_snapshot(&snap, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("build.simd_level"))
-            .expect("stats output lists build.simd_level");
-        let expected = lepton_simd::level().as_gauge();
-        assert!(
-            line.split_whitespace().nth(1) == Some(&expected.to_string()),
-            "dispatch gauge line should report {expected}: {line:?}"
-        );
-    }
-
     #[test]
     fn qualify_command_runs_clean() {
         let mut log = Vec::new();

@@ -313,23 +313,8 @@ pub struct Engine {
 const PLANE_POOL_CAP: usize = 4;
 
 /// Ceiling [`Engine::global`] applies to detected parallelism when
-/// sizing the shared pool (historically a hard-coded 16).
-static GLOBAL_WORKER_CAP: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(16);
-
-/// Current ceiling on the shared engine's worker count (see
-/// [`set_global_worker_cap`]).
-pub fn global_worker_cap() -> usize {
-    GLOBAL_WORKER_CAP.load(Ordering::Relaxed)
-}
-
-/// Set the ceiling [`Engine::global`] applies to detected parallelism
-/// (clamped to at least 1). Only effective **before** the shared engine
-/// first spawns — the pool is sized once, on first use — so embedders
-/// and the server's `engine_worker_cap` config must call this during
-/// startup. An explicit `LEPTON_ENGINE_THREADS` bypasses the cap.
-pub fn set_global_worker_cap(cap: usize) {
-    GLOBAL_WORKER_CAP.store(cap.max(1), Ordering::Relaxed);
-}
+/// sizing the shared pool; `LEPTON_ENGINE_THREADS` bypasses it.
+const GLOBAL_WORKER_CAP: usize = 16;
 
 impl Engine {
     /// Spawn an engine with `workers` pre-started worker threads
@@ -366,8 +351,8 @@ impl Engine {
     }
 
     /// The process-wide shared engine. Sized from available parallelism
-    /// (capped at [`global_worker_cap`], default 16, overridable via
-    /// `LEPTON_ENGINE_THREADS`), spawned on first use, and kept warm for
+    /// (capped at 16; `LEPTON_ENGINE_THREADS`, the one deployment
+    /// setting, overrides), spawned on first use, and kept warm for
     /// the life of the process — the server, blockstore, and fleet paths
     /// all compress and decompress through this one pool.
     pub fn global() -> &'static Engine {
@@ -381,18 +366,12 @@ impl Engine {
                     std::thread::available_parallelism()
                         .map(|n| n.get())
                         .unwrap_or(1)
-                        .min(global_worker_cap())
+                        .min(GLOBAL_WORKER_CAP)
                 });
             let engine = Engine::new(workers);
             // The shared engine exports its live cells process-wide;
             // dedicated (test/embedder) engines stay unregistered.
             engine.metrics().bind_registry(Registry::global(), "engine");
-            // The resolved SIMD dispatch tier (0 scalar, 1 sse2,
-            // 2 avx2) rides along: `lepton stats` and the bench tags
-            // must report the level the kernels actually ran at.
-            Registry::global()
-                .gauge("build.simd_level")
-                .set(lepton_simd::level().as_gauge());
             engine
         })
     }

@@ -57,6 +57,6 @@ pub use driver::{walk_segment, BlockOp, RingArena};
 pub use encoder::{
     compress, compress_chunked, compress_with_stats, CompressOptions, CompressStats, ThreadPolicy,
 };
-pub use engine::{global_worker_cap, set_global_worker_cap, Engine, EngineMetrics};
+pub use engine::{Engine, EngineMetrics};
 pub use error::{ExitCode, LeptonError};
 pub use security::{BudgetStage, JobMeter, ResourceBudget};

@@ -5,8 +5,7 @@
 //! committed `.t1.lep` / `.t4.lep` bytes under `ThreadPolicy::Fixed(1)`
 //! / `Fixed(4)` and (b) decode each committed container back to its
 //! JPEG. A performance or simplification change that moves one bit of
-//! either direction fails here, not in a user's stored block. CI runs
-//! this under both dispatch levels (`LEPTON_FORCE_SCALAR=1` leg).
+//! either direction fails here, not in a user's stored block.
 //!
 //! The vectors were generated by `regenerate` at the commit *before*
 //! the per-block context pass was fused; regenerating is a format

@@ -99,17 +99,6 @@ pub struct ScanReader<'a> {
     /// Byte offset where the next window refill continues (meaningful
     /// only while `win_len > 0`; re-anchored from `pos` otherwise).
     fetch_pos: usize,
-    /// Cached FF horizon for SIMD refills: `data[ff_from..ff_at]` is
-    /// known FF-free (`ff_at` is the first `0xFF` at or after
-    /// `ff_from`, or the end of data). Valid for blind splicing only
-    /// while `ff_from <= fetch_pos <= ff_at` — refill re-probes
-    /// whenever the cursor leaves that interval, in either direction
-    /// (the `win_len == 0` re-anchor can step the cursor backwards).
-    /// One `find_ff` probe is amortized over all the blind splices
-    /// below the horizon; probing per refill costs more than the
-    /// splice saves. Reset to an empty interval on reposition.
-    ff_from: usize,
-    ff_at: usize,
     /// Pad-bit consistency across align events.
     pub pads: PadState,
 }
@@ -131,8 +120,6 @@ impl<'a> ScanReader<'a> {
             win: 0,
             win_len: 0,
             fetch_pos: start,
-            ff_from: usize::MAX,
-            ff_at: 0,
             pads: PadState::Unknown,
         }
     }
@@ -159,10 +146,6 @@ impl<'a> ScanReader<'a> {
         // must be cleared, not just marked invalid.
         self.win = 0;
         self.win_len = 0;
-        // A reposition can move the fetch cursor anywhere; the cached
-        // horizon's FF-free claim no longer covers it. Force a probe.
-        self.ff_from = usize::MAX;
-        self.ff_at = 0;
     }
 
     /// Refill the bit window as far as the stream allows. Never errors:
@@ -193,37 +176,11 @@ impl<'a> ScanReader<'a> {
                 self.fetch_pos = p;
             }
         }
-        // SIMD levels keep a cached FF horizon (`ff_at`): one vector
-        // probe finds the next 0xFF, and every byte strictly before it
-        // is plain entropy data that may be spliced without per-chunk
-        // inspection — across *many* refills, until the cursor crosses
-        // the horizon. The scalar level keeps the zero-byte-trick loop
-        // below as the reference implementation — both paths splice
-        // identical bytes, so the window contents (and thus every
-        // decoded value and position) are byte-identical by
-        // construction.
-        let simd = lepton_simd::level().is_simd();
-        if simd && !(self.ff_from <= self.fetch_pos && self.fetch_pos < self.ff_at) {
-            self.ff_from = self.fetch_pos;
-            self.ff_at = self.ff_horizon(self.fetch_pos);
-        }
         while self.win_len <= 56 {
             let fp = self.fetch_pos;
-            if simd {
-                // Vector path: no 0xFF before the horizon, splice blind.
-                if fp + 8 <= self.ff_at {
-                    let chunk =
-                        u64::from_be_bytes(self.data[fp..fp + 8].try_into().expect("8 bytes"));
-                    let take = (64 - self.win_len as usize) / 8;
-                    let bits = (take * 8) as u32;
-                    self.win |= (chunk >> (64 - bits)) << (64 - bits - self.win_len as u32);
-                    self.win_len += bits as u8;
-                    self.fetch_pos = fp + take;
-                    continue;
-                }
-            } else if fp + 8 <= self.data.len() {
-                // Scalar bulk path: when the next eight bytes are plain
-                // entropy data (no 0xFF anywhere), splice whole bytes.
+            if fp + 8 <= self.data.len() {
+                // Bulk path: when the next eight bytes are plain entropy
+                // data (no 0xFF anywhere), splice whole bytes.
                 let chunk = u64::from_be_bytes(self.data[fp..fp + 8].try_into().expect("8 bytes"));
                 if !contains_ff(chunk) {
                     let take = (64 - self.win_len as usize) / 8;
@@ -241,12 +198,6 @@ impl<'a> ScanReader<'a> {
                     self.win |= 0xFFu64 << (56 - self.win_len);
                     self.win_len += 8;
                     self.fetch_pos = fp + 2;
-                    if simd {
-                        // Stuffing crossed: the old horizon (which was
-                        // this 0xFF) is stale — re-probe from beyond it.
-                        self.ff_from = self.fetch_pos;
-                        self.ff_at = self.ff_horizon(self.fetch_pos);
-                    }
                 } else {
                     break; // marker: no more entropy data
                 }
@@ -256,17 +207,6 @@ impl<'a> ScanReader<'a> {
                 self.fetch_pos = fp + 1;
             }
         }
-    }
-
-    /// Offset of the next `0xFF` at or after `from` (`data.len()` if
-    /// none). Uncapped on purpose: `find_ff` stops at the first hit, so
-    /// the scan length is the actual FF-free run — which is exactly how
-    /// long the cached result stays valid. Entropy data hits a stuffed
-    /// FF every ~256 bytes on average, so one probe serves ~32 refills.
-    #[inline]
-    fn ff_horizon(&self, from: usize) -> usize {
-        let limit = self.data.len();
-        lepton_simd::find_ff(self.data, from.min(limit), limit)
     }
 
     /// Make at least `n` bits (n ≤ 57) peekable. Returns `false` when

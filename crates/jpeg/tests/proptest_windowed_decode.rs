@@ -1,82 +1,66 @@
-//! SIMD-vs-scalar kernel equivalence: the vectorized refill horizon
-//! (destuff/marker scan) and the windowed Huffman decode running on it
-//! must be *indistinguishable* from their scalar reference forms — same
+//! Windowed-vs-per-bit equivalence: the bulk window refill (destuff /
+//! marker scan) and the table-driven Huffman decode running on it must
+//! be *indistinguishable* from the per-bit Annex F reference — same
 //! values, same consumed positions, same statistics, same errors — over
 //! adversarial stuffing placement, every window alignment, and the
 //! random-table corpus.
-//!
-//! Dispatch is process-global (`lepton_simd::force_level`), so every
-//! test here serializes on one lock and restores detection on exit.
 
 use lepton_jpeg::bitio::ScanReader;
 use lepton_jpeg::error::JpegError;
 use lepton_jpeg::huffman::{std_ac_luma, std_dc_luma, HuffTable};
 use lepton_jpeg::scan::{decode_block_for_tests, ScanStats};
-use lepton_simd::{force_level, SimdLevel};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Serialize tests that flip the process-wide dispatch level.
-fn dispatch_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-}
-
-/// The hardware's own level (what `None` dispatch resolves to when
-/// `LEPTON_FORCE_SCALAR` is not exported — under that env leg this
-/// equals `Scalar` and the suite degenerates to scalar-vs-scalar, which
-/// is still a valid, if vacuous, run).
-fn detected_level() -> SimdLevel {
-    force_level(None);
-    lepton_simd::level()
-}
 
 /// Drain `data` through the windowed read path (odd 19-bit peeks so
 /// transactions shear across byte and stuffing boundaries), then the
-/// per-bit tail to exhaustion. The trace captures everything observable:
-/// values, normalized positions, bit offsets, and the tail bits.
-#[allow(clippy::type_complexity)]
-fn window_trace(data: &[u8], start: usize) -> (Vec<(u32, usize, u8, usize)>, Vec<bool>, usize) {
-    let mut r = ScanReader::new(data, start);
-    let mut txns = Vec::new();
-    while r.ensure_bits(19) {
-        let v = r.peek_bits(19);
-        r.consume_bits(19);
-        let p = r.position();
-        txns.push((v, p.byte, p.bits_used, r.bit_offset()));
+/// per-bit tail to exhaustion, in lockstep with a fresh reader driven by
+/// `read_bit` alone — which never fills the window, so it is the per-bit
+/// oracle. Every bit, every normalized position and the final error
+/// must agree. (Raw `bit_offset` is not compared: it is unnormalized,
+/// and the two paths skip a stuffed byte at different moments.)
+fn assert_window_matches_per_bit(data: &[u8], start: usize, ctx: &str) {
+    let mut windowed = ScanReader::new(data, start);
+    let mut per_bit = ScanReader::new(data, start);
+    let mut txn = 0usize;
+    while windowed.ensure_bits(19) {
+        let got = windowed.peek_bits(19);
+        windowed.consume_bits(19);
+        let mut want = 0u32;
+        for _ in 0..19 {
+            let bit = per_bit
+                .read_bit()
+                .unwrap_or_else(|e| panic!("oracle ended inside txn {txn}: {e:?} ({ctx})"));
+            want = (want << 1) | bit as u32;
+        }
+        assert_eq!(got, want, "txn {txn} value diverged ({ctx})");
+        assert_eq!(
+            windowed.position(),
+            per_bit.position(),
+            "txn {txn} position diverged ({ctx})"
+        );
+        txn += 1;
     }
-    let mut tail = Vec::new();
-    while let Ok(b) = r.read_bit() {
-        tail.push(b);
-        if tail.len() > 2048 {
-            break; // safety valve; traces are compared anyway
+    loop {
+        let (got, want) = (windowed.read_bit(), per_bit.read_bit());
+        assert_eq!(got, want, "tail bit diverged after txn {txn} ({ctx})");
+        assert_eq!(
+            windowed.position(),
+            per_bit.position(),
+            "tail position diverged after txn {txn} ({ctx})"
+        );
+        if got.is_err() {
+            break;
         }
     }
-    (txns, tail, r.bit_offset())
-}
-
-fn assert_window_traces_match(data: &[u8], start: usize, ctx: &str) {
-    force_level(Some(SimdLevel::Scalar));
-    let scalar = window_trace(data, start);
-    let lvl = detected_level();
-    force_level(Some(lvl));
-    let simd = window_trace(data, start);
-    force_level(None);
-    assert_eq!(
-        scalar, simd,
-        "destuff trace diverged ({ctx}, level {lvl:?})"
-    );
+    assert_eq!(per_bit.window_len(), 0, "the oracle never used the window");
 }
 
 /// Every starting alignment × every 0xFF placement in a 64-byte window,
 /// for stuffing (`FF 00`), a hard marker (`FF D9`), and doubled
-/// stuffing — the refill horizon must splice identical bytes to the
-/// scalar zero-byte-trick loop in all of them.
+/// stuffing — the zero-byte-trick bulk splice and its bytewise fallback
+/// must hand out exactly the per-bit reader's bits in all of them.
 #[test]
 fn destuff_scan_alignment_matrix_equivalent() {
-    let _g = dispatch_lock();
     for start in 0..8usize {
         for ff_pos in 0..64usize {
             for (kind, tail_byte) in [(0u8, 0x00u8), (1, 0xD9), (2, 0x00)] {
@@ -89,7 +73,7 @@ fn destuff_scan_alignment_matrix_equivalent() {
                     data[p + 2] = 0xFF;
                     data[p + 3] = 0x00;
                 }
-                assert_window_traces_match(
+                assert_window_matches_per_bit(
                     &data,
                     start,
                     &format!("start={start} ff={ff_pos} kind={kind}"),
@@ -100,10 +84,9 @@ fn destuff_scan_alignment_matrix_equivalent() {
 }
 
 /// Short buffers (every length 0..=24 with stuffing at every offset):
-/// the end-of-data interaction with the horizon probe.
+/// the end-of-data interaction with the eight-byte bulk load.
 #[test]
 fn destuff_scan_truncation_equivalent() {
-    let _g = dispatch_lock();
     for len in 0..=24usize {
         for ff_pos in 0..len {
             let mut data = vec![0xA7u8; len];
@@ -111,13 +94,13 @@ fn destuff_scan_truncation_equivalent() {
             if ff_pos + 1 < len {
                 data[ff_pos + 1] = 0x00;
             }
-            assert_window_traces_match(&data, 0, &format!("len={len} ff={ff_pos}"));
+            assert_window_matches_per_bit(&data, 0, &format!("len={len} ff={ff_pos}"));
         }
     }
 }
 
-/// One block decoded through all three paths from identical readers;
-/// returns every observable: result, coefficients, position, bit
+/// One block decoded through `path` from a fresh reader; returns every
+/// observable: result, coefficients, position, bit
 /// offset, statistics, and the DC predictor.
 #[allow(clippy::type_complexity)]
 fn block_trace(
@@ -142,28 +125,17 @@ fn block_trace(
     (res, out, (p.byte, p.bits_used), r.bit_offset(), stats, prev)
 }
 
-/// Reference vs windowed (fast @ scalar refill) vs windowed on the
-/// vector refill (fast @ detected level): all observables equal.
+/// Reference (path 0) vs windowed (path 1): all observables equal.
 fn assert_block_paths_agree(dc: &HuffTable, ac: &HuffTable, data: &[u8], ctx: &str) {
-    force_level(Some(SimdLevel::Scalar));
     let reference = block_trace(dc, ac, data, 0);
-    let scalar_refill = block_trace(dc, ac, data, 1);
-    let lvl = detected_level();
-    force_level(Some(lvl));
-    let vector_refill = block_trace(dc, ac, data, 1);
-    force_level(None);
-    assert_eq!(reference, scalar_refill, "windowed decode diverged ({ctx})");
-    assert_eq!(
-        reference, vector_refill,
-        "windowed decode diverged ({ctx}, {lvl:?})"
-    );
+    let windowed = block_trace(dc, ac, data, 1);
+    assert_eq!(reference, windowed, "windowed decode diverged ({ctx})");
 }
 
 /// Standard-table blocks with dense coefficient runs, plus
 /// stuffing-heavy magnitudes.
 #[test]
 fn windowed_decode_standard_tables_equivalent() {
-    let _g = dispatch_lock();
     let dc = std_dc_luma();
     let ac = std_ac_luma();
     // Craft blocks from (run, size) sequences with varied magnitudes;
@@ -211,15 +183,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Marker-dense random streams: arbitrary 0xFF placement at every
-    /// density, drained through the windowed path under both levels.
+    /// density, drained through the windowed path beside the oracle.
     #[test]
     fn destuff_scan_random_marker_dense_equivalent(
         picks in proptest::collection::vec(0u8..=4, 0..160),
         start in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let _g = dispatch_lock();
-        let mut x = seed | 1;
+            let mut x = seed | 1;
         let data: Vec<u8> = picks
             .iter()
             .map(|&p| match p {
@@ -233,16 +204,14 @@ proptest! {
             })
             .collect();
         if start <= data.len() {
-            assert_window_traces_match(&data, start, "proptest");
+            assert_window_matches_per_bit(&data, start, "proptest");
         }
-        force_level(None);
     }
 
     /// The PR-5 random-table corpus, replayed against the windowed
-    /// decode at both refill levels: random optimal AC tables, random
-    /// symbol/magnitude streams (valid prefixes, possibly dying into
-    /// pad bits) — same symbols, same positions, same errors across
-    /// the reference and both windowed runs.
+    /// decode: random optimal AC tables, random symbol/magnitude
+    /// streams (valid prefixes, possibly dying into pad bits) — same
+    /// symbols, same positions, same errors as the reference.
     #[test]
     fn windowed_decode_random_tables_equivalent(
         seed_freqs in proptest::collection::vec(0u32..1000, 40),
@@ -250,8 +219,7 @@ proptest! {
         dc_mag in any::<u32>(),
         pad in any::<bool>(),
     ) {
-        let _g = dispatch_lock();
-        let mut freqs = [0u32; 256];
+            let mut freqs = [0u32; 256];
         for (i, &f) in seed_freqs.iter().enumerate() {
             freqs[(i * 6 + 1) % 256] = f;
         }
@@ -275,19 +243,16 @@ proptest! {
         }
         let data = w.finish_scan(pad);
         assert_block_paths_agree(&dc, &ac, &data, "random corpus");
-        force_level(None);
     }
 
-    /// Random garbage through all three block-decode paths: agreement
+    /// Random garbage through both block-decode paths: agreement
     /// on the first error is required even when nothing is valid.
     #[test]
     fn windowed_decode_garbage_equivalent(
         data in proptest::collection::vec(any::<u8>(), 0..96),
     ) {
-        let _g = dispatch_lock();
-        let dc = std_dc_luma();
+            let dc = std_dc_luma();
         let ac = std_ac_luma();
         assert_block_paths_agree(&dc, &ac, &data, "garbage");
-        force_level(None);
     }
 }

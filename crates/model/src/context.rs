@@ -102,20 +102,6 @@ impl BlockEdges {
 /// Dequantize a block into i32 raster coefficients.
 #[inline]
 pub fn dequantize(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
-    #[cfg(target_arch = "x86_64")]
-    match lepton_simd::level() {
-        // SAFETY: level() == Avx2 implies the CPU supports AVX2.
-        lepton_simd::SimdLevel::Avx2 => return unsafe { x86::dequantize_avx2(block, quant, out) },
-        lepton_simd::SimdLevel::Sse2 => return x86::dequantize_sse2(block, quant, out),
-        lepton_simd::SimdLevel::Scalar => {}
-    }
-    dequantize_scalar(block, quant, out)
-}
-
-/// Scalar reference for [`dequantize`] (the dispatch fallback and the
-/// equivalence-test oracle).
-#[inline]
-pub fn dequantize_scalar(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
     for i in 0..64 {
         out[i] = block[i] as i32 * quant[i] as i32;
     }
@@ -435,60 +421,6 @@ fn finish_dc_prediction(preds: &[i64], quant: &[u16; 64]) -> DcPrediction {
     }
 }
 
-/// SIMD dequantization (8 signed×unsigned 16-bit products per step).
-/// Exact: the SSE2 kernel builds the true 32-bit product from
-/// `mullo`/`mulhi` with the standard signed×unsigned high-half
-/// correction, and the AVX2 one widens both operands before a 32-bit
-/// multiply.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use lepton_jpeg::CoefBlock;
-    use std::arch::x86_64::*;
-
-    /// 8-lane dequantize: `out[i] = block[i] as i32 * quant[i] as i32`.
-    pub fn dequantize_sse2(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
-        // SAFETY: SSE2 intrinsics on x86_64 (baseline feature);
-        // unaligned loads/stores, all in-bounds.
-        unsafe {
-            for i in (0..64).step_by(8) {
-                let a = _mm_loadu_si128(block.as_ptr().add(i) as *const __m128i);
-                let q = _mm_loadu_si128(quant.as_ptr().add(i) as *const __m128i);
-                let lo = _mm_mullo_epi16(a, q);
-                // mulhi treats q as signed; when q ≥ 2^15 the true
-                // (unsigned-q) high half is mulhi + a.
-                let hi = _mm_add_epi16(
-                    _mm_mulhi_epi16(a, q),
-                    _mm_and_si128(a, _mm_srai_epi16(q, 15)),
-                );
-                _mm_storeu_si128(
-                    out.as_mut_ptr().add(i) as *mut __m128i,
-                    _mm_unpacklo_epi16(lo, hi),
-                );
-                _mm_storeu_si128(
-                    out.as_mut_ptr().add(i + 4) as *mut __m128i,
-                    _mm_unpackhi_epi16(lo, hi),
-                );
-            }
-        }
-    }
-
-    /// 8-lane dequantize via widening 32-bit multiplies.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dequantize_avx2(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
-        for i in (0..64).step_by(8) {
-            let a = _mm256_cvtepi16_epi32(_mm_loadu_si128(block.as_ptr().add(i) as *const __m128i));
-            let q = _mm256_cvtepu16_epi32(_mm_loadu_si128(quant.as_ptr().add(i) as *const __m128i));
-            _mm256_storeu_si256(
-                out.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_mullo_epi32(a, q),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,16 +474,11 @@ mod tests {
         assert_eq!(nonzero_counts(u64::MAX), (49, 7, 7));
     }
 
-    /// SIMD dequantize equals its scalar reference at every dispatch
-    /// level, over extreme magnitudes (i16::MIN/MAX × u16::MAX), every
-    /// single-coefficient placement, and random fills.
+    /// `dequantize` equals widened `i64` arithmetic over extreme
+    /// magnitudes (i16::MIN/MAX × u16::MAX), every single-coefficient
+    /// placement, and random fills — no product wraps.
     #[test]
-    fn simd_dequantize_matches_scalar() {
-        use lepton_simd::{force_level, SimdLevel};
-        let detected = {
-            force_level(None);
-            lepton_simd::level()
-        };
+    fn dequantize_matches_widened_arithmetic() {
         let mut cases: Vec<(CoefBlock, [u16; 64])> = Vec::new();
         // Extremes in every slot.
         cases.push(([i16::MIN; 64], [u16::MAX; 64]));
@@ -581,13 +508,13 @@ mod tests {
             cases.push((b, q));
         }
         for (ci, (b, q)) in cases.iter().enumerate() {
-            let mut want = [0; 64];
-            dequantize_scalar(b, q, &mut want);
-            for lvl in [SimdLevel::Scalar, SimdLevel::Sse2, detected] {
-                force_level(Some(lvl));
-                let got = deq(b, q);
-                force_level(None);
-                assert_eq!(want, got, "case {ci} level {lvl:?}");
+            let got = deq(b, q);
+            for i in 0..64 {
+                assert_eq!(
+                    got[i] as i64,
+                    b[i] as i64 * q[i] as i64,
+                    "case {ci} slot {i}"
+                );
             }
         }
     }

@@ -77,7 +77,7 @@ impl Histogram {
     }
 
     /// Record one observation. Three relaxed RMWs; no locks, no
-    /// allocation. Gated by the global kill switch / `stub` feature.
+    /// allocation. Gated by the global kill switch.
     #[inline]
     pub fn record(&self, v: u64) {
         if !crate::enabled() {

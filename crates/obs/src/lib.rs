@@ -26,9 +26,8 @@
 //! Snapshots serialise to a versioned length-prefixed wire format
 //! ([`Snapshot::to_wire`]) served by the server's `Stats` v2 op.
 //!
-//! Building with the `stub` feature compiles every recording call to a
-//! no-op; [`set_enabled`] is the runtime equivalent for A/B overhead
-//! measurements.
+//! [`set_enabled`] switches histogram and trace recording off at
+//! runtime for A/B overhead measurements.
 
 pub mod hist;
 pub mod metric;
@@ -58,8 +57,7 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// Enable or disable histogram and trace recording at runtime.
 ///
 /// Used by lepbench's `obs.overhead_pct` to measure telemetry cost
-/// without rebuilding; see the crate-level `stub` feature for the
-/// compile-time equivalent.
+/// without rebuilding.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -67,8 +65,5 @@ pub fn set_enabled(on: bool) {
 /// True when histogram and trace recording is live.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "stub") {
-        return false;
-    }
     ENABLED.load(Ordering::Relaxed)
 }

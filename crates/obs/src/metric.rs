@@ -49,9 +49,6 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if cfg!(feature = "stub") {
-            return;
-        }
         // Relaxed: statistics only; see module docs.
         self.0.fetch_add(n, Ordering::Relaxed);
     }
@@ -65,8 +62,8 @@ impl Counter {
 
 /// An up/down gauge with a monotonic high-water mark.
 ///
-/// Backs concurrency/inflight accounting, so unlike [`Counter`] it is
-/// *not* disabled by the `stub` feature — a gauge that stops moving
+/// Backs concurrency/inflight accounting, so like [`Counter`] it is
+/// never gated by [`crate::set_enabled`] — a gauge that stops moving
 /// would unbalance RAII leases.
 // Cache-line aligned for the same false-sharing reason as [`Counter`];
 // `value` and `high_water` deliberately share the line (they are always

@@ -89,6 +89,9 @@ impl Endpoint {
                     Some(t) => TcpStream::connect_timeout(addr, t)?,
                     None => TcpStream::connect(addr)?,
                 };
+                // A frame is a header write then a payload write; with
+                // Nagle on, the second waits out the peer's delayed ACK.
+                s.set_nodelay(true)?;
                 Conn::Tcp(s)
             }
         };
@@ -214,7 +217,11 @@ impl Listener {
     pub fn accept(&self) -> io::Result<Conn> {
         match self {
             Listener::Uds(l, _) => l.accept().map(|(s, _)| Conn::Uds(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?; // see `Endpoint::connect`
+                Ok(Conn::Tcp(s))
+            }
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   clients wait in the accept backlog. Driver threads therefore
 //!   never exceed `max_connections` — overload cannot stack threads.
 //! * **Pipelined bytes** are capped per connection: a framed
-//!   connection may have at most `max_inflight_bytes` of request
+//!   connection may have at most `MAX_INFLIGHT_BYTES` of request
 //!   payload admitted-but-unanswered; past that the driver stops
 //!   reading, which turns into TCP backpressure on the sender.
 //! * **Conversion jobs** from framed connections flow through one
@@ -94,25 +94,20 @@ pub struct ServiceConfig {
     /// sheds compress-side work ([`Status::Overloaded`]) and
     /// backpressures decode-side work.
     pub job_queue_depth: usize,
-    /// Admission control: shed compress-side work while the codec
-    /// engine's own queue is deeper than this many unstarted jobs.
-    pub shed_engine_queue: usize,
-    /// Per-connection cap on pipelined request bytes that are admitted
-    /// but not yet answered; past it the driver stops reading frames
-    /// (TCP backpressure), bounding what one connection can pin.
-    pub max_inflight_bytes: usize,
     /// Anomaly-watchdog thresholds (§6 monitoring): window size and
     /// the shed/error-rate and compression-ratio-shift alarms that
     /// latch the degraded-health flag `Stats` v2 reports.
     pub watchdog: WatchdogConfig,
-    /// Ceiling on the shared codec engine's worker pool. `0` (default)
-    /// keeps the engine's own cap (16); a nonzero value is applied via
-    /// [`lepton_core::set_global_worker_cap`] before the engine first
-    /// spawns. Only the first server in a process can change this —
-    /// the pool is sized once — and `LEPTON_ENGINE_THREADS` bypasses
-    /// the cap entirely.
-    pub engine_worker_cap: usize,
 }
+
+/// Admission control: shed compress-side work while the codec engine's
+/// own queue is deeper than this many unstarted jobs.
+const SHED_ENGINE_QUEUE: usize = 512;
+
+/// Per-connection cap on pipelined request bytes that are admitted but
+/// not yet answered; past it the driver stops reading frames (TCP
+/// backpressure), bounding what one connection can pin.
+const MAX_INFLIGHT_BYTES: usize = 64 << 20;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -126,10 +121,7 @@ impl Default for ServiceConfig {
             blockstore: None,
             conversion_workers: 0,
             job_queue_depth: 128,
-            shed_engine_queue: 512,
-            max_inflight_bytes: 64 << 20,
             watchdog: WatchdogConfig::default(),
-            engine_worker_cap: 0,
         }
     }
 }
@@ -247,10 +239,6 @@ pub struct ServiceHandle {
 pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> std::io::Result<ServiceHandle> {
     let listener = Listener::bind(endpoint)?;
     let bound = listener.endpoint()?;
-
-    if cfg.engine_worker_cap > 0 {
-        lepton_core::set_global_worker_cap(cfg.engine_worker_cap);
-    }
 
     let worker_count = if cfg.conversion_workers > 0 {
         cfg.conversion_workers
@@ -515,8 +503,8 @@ fn shutoff_engaged(cfg: &ServiceConfig) -> bool {
 /// Should compress-side work be shed right now? The signal is the
 /// codec engine's own backlog: unstarted jobs already waiting for
 /// workers mean added work buys latency, not throughput.
-fn engine_overloaded(shared: &Shared) -> bool {
-    lepton_core::Engine::global().queue_depth() > shared.cfg.shed_engine_queue
+fn engine_overloaded() -> bool {
+    lepton_core::Engine::global().queue_depth() > SHED_ENGINE_QUEUE
 }
 
 /// Drive one accepted connection: sniff the first byte, then speak
@@ -568,7 +556,7 @@ fn drive_legacy(mut conn: Conn, op_byte: u8, shared: &Arc<Shared>) {
         let _ = write_response(&mut conn, Status::BadRequest, &[]);
         return;
     };
-    if sheds(op) && engine_overloaded(shared) {
+    if sheds(op) && engine_overloaded() {
         shed(shared);
         let _ = write_response(&mut conn, Status::Overloaded, &[]);
         return;
@@ -627,13 +615,13 @@ fn drive_mux(conn: Conn, shared: &Arc<Shared>) {
         let bytes = frame.payload.len();
         {
             let mut inflight = mux.inflight_bytes.lock().expect("mux inflight");
-            while *inflight > 0 && *inflight + bytes > shared.cfg.max_inflight_bytes {
+            while *inflight > 0 && *inflight + bytes > MAX_INFLIGHT_BYTES {
                 inflight = mux.drained.wait(inflight).expect("mux inflight");
             }
             *inflight += bytes;
             shared.inflight_bytes.add(bytes as i64);
         }
-        if sheds(op) && engine_overloaded(shared) {
+        if sheds(op) && engine_overloaded() {
             shed(shared);
             mux.respond(frame.id, Status::Overloaded, &[]);
             mux.release(bytes);

@@ -224,3 +224,28 @@ fn oversized_mux_frame_is_rejected_before_allocation() {
     assert_eq!(Status::from_wire(frame.byte), Some(Status::TooLarge));
     handle.shutdown();
 }
+
+/// A framed call over TCP costs a round trip, not a delayed-ACK timer:
+/// `write_frame` issues header and payload as two writes, so without
+/// `TCP_NODELAY` on both ends every payload-carrying frame stalls
+/// ≈ 44 ms (Nagle × delayed ACK; 50 calls ≈ 2.2 s). No blockstore is
+/// configured, so each `BlockGet` is answered `BadRequest` at once —
+/// what is timed is the wire.
+#[test]
+fn framed_tcp_calls_with_payload_do_not_wait_on_delayed_ack() {
+    let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
+    let mut mux = MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
+    mux.call(Op::Ping, &[]).unwrap(); // connection warm before the clock starts
+
+    let started = Instant::now();
+    for _ in 0..50 {
+        let (status, _) = mux.call(Op::BlockGet, &[7; 32]).unwrap();
+        assert_eq!(status, Status::BadRequest);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "50 framed calls with a 32-byte payload took {took:?}"
+    );
+    handle.shutdown();
+}

@@ -1,38 +1,25 @@
-//! Runtime SIMD dispatch shared by the codec crates.
+//! Host tag for benchmark records: which vector ISA the CPU reports and
+//! how many cores it has.
 //!
-//! The paper's deployed Lepton leaned heavily on SSE vectorization
-//! (§8); our port keeps every kernel's scalar form as the semantic
-//! authority and selects a vector implementation at runtime. This crate
-//! is the one place that decision is made, so the JPEG substrate, the
-//! arithmetic-coder model, and the bench harnesses all agree on which
-//! path is live and can report it consistently.
-//!
-//! Dispatch policy (highest precedence first):
-//!
-//! 1. A test override installed via [`force_level`] — lets equivalence
-//!    suites compare paths in-process without racing on environment
-//!    variables.
-//! 2. `LEPTON_FORCE_SCALAR` (any value but `0`/empty) — pins every
-//!    kernel to its scalar reference path on every arch. CI runs the
-//!    full tier-1 suite once under this flag so the fallback cannot rot.
-//! 3. Hardware detection: AVX2 via `is_x86_feature_detected!`, else
-//!    SSE2 (unconditionally available on `x86_64`), else scalar on
-//!    non-x86 targets.
-//!
-//! The detected level is cached in a relaxed atomic: kernels consult it
-//! on hot paths (one predictable load), and nothing here allocates.
+//! Nothing in the codec dispatches on this. The paper's deployed Lepton
+//! leaned on hand-written SSE (§8); this port measured its own SSE2/AVX2
+//! kernels equal to the scalar code end to end and deleted them, so the
+//! scalar code is the only code. What is left here is the `simd` /
+//! `cores` host-shape stamp that `lepbench` and `lepton_bench::json` put
+//! on every record, kept as a crate because `benchmark/compare.py`
+//! refuses a comparison whose host shape differs from the parent's. The
+//! level is hardware detection only — no override, no environment
+//! variable. A later `benchmark` change can inline the tag into
+//! `lepbench/src/host.rs` and delete this crate.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which vector instruction set the codec kernels may use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// The widest vector instruction set the host CPU reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Reference scalar paths only (also the non-x86 answer).
+    /// No x86 vector ISA (the non-x86 answer).
     Scalar = 0,
-    /// 128-bit SSE2 kernels (baseline on every `x86_64`).
+    /// 128-bit SSE2 (baseline on every `x86_64`).
     Sse2 = 1,
-    /// 256-bit AVX2 kernels (runtime-detected).
+    /// 256-bit AVX2 (runtime-detected).
     Avx2 = 2,
 }
 
@@ -46,44 +33,25 @@ impl SimdLevel {
         }
     }
 
-    /// Numeric form for gauge metrics (`build.simd_level`): 0 scalar,
-    /// 1 sse2, 2 avx2.
+    /// Numeric form for a gauge metric: 0 scalar, 1 sse2, 2 avx2.
     pub fn as_gauge(self) -> i64 {
         self as i64
     }
-
-    /// Whether any vector kernels are enabled at this level.
-    pub fn is_simd(self) -> bool {
-        self != SimdLevel::Scalar
-    }
-
-    fn from_u8(v: u8) -> SimdLevel {
-        match v {
-            1 => SimdLevel::Sse2,
-            2 => SimdLevel::Avx2,
-            _ => SimdLevel::Scalar,
-        }
-    }
 }
 
-/// Cache sentinel: level not yet computed (or override cleared).
-const UNINIT: u8 = 0xFF;
-
-static CACHE: AtomicU8 = AtomicU8::new(UNINIT);
-
-/// The dispatch level every kernel in the process is using.
-///
-/// First call computes it (override > `LEPTON_FORCE_SCALAR` > detected
-/// hardware) and caches; later calls are one relaxed atomic load.
-#[inline]
+/// The host's level, from hardware detection alone.
 pub fn level() -> SimdLevel {
-    let v = CACHE.load(Ordering::Relaxed);
-    if v != UNINIT {
-        return SimdLevel::from_u8(v);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            SimdLevel::Avx2
+        } else {
+            // SSE2 is part of the x86_64 baseline ABI; no check needed.
+            SimdLevel::Sse2
+        }
     }
-    let computed = compute_level();
-    CACHE.store(computed as u8, Ordering::Relaxed);
-    computed
+    #[cfg(not(target_arch = "x86_64"))]
+    SimdLevel::Scalar
 }
 
 /// Stable lowercase name of [`level`] ("scalar" / "sse2" / "avx2").
@@ -91,127 +59,11 @@ pub fn level_str() -> &'static str {
     level().as_str()
 }
 
-/// Test hook: pin the dispatch level process-wide (`Some(level)`), or
-/// clear the pin and fall back to env + hardware detection (`None`).
-///
-/// Equivalence suites use this to run the same code under the scalar
-/// and vector paths in one process. Racy by design against concurrent
-/// [`level`] readers — callers own the serialization (tests are
-/// single-threaded over this hook).
-pub fn force_level(forced: Option<SimdLevel>) {
-    CACHE.store(forced.map_or(UNINIT, |l| l as u8), Ordering::Relaxed);
-}
-
-fn compute_level() -> SimdLevel {
-    if scalar_forced_by_env() {
-        return SimdLevel::Scalar;
-    }
-    detect()
-}
-
-fn scalar_forced_by_env() -> bool {
-    match std::env::var_os("LEPTON_FORCE_SCALAR") {
-        Some(v) => !v.is_empty() && v != "0",
-        None => false,
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        SimdLevel::Avx2
-    } else {
-        // SSE2 is part of the x86_64 baseline ABI; no check needed.
-        SimdLevel::Sse2
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect() -> SimdLevel {
-    SimdLevel::Scalar
-}
-
 /// Detected logical core count of the host (1 when unknown). Bench
 /// records carry this so cross-machine comparisons can be skipped
 /// honestly instead of mis-read as regressions.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Index of the first `0xFF` byte in `data[from..limit]`, or `limit`
-/// when there is none. `limit` must be `<= data.len()`.
-///
-/// This is the marker/stuffing horizon probe of the scan reader's
-/// refill loop: everything strictly before the returned index is plain
-/// entropy-coded payload and may be spliced into the bit window in
-/// whole chunks without inspecting individual bytes.
-#[inline]
-pub fn find_ff(data: &[u8], from: usize, limit: usize) -> usize {
-    debug_assert!(limit <= data.len());
-    let limit = limit.min(data.len());
-    if from >= limit {
-        return limit;
-    }
-    match level() {
-        SimdLevel::Scalar => find_ff_scalar(data, from, limit),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => find_ff_sse2(data, from, limit),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: level() returned Avx2, so the CPU supports it.
-        SimdLevel::Avx2 => unsafe { find_ff_avx2(data, from, limit) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => find_ff_scalar(data, from, limit),
-    }
-}
-
-/// Reference implementation (and non-x86 fallback).
-pub fn find_ff_scalar(data: &[u8], from: usize, limit: usize) -> usize {
-    let limit = limit.min(data.len());
-    match data[from..limit].iter().position(|&b| b == 0xFF) {
-        Some(i) => from + i,
-        None => limit,
-    }
-}
-
-/// 16-byte SSE2 probe. Safe to call on any `x86_64` (baseline ISA).
-#[cfg(target_arch = "x86_64")]
-fn find_ff_sse2(data: &[u8], from: usize, limit: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut i = from;
-    // SAFETY: unaligned 16-byte loads entirely inside `data[..limit]`.
-    unsafe {
-        let needle = _mm_set1_epi8(-1i8); // 0xFF in every lane
-        while i + 16 <= limit {
-            let v = _mm_loadu_si128(data.as_ptr().add(i) as *const __m128i);
-            let hits = _mm_movemask_epi8(_mm_cmpeq_epi8(v, needle)) as u32;
-            if hits != 0 {
-                return i + hits.trailing_zeros() as usize;
-            }
-            i += 16;
-        }
-    }
-    find_ff_scalar(data, i, limit)
-}
-
-/// 32-byte AVX2 probe.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn find_ff_avx2(data: &[u8], from: usize, limit: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut i = from;
-    let needle = _mm256_set1_epi8(-1i8);
-    while i + 32 <= limit {
-        let v = _mm256_loadu_si256(data.as_ptr().add(i) as *const __m256i);
-        let hits = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, needle)) as u32;
-        if hits != 0 {
-            return i + hits.trailing_zeros() as usize;
-        }
-        i += 32;
-    }
-    find_ff_sse2(data, i, limit)
 }
 
 #[cfg(test)]
@@ -225,74 +77,6 @@ mod tests {
         assert_eq!(SimdLevel::Avx2.as_str(), "avx2");
         assert_eq!(SimdLevel::Scalar.as_gauge(), 0);
         assert_eq!(SimdLevel::Avx2.as_gauge(), 2);
-        assert!(!SimdLevel::Scalar.is_simd());
-        assert!(SimdLevel::Sse2.is_simd());
-    }
-
-    #[test]
-    fn force_level_pins_and_clears() {
-        force_level(Some(SimdLevel::Scalar));
-        assert_eq!(level(), SimdLevel::Scalar);
-        force_level(None);
-        // Recomputed from env + hardware; must be a valid level and
-        // stable across calls.
-        let l = level();
-        assert_eq!(level(), l);
-    }
-
-    /// Every 0xFF placement at every starting alignment inside a
-    /// 64-byte window, plus the no-hit case, across all dispatch
-    /// levels available on this host — the satellite's adversarial
-    /// alignment matrix, applied to the probe itself.
-    #[test]
-    fn find_ff_exhaustive_alignment_matrix() {
-        let levels: &[SimdLevel] = if cfg!(target_arch = "x86_64") {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                &[SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
-            } else {
-                &[SimdLevel::Scalar, SimdLevel::Sse2]
-            }
-        } else {
-            &[SimdLevel::Scalar]
-        };
-        let n = 128usize;
-        for &lvl in levels {
-            force_level(Some(lvl));
-            for start in 0..64 {
-                // No 0xFF at all.
-                let clean = vec![0xAAu8; n];
-                assert_eq!(find_ff(&clean, start, n), n, "{lvl:?} clean @{start}");
-                for ff_pos in 0..64 {
-                    let mut data = vec![0x55u8; n];
-                    data[start + ff_pos.min(n - 1 - start)] = 0xFF;
-                    let expect = find_ff_scalar(&data, start, n);
-                    assert_eq!(
-                        find_ff(&data, start, n),
-                        expect,
-                        "{lvl:?} start={start} ff={ff_pos}"
-                    );
-                    // And with a second 0xFF later: first hit must win.
-                    data[n - 1] = 0xFF;
-                    let expect = find_ff_scalar(&data, start, n);
-                    assert_eq!(find_ff(&data, start, n), expect);
-                }
-            }
-            // Bounded horizon: a 0xFF beyond `limit` is not reported.
-            let mut data = vec![0u8; n];
-            data[100] = 0xFF;
-            assert_eq!(find_ff(&data, 0, 64), 64, "{lvl:?} bounded");
-            assert_eq!(find_ff(&data, 0, 101), 100, "{lvl:?} at edge");
-        }
-        force_level(None);
-    }
-
-    #[test]
-    fn find_ff_empty_and_degenerate_ranges() {
-        assert_eq!(find_ff(&[], 0, 0), 0);
-        let data = [0xFFu8; 4];
-        assert_eq!(find_ff(&data, 0, 4), 0);
-        assert_eq!(find_ff(&data, 3, 4), 3);
-        assert_eq!(find_ff(&data, 4, 4), 4);
     }
 
     #[test]

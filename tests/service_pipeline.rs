@@ -26,10 +26,13 @@ fn tcp_any() -> Endpoint {
 /// healthy cluster; three consecutive clean decodes clear it.
 #[test]
 fn timed_out_decode_clears_through_requeue_pipeline() {
-    // A big enough image that a 1 ms client deadline cannot be met.
+    // A big enough image that a 1 ms client deadline cannot be met:
+    // the kernel rounds a 1 ms socket timeout up to a few scheduler
+    // ticks (4–8 ms measured), so the decode must take far longer
+    // (≈ 100 ms here) than that, not merely longer than 1 ms.
     let big = CorpusSpec {
-        min_dim: 640,
-        max_dim: 900,
+        min_dim: 1800,
+        max_dim: 2400,
         ..Default::default()
     };
     let jpeg = clean_jpeg(&big, 42);
