@@ -265,8 +265,9 @@ impl Drop for BatchGuard<'_> {
     fn drop(&mut self) {
         // Unwind path: jobs may still be running against borrowed data;
         // block until they are done. Receivers the unwinding caller
-        // dropped make producer jobs finish early (`receiver_gone`), so
-        // this terminates. No re-panic here — `join` reports it.
+        // dropped fail the producer jobs' next send, which stops their
+        // walks, so this terminates. No re-panic here — `join` reports
+        // it.
         self.batch.wait();
     }
 }
@@ -465,6 +466,18 @@ impl Engine {
         sink: &mut dyn FnMut(&[u8]),
     ) -> Result<(), LeptonError> {
         crate::decoder::decompress_streaming_on(self, data, opts, sink)
+    }
+
+    /// Decompress into a sink that learns the output size up front and
+    /// may cancel the decode (see [`crate::decompress_into`]); the
+    /// other decode entries are adapters over this one.
+    pub fn decompress_into(
+        &self,
+        data: &[u8],
+        opts: &crate::decoder::DecompressOptions,
+        sink: &mut dyn crate::decoder::DecodeSink,
+    ) -> Result<(), crate::decoder::DecodeError> {
+        crate::decoder::decompress_into_on(self, data, opts, sink)
     }
 
     /// Submit a batch of jobs to the pool.

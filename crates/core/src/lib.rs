@@ -13,8 +13,12 @@
 //!   fixed-size byte range of the original file (the paper's 4-MiB
 //!   storage chunks): any chunk decompresses without access to the
 //!   others, via Huffman handover words.
-//! * [`decompress_streaming`] — output bytes are pushed to a sink in
-//!   file order while later thread segments are still decoding.
+//! * [`decompress_into`] — the one decode implementation: output is
+//!   pushed to a [`DecodeSink`] in file order while later thread
+//!   segments are still decoding; the sink learns the validated output
+//!   size before the first fragment and may refuse one to cancel the
+//!   rest. [`decompress`], [`decompress_opts`] and
+//!   [`decompress_streaming`] (an infallible closure sink) adapt it.
 //! * [`Engine`] — the pre-spawned worker pool with reusable model
 //!   arenas behind all of the above (§5.1). The free functions run on
 //!   [`Engine::global`]; embedders needing an isolated thread budget
@@ -52,7 +56,10 @@ pub mod format;
 pub mod security;
 pub mod verify;
 
-pub use decoder::{decompress, decompress_opts, decompress_streaming, DecompressOptions};
+pub use decoder::{
+    decompress, decompress_into, decompress_opts, decompress_streaming, DecodeError, DecodeSink,
+    DecompressOptions,
+};
 pub use driver::{walk_segment, BlockOp, RingArena};
 pub use encoder::{
     compress, compress_chunked, compress_with_stats, CompressOptions, CompressStats, ThreadPolicy,

@@ -12,7 +12,7 @@
 
 use crate::endpoint::{Conn, Endpoint};
 use crate::protocol::{
-    read_bounded, read_frame, write_frame, BlockStatReply, Frame, Op, StatsReply, Status, MUX_MAGIC,
+    read_bounded, read_frame_header, write_frame, BlockStatReply, Op, StatsReply, Status, MUX_MAGIC,
 };
 use lepton_obs::Snapshot;
 use std::collections::HashMap;
@@ -394,25 +394,42 @@ impl MuxClient {
     /// Block until the response for `id` arrives. Responses for other
     /// ids are stashed for their own `recv` calls.
     pub fn recv(&mut self, id: u32) -> Result<(Status, Vec<u8>), ClientError> {
-        if let Some(r) = self.stashed.remove(&id) {
-            return Ok(r);
+        let mut body = Vec::new();
+        let status = self.recv_into(id, &mut body)?;
+        Ok((status, body))
+    }
+
+    /// [`recv`](Self::recv), with the body copied into `out` *as it
+    /// arrives* — a streamed `Decompress` body is usable from its first
+    /// bytes. A connection the server aborted mid-body surfaces as
+    /// [`ClientError::Io`] (`UnexpectedEof`) after a partial `out`:
+    /// the frame header declared more than arrived.
+    pub fn recv_into(&mut self, id: u32, out: &mut impl Write) -> Result<Status, ClientError> {
+        if let Some((status, body)) = self.stashed.remove(&id) {
+            out.write_all(&body)?;
+            return Ok(status);
         }
         loop {
-            let Frame {
-                id: got,
-                byte,
-                payload,
-            } = read_frame(&mut self.conn, MAX_RESPONSE)?
+            let (got, byte, len) = read_frame_header(&mut self.conn)?
                 .ok_or(ClientError::Garbled("connection closed mid-pipeline"))?;
+            if len > MAX_RESPONSE {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "frame over budget").into());
+            }
             let status =
                 Status::from_wire(byte).ok_or(ClientError::Garbled("unknown status byte"))?;
             if got == id {
-                return Ok((status, payload));
+                let copied = io::copy(&mut (&mut self.conn).take(len as u64), out)?;
+                if copied < len as u64 {
+                    return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+                }
+                return Ok(status);
             }
             if got == u32::MAX {
                 // Protocol-level failure: the connection is done.
                 return Err(ClientError::Refused(status));
             }
+            let mut payload = vec![0u8; len];
+            self.conn.read_exact(&mut payload)?;
             self.stashed.insert(got, (status, payload));
         }
     }
@@ -421,6 +438,18 @@ impl MuxClient {
     pub fn call(&mut self, op: Op, payload: &[u8]) -> Result<(Status, Vec<u8>), ClientError> {
         let id = self.send(op, payload)?;
         self.recv(id)
+    }
+
+    /// One request, its response body streamed into `out`: `send` +
+    /// [`recv_into`](Self::recv_into).
+    pub fn call_into(
+        &mut self,
+        op: Op,
+        payload: &[u8],
+        out: &mut impl Write,
+    ) -> Result<Status, ClientError> {
+        let id = self.send(op, payload)?;
+        self.recv_into(id, out)
     }
 }
 

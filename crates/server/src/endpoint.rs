@@ -89,8 +89,9 @@ impl Endpoint {
                     Some(t) => TcpStream::connect_timeout(addr, t)?,
                     None => TcpStream::connect(addr)?,
                 };
-                // A frame is a header write then a payload write; with
-                // Nagle on, the second waits out the peer's delayed ACK.
+                // Frames are small and latency-bound, and a streamed body
+                // is many short writes: none of them may wait in Nagle's
+                // buffer for the peer's delayed ACK.
                 s.set_nodelay(true)?;
                 Conn::Tcp(s)
             }
@@ -133,6 +134,16 @@ impl Conn {
         }
     }
 
+    /// Close both directions at once: the peer's pending and future
+    /// reads see EOF and its writes fail. How the server aborts a
+    /// response it can no longer finish honestly.
+    pub(crate) fn shutdown_both(&self) -> io::Result<()> {
+        match self {
+            Conn::Uds(s) => s.shutdown(std::net::Shutdown::Both),
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+        }
+    }
+
     /// A second handle onto the same socket. The multiplexed server
     /// splits a connection this way: the driver thread keeps reading
     /// request frames from one handle while pool workers write
@@ -171,6 +182,15 @@ impl Write for Conn {
         match self {
             Conn::Uds(s) => s.write(buf),
             Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    /// Forwarded so a frame's header and body reach the socket in one
+    /// `writev` (the default would send only the first buffer).
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Conn::Uds(s) => s.write_vectored(bufs),
+            Conn::Tcp(s) => s.write_vectored(bufs),
         }
     }
 

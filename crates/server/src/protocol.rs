@@ -40,9 +40,15 @@
 //! ping never queues behind a large conversion), so the id is the only
 //! correlation. Legacy clients are untouched: a connection that opens
 //! with any other byte gets the classic half-close protocol.
+//!
+//! A frame's payload need not arrive in one piece: the server writes a
+//! `Decompress` body as it decodes, header first. A failure after the
+//! header cannot be re-typed, so the server closes the connection
+//! instead — a reader that hits EOF inside a payload (`read_exact`'s
+//! `UnexpectedEof`) has an aborted response, never a short valid one.
 
 use lepton_core::ExitCode;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Request operation, the first byte on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -464,12 +470,10 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Read one frame. `Ok(None)` means the peer closed cleanly at a frame
-/// boundary; a partial header is an `UnexpectedEof` error. A declared
-/// length above `max_payload` is refused (`InvalidData`) *before* any
-/// allocation — the §5.1 discipline: input size is policed before it
-/// becomes memory.
-pub fn read_frame<R: Read>(stream: &mut R, max_payload: usize) -> io::Result<Option<Frame>> {
+/// Read one frame's fixed bytes: `(id, op-or-status byte, payload
+/// length)`. `Ok(None)` means the peer closed cleanly at a frame
+/// boundary; a partial header is an `UnexpectedEof` error.
+pub fn read_frame_header<R: Read>(stream: &mut R) -> io::Result<Option<(u32, u8, usize)>> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;
     while got < header.len() {
@@ -485,8 +489,18 @@ pub fn read_frame<R: Read>(stream: &mut R, max_payload: usize) -> io::Result<Opt
         }
     }
     let id = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let byte = header[4];
     let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
+    Ok(Some((id, header[4], len)))
+}
+
+/// Read one frame. `Ok(None)` means the peer closed cleanly at a frame
+/// boundary. A declared length above `max_payload` is refused
+/// (`InvalidData`) *before* any allocation — the §5.1 discipline: input
+/// size is policed before it becomes memory.
+pub fn read_frame<R: Read>(stream: &mut R, max_payload: usize) -> io::Result<Option<Frame>> {
+    let Some((id, byte, len)) = read_frame_header(stream)? else {
+        return Ok(None);
+    };
     if len > max_payload {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -498,14 +512,43 @@ pub fn read_frame<R: Read>(stream: &mut R, max_payload: usize) -> io::Result<Opt
     Ok(Some(Frame { id, byte, payload }))
 }
 
-/// Write one frame (either direction) and flush it.
-pub fn write_frame<W: Write>(stream: &mut W, id: u32, byte: u8, payload: &[u8]) -> io::Result<()> {
+/// The fixed bytes of a frame whose payload is `len` bytes long.
+pub(crate) fn frame_header(id: u32, byte: u8, len: u32) -> [u8; FRAME_HEADER_LEN] {
     let mut header = [0u8; FRAME_HEADER_LEN];
     header[0..4].copy_from_slice(&id.to_le_bytes());
     header[4] = byte;
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    stream.write_all(&header)?;
-    stream.write_all(payload)?;
+    header[5..9].copy_from_slice(&len.to_le_bytes());
+    header
+}
+
+/// `write_all` for two buffers: one vectored write while both have
+/// bytes left (a socket then sees header and body in the same
+/// segment — two writes are the Nagle × delayed-ACK stall), and a
+/// remainder loop for short writes.
+pub(crate) fn write_all_vectored<W: Write>(
+    stream: &mut W,
+    mut head: &[u8],
+    mut body: &[u8],
+) -> io::Result<()> {
+    while !head.is_empty() {
+        match stream.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) if n >= head.len() => {
+                body = &body[n - head.len()..];
+                head = &[];
+            }
+            Ok(n) => head = &head[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.write_all(body)
+}
+
+/// Write one frame (either direction) and flush it.
+pub fn write_frame<W: Write>(stream: &mut W, id: u32, byte: u8, payload: &[u8]) -> io::Result<()> {
+    let header = frame_header(id, byte, payload.len() as u32);
+    write_all_vectored(stream, &header, payload)?;
     stream.flush()
 }
 
@@ -654,6 +697,60 @@ mod tests {
         let f2 = read_frame(&mut r, 1 << 20).unwrap().unwrap();
         assert_eq!((f2.id, f2.byte, f2.payload.len()), (8, 0, 0));
         assert!(read_frame(&mut r, 1 << 20).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A socket-like writer: takes at most `cap` bytes per call, across
+    /// the buffers of a vectored write.
+    struct Dribble {
+        out: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut left = self.cap;
+            for buf in bufs {
+                let n = buf.len().min(left);
+                self.out.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.cap - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_is_one_vectored_write_and_survives_short_ones() {
+        let mut want = Vec::new();
+        write_frame(&mut want, 9, b'D', b"streamed body").unwrap();
+        for cap in [1, 4, FRAME_HEADER_LEN, FRAME_HEADER_LEN + 1, usize::MAX] {
+            let mut w = Dribble {
+                out: Vec::new(),
+                cap,
+                calls: 0,
+            };
+            write_frame(&mut w, 9, b'D', b"streamed body").unwrap();
+            assert_eq!(w.out, want, "cap {cap}");
+            if cap == usize::MAX {
+                assert_eq!(w.calls, 1, "header and payload leave together");
+            }
+        }
+        let mut full = Dribble {
+            out: Vec::new(),
+            cap: 0,
+            calls: 0,
+        };
+        let err = write_frame(&mut full, 9, b'D', b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   [`MUX_MAGIC`] carries pipelined frames: the driver thread keeps
 //!   *decoding the next request frame while previous conversions are
 //!   still running* on the shared worker pool, and responses complete
-//!   out of order, correlated by frame id.
+//!   out of order, correlated by frame id. A `Decompress` response is
+//!   *streamed*: the same frame, written as the decoder produces it
+//!   (see `FrameSink`), so its first decoded byte leaves at first-row
+//!   time, not after the whole file.
 //!
 //! The resource discipline (§5.1: bound everything *before* it becomes
 //! memory or threads):
@@ -43,16 +46,16 @@
 use crate::endpoint::{Conn, Endpoint, Listener};
 use crate::gauge::ConcurrencyGauge;
 use crate::protocol::{
-    read_bounded, read_frame, write_frame, write_response, BlockStatReply, Op, StatsReply, Status,
-    MUX_MAGIC,
+    frame_header, read_bounded, read_frame, write_all_vectored, write_frame, write_response,
+    BlockStatReply, Op, StatsReply, Status, MUX_MAGIC,
 };
-use lepton_core::{CompressOptions, ExitCode};
+use lepton_core::{CompressOptions, DecodeError, DecodeSink, ExitCode};
 use lepton_obs::{Counter, Gauge, Histogram, Registry, Snapshot, Watchdog, WatchdogConfig};
 use lepton_storage::blockstore::{ShardedStore, StoreError};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -142,6 +145,10 @@ pub struct ServiceMetrics {
     /// Requests shed by admission control ([`Status::Overloaded`]) —
     /// also counted in `failed`.
     pub shed: Arc<Counter>,
+    /// Framed `Decompress` responses cut short after their first body
+    /// byte (the decode failed mid-stream, or the peer hung up) and
+    /// ended by closing the connection — also counted in `failed`.
+    pub stream_aborts: Arc<Counter>,
 }
 
 impl ServiceMetrics {
@@ -151,6 +158,7 @@ impl ServiceMetrics {
             failed: reg.counter("server.failed"),
             shutoff_refusals: reg.counter("server.shutoff_refusals"),
             shed: reg.counter("server.shed"),
+            stream_aborts: reg.counter("server.stream_aborts"),
         }
     }
 }
@@ -677,32 +685,188 @@ fn shed(shared: &Shared) {
 /// response frame, release the connection's in-flight budget.
 fn worker_loop(shared: &Arc<Shared>, rx: &crossbeam::channel::Receiver<MuxJob>) {
     while let Ok(job) = rx.recv() {
-        let (status, body) = execute_op(shared, job.op, &job.payload);
-        job.conn.respond(job.id, status, &body);
+        if job.op == Op::Decompress {
+            stream_decompress(shared, &job.conn, job.id, &job.payload);
+        } else {
+            let (status, body) = execute_op(shared, job.op, &job.payload);
+            job.conn.respond(job.id, status, &body);
+        }
         job.conn.release(job.payload.len());
     }
 }
 
-/// Execute one request and produce its response. Shared by both wire
-/// modes, so legacy and framed clients see identical semantics.
-/// Records per-op wall time into the registry's latency histograms.
-fn execute_op(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
-    let start = Instant::now();
-    let result = execute_op_inner(shared, op, payload);
-    shared.op_latency[op.index()].record_duration(start.elapsed());
-    result
+/// One framed `Decompress` response, written as it decodes: the frame
+/// header (`id · Ok · len`) leaves with the first fragment, each later
+/// fragment as it arrives. The connection's writer mutex is held from
+/// the first body byte to the last — a frame is indivisible.
+struct FrameSink<'a> {
+    conn: &'a MuxConn,
+    id: u32,
+    /// Body length the header will declare (set by `begin`).
+    len: u32,
+    /// `Some` once the header is on the wire: from then on the response
+    /// can only be completed or aborted, never re-typed.
+    writer: Option<MutexGuard<'a, Conn>>,
 }
 
-fn execute_op_inner(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
+impl DecodeSink for FrameSink<'_> {
+    fn begin(&mut self, output_size: usize) -> std::io::Result<()> {
+        self.len = u32::try_from(output_size)
+            .map_err(|_| std::io::Error::from(std::io::ErrorKind::InvalidData))?;
+        Ok(())
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        use std::io::Write;
+        match &mut self.writer {
+            Some(w) => w.write_all(bytes),
+            None => {
+                let w = self
+                    .writer
+                    .insert(self.conn.writer.lock().expect("mux writer"));
+                let header = frame_header(self.id, Status::Ok.to_wire(), self.len);
+                write_all_vectored(&mut **w, &header, bytes)
+            }
+        }
+    }
+}
+
+/// Serve one framed `Decompress` with the connection as the decoder's
+/// sink. Until the first body byte every failure is the same typed
+/// status the materialised path gives; after it, the connection is
+/// aborted so the peer reads a short frame, never a complete wrong body.
+fn stream_decompress(shared: &Arc<Shared>, conn: &MuxConn, id: u32, payload: &[u8]) {
+    let sink = FrameSink {
+        conn,
+        id,
+        len: 0,
+        writer: None,
+    };
+    let (result, sink) = timed_op(shared, Op::Decompress, || {
+        decompress_op(shared, payload, sink)
+    });
+    match (result, sink.writer) {
+        (Ok(()), Some(_complete)) => {}
+        // A zero-length output never met the sink's `write`.
+        (Ok(()), None) => conn.respond(id, Status::Ok, &[]),
+        (Err(e), None) => conn.respond(id, refusal(&e), &[]),
+        // Stuck mid-frame: the only honest end is to close both ways,
+        // so the peer reads a short frame now instead of waiting out
+        // its timeout. The driver's next read sees the same EOF and
+        // retires the connection.
+        (Err(_), Some(stuck)) => {
+            shared.metrics.stream_aborts.inc();
+            let _ = stuck.shutdown_both();
+        }
+    }
+}
+
+/// Passes a `Decompress` to `inner` and settles what the request owes
+/// exactly once, however it ends: its conversion lease back, served or
+/// failed counted, the watchdog told. A completed body is settled just
+/// *before* the fragment that completes it is handed over — a client
+/// that has read a whole response then also reads a service that has
+/// counted it, as when responses were written only after the
+/// conversion had returned.
+struct Settling<'a, S> {
+    inner: S,
+    /// Body bytes `inner` has not been handed yet.
+    owed: usize,
+    shared: &'a Shared,
+    /// `None` once settled.
+    lease: Option<crate::gauge::Lease>,
+}
+
+impl<S> Settling<'_, S> {
+    fn settle(&mut self, ok: bool) {
+        if self.lease.take().is_none() {
+            return;
+        }
+        let metrics = &self.shared.metrics;
+        if ok {
+            metrics.served.inc();
+        } else {
+            metrics.failed.inc();
+        }
+        self.shared.watchdog.record_event(false, !ok);
+    }
+}
+
+impl<S: DecodeSink> DecodeSink for Settling<'_, S> {
+    fn begin(&mut self, output_size: usize) -> std::io::Result<()> {
+        self.owed = output_size;
+        self.inner.begin(output_size)
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.owed = self.owed.saturating_sub(bytes.len());
+        if self.owed == 0 {
+            self.settle(true);
+        }
+        self.inner.write(bytes)
+    }
+}
+
+/// Run one `Decompress` request into `sink` and hand the sink back.
+/// Both wire modes call this, so they share one decode and one account.
+fn decompress_op<S: DecodeSink>(
+    shared: &Shared,
+    payload: &[u8],
+    sink: S,
+) -> (Result<(), DecodeError>, S) {
+    // No shutoff check: reads must keep working (§5.7).
+    let mut sink = Settling {
+        inner: sink,
+        owed: 0,
+        shared,
+        lease: Some(shared.gauge.acquire()),
+    };
     let cfg = &shared.cfg;
-    let metrics = &shared.metrics;
-    let watchdog = &shared.watchdog;
+    let dec_opts = lepton_core::DecompressOptions {
+        model: cfg.compress.model,
+        budget: cfg.compress.budget,
+    };
+    let result = lepton_core::Engine::global().decompress_into(payload, &dec_opts, &mut sink);
+    // Anything but a completed body is still unsettled here.
+    sink.settle(result.is_ok());
+    (result, sink.inner)
+}
+
+/// The typed status for a decode that failed before any body byte.
+fn refusal(e: &DecodeError) -> Status {
+    match e {
+        DecodeError::Codec(e) => Status::Rejected(ExitCode::classify(e)),
+        // Only `FrameSink::begin` refuses that early: the output does
+        // not fit a frame's length field.
+        DecodeError::Sink(_) => Status::TooLarge,
+    }
+}
+
+/// Run `f` as one request of `op`: the injected test delay first, then
+/// its wall time into the registry's per-op latency histogram.
+fn timed_op<R>(shared: &Shared, op: Op, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
     if !matches!(op, Op::Ping | Op::Stats | Op::StatsV2) {
         let delay = shared.delay_ms.load(Ordering::SeqCst);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
         }
     }
+    let result = f();
+    shared.op_latency[op.index()].record_duration(start.elapsed());
+    result
+}
+
+/// Execute one request and produce its response. Shared by both wire
+/// modes, so legacy and framed clients see identical semantics.
+fn execute_op(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
+    timed_op(shared, op, || execute_op_inner(shared, op, payload))
+}
+
+fn execute_op_inner(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Vec<u8>) {
+    let cfg = &shared.cfg;
+    let metrics = &shared.metrics;
+    let watchdog = &shared.watchdog;
     match op {
         Op::Ping => (Status::Ok, Vec::new()),
         Op::Stats => (Status::Ok, stats_reply(shared).to_wire().to_vec()),
@@ -732,26 +896,12 @@ fn execute_op_inner(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Ve
                 }
             }
         }
-        Op::Decompress => {
-            // No shutoff check: reads must keep working (§5.7).
-            let _lease = shared.gauge.acquire();
-            let dec_opts = lepton_core::DecompressOptions {
-                model: cfg.compress.model,
-                budget: cfg.compress.budget,
-            };
-            match lepton_core::Engine::global().decompress_opts(payload, &dec_opts) {
-                Ok(jpeg) => {
-                    metrics.served.inc();
-                    watchdog.record_event(false, false);
-                    (Status::Ok, jpeg)
-                }
-                Err(e) => {
-                    metrics.failed.inc();
-                    watchdog.record_event(false, true);
-                    (Status::Rejected(ExitCode::classify(&e)), Vec::new())
-                }
-            }
-        }
+        // One-shot connections answer from a buffer: their body has no
+        // length prefix, so a stream cut short would read as complete.
+        Op::Decompress => match decompress_op(shared, payload, Vec::new()) {
+            (Ok(()), jpeg) => (Status::Ok, jpeg),
+            (Err(e), _) => (refusal(&e), Vec::new()),
+        },
         Op::BlockPut | Op::BlockGet | Op::BlockStat | Op::BlockList => {
             let Some(store) = cfg.blockstore.as_deref() else {
                 metrics.failed.inc();

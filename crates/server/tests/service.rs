@@ -4,10 +4,12 @@
 
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_server::{
-    client, serve, ClientError, Destination, Endpoint, Router, ServiceConfig, Status, Strategy,
+    client, serve, ClientError, Destination, Endpoint, MuxClient, Op, Router, ServiceConfig,
+    Status, Strategy,
 };
 use std::io::{Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -212,19 +214,23 @@ fn router_stays_local_under_light_load() {
     remote.shutdown();
 }
 
-/// Holds `n` conversions open on `ep` by starting decompresses that
-/// stall: we open connections, send partial requests, and hold them.
-/// The gauge only counts running conversions, so instead we saturate
-/// with real work: long compress requests on large inputs.
+/// Keeps conversions running on `ep` until [`BusyLoad::join`]. The
+/// gauge only counts running conversions, so the load is real work:
+/// `n` framed connections, each compressing a large input over and
+/// over, always with its next request already queued at the service —
+/// a worker that finishes one picks up another at once, so the gauge
+/// does not dip between them for a probe to catch.
 struct BusyLoad {
+    stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl BusyLoad {
     fn start(ep: &Endpoint, n: usize) -> BusyLoad {
+        let stop = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
         for s in 0..n {
-            let ep = ep.clone();
+            let (ep, stop) = (ep.clone(), Arc::clone(&stop));
             threads.push(std::thread::spawn(move || {
                 let big = CorpusSpec {
                     min_dim: 640,
@@ -232,13 +238,22 @@ impl BusyLoad {
                     ..Default::default()
                 };
                 let jpeg = clean_jpeg(&big, 7000 + s as u64);
-                let _ = client::compress(&ep, &jpeg, TIMEOUT);
+                let mut mux = MuxClient::connect(&ep, TIMEOUT).unwrap();
+                let mut running = mux.send(Op::Compress, &jpeg).unwrap();
+                while !stop.load(Ordering::SeqCst) {
+                    let queued = mux.send(Op::Compress, &jpeg).unwrap();
+                    let _ = mux.recv(running);
+                    running = queued;
+                }
+                let _ = mux.recv(running);
             }));
         }
-        BusyLoad { threads }
+        BusyLoad { stop, threads }
     }
 
+    /// Release the load and wait for its last conversions.
     fn join(self) {
+        self.stop.store(true, Ordering::SeqCst);
         for t in self.threads {
             t.join().unwrap();
         }

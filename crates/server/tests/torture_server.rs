@@ -6,7 +6,7 @@
 use lepton_core::{CompressOptions, ExitCode, ResourceBudget};
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_corpus::{hostile_cases, mutation_matrix, rig::RigCase};
-use lepton_server::{client, serve, ClientError, Endpoint, ServiceConfig, Status};
+use lepton_server::{client, serve, ClientError, Endpoint, MuxClient, Op, ServiceConfig, Status};
 use lepton_storage::blockstore::{ShardedStore, StoreConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -95,6 +95,76 @@ fn decompress_op_survives_mutated_containers() {
             Err(e) => acceptable_refusal(&case.label, &e),
         }
     }
+    client::ping(handle.endpoint(), TIMEOUT).unwrap();
+    handle.shutdown();
+}
+
+/// The same matrix through the framed mode, where bodies stream as
+/// they decode. The whole-buffer decode is the oracle: a container it
+/// restores must arrive as exactly those bytes; one it refuses must end
+/// as a typed rejection (refused before the first body byte) or as a
+/// short frame on a closed connection (failed after it) — never as a
+/// complete body.
+#[test]
+fn framed_decompress_never_completes_a_body_the_decoder_refused() {
+    let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
+    let connect = || MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
+    // Big enough that mutations can land behind the first fragment.
+    let big = CorpusSpec {
+        min_dim: 600,
+        max_dim: 700,
+        ..Default::default()
+    };
+    let bases = [
+        ("small", clean_jpeg(&spec(), 0xDE)),
+        ("multi", clean_jpeg(&big, 4)),
+    ]
+    .map(|(name, jpeg)| {
+        (
+            name,
+            client::compress(handle.endpoint(), &jpeg, TIMEOUT).unwrap(),
+        )
+    });
+    let cases = mutation_matrix(&bases, &[0xF00D, 0xBEEF]);
+
+    let mut mux = connect();
+    let (mut exact, mut typed, mut aborted) = (0, 0, 0);
+    for case in &cases {
+        let oracle = lepton_core::decompress(&case.input);
+        let mut body = Vec::new();
+        match (
+            mux.call_into(Op::Decompress, &case.input, &mut body),
+            oracle,
+        ) {
+            (Ok(Status::Ok), Ok(want)) => {
+                assert!(body == want, "{}: wrong bytes", case.label);
+                exact += 1;
+            }
+            (Ok(status), Err(_)) => {
+                acceptable_refusal(&case.label, &ClientError::Refused(status));
+                assert!(body.is_empty(), "{}: body with a refusal", case.label);
+                typed += 1;
+            }
+            (Err(ClientError::Io(e)), Err(_)) => {
+                assert_eq!(
+                    e.kind(),
+                    std::io::ErrorKind::UnexpectedEof,
+                    "{}: {e}",
+                    case.label
+                );
+                aborted += 1;
+                mux = connect(); // an abort costs the connection, nothing more
+            }
+            (got, oracle) => panic!(
+                "{}: framed {got:?} vs whole-buffer {:?}",
+                case.label,
+                oracle.map(|b| b.len())
+            ),
+        }
+    }
+    assert!(exact >= 2, "pristine bases must be served");
+    assert!(typed > 0 && aborted > 0, "{typed} typed, {aborted} aborted");
+    assert_eq!(handle.metrics().stream_aborts.get(), aborted);
     client::ping(handle.endpoint(), TIMEOUT).unwrap();
     handle.shutdown();
 }

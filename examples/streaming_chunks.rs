@@ -5,9 +5,33 @@
 //!
 //! Run with: `cargo run --release --example streaming_chunks`
 
-use lepton::codec::DecompressOptions;
-use lepton::codec::{compress_chunked, decompress, decompress_streaming, CompressOptions};
+use lepton::codec::{
+    compress_chunked, decompress, decompress_into, CompressOptions, DecodeSink, DecompressOptions,
+};
 use lepton::corpus::builder::{clean_jpeg, CorpusSpec};
+
+/// A consumer of streamed output: told the size first, then handed the
+/// fragments in file order (an `Err` from `write` would cancel the
+/// decode — what a server does when its client hangs up).
+#[derive(Default)]
+struct Download {
+    expected: usize,
+    fragments: usize,
+    received: Vec<u8>,
+}
+
+impl DecodeSink for Download {
+    fn begin(&mut self, output_size: usize) -> std::io::Result<()> {
+        self.expected = output_size;
+        Ok(())
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.fragments += 1;
+        self.received.extend_from_slice(bytes);
+        Ok(())
+    }
+}
 
 fn main() {
     let spec = CorpusSpec {
@@ -45,20 +69,17 @@ fn main() {
     assert_eq!(part, jpeg[start..end]);
     println!("middle chunk decoded independently ✓");
 
-    // Stream the first chunk: fragments arrive in order, early.
-    let mut fragments = 0usize;
-    let mut received = Vec::new();
-    decompress_streaming(
-        &chunks[0],
-        &DecompressOptions::default(),
-        &mut |b: &[u8]| {
-            fragments += 1;
-            received.extend_from_slice(b);
-        },
-    )
-    .expect("streaming decode");
-    assert_eq!(received, jpeg[..chunk_size.min(jpeg.len())]);
-    println!("chunk 0 streamed in {fragments} fragments ✓");
+    // Stream the first chunk: its size is known before the first
+    // fragment, and fragments arrive in order, early.
+    let mut download = Download::default();
+    decompress_into(&chunks[0], &DecompressOptions::default(), &mut download)
+        .expect("streaming decode");
+    assert_eq!(download.expected, chunk_size.min(jpeg.len()));
+    assert_eq!(download.received, jpeg[..download.expected]);
+    println!(
+        "chunk 0 ({} bytes) streamed in {} fragments ✓",
+        download.expected, download.fragments
+    );
 
     // Reassemble everything.
     let mut whole = Vec::new();

@@ -3,7 +3,10 @@
 //! chunk sizes; Deflate must round-trip arbitrary bytes; the container
 //! parser must never panic on arbitrary input.
 
-use lepton::codec::{compress, compress_chunked, decompress, CompressOptions, ThreadPolicy};
+use lepton::codec::{
+    compress, compress_chunked, decompress, decompress_into, decompress_streaming, CompressOptions,
+    DecompressOptions, ThreadPolicy,
+};
 use lepton::corpus::builder::{clean_jpeg, CorpusSpec};
 use proptest::prelude::*;
 
@@ -27,7 +30,16 @@ proptest! {
             ..Default::default()
         };
         let lepton = compress(&jpg, &opts).expect("synthesized baselines compress");
-        prop_assert_eq!(decompress(&lepton).expect("admitted containers decode"), jpg);
+        prop_assert_eq!(&decompress(&lepton).expect("admitted containers decode"), &jpg);
+        // The adapters are one implementation: same bytes from each.
+        let dopts = DecompressOptions::default();
+        let mut streamed = Vec::new();
+        decompress_streaming(&lepton, &dopts, &mut |b: &[u8]| streamed.extend_from_slice(b))
+            .expect("streaming decode");
+        prop_assert_eq!(&streamed, &jpg);
+        let mut sunk = Vec::new();
+        decompress_into(&lepton, &dopts, &mut sunk).expect("sink decode");
+        prop_assert_eq!(sunk, jpg);
     }
 
     #[test]
