@@ -28,12 +28,13 @@
 //! down (files x 1000 requests); full mode replays 100,000.
 
 use lepton_bench::json::{emit, Json};
-use lepton_bench::{bench_file_count, header, percentile};
+use lepton_bench::{bench_file_count, header};
 use lepton_cluster::incident::SafetyNetScenario;
 use lepton_cluster::workload::WEEK;
 use lepton_cluster::{WorkloadConfig, WorkloadPhase, Zipf};
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_fleet::{FleetConfig, FleetGateway, HealthPolicy, LocalFleet};
+use lepton_obs::nearest_rank;
 use lepton_server::client::RetryPolicy;
 use lepton_server::ServiceConfig;
 use lepton_storage::blockstore::StoreConfig;
@@ -191,10 +192,11 @@ fn snapshot_json(snap: &lepton_obs::Snapshot) -> Json {
 }
 
 fn p3(samples: &mut [f64]) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
     (
-        percentile(samples, 50.0),
-        percentile(samples, 99.0),
-        percentile(samples, 99.9),
+        nearest_rank(samples, 50.0),
+        nearest_rank(samples, 99.0),
+        nearest_rank(samples, 99.9),
     )
 }
 

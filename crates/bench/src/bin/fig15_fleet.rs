@@ -17,10 +17,11 @@
 //! CI-friendly either way.
 
 use lepton_bench::json::{emit, Json};
-use lepton_bench::{bench_file_count, header, mbps, percentile, timed};
+use lepton_bench::{bench_file_count, header, mbps, timed};
 use lepton_cluster::fleet::MeasuredFleet;
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_fleet::{rebalance, FleetConfig, FleetGateway, HealthPolicy, LocalFleet};
+use lepton_obs::nearest_rank;
 use lepton_server::client::RetryPolicy;
 use lepton_server::ServiceConfig;
 use lepton_storage::blockstore::StoreConfig;
@@ -189,12 +190,13 @@ fn main() {
     let mut first = lat_ms(&gw, &keys); // discovery + ejection + repair
     let mut after = lat_ms(&gw, &keys); // dead node skipped
 
-    let (h50, h99) = (
-        percentile(&mut healthy, 50.0),
-        percentile(&mut healthy, 99.0),
-    );
-    let (f50, f99) = (percentile(&mut first, 50.0), percentile(&mut first, 99.0));
-    let (a50, a99) = (percentile(&mut after, 50.0), percentile(&mut after, 99.0));
+    let p50_p99 = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        (nearest_rank(samples, 50.0), nearest_rank(samples, 99.0))
+    };
+    let (h50, h99) = p50_p99(&mut healthy);
+    let (f50, f99) = p50_p99(&mut first);
+    let (a50, a99) = p50_p99(&mut after);
     println!(
         "\nfailover read latency (3 nodes, kill node {victim} — primary for \
          {victim_primaries} of {} keys):",

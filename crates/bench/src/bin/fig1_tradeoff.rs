@@ -2,8 +2,9 @@
 //! JPEG-aware codecs (25th/50th/75th percentiles over the corpus).
 
 use lepton_baselines::{Codec, JpegRescanCodec, LeptonCodec, MozArithCodec, PackJpgCodec};
-use lepton_bench::{bench_corpus, bench_file_count, header, mbps, percentile, timed};
+use lepton_bench::{bench_corpus, bench_file_count, header, mbps, timed};
 use lepton_core::{compress, decompress_streaming, CompressOptions, DecompressOptions};
+use lepton_obs::nearest_rank;
 use std::time::Instant;
 
 fn main() {
@@ -32,15 +33,17 @@ fn main() {
             assert_eq!(out, *f);
             speeds.push(mbps(f.len(), secs));
         }
+        savings.sort_by(f64::total_cmp);
+        speeds.sort_by(f64::total_cmp);
         println!(
             "{:<18} {:>6.1}% {:>6.1}% {:>6.1}%   {:>7.0}Mb {:>7.0}Mb {:>7.0}Mb",
             c.name(),
-            percentile(&mut savings, 25.0),
-            percentile(&mut savings, 50.0),
-            percentile(&mut savings, 75.0),
-            percentile(&mut speeds, 25.0),
-            percentile(&mut speeds, 50.0),
-            percentile(&mut speeds, 75.0),
+            nearest_rank(&savings, 25.0),
+            nearest_rank(&savings, 50.0),
+            nearest_rank(&savings, 75.0),
+            nearest_rank(&speeds, 25.0),
+            nearest_rank(&speeds, 50.0),
+            nearest_rank(&speeds, 75.0),
         );
     }
     println!("\npaper shape: Lepton matches PackJPG-class savings while decoding much faster;");
@@ -71,10 +74,12 @@ fn main() {
         lep_ttfb.push(first.expect("some output") * 1000.0);
         assert_eq!(out, *f);
     }
+    lep_ttfb.sort_by(f64::total_cmp);
+    lep_total.sort_by(f64::total_cmp);
     println!(
         "\nLepton streaming: time-to-first-byte p50 {:.1} ms vs time-to-last-byte p50 {:.1} ms",
-        percentile(&mut lep_ttfb, 50.0),
-        percentile(&mut lep_total, 50.0)
+        nearest_rank(&lep_ttfb, 50.0),
+        nearest_rank(&lep_total, 50.0)
     );
     println!("(global-sort codecs have TTFB == TTLB by construction)");
 }

@@ -2,7 +2,8 @@
 //! over the full §4 population (rejects included).
 
 use lepton_baselines::all_codecs;
-use lepton_bench::{bench_file_count, header, mbps, mixed_corpus, percentile, timed};
+use lepton_bench::{bench_file_count, header, mbps, mixed_corpus, timed};
+use lepton_obs::nearest_rank;
 
 fn main() {
     header(
@@ -27,14 +28,16 @@ fn main() {
             enc_t.push(es);
             dec_t.push(ds);
         }
+        enc_t.sort_by(f64::total_cmp);
+        dec_t.sort_by(f64::total_cmp);
         println!(
             "{:<22} {:>7.1}% {:>9.3}s {:>9.3}s {:>9.3}s {:>9.3}s",
             c.name(),
             100.0 * (1.0 - total_out as f64 / total_in as f64),
-            percentile(&mut enc_t, 50.0),
-            percentile(&mut enc_t, 99.0),
-            percentile(&mut dec_t, 50.0),
-            percentile(&mut dec_t, 99.0),
+            nearest_rank(&enc_t, 50.0),
+            nearest_rank(&enc_t, 99.0),
+            nearest_rank(&dec_t, 50.0),
+            nearest_rank(&dec_t, 99.0),
         );
     }
     println!("\nnote: Lepton/PAQ encode times include the production round-trip");

@@ -2,7 +2,8 @@
 //! measured with the tracking allocator.
 
 use lepton_baselines::all_codecs;
-use lepton_bench::{bench_corpus, bench_file_count, header, percentile, TrackingAlloc};
+use lepton_bench::{bench_corpus, bench_file_count, header, TrackingAlloc};
+use lepton_obs::nearest_rank;
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
@@ -31,13 +32,15 @@ fn main() {
             dec_peaks
                 .push((ALLOC.peak() - ALLOC.live().min(ALLOC.peak())) as f64 / (1 << 20) as f64);
         }
+        enc_peaks.sort_by(f64::total_cmp);
+        dec_peaks.sort_by(f64::total_cmp);
         println!(
             "{:<22} {:>9.1}M {:>9.1}M {:>9.1}M {:>9.1}M",
             c.name(),
-            percentile(&mut enc_peaks, 50.0),
-            percentile(&mut enc_peaks, 99.0),
-            percentile(&mut dec_peaks, 50.0),
-            percentile(&mut dec_peaks, 99.0),
+            nearest_rank(&enc_peaks, 50.0),
+            nearest_rank(&enc_peaks, 99.0),
+            nearest_rank(&dec_peaks, 50.0),
+            nearest_rank(&dec_peaks, 99.0),
         );
     }
     println!("\npaper shape: Lepton decode stays in tens of MiB (streaming row-by-row);");

@@ -61,6 +61,8 @@ impl Default for TrackingAlloc {
 // SAFETY: delegates to `System`; the bookkeeping uses only atomics.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `alloc` contract (a non-zero-size
+        // `layout`) is exactly `System`'s.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             let live = self.live.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
@@ -70,6 +72,9 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's `dealloc` contract (`ptr` came from this
+        // allocator's `alloc` with `layout`) is exactly `System`'s, and
+        // `alloc` only ever hands out `System` blocks.
         unsafe { System.dealloc(ptr, layout) };
         self.live.fetch_sub(layout.size(), Ordering::Relaxed);
     }
@@ -126,16 +131,6 @@ pub fn mbps(bytes: usize, secs: f64) -> f64 {
     (bytes as f64 * 8.0) / (secs.max(1e-9) * 1e6)
 }
 
-/// Percentile from an unsorted sample vector (nearest rank).
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let rank = ((p / 100.0) * (samples.len() as f64 - 1.0)).round() as usize;
-    samples[rank.min(samples.len() - 1)]
-}
-
 /// Render a crude horizontal bar for terminal "figures".
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     let n = if max <= 0.0 {
@@ -157,10 +152,13 @@ pub fn header(id: &str, caption: &str) {
 mod tests {
     use super::*;
 
+    /// The harnesses' percentiles are `lepton_obs::nearest_rank` over
+    /// sorted samples.
     #[test]
     fn percentile_and_bar() {
         let mut v = vec![4.0, 1.0, 3.0, 2.0, 5.0];
-        assert_eq!(percentile(&mut v, 50.0), 3.0);
+        v.sort_by(f64::total_cmp);
+        assert_eq!(lepton_obs::nearest_rank(&v, 50.0), 3.0);
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(0.0, 10.0, 10), "");
     }

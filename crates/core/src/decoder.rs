@@ -16,7 +16,7 @@
 //! channel, and streaming latency identical to the multithreaded path.
 
 use crate::driver::{walk_segment, BlockOp};
-use crate::engine::{Engine, EnvJob, Scratch};
+use crate::engine::{Engine, Scratch};
 use crate::error::LeptonError;
 use crate::format::{packets, read_container, Container, ContainerHeader, SegmentInfo};
 use crate::security::{JobMeter, ResourceBudget};
@@ -622,13 +622,13 @@ fn decode_segments(
     let cancel = AtomicBool::new(false);
     let mut results: Vec<Option<Result<usize, DecodeError>>> = (0..nseg).map(|_| None).collect();
     let mut receivers = Vec::with_capacity(nseg);
-    let mut jobs: Vec<EnvJob<'_>> = Vec::with_capacity(nseg);
+    let guard = engine.open_batch();
     for ((i, stream), slot) in streams.into_iter().enumerate().zip(results.iter_mut()) {
         let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
         receivers.push(rx);
         let seg: &SegmentInfo = &header.segments[i];
         let (huff, cancel) = (&huff, &cancel);
-        jobs.push(Box::new(move |scratch: &mut Scratch| {
+        guard.push(Box::new(move |scratch: &mut Scratch| {
             let tx = PoolSink { tx, cancel };
             *slot = Some(decode_segment_job(
                 scratch, parsed, huff, header, seg, stream, model_cfg, tx, meter,
@@ -636,7 +636,6 @@ fn decode_segments(
         }));
     }
 
-    let guard = engine.submit(jobs);
     let mut forwarded = 0usize;
     let mut refused = None;
     'drain: for (rx, seg) in receivers.into_iter().zip(&header.segments) {

@@ -2,26 +2,41 @@
 //!
 //! The encoder (paper §3.4) is serial on the JPEG side — "the Lepton
 //! encoder must decode the original JPEG serially" — and parallel on the
-//! arithmetic side: the scan is decoded once into coefficient planes
-//! with handover snapshots, then each thread segment is arithmetically
-//! encoded concurrently with its own fresh model.
+//! arithmetic side: each thread segment is arithmetically encoded with
+//! its own fresh model, independently of the others.
+//!
+//! The scan decoder writes the file's quantized coefficients into one
+//! flat block buffer in **coding order** — per MCU, per scan component,
+//! `v` rows of `h` blocks — which is exactly the order the segment walk
+//! visits them. A thread segment (an MCU range) is therefore one
+//! contiguous run of blocks, `bounds[i]·bpm .. bounds[i+1]·bpm` with
+//! `bpm` blocks per MCU. The whole-file driver splits the buffer with
+//! `split_at_mut` as the serial decode advances: segment *i*'s slice is
+//! decoded, then handed to its encode job as `&[CoefBlock]` while the
+//! decoder moves on into the rest, so the borrow checker — not an
+//! argument in a comment — proves that the decoder and the jobs touch
+//! disjoint memory.
 //!
 //! Parallelism and scratch memory come from the pre-spawned
 //! [`Engine`](crate::Engine) pool (§5.1): segment jobs are queued to
 //! resident workers whose model arenas and output buffers are reset —
-//! not reallocated — between jobs, and the single-segment case runs
-//! inline on the calling thread.
+//! not reallocated — between jobs, the block buffer comes from the
+//! engine's pool, and a single-segment chunk runs inline on the calling
+//! thread. There are two dispatch shapes: the whole-file driver (any
+//! segment count, each job pushed the moment its slice is final) and
+//! [`compress_chunked`] (decode everything, then fan out per chunk over
+//! shared slices).
 
 use crate::driver::{walk_segment, BlockOp};
-use crate::engine::{Engine, EnvJob, Scratch};
+use crate::engine::{BatchGuard, Engine, Scratch};
 use crate::error::LeptonError;
 use crate::format::{write_container, ContainerHeader, SegmentInfo, SerializedHandover};
 use crate::security::{JobMeter, ResourceBudget};
 use lepton_arith::BoolEncoder;
 use lepton_jpeg::bitio::PadState;
 use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
-use lepton_jpeg::scan::{decode_scan_into, Handover, ScanDecoder, ScanStats};
-use lepton_jpeg::{CoefPlanes, JpegError};
+use lepton_jpeg::scan::{Handover, ScanDecoder, ScanEnd, ScanStats};
+use lepton_jpeg::{CoefBlock, JpegError};
 use lepton_model::component::CategoryBytes;
 use lepton_model::context::{BlockNeighbors, CodedBlock};
 use lepton_model::{ComponentModel, ModelConfig};
@@ -73,7 +88,7 @@ pub struct CompressOptions {
     /// round-trip").
     pub verify: bool,
     /// Memory budgets the job is metered against: the encode side
-    /// (§6.2, coefficient planes + per-segment models + arithmetic
+    /// (§6.2, coefficient blocks + per-segment models + arithmetic
     /// streams) for compression itself, and the decode side (§4.2) for
     /// the verification decode — so a file that could not be *served*
     /// within budget is already refused at admission.
@@ -111,11 +126,11 @@ pub struct CompressStats {
     pub segments: u32,
 }
 
-/// The arithmetic-encoding side of one thread segment. The model pair
-/// is borrowed from the executing worker's arena.
+/// The arithmetic-encoding side of one thread segment: its blocks, in
+/// coding order, are consumed in exactly the order the walk visits
+/// them. The model pair is borrowed from the executing worker's arena.
 struct SegEncoder<'a> {
-    planes: &'a CoefPlanes,
-    parsed: &'a ParsedJpeg,
+    blocks: std::slice::Iter<'a, CoefBlock>,
     enc: BoolEncoder,
     models: &'a mut [ComponentModel; 2],
 }
@@ -125,15 +140,14 @@ impl BlockOp for SegEncoder<'_> {
 
     fn block(
         &mut self,
-        scan_idx: usize,
+        _scan_idx: usize,
         class: usize,
-        bx: usize,
-        gy: usize,
+        _bx: usize,
+        _gy: usize,
         nbr: &BlockNeighbors<'_>,
         out: &mut CodedBlock,
     ) -> Result<(), LeptonError> {
-        let comp_index = self.parsed.scan.components[scan_idx].comp_index;
-        let block = self.planes.planes[comp_index].block(bx, gy);
+        let block = self.blocks.next().expect("one block per visit");
         self.models[class].encode_block(&mut self.enc, block, nbr, out);
         Ok(())
     }
@@ -191,49 +205,14 @@ fn compress_traced(
     let nseg = opts.threads.segments(jpeg.len(), mcus);
     let bounds = segment_bounds(&parsed, 0, mcus, nseg);
 
-    // Open the encode meter and charge the coefficient planes — the
-    // encoder's one frame-sized arena (§3.4: "the Lepton encoder must
-    // decode the original JPEG serially" into planes) — before the scan
-    // decode touches them.
+    // Open the encode meter and charge the block buffer — the encoder's
+    // one frame-sized arena (§3.4: "the Lepton encoder must decode the
+    // original JPEG serially") — before the scan decode touches it.
     let meter = opts.budget.encode_meter();
-    meter.charge(plane_bytes(&parsed))?;
+    meter.charge(block_bytes(&parsed))?;
 
-    let (bytes, scan_in, scan_out, header_out) = if bounds.len() - 1 > 1 {
-        // Multi-segment: pipeline the serial Huffman scan decode with
-        // the per-segment arithmetic encoding (§3.4 / Fig. 8). The two
-        // stages overlap by construction, so the trace charges the
-        // combined wall time to `arith_encode` (there is no serial
-        // scan-decode interval to attribute separately).
-        compress_pipelined(engine, jpeg, &parsed, &bounds, opts, &meter)?
-    } else {
-        // Single segment: decode fully, then encode inline with a
-        // pooled arena (no handoff — the common small-file path).
-        let (scan_data, snapshots) =
-            decode_scan_into(jpeg, &parsed, &bounds, engine.planes_seed())?;
-        lepton_obs::mark_stage("scan_decode");
-        let container = build_container(
-            engine,
-            jpeg,
-            &parsed,
-            &scan_data.coefs,
-            &ChunkSpec {
-                byte_start: 0,
-                byte_end: jpeg.len(),
-                emit_header: true,
-                bounds: &bounds,
-                handovers: &snapshots,
-                final_chunk: true,
-                scan_end: scan_data.scan_end,
-                pad: scan_data.pad,
-                rst_count: scan_data.rst_count,
-            },
-            opts,
-            &meter,
-        );
-        engine.checkin_planes(scan_data.coefs);
-        let (bytes, scan_out, header_out) = container?;
-        (bytes, scan_data.stats, scan_out, header_out)
-    };
+    let (bytes, scan_in, scan_out, header_out) =
+        compress_file(engine, jpeg, &parsed, &bounds, opts, &meter)?;
     lepton_obs::mark_stage("arith_encode");
 
     let stats = CompressStats {
@@ -269,59 +248,30 @@ fn compress_traced(
     Ok((bytes, stats))
 }
 
-/// Bytes the full coefficient planes for `parsed` occupy (128 bytes per
-/// block: 64 × i16 coefficients).
-fn plane_bytes(parsed: &ParsedJpeg) -> usize {
+/// Bytes the coding-order block buffer for `parsed` occupies (128 bytes
+/// per block: 64 × i16 coefficients). When the scan codes each frame
+/// component once — every real file — this is also what frame-shaped
+/// planes would take: `blocks_w = mcus_x·h`, so a component's plane
+/// holds exactly its `h·v` blocks of every MCU.
+fn block_bytes(parsed: &ParsedJpeg) -> usize {
     parsed
         .frame
-        .components
-        .iter()
-        .map(|c| c.blocks_w * c.blocks_h * 128)
-        .fold(0usize, usize::saturating_add)
+        .mcu_count()
+        .saturating_mul(parsed.blocks_per_mcu())
+        .saturating_mul(std::mem::size_of::<CoefBlock>())
 }
 
-/// Shared handle to the coefficient planes for the pipelined encode:
-/// the serial scan decoder keeps writing later segments while encode
-/// jobs read earlier, already-final ones.
-///
-/// The [`UnsafeCell`](std::cell::UnsafeCell) matters for soundness, not
-/// just the raw pointers: both the decoder's `&mut CoefPlanes` and the
-/// jobs' `&CoefPlanes` derive from the cell's `get()` pointer, so the
-/// aliasing model judges them per *accessed location* instead of
-/// treating the writer's reborrow as invalidating every concurrent
-/// reader of the allocation.
-///
-/// SAFETY (why `Sync` and the concurrent access are sound):
-///
-/// * **Disjointness.** Every (component, block) cell belongs to exactly
-///   one MCU, and segment boundaries are MCU indices. A segment-`i`
-///   encode job reads only blocks of MCUs `[bounds[i], bounds[i+1])`;
-///   by the time it is dispatched the decoder has fully written that
-///   range and only ever writes MCUs `≥ bounds[i+1]` afterwards. Writer
-///   and readers never touch the same memory concurrently.
-/// * **Happens-before.** Job dispatch goes through the engine's queue
-///   mutex ([`BatchGuard::push`]), so the decoder's writes to a
-///   segment's range are visible to the worker that picks the job up;
-///   the batch guard's join (mutex + condvar) orders every job's reads
-///   before the caller takes the planes back out of the cell.
-/// * **Liveness.** The planes outlive the batch: the guard always joins
-///   (normally or in `Drop` on unwind) before `compress_pipelined`
-///   returns, and the plane geometry is fixed before the first job is
-///   pushed (`reset_for_frame` runs up front; nothing reallocates the
-///   plane storage afterwards).
-struct PlanesCell(std::cell::UnsafeCell<CoefPlanes>);
-// SAFETY: see above — disjoint access windows with mutex-established
-// ordering make the concurrent reader/writer shares race-free.
-unsafe impl Sync for PlanesCell {}
-
-/// Multi-segment compression with the scan decode and the arithmetic
-/// encoding overlapped: the moment segment *i*'s end snapshot is taken,
-/// its encode job is pushed to the engine pool, and the serial Huffman
-/// decode moves on to segment *i+1* (the encode-side analogue of the
-/// paper's decode pipeline, §3.4). FIFO collection of the segment
-/// streams keeps the container byte-identical to the
-/// decode-all-then-fan-out path.
-fn compress_pipelined(
+/// Whole-file compression, for any segment count: the serial Huffman
+/// decode fills the coding-order block buffer one segment slice at a
+/// time, and the moment segment *i*'s slice and end snapshot are final
+/// its encode job is dispatched ([`dispatch`]) while the decoder moves
+/// on into the rest of the buffer — with several segments the decode of
+/// segment *i+1* overlaps the arithmetic encoding of segment *i* (the
+/// encode-side analogue of the paper's decode pipeline, §3.4); a single
+/// segment is encoded inline once the whole scan is decoded. FIFO
+/// collection of the segment streams keeps the container identical
+/// however the jobs were scheduled.
+fn compress_file(
     engine: &Engine,
     jpeg: &[u8],
     parsed: &ParsedJpeg,
@@ -330,54 +280,50 @@ fn compress_pipelined(
     meter: &JobMeter,
 ) -> Result<(Vec<u8>, ScanStats, CategoryBytes, usize), LeptonError> {
     let nseg = bounds.len() - 1;
+    let bpm = parsed.blocks_per_mcu();
     let model_cfg = opts.model;
-    let mut planes = engine.planes_seed();
-    planes.reset_for_frame(&parsed.frame);
-    let planes_cell = PlanesCell(std::cell::UnsafeCell::new(planes));
-
+    let mut blocks = engine.checkout_blocks(parsed.frame.mcu_count() * bpm);
     let mut results: Vec<Option<SegmentResult>> = (0..nseg).map(|_| None).collect();
     let mut handovers: Vec<Handover> = Vec::with_capacity(nseg + 1);
 
     let end = {
-        let guard = engine.open_batch();
-        let mut slots = results.iter_mut();
-        // Decode serially, dispatching each segment as it completes.
+        let batch = engine.open_batch();
         // Any error still drains the batch (below) before propagating,
         // so in-flight jobs never outlive the borrows they capture.
-        let run = (|| -> Result<lepton_jpeg::scan::ScanEnd, LeptonError> {
+        let run = (|| -> Result<ScanEnd, LeptonError> {
             let mut dec = ScanDecoder::new(jpeg, parsed)?;
-            for (i, slot) in (0..nseg).zip(&mut slots) {
+            let mut rest = &mut blocks[..];
+            for (i, slot) in results.iter_mut().enumerate() {
+                let (start, end) = (bounds[i], bounds[i + 1]);
                 handovers.push(dec.handover());
-                {
-                    // SAFETY: exclusive write access to MCUs ≥
-                    // bounds[i] — no job for this or any later MCU
-                    // range has been pushed yet, and earlier jobs only
-                    // read blocks below their (smaller) end bound.
-                    let planes_mut = unsafe { &mut *planes_cell.0.get() };
-                    dec.decode_to(bounds[i + 1], planes_mut)?;
+                let len = (end - start) as usize * bpm;
+                let (seg, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                dec.decode_to(end, seg)?;
+                if nseg == 1 {
+                    // The one segment is the whole scan: charge its
+                    // decode to its own stage, as the inline job follows.
+                    lepton_obs::mark_stage("scan_decode");
                 }
-                let cell = &planes_cell;
-                guard.push(Box::new(move |scratch: &mut Scratch| {
-                    // SAFETY: shared read access to MCUs < bounds[i+1],
-                    // all final (and published via the queue mutex)
-                    // before this job was pushed.
-                    let planes = unsafe { &*cell.0.get() };
-                    encode_segment_job(scratch, planes, parsed, bounds, i, model_cfg, slot, meter);
-                }));
+                let seg: &[CoefBlock] = seg;
+                dispatch(engine, &batch, nseg, move |scratch| {
+                    encode_segment_job(scratch, seg, parsed, start, end, model_cfg, slot, meter);
+                });
             }
             handovers.push(dec.handover());
             Ok(dec.finish()?)
         })();
         // Decode finished (or failed): help drain the remaining encode
         // jobs, then wait for stragglers on other workers.
-        guard.participate();
-        guard.join();
-        run?
+        batch.participate();
+        batch.join();
+        run
     };
+    engine.checkin_blocks(blocks);
+    let end = end?;
 
-    let planes = planes_cell.0.into_inner();
     let (streams, cat_total) = collect_segment_results(results)?;
-    let assembled = assemble_container(
+    let (bytes, scan_out, header_out) = assemble_container(
         jpeg,
         parsed,
         &ChunkSpec {
@@ -393,10 +339,24 @@ fn compress_pipelined(
         },
         streams,
         cat_total,
-    );
-    engine.checkin_planes(planes);
-    let (bytes, scan_out, header_out) = assembled?;
+    )?;
     Ok((bytes, end.stats, scan_out, header_out))
+}
+
+/// Run one segment's encode `job`: inline on the caller when it is its
+/// chunk's only segment (no queue handoff — the common small-file
+/// path), otherwise queued on `batch`, which the caller joins.
+fn dispatch<'env>(
+    engine: &Engine,
+    batch: &BatchGuard<'_>,
+    nseg: usize,
+    job: impl FnOnce(&mut Scratch) + Send + 'env,
+) {
+    if nseg == 1 {
+        engine.run_inline(job);
+    } else {
+        batch.push(Box::new(job));
+    }
 }
 
 /// Compress a JPEG into independent per-chunk containers of at most
@@ -427,17 +387,25 @@ pub(crate) fn compress_chunked_on(
     }
     let mcus = parsed.frame.mcu_count() as u32;
 
-    // Charge the planes plus the per-MCU snapshot table this mode keeps
-    // (chunk boundaries resolve to MCU indices by byte offset, so the
-    // table is frame-sized, not segment-sized).
+    // Charge the block buffer plus the per-MCU snapshot table this mode
+    // keeps (chunk boundaries resolve to MCU indices by byte offset, so
+    // the table is frame-sized, not segment-sized).
     let meter = opts.budget.encode_meter();
-    meter.charge(plane_bytes(&parsed))?;
+    meter.charge(block_bytes(&parsed))?;
     meter.charge((mcus as usize + 1).saturating_mul(std::mem::size_of::<Handover>()))?;
 
-    // Snapshot every MCU so chunk boundaries can be resolved to MCU
-    // indices by byte offset.
-    let all: Vec<u32> = (0..=mcus).collect();
-    let (scan_data, snapshots) = decode_scan_into(jpeg, &parsed, &all, engine.planes_seed())?;
+    // Decode the whole scan, snapshotting every MCU so chunk boundaries
+    // can be resolved to MCU indices by byte offset.
+    let bpm = parsed.blocks_per_mcu();
+    let mut blocks = engine.checkout_blocks(mcus as usize * bpm);
+    let mut snapshots = Vec::with_capacity(mcus as usize + 1);
+    let mut dec = ScanDecoder::new(jpeg, &parsed)?;
+    for mcu_blocks in blocks.chunks_exact_mut(bpm) {
+        snapshots.push(dec.handover());
+        dec.decode_to(dec.mcu() + 1, mcu_blocks)?;
+    }
+    snapshots.push(dec.handover());
+    let end = dec.finish()?;
 
     let n_chunks = jpeg.len().div_ceil(chunk_size).max(1);
     let mut out = Vec::with_capacity(n_chunks);
@@ -461,7 +429,7 @@ pub(crate) fn compress_chunked_on(
             engine,
             jpeg,
             &parsed,
-            &scan_data.coefs,
+            &blocks,
             &ChunkSpec {
                 byte_start,
                 byte_end,
@@ -469,9 +437,9 @@ pub(crate) fn compress_chunked_on(
                 bounds: &bounds,
                 handovers: &handovers,
                 final_chunk,
-                scan_end: scan_data.scan_end,
-                pad: scan_data.pad,
-                rst_count: scan_data.rst_count,
+                scan_end: end.scan_end,
+                pad: end.pad,
+                rst_count: end.rst_count,
             },
             opts,
             &meter,
@@ -491,7 +459,7 @@ pub(crate) fn compress_chunked_on(
         }
         out.push(bytes);
     }
-    engine.checkin_planes(scan_data.coefs);
+    engine.checkin_blocks(blocks);
     Ok(out)
 }
 
@@ -541,17 +509,18 @@ struct ChunkSpec<'a> {
 /// Outcome of one segment-encoding job.
 type SegmentResult = Result<(Vec<u8>, CategoryBytes), LeptonError>;
 
-/// Arithmetic-encode one thread segment using the executor's arena:
-/// the model pair is reset (not reallocated) and the output stream is
-/// built in the arena's resident buffer, with only an exact-size copy
-/// escaping the job.
+/// Arithmetic-encode the thread segment of MCUs `[start, end)`, whose
+/// coding-order blocks are `blocks`, using the executor's arena: the
+/// model pair is reset (not reallocated) and the output stream is built
+/// in the arena's resident buffer, with only an exact-size copy escaping
+/// the job.
 #[allow(clippy::too_many_arguments)]
 fn encode_segment_job(
     scratch: &mut Scratch,
-    planes: &CoefPlanes,
+    blocks: &[CoefBlock],
     parsed: &ParsedJpeg,
-    bounds: &[u32],
-    i: usize,
+    start: u32,
+    end: u32,
     model_cfg: ModelConfig,
     slot: &mut Option<SegmentResult>,
     meter: &JobMeter,
@@ -566,12 +535,11 @@ fn encode_segment_job(
     let enc = BoolEncoder::with_buffer(std::mem::take(&mut scratch.arith_buf));
     let (models, rings) = scratch.walk_arenas(model_cfg);
     let mut op = SegEncoder {
-        planes,
-        parsed,
+        blocks: blocks.iter(),
         enc,
         models,
     };
-    let r = walk_segment(parsed, bounds[i], bounds[i + 1], rings, &mut op);
+    let r = walk_segment(parsed, start, end, rings, &mut op);
     let mut cat = op.models[0].stats();
     cat.add(&op.models[1].stats());
     let SegEncoder { enc, .. } = op; // release the arena borrow
@@ -586,53 +554,33 @@ fn encode_segment_job(
     scratch.arith_buf = stream; // hand the capacity back to the arena
 }
 
-/// Encode all segments of one chunk and assemble its container.
-/// Returns (container bytes, model output attribution, header blob size).
+/// Encode all segments of one chunk from the file's coding-order
+/// `blocks` (each segment reads its own slice) and assemble the chunk's
+/// container. Returns (container bytes, model output attribution,
+/// header blob size).
 fn build_container(
     engine: &Engine,
     jpeg: &[u8],
     parsed: &ParsedJpeg,
-    planes: &CoefPlanes,
+    blocks: &[CoefBlock],
     spec: &ChunkSpec<'_>,
     opts: &CompressOptions,
     meter: &JobMeter,
 ) -> Result<(Vec<u8>, CategoryBytes, usize), LeptonError> {
     let nseg = spec.bounds.len() - 1;
-
-    // Parallel arithmetic encoding of the segments on the engine pool.
-    // One segment (the common small-file case) runs inline — no queue
-    // handoff; multi-segment batches are queued and the caller helps.
-    let mut results: Vec<Option<SegmentResult>> = (0..nseg).map(|_| None).collect();
+    let bpm = parsed.blocks_per_mcu();
     let model_cfg = opts.model;
-    if nseg == 1 {
-        let slot = &mut results[0];
-        engine.run_inline(|scratch| {
-            encode_segment_job(
-                scratch,
-                planes,
-                parsed,
-                spec.bounds,
-                0,
-                model_cfg,
-                slot,
-                meter,
-            );
+    let mut results: Vec<Option<SegmentResult>> = (0..nseg).map(|_| None).collect();
+    let batch = engine.open_batch();
+    for (i, slot) in results.iter_mut().enumerate() {
+        let (start, end) = (spec.bounds[i], spec.bounds[i + 1]);
+        let seg = &blocks[start as usize * bpm..end as usize * bpm];
+        dispatch(engine, &batch, nseg, move |scratch| {
+            encode_segment_job(scratch, seg, parsed, start, end, model_cfg, slot, meter);
         });
-    } else {
-        let bounds = spec.bounds;
-        let jobs: Vec<EnvJob<'_>> = results
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                Box::new(move |scratch: &mut Scratch| {
-                    encode_segment_job(scratch, planes, parsed, bounds, i, model_cfg, slot, meter);
-                }) as EnvJob<'_>
-            })
-            .collect();
-        let guard = engine.submit(jobs);
-        guard.participate();
-        guard.join();
     }
+    batch.participate();
+    batch.join();
 
     let (streams, cat_total) = collect_segment_results(results)?;
     assemble_container(jpeg, parsed, spec, streams, cat_total)

@@ -13,14 +13,17 @@
 //!   requires a reset arena to be indistinguishable from a fresh one;
 //!   `core/tests/engine_reuse.rs` enforces that byte-for-byte.
 //! * Segment jobs from `compress`/`decompress` are queued to the pool
-//!   instead of spawning `std::thread::scope` threads per call. Batches
+//!   instead of spawning `std::thread::scope` threads per call, through
+//!   one enqueue path: open a batch (`Engine::open_batch`) and push
+//!   jobs into it as they become ready (`BatchGuard::push`). Batches
 //!   are FIFO: segment jobs start in segment order, which is what lets
 //!   the decode path bound its in-order drain buffers.
 //! * Single-segment work runs inline on the calling thread with a
 //!   checked-out arena — the common small-file path pays no handoff.
-//! * Coefficient planes for the encoder's serial JPEG decode come from
-//!   a bounded plane pool ([`CoefPlanes`] reuse) rather than a fresh
-//!   multi-megabyte allocation per file.
+//! * The encoder's coding-order block buffer (the whole file's
+//!   quantized coefficients, [`CoefBlock`]s in the order the scan codes
+//!   them) comes from a bounded pool rather than a fresh multi-megabyte
+//!   allocation per file.
 //!
 //! The module-level entry points `lepton_core::compress` /
 //! `lepton_core::decompress` route through [`Engine::global`], so every
@@ -30,7 +33,7 @@
 
 use crate::driver::RingArena;
 use crate::error::LeptonError;
-use lepton_jpeg::CoefPlanes;
+use lepton_jpeg::CoefBlock;
 use lepton_model::{ComponentModel, ModelConfig};
 use lepton_obs::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
@@ -97,11 +100,11 @@ impl EngineMetrics {
 }
 
 /// A lifetime-erased job: runs on some executor with that executor's
-/// scratch arena. See the safety contract on [`Engine::submit`].
+/// scratch arena. See the safety contract on [`BatchGuard::push`].
 type Job = Box<dyn FnOnce(&mut Scratch) + Send + 'static>;
 
-/// A borrowed-environment job as submitted by the encoder/decoder
-/// (erased to [`Job`] inside [`Engine::submit`]).
+/// A borrowed-environment job as pushed by the encoder/decoder (erased
+/// to [`Job`] inside [`BatchGuard::push`]).
 pub(crate) type EnvJob<'env> = Box<dyn FnOnce(&mut Scratch) + Send + 'env>;
 
 /// Per-executor scratch arena. Workers own one for their lifetime;
@@ -136,9 +139,10 @@ impl Scratch {
     }
 }
 
-/// One submitted batch of jobs and its completion bookkeeping.
+/// One batch of jobs and its completion bookkeeping.
+#[derive(Default)]
 struct Batch {
-    /// Jobs not yet started, in submission (= segment) order.
+    /// Jobs not yet started, in push (= segment) order.
     jobs: Mutex<VecDeque<Job>>,
     /// Jobs not yet *finished* (started or not).
     pending: Mutex<usize>,
@@ -147,15 +151,6 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(n: usize) -> Self {
-        Batch {
-            jobs: Mutex::new(VecDeque::with_capacity(n)),
-            pending: Mutex::new(n),
-            done_cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }
-    }
-
     /// Run one job and account for its completion, panic or not.
     /// Returns whether the job panicked (for executor-side metrics).
     fn execute(&self, job: Job, scratch: &mut Scratch) -> bool {
@@ -180,9 +175,9 @@ impl Batch {
     }
 }
 
-/// Guard for a submitted batch. **Always joins**: both [`join`] and
-/// `Drop` block until every job of the batch has finished running, which
-/// is what makes the lifetime erasure in [`Engine::submit`] sound even
+/// Guard for an open batch. **Always joins**: both [`join`] and `Drop`
+/// block until every job of the batch has finished running, which is
+/// what makes the lifetime erasure in [`BatchGuard::push`] sound even
 /// when the caller unwinds mid-drain.
 pub(crate) struct BatchGuard<'e> {
     batch: Arc<Batch>,
@@ -190,15 +185,18 @@ pub(crate) struct BatchGuard<'e> {
 }
 
 impl BatchGuard<'_> {
-    /// Add one job to an open batch (see [`Engine::open_batch`]).
-    /// Jobs start in push (= segment) order, exactly like a one-shot
-    /// [`Engine::submit`] batch.
+    /// Queue one job on the pool — the engine's only enqueue path. Jobs
+    /// start in push (= segment) order.
     ///
-    /// SAFETY CONTRACT: identical to [`Engine::submit`] — the guard
-    /// joins (in [`BatchGuard::join`] or `Drop`) before control returns
-    /// past `'env`, so borrowed job state strictly outlives every use.
-    /// Callers must not read state mutably borrowed by a pushed job
+    /// SAFETY CONTRACT (why the lifetime erasure is sound): the guard
+    /// blocks until every pushed job has finished — in [`join`], or in
+    /// `Drop` if the caller unwinds — and jobs only run before that
+    /// point, so borrowed state captured by a job strictly outlives
+    /// every use. Callers must keep the guard on the stack (never
+    /// `mem::forget` it) and must not touch state a pushed job borrows
     /// until after `join`.
+    ///
+    /// [`join`]: BatchGuard::join
     pub(crate) fn push<'env>(&self, job: EnvJob<'env>) {
         // SAFETY: see the contract above.
         let job: Job = unsafe {
@@ -291,9 +289,9 @@ struct Shared {
     /// participation). Workers keep their own arena thread-locally and
     /// never touch this.
     scratch_pool: Mutex<Vec<Scratch>>,
-    /// Recycled coefficient-plane storage for the encoder's serial scan
-    /// decode (multi-MiB per file; §5.1 pre-allocation in spirit).
-    plane_pool: Mutex<Vec<CoefPlanes>>,
+    /// Recycled coding-order block buffers for the encoder's serial
+    /// scan decode (multi-MiB per file; §5.1 pre-allocation in spirit).
+    block_pool: Mutex<Vec<Vec<CoefBlock>>>,
     /// Pool load/reuse counters (see [`EngineMetrics`]).
     metrics: EngineMetrics,
 }
@@ -309,9 +307,9 @@ pub struct Engine {
     scratch_cap: usize,
 }
 
-/// Upper bound on pooled `CoefPlanes` buffers (largest-file bytes are
+/// Upper bound on pooled block buffers (largest-file bytes are
 /// retained, so keep the pool shallow).
-const PLANE_POOL_CAP: usize = 4;
+const BLOCK_POOL_CAP: usize = 4;
 
 /// Ceiling [`Engine::global`] applies to detected parallelism when
 /// sizing the shared pool; `LEPTON_ENGINE_THREADS` bypasses it.
@@ -330,7 +328,7 @@ impl Engine {
             }),
             work_cv: Condvar::new(),
             scratch_pool: Mutex::new(Vec::new()),
-            plane_pool: Mutex::new(Vec::new()),
+            block_pool: Mutex::new(Vec::new()),
             metrics: EngineMetrics::default(),
         });
         shared.metrics.workers.set(workers as i64);
@@ -480,62 +478,14 @@ impl Engine {
         crate::decoder::decompress_into_on(self, data, opts, sink)
     }
 
-    /// Submit a batch of jobs to the pool.
-    ///
-    /// SAFETY CONTRACT (why the lifetime erasure is sound): the returned
-    /// [`BatchGuard`] blocks until every job has finished — in `join`,
-    /// or in `Drop` if the caller unwinds — and jobs only run before
-    /// that point. Borrowed state captured by the jobs therefore
-    /// strictly outlives every use. Callers must keep the guard on the
-    /// stack (never `mem::forget` it).
-    pub(crate) fn submit<'env, 'e>(&'e self, jobs: Vec<EnvJob<'env>>) -> BatchGuard<'e> {
-        let n = jobs.len();
-        let batch = Arc::new(Batch::new(n));
-        {
-            let mut bj = batch.jobs.lock().expect("batch lock");
-            for job in jobs {
-                // SAFETY: see the contract above — the guard joins
-                // before returning control past 'env.
-                let job: Job = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce(&mut Scratch) + Send + 'env>,
-                        Box<dyn FnOnce(&mut Scratch) + Send + 'static>,
-                    >(job)
-                };
-                bj.push_back(job);
-            }
-        }
-        let idle = {
-            let mut q = self.shared.queue.lock().expect("engine queue");
-            for _ in 0..n {
-                q.entries.push_back(Arc::clone(&batch));
-            }
-            q.idle
-        };
-        // Wake only sleepers (see `QueueState::idle`): busy workers
-        // re-check the queue on their own, and waking at most one
-        // thread per queued job avoids a notify_all stampede.
-        if idle > 0 {
-            if n == 1 || idle == 1 {
-                self.shared.work_cv.notify_one();
-            } else {
-                self.shared.work_cv.notify_all();
-            }
-        }
-        BatchGuard {
-            batch,
-            engine: self,
-        }
-    }
-
-    /// Open an empty batch that accepts jobs incrementally via
-    /// [`BatchGuard::push`] — the pipelined-encode entry point, where
-    /// segment jobs become ready one at a time as the serial scan
-    /// decode passes their end boundary. Same FIFO start order and same
-    /// always-joins guard discipline as [`Engine::submit`].
+    /// Open an empty batch; jobs join it one at a time through
+    /// [`BatchGuard::push`] as they become ready (the encoder pushes
+    /// segment *i* the moment the serial scan decode passes its end
+    /// boundary; the decoder pushes every segment up front). The guard
+    /// always joins — see the contract on `push`.
     pub(crate) fn open_batch(&self) -> BatchGuard<'_> {
         BatchGuard {
-            batch: Arc::new(Batch::new(0)),
+            batch: Arc::default(),
             engine: self,
         }
     }
@@ -572,23 +522,27 @@ impl Engine {
         }
     }
 
-    /// Check out recycled coefficient-plane storage (encode path).
-    pub(crate) fn checkout_planes(&self) -> Option<CoefPlanes> {
-        self.shared.plane_pool.lock().expect("plane pool").pop()
-    }
-
-    /// Return plane storage to the pool for the next file.
-    pub(crate) fn checkin_planes(&self, planes: CoefPlanes) {
-        let mut pool = self.shared.plane_pool.lock().expect("plane pool");
-        if pool.len() < PLANE_POOL_CAP {
-            pool.push(planes);
+    /// A zeroed coding-order block buffer of `len` blocks for the next
+    /// file: recycled storage when the pool has some, fresh otherwise.
+    pub(crate) fn checkout_blocks(&self, len: usize) -> Vec<CoefBlock> {
+        // Pop first: zeroing happens after the pool lock is released.
+        let pooled = self.shared.block_pool.lock().expect("block pool").pop();
+        match pooled {
+            Some(mut blocks) => {
+                blocks.clear();
+                blocks.resize(len, [0; 64]);
+                blocks
+            }
+            None => vec![[0; 64]; len],
         }
     }
 
-    /// Plane storage for the next file: recycled when available (the
-    /// scan decoder reshapes and zeroes it), empty otherwise.
-    pub(crate) fn planes_seed(&self) -> CoefPlanes {
-        self.checkout_planes().unwrap_or_else(CoefPlanes::empty)
+    /// Return a block buffer to the pool for the next file.
+    pub(crate) fn checkin_blocks(&self, blocks: Vec<CoefBlock>) {
+        let mut pool = self.shared.block_pool.lock().expect("block pool");
+        if pool.len() < BLOCK_POOL_CAP {
+            pool.push(blocks);
+        }
     }
 }
 
@@ -639,18 +593,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Push `n` jobs that each bump `counter`.
+    fn push_counting<'e>(engine: &'e Engine, counter: &AtomicUsize, n: usize) -> BatchGuard<'e> {
+        let guard = engine.open_batch();
+        for _ in 0..n {
+            guard.push(Box::new(|_: &mut Scratch| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        guard
+    }
+
     #[test]
     fn batch_runs_all_jobs_and_joins() {
         let engine = Engine::new(3);
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<EnvJob<'_>> = (0..16)
-            .map(|_| {
-                Box::new(|_: &mut Scratch| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as EnvJob<'_>
-            })
-            .collect();
-        let guard = engine.submit(jobs);
+        let guard = push_counting(&engine, &counter, 16);
         guard.participate();
         guard.join();
         assert_eq!(counter.load(Ordering::Relaxed), 16);
@@ -698,11 +656,9 @@ mod tests {
     #[should_panic(expected = "codec engine job panicked")]
     fn job_panic_propagates_to_join() {
         let engine = Engine::new(2);
-        let jobs: Vec<EnvJob<'_>> = vec![
-            Box::new(|_: &mut Scratch| {}),
-            Box::new(|_: &mut Scratch| panic!("boom")),
-        ];
-        let guard = engine.submit(jobs);
+        let guard = engine.open_batch();
+        guard.push(Box::new(|_: &mut Scratch| {}));
+        guard.push(Box::new(|_: &mut Scratch| panic!("boom")));
         guard.join();
     }
 
@@ -710,14 +666,7 @@ mod tests {
     fn workers_drain_without_participation() {
         let engine = Engine::new(2);
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<EnvJob<'_>> = (0..8)
-            .map(|_| {
-                Box::new(|_: &mut Scratch| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as EnvJob<'_>
-            })
-            .collect();
-        engine.submit(jobs).join();
+        push_counting(&engine, &counter, 8).join();
         assert_eq!(counter.load(Ordering::Relaxed), 8);
     }
 

@@ -74,7 +74,7 @@ pub enum BudgetStage {
 /// Header-derived sizing (`decode_working_set`, the §5.7 admission
 /// pre-check) remains authoritative for *planning*; the meter is what
 /// untrusted payloads cannot argue with. Every arena the engine resets
-/// for a job — model bins, coefficient planes, arithmetic-stream
+/// for a job — model bins, the coefficient block buffer, arithmetic-stream
 /// buffers, driver row rings, demuxed segment streams — calls
 /// [`JobMeter::charge`] with its byte size *before* the allocation
 /// happens. The first charge that would push the running total past the
@@ -137,7 +137,7 @@ impl JobMeter {
     }
 
     /// Return `bytes` to the budget (an arena released mid-job, e.g. a
-    /// pooled plane checked back in before the next stage).
+    /// pooled block buffer checked back in before the next stage).
     pub fn release(&self, bytes: usize) {
         use std::sync::atomic::Ordering;
         let _ = self

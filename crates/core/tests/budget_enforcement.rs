@@ -144,12 +144,42 @@ fn budget_error_reports_honest_numbers() {
             required, limit, ..
         }) => {
             assert_eq!(limit, 1 << 10);
-            // The very first charge (coefficient planes) already dwarfs
+            // The very first charge (coefficient blocks) already dwarfs
             // the 1 KiB limit for a 64px+ image.
             assert!(required >= 64 * 64 * 2, "required={required}");
         }
         other => panic!("{other:?}"),
     }
+}
+
+/// (file, segment count) pairs the exact-charge checks run on: a corpus
+/// file at one and four segments, and a 4:2:0 golden vector at 2/4/8.
+/// Its 8 × 7 MCUs split 8 ways put a bound at MCU 49, one past the last
+/// row start (`segment_bounds` only snaps to a row start inside the
+/// range), so a segment slice of the encoder's block buffer starts and
+/// ends inside an MCU row.
+fn exact_charge_cases() -> Vec<(Vec<u8>, usize)> {
+    let file = corpus().remove(1);
+    let golden = include_bytes!("golden/textlike-420-opt-pad0.jpg").to_vec();
+    let mut cases = vec![(file.clone(), 1), (file, 4)];
+    cases.extend([2, 4, 8].map(|n| (golden.clone(), n)));
+    cases
+}
+
+/// Compress `jpeg` into `segments` segments under `budget`.
+fn compress_fixed(
+    jpeg: &[u8],
+    segments: usize,
+    budget: ResourceBudget,
+) -> Result<Vec<u8>, LeptonError> {
+    compress(
+        jpeg,
+        &CompressOptions {
+            threads: lepton_core::ThreadPolicy::Fixed(segments),
+            budget,
+            ..Default::default()
+        },
+    )
 }
 
 #[test]
@@ -163,17 +193,8 @@ fn decode_meter_charges_exactly_what_the_job_keeps() {
     // the file; one byte less is refused, reporting that figure.
     use lepton_core::format::read_container;
     use lepton_core::security::decode_working_set;
-    use lepton_core::ThreadPolicy;
-    let jpeg = corpus().remove(1);
-    for segments in [1usize, 4] {
-        let container = compress(
-            &jpeg,
-            &CompressOptions {
-                threads: ThreadPolicy::Fixed(segments),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    for (jpeg, segments) in exact_charge_cases() {
+        let container = compress_fixed(&jpeg, segments, ResourceBudget::default()).unwrap();
         let header = read_container(&container).unwrap().header;
         assert_eq!(header.segments.len(), segments);
         let frame = lepton_jpeg::parse(&header.jpeg_header).unwrap().frame;
@@ -203,6 +224,55 @@ fn decode_meter_charges_exactly_what_the_job_keeps() {
             other => panic!("expected a one-byte breach, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn encode_meter_charges_exactly_what_the_job_keeps() {
+    // The encode side's total is the coefficient blocks (the coding-order
+    // buffer, exactly the frame-shaped planes' bytes), a model pair per
+    // segment and the arithmetic streams that escape the jobs. A budget
+    // of exactly that admits the file; one byte less is refused,
+    // reporting that figure.
+    use lepton_core::format::read_container;
+    let mut mid_row = false;
+    for (jpeg, segments) in exact_charge_cases() {
+        let container = compress_fixed(&jpeg, segments, ResourceBudget::default()).unwrap();
+        let header = read_container(&container).unwrap().header;
+        assert_eq!(header.segments.len(), segments);
+        let frame = lepton_jpeg::parse(&jpeg).unwrap().frame;
+        let mcus_x = frame.mcus_x as u32;
+        mid_row |= header.segments.iter().any(|s| s.mcu_start % mcus_x != 0);
+        let planes: usize = frame
+            .components
+            .iter()
+            .map(|c| c.blocks_w * c.blocks_h * 128)
+            .sum();
+        let expected = planes
+            + segments * 2 * lepton_model::ComponentModel::arena_bytes()
+            + header
+                .segments
+                .iter()
+                .map(|s| s.arith_bytes as usize)
+                .sum::<usize>();
+        let with_budget = |encode_bytes| ResourceBudget {
+            encode_bytes,
+            ..Default::default()
+        };
+        assert_eq!(
+            compress_fixed(&jpeg, segments, with_budget(expected)).unwrap(),
+            container
+        );
+        match compress_fixed(&jpeg, segments, with_budget(expected - 1)) {
+            Err(LeptonError::BudgetExceeded {
+                stage, required, ..
+            }) => {
+                assert_eq!(stage, BudgetStage::Encode);
+                assert_eq!(required, expected, "{segments} segments");
+            }
+            other => panic!("expected a one-byte breach, got {other:?}"),
+        }
+    }
+    assert!(mid_row, "some segment starts mid-row");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use lepton_core::{CompressOptions, Engine, ExitCode, ThreadPolicy};
 use lepton_corpus::{mutate, Corpus, CorpusSpec, MutationKind};
-use lepton_jpeg::{CoefPlanes, ScanDecoder};
+use lepton_jpeg::{CoefBlock, ScanDecoder};
 use proptest::prelude::*;
 
 /// Six clean corpus files plus a golden vector with a restart interval
@@ -34,31 +34,58 @@ fn corpus() -> Vec<Vec<u8>> {
     files
 }
 
+/// Step both decoders through `jpeg` one MCU at a time, asserting that
+/// each step leaves identical coding-order blocks, handovers and result
+/// (the same error, if one fails), and that the scans end identically.
+/// Returns whether the whole scan decoded.
+fn assert_decoders_agree(jpeg: &[u8], label: &str) -> bool {
+    let Ok(parsed) = lepton_jpeg::parse(jpeg) else {
+        return false;
+    };
+    let bpm = parsed.blocks_per_mcu();
+    let mut reference = ScanDecoder::new_reference(jpeg, &parsed).expect("tables");
+    let mut fast = ScanDecoder::new(jpeg, &parsed).expect("tables");
+    for m in 0..parsed.frame.mcu_count() as u32 {
+        let mut coefs_ref: Vec<CoefBlock> = vec![[0; 64]; bpm];
+        let mut coefs_fast = coefs_ref.clone();
+        let r_ref = reference.decode_to(m + 1, &mut coefs_ref);
+        let r_fast = fast.decode_to(m + 1, &mut coefs_fast);
+        assert_eq!(r_ref, r_fast, "{label}: result diverged at mcu {m}");
+        assert!(
+            coefs_ref == coefs_fast,
+            "{label}: coefficients diverged at mcu {m}"
+        );
+        assert_eq!(
+            reference.handover(),
+            fast.handover(),
+            "{label}: handover diverged after mcu {m}"
+        );
+        if r_ref.is_err() {
+            return false;
+        }
+    }
+    match (reference.finish(), fast.finish()) {
+        (Ok(end_ref), Ok(end_fast)) => {
+            assert_eq!(end_ref.pad, end_fast.pad, "{label}");
+            assert_eq!(end_ref.rst_count, end_fast.rst_count, "{label}");
+            assert_eq!(end_ref.scan_end, end_fast.scan_end, "{label}");
+            assert_eq!(end_ref.stats, end_fast.stats, "{label}");
+            true
+        }
+        (r_ref, r_fast) => {
+            assert_eq!(r_ref.err(), r_fast.err(), "{label}: end diverged");
+            false
+        }
+    }
+}
+
 #[test]
 fn reference_and_fast_paths_produce_identical_containers() {
     for (i, jpeg) in corpus().iter().enumerate() {
-        let parsed = lepton_jpeg::parse(jpeg).expect("parse");
-        let mcus = parsed.frame.mcu_count() as u32;
-        let mut coefs_ref = CoefPlanes::for_frame(&parsed.frame);
-        let mut coefs_fast = CoefPlanes::for_frame(&parsed.frame);
-        let mut reference = ScanDecoder::new_reference(jpeg, &parsed).expect("tables");
-        let mut fast = ScanDecoder::new(jpeg, &parsed).expect("tables");
-        for m in 1..=mcus {
-            reference.decode_to(m, &mut coefs_ref).expect("reference");
-            fast.decode_to(m, &mut coefs_fast).expect("fast");
-            assert_eq!(
-                reference.handover(),
-                fast.handover(),
-                "file {i}: handover diverged at mcu {m}"
-            );
-        }
-        assert!(coefs_ref == coefs_fast, "file {i}: coefficients diverged");
-        let end_ref = reference.finish().expect("reference end");
-        let end_fast = fast.finish().expect("fast end");
-        assert_eq!(end_ref.pad, end_fast.pad, "file {i}");
-        assert_eq!(end_ref.rst_count, end_fast.rst_count, "file {i}");
-        assert_eq!(end_ref.scan_end, end_fast.scan_end, "file {i}");
-        assert_eq!(end_ref.stats, end_fast.stats, "file {i}");
+        assert!(
+            assert_decoders_agree(jpeg, &format!("file {i}")),
+            "file {i} decodes"
+        );
     }
 }
 
@@ -111,6 +138,7 @@ proptest! {
         .remove(0)
         .data;
         let hostile = mutate(&jpeg, MutationKind::ALL[kind_idx], mut_seed);
+        assert_decoders_agree(&hostile, "hostile input");
 
         let engine = Engine::new(3);
         let inline = run_path(&engine, 1, &hostile);

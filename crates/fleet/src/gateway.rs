@@ -552,9 +552,21 @@ impl FleetGateway {
     /// The strictly serial read path: one replica at a time, in ring
     /// order.
     fn get_serial(&self, key: &Digest, members: &[usize]) -> Result<Option<Vec<u8>>, FleetError> {
-        let mut outcomes: Vec<(usize, ReadOutcome)> = Vec::with_capacity(members.len());
-        let mut last: Option<ClientError> = None;
-        let mut pos = 0usize;
+        self.read_remaining(key, members, 0, Vec::with_capacity(members.len()), None)
+    }
+
+    /// Walk the admitted replicas from `pos` on, one at a time in ring
+    /// order, serving the first verified answer; if none serves, give
+    /// the exhaustion answer over every outcome so far. `outcomes` and
+    /// `last` carry what earlier attempts (the hedged pair) recorded.
+    fn read_remaining(
+        &self,
+        key: &Digest,
+        members: &[usize],
+        mut pos: usize,
+        mut outcomes: Vec<(usize, ReadOutcome)>,
+        mut last: Option<ClientError>,
+    ) -> Result<Option<Vec<u8>>, FleetError> {
         while let Some(m) = self.next_admitted(members, &mut pos, &mut outcomes) {
             match self.classify_read(m, key, self.attempt_read(m, key)) {
                 Ok(bytes) => return self.serve_read(key, bytes, &outcomes),
@@ -643,18 +655,7 @@ impl FleetGateway {
 
         // Both hedge attempts completed without a serve: walk the
         // remaining replicas serially.
-        while let Some(m) = self.next_admitted(members, &mut pos, &mut outcomes) {
-            match self.classify_read(m, key, self.attempt_read(m, key)) {
-                Ok(bytes) => return self.serve_read(key, bytes, &outcomes),
-                Err((outcome, err)) => {
-                    outcomes.push((m, outcome));
-                    if err.is_some() {
-                        last = err;
-                    }
-                }
-            }
-        }
-        self.exhausted_read(key, &outcomes, last)
+        self.read_remaining(key, members, pos, outcomes, last)
     }
 
     /// Fire one read attempt on its own thread with fully owned data;

@@ -31,17 +31,6 @@ impl Plane {
         }
     }
 
-    /// Reshape this plane to a new geometry and zero every coefficient,
-    /// keeping the backing allocation when it is large enough. The
-    /// arena-reuse path: recycled planes are reset per file instead of
-    /// reallocated (the paper's §5.1 pre-allocation discipline).
-    pub fn reset(&mut self, blocks_w: usize, blocks_h: usize) {
-        self.blocks_w = blocks_w;
-        self.blocks_h = blocks_h;
-        self.data.clear();
-        self.data.resize(blocks_w * blocks_h * 64, 0);
-    }
-
     /// Borrow the block at block coordinates (`bx`, `by`).
     #[inline]
     pub fn block(&self, bx: usize, by: usize) -> &CoefBlock {
@@ -92,24 +81,6 @@ impl CoefPlanes {
                 .iter()
                 .map(|c| Plane::new(c.blocks_w, c.blocks_h))
                 .collect(),
-        }
-    }
-
-    /// No planes at all — a seed for [`Self::reset_for_frame`], which
-    /// grows it to the frame's geometry on first use.
-    pub fn empty() -> Self {
-        CoefPlanes { planes: Vec::new() }
-    }
-
-    /// Reshape recycled plane storage for `frame` and zero it, reusing
-    /// backing allocations where possible (see [`Plane::reset`]).
-    pub fn reset_for_frame(&mut self, frame: &crate::types::FrameInfo) {
-        self.planes.truncate(frame.components.len());
-        for (i, c) in frame.components.iter().enumerate() {
-            match self.planes.get_mut(i) {
-                Some(p) => p.reset(c.blocks_w, c.blocks_h),
-                None => self.planes.push(Plane::new(c.blocks_w, c.blocks_h)),
-            }
         }
     }
 

@@ -17,9 +17,11 @@
 //!   stuffing, restart markers, pad bits, and — crucially for Lepton —
 //!   the ability to *suspend and resume mid-byte* via
 //!   [`scan::Handover`]-style state ("Huffman handover words").
-//! * [`scan`] — scan decode (bytes → [`coeffs::CoefPlanes`]) and the
-//!   bit-exact scan encoder (planes → bytes), both resumable at arbitrary
-//!   MCU boundaries with explicit handover state.
+//! * [`scan`] — scan decode (bytes → [`coeffs::CoefBlock`]s in coding
+//!   order via [`scan::ScanDecoder`], or frame-shaped
+//!   [`coeffs::CoefPlanes`] via [`scan::decode_scan`]) and the bit-exact
+//!   scan encoder (planes → bytes), both resumable at arbitrary MCU
+//!   boundaries with explicit handover state.
 //! * [`dct`] — deterministic fixed-point IDCT (used by Lepton's DC
 //!   prediction) and a float FDCT for the pixel-level encoder.
 //! * [`encoder`] — a complete pixel-level baseline JPEG encoder

@@ -57,6 +57,17 @@ impl ParsedJpeg {
             .as_ref()
             .ok_or(JpegError::BadQuant("missing table"))
     }
+
+    /// Blocks one MCU of the scan codes (Σ h·v over the scan
+    /// components): the stride of the coding-order block sequence
+    /// [`crate::ScanDecoder`] writes and the Lepton segment walk reads.
+    pub fn blocks_per_mcu(&self) -> usize {
+        self.scan
+            .components
+            .iter()
+            .map(|sc| self.frame.blocks_per_mcu(sc.comp_index))
+            .sum()
+    }
 }
 
 fn read_u16(data: &[u8], pos: usize) -> Result<u16, JpegError> {

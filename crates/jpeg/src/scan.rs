@@ -1,8 +1,9 @@
 //! Scan decode and bit-exact scan re-encode, resumable at MCU
 //! boundaries.
 //!
-//! [`decode_scan`] turns the entropy-coded segment into coefficient
-//! planes and can snapshot [`Handover`] state before any MCU — the
+//! [`ScanDecoder`] turns the entropy-coded segment into coefficient
+//! blocks in coding order ([`decode_scan`] lays them out as planes) and
+//! can snapshot [`Handover`] state before any MCU — the
 //! "Huffman handover words" of paper §3.4. [`encode_scan`] regenerates
 //! the scan bytes for any MCU range from such a snapshot. The invariant
 //! the Lepton codec is built on:
@@ -136,6 +137,10 @@ fn is_edge_zigzag(k: usize) -> bool {
 struct BlockDecode<'t> {
     dc: &'t HuffTable,
     ac: &'t HuffTable,
+    /// The scan component's frame index (its DC predictor slot).
+    comp: usize,
+    /// Blocks it contributes to each MCU (h·v).
+    blocks: usize,
 }
 
 impl BlockDecode<'_> {
@@ -339,7 +344,12 @@ pub fn decode_block_for_tests(
     stats: &mut ScanStats,
     path: u8,
 ) -> Result<(), JpegError> {
-    let d = BlockDecode { dc, ac };
+    let d = BlockDecode {
+        dc,
+        ac,
+        comp: 0,
+        blocks: 1,
+    };
     if path == 0 {
         d.decode_ref(r, prev_dc, out, stats)
     } else {
@@ -363,15 +373,20 @@ pub struct ScanEnd {
 /// Stepwise scan decoder: decode MCU ranges on demand, snapshot
 /// [`Handover`] state at any boundary in between.
 ///
-/// This is the primitive the pipelined Lepton encoder drives — it
-/// decodes segment *i*'s MCUs, takes the end snapshot, hands segment
-/// *i* to the arithmetic-encode pool, and keeps decoding segment *i+1*
-/// while that job runs. [`decode_scan`]/[`decode_scan_into`] are thin
-/// drivers over this type.
+/// Blocks come out in **coding order** — per MCU, per scan component,
+/// `v` rows of `h` blocks — which is exactly the order the Lepton
+/// segment walk visits them, so a thread segment (an MCU range) is one
+/// contiguous run of blocks. The Lepton encoder drives this type over
+/// disjoint `split_at_mut` slices of one block buffer: it decodes
+/// segment *i*'s slice, takes the end snapshot, hands the slice to
+/// segment *i*'s arithmetic-encode job, and keeps decoding segment
+/// *i+1* into the rest while that job runs. [`decode_scan`] is a thin
+/// driver over it that lays the blocks out as frame-shaped planes.
 pub struct ScanDecoder<'a> {
     reader: ScanReader<'a>,
-    parsed: &'a ParsedJpeg,
     decoders: Vec<BlockDecode<'a>>,
+    /// Blocks per MCU ([`ParsedJpeg::blocks_per_mcu`]).
+    bpm: usize,
     prev_dc: [i16; 4],
     rst_count: u32,
     stats: ScanStats,
@@ -398,13 +413,15 @@ impl<'a> ScanDecoder<'a> {
                     ac: parsed.ac_tables[sc.ac_table as usize]
                         .as_ref()
                         .ok_or(JpegError::BadHuffman("missing AC table"))?,
+                    comp: sc.comp_index,
+                    blocks: parsed.frame.blocks_per_mcu(sc.comp_index),
                 })
             })
             .collect::<Result<_, JpegError>>()?;
         Ok(ScanDecoder {
             reader: ScanReader::new(data, parsed.header_len),
-            parsed,
             decoders,
+            bpm: parsed.blocks_per_mcu(),
             prev_dc: [0; 4],
             rst_count: 0,
             stats: ScanStats::default(),
@@ -445,14 +462,16 @@ impl<'a> ScanDecoder<'a> {
         }
     }
 
-    /// Decode MCUs `[self.mcu(), to_mcu)` into `coefs` (which must be
-    /// shaped for the frame and zeroed where not yet decoded; see
-    /// [`CoefPlanes::reset_for_frame`]). A no-op when `to_mcu` is not
-    /// ahead of the current position.
-    pub fn decode_to(&mut self, to_mcu: u32, coefs: &mut CoefPlanes) -> Result<(), JpegError> {
-        debug_assert!(to_mcu <= self.parsed.frame.mcu_count() as u32);
-        let frame = &self.parsed.frame;
-        while self.mcu < to_mcu {
+    /// Decode MCUs `[self.mcu(), to_mcu)` into `blocks` in coding order.
+    /// `blocks[0]` is the first block of MCU `self.mcu()`; the first
+    /// `(to_mcu - self.mcu()) ·` [`ParsedJpeg::blocks_per_mcu`] blocks
+    /// must arrive zeroed (only the DC and nonzero AC coefficients are
+    /// written) and any beyond them are left alone. Panics if `blocks`
+    /// is shorter than that. A no-op when `to_mcu` is not ahead of the
+    /// current position.
+    pub fn decode_to(&mut self, to_mcu: u32, blocks: &mut [CoefBlock]) -> Result<(), JpegError> {
+        let n = to_mcu.saturating_sub(self.mcu) as usize;
+        for mcu_blocks in blocks[..n * self.bpm].chunks_exact_mut(self.bpm) {
             let mcu = self.mcu;
             if self.interval > 0 && mcu > 0 && mcu.is_multiple_of(self.interval) {
                 let before = self.reader.bit_offset();
@@ -465,33 +484,14 @@ impl<'a> ScanDecoder<'a> {
                 // continue decoding without reset; the stored RST count
                 // reproduces this on re-encode.
             }
-            let (mx, my) = (
-                (mcu % frame.mcus_x as u32) as usize,
-                (mcu / frame.mcus_x as u32) as usize,
-            );
-            for (si, sc) in self.parsed.scan.components.iter().enumerate() {
-                let comp = &frame.components[sc.comp_index];
-                let (ch, cv) = (comp.h as usize, comp.v as usize);
-                for by in 0..cv {
-                    for bx in 0..ch {
-                        let (gx, gy) = (mx * ch + bx, my * cv + by);
-                        let plane = &mut coefs.planes[sc.comp_index];
-                        let out = plane.block_mut(gx, gy);
-                        if self.fast {
-                            self.decoders[si].decode_fast(
-                                &mut self.reader,
-                                &mut self.prev_dc[sc.comp_index],
-                                out,
-                                &mut self.stats,
-                            )?;
-                        } else {
-                            self.decoders[si].decode_ref(
-                                &mut self.reader,
-                                &mut self.prev_dc[sc.comp_index],
-                                out,
-                                &mut self.stats,
-                            )?;
-                        }
+            let mut out = mcu_blocks.iter_mut();
+            for d in &self.decoders {
+                let prev_dc = &mut self.prev_dc[d.comp];
+                for block in out.by_ref().take(d.blocks) {
+                    if self.fast {
+                        d.decode_fast(&mut self.reader, prev_dc, block, &mut self.stats)?;
+                    } else {
+                        d.decode_ref(&mut self.reader, prev_dc, block, &mut self.stats)?;
                     }
                 }
             }
@@ -521,38 +521,35 @@ impl<'a> ScanDecoder<'a> {
 /// Decode the entropy-coded scan of `parsed` (from `data`), snapshotting
 /// [`Handover`] state before each MCU index listed in `snapshot_at`
 /// (which must be sorted ascending, values ≤ MCU count).
+///
+/// The [`ScanDecoder`] writes each MCU's coding-order blocks into a
+/// one-MCU staging buffer, and they are copied to their plane positions
+/// from there — the planes are the only frame-sized storage.
 pub fn decode_scan(
     data: &[u8],
     parsed: &ParsedJpeg,
     snapshot_at: &[u32],
 ) -> Result<(ScanData, Vec<Handover>), JpegError> {
-    decode_scan_into(data, parsed, snapshot_at, CoefPlanes::empty())
-}
-
-/// [`decode_scan`] writing into caller-provided plane storage — the
-/// arena-reuse entry point (`coefs` is reshaped for the frame and
-/// zeroed, keeping its allocations). The planes come back inside the
-/// returned [`ScanData`].
-pub fn decode_scan_into(
-    data: &[u8],
-    parsed: &ParsedJpeg,
-    snapshot_at: &[u32],
-    mut coefs: CoefPlanes,
-) -> Result<(ScanData, Vec<Handover>), JpegError> {
     debug_assert!(snapshot_at.windows(2).all(|w| w[0] <= w[1]));
-    coefs.reset_for_frame(&parsed.frame);
     let mcu_count = parsed.frame.mcu_count() as u32;
+    let mut coefs = CoefPlanes::for_frame(&parsed.frame);
+    let mut staged = vec![[0i16; 64]; parsed.blocks_per_mcu()];
 
     let mut dec = ScanDecoder::new(data, parsed)?;
     let mut snapshots = Vec::with_capacity(snapshot_at.len());
-    for &target in snapshot_at {
+    let mut targets = snapshot_at.iter().map(|&t| t.min(mcu_count)).peekable();
+    for mcu in 0..mcu_count {
         // Snapshot before restart handling at the boundary: a segment
         // starting there is responsible for emitting the restart
         // marker itself (duplicate targets re-snapshot the same state).
-        dec.decode_to(target.min(mcu_count), &mut coefs)?;
-        snapshots.push(dec.handover());
+        while targets.next_if_eq(&mcu).is_some() {
+            snapshots.push(dec.handover());
+        }
+        staged.fill([0; 64]);
+        dec.decode_to(mcu + 1, &mut staged)?;
+        scatter_mcu(parsed, mcu, &staged, &mut coefs);
     }
-    dec.decode_to(mcu_count, &mut coefs)?;
+    snapshots.extend(targets.map(|_| dec.handover()));
     let end = dec.finish()?;
     Ok((
         ScanData {
@@ -564,6 +561,23 @@ pub fn decode_scan_into(
         },
         snapshots,
     ))
+}
+
+/// Copy MCU `mcu`'s coding-order blocks to their plane positions.
+fn scatter_mcu(parsed: &ParsedJpeg, mcu: u32, blocks: &[CoefBlock], coefs: &mut CoefPlanes) {
+    let frame = &parsed.frame;
+    let (mx, my) = (mcu as usize % frame.mcus_x, mcu as usize / frame.mcus_x);
+    let mut next = blocks.iter();
+    for sc in &parsed.scan.components {
+        let comp = &frame.components[sc.comp_index];
+        let (ch, cv) = (comp.h as usize, comp.v as usize);
+        for by in 0..cv {
+            for bx in 0..ch {
+                *coefs.planes[sc.comp_index].block_mut(mx * ch + bx, my * cv + by) =
+                    *next.next().expect("one block per position");
+            }
+        }
+    }
 }
 
 /// Huffman encoder for single blocks, usable standalone by the Lepton
@@ -911,13 +925,16 @@ mod path_equivalence_tests {
             let jpg = gray_jpeg(64, 16, interval);
             let parsed = crate::parse(&jpg).expect("parse");
             let mcus = parsed.frame.mcu_count() as u32;
-            let mut cref = CoefPlanes::for_frame(&parsed.frame);
-            let mut cfast = CoefPlanes::for_frame(&parsed.frame);
+            let bpm = parsed.blocks_per_mcu();
+            let mut cref = vec![[0i16; 64]; mcus as usize * bpm];
+            let mut cfast = cref.clone();
             let mut dref = ScanDecoder::new_reference(&jpg, &parsed).unwrap();
             let mut dfast = ScanDecoder::new(&jpg, &parsed).unwrap();
             for m in 1..=mcus {
-                dref.decode_to(m, &mut cref).expect("reference decode");
-                dfast.decode_to(m, &mut cfast).expect("fast decode");
+                let at = (m as usize - 1) * bpm;
+                dref.decode_to(m, &mut cref[at..])
+                    .expect("reference decode");
+                dfast.decode_to(m, &mut cfast[at..]).expect("fast decode");
                 assert_eq!(
                     dref.handover(),
                     dfast.handover(),

@@ -69,13 +69,6 @@ impl FrameInfo {
         let comp = &self.components[c];
         comp.h as usize * comp.v as usize
     }
-
-    /// Total blocks per MCU across all scan components.
-    pub fn total_blocks_per_mcu(&self) -> usize {
-        (0..self.components.len())
-            .map(|c| self.blocks_per_mcu(c))
-            .sum()
-    }
 }
 
 /// One component's entry in the scan header (SOS).
@@ -175,7 +168,6 @@ mod tests {
         };
         assert_eq!(frame.blocks_per_mcu(0), 4);
         assert_eq!(frame.blocks_per_mcu(1), 1);
-        assert_eq!(frame.total_blocks_per_mcu(), 6);
         assert_eq!(frame.mcu_count(), 16);
     }
 }
