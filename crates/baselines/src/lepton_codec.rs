@@ -32,17 +32,6 @@ impl LeptonCodec {
             },
         }
     }
-
-    /// Custom thread count (Figs. 7/8 sweeps).
-    pub fn with_threads(n: usize) -> Self {
-        LeptonCodec {
-            name: "Lepton",
-            opts: CompressOptions {
-                threads: ThreadPolicy::Fixed(n),
-                ..Default::default()
-            },
-        }
-    }
 }
 
 impl Codec for LeptonCodec {

@@ -2,7 +2,7 @@
 //! over the full §4 population (rejects included).
 
 use lepton_baselines::all_codecs;
-use lepton_bench::{bench_file_count, header, mbps, mixed_corpus, timed};
+use lepton_bench::{bench_file_count, header, mixed_corpus, timed};
 use lepton_obs::nearest_rank;
 
 fn main() {
@@ -42,5 +42,4 @@ fn main() {
     }
     println!("\nnote: Lepton/PAQ encode times include the production round-trip");
     println!("verification (admission rule); the others do not verify.");
-    let _ = mbps(0, 1.0);
 }

@@ -2,82 +2,26 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the
 //! paper's evaluation (see DESIGN.md §3 for the index). This library
-//! provides what they share: a peak-tracking global allocator (Fig. 3),
-//! corpus construction at benchmark scale, timing helpers, and simple
-//! text "plots".
+//! provides what they share: a reader of the process's peak resident
+//! memory (Fig. 3), corpus construction at benchmark scale, timing
+//! helpers, and simple text "plots".
 
 pub mod json;
 
 use lepton_corpus::{Corpus, CorpusSpec};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// A `System`-backed allocator that tracks live and peak bytes, used to
-/// reproduce Fig. 3's max-resident-memory comparison. Install in a
-/// binary with:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: lepton_bench::TrackingAlloc = lepton_bench::TrackingAlloc::new();
-/// ```
-pub struct TrackingAlloc {
-    live: AtomicUsize,
-    peak: AtomicUsize,
+/// This process's peak resident set (`VmHWM`) in KiB, or `None` where
+/// `/proc/self/status` is absent or has no such line. Fig. 3 reads it
+/// before and after one operation in a fresh process.
+pub fn vm_hwm_kib() -> Option<u64> {
+    parse_vm_hwm_kib(&std::fs::read_to_string("/proc/self/status").ok()?)
 }
 
-impl TrackingAlloc {
-    /// Const-initializable.
-    pub const fn new() -> Self {
-        TrackingAlloc {
-            live: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-        }
-    }
-
-    /// Reset the peak to the current live size.
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak bytes since the last reset.
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Live bytes now.
-    pub fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for TrackingAlloc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// SAFETY: delegates to `System`; the bookkeeping uses only atomics.
-unsafe impl GlobalAlloc for TrackingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `alloc` contract (a non-zero-size
-        // `layout`) is exactly `System`'s.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = self.live.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            self.peak.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's `dealloc` contract (`ptr` came from this
-        // allocator's `alloc` with `layout`) is exactly `System`'s, and
-        // `alloc` only ever hands out `System` blocks.
-        unsafe { System.dealloc(ptr, layout) };
-        self.live.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
+/// The `VmHWM:` value of a `/proc/<pid>/status` text, in KiB.
+fn parse_vm_hwm_kib(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Iteration budget for harness runs, overridable via
@@ -168,6 +112,20 @@ mod tests {
         let c = bench_corpus(3, 128, 1);
         assert_eq!(c.len(), 3);
         assert!(c.iter().all(|f| f.starts_with(&[0xFF, 0xD8])));
+    }
+
+    #[test]
+    fn vm_hwm_parses_proc_status() {
+        let sample =
+            "Name:\tfig3_memory\nVmPeak:\t   20480 kB\nVmHWM:\t    6144 kB\nVmRSS:\t    5120 kB\n";
+        assert_eq!(parse_vm_hwm_kib(sample), Some(6144));
+        assert_eq!(parse_vm_hwm_kib("Name:\tx\nVmRSS:\t    5120 kB\n"), None);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn vm_hwm_is_live_on_linux() {
+        assert!(vm_hwm_kib().is_some_and(|kib| kib > 0));
     }
 
     #[test]

@@ -621,43 +621,44 @@ fn decode_segments(
     // within the in-flight output.
     let cancel = AtomicBool::new(false);
     let mut results: Vec<Option<Result<usize, DecodeError>>> = (0..nseg).map(|_| None).collect();
-    let mut receivers = Vec::with_capacity(nseg);
-    let guard = engine.open_batch();
-    for ((i, stream), slot) in streams.into_iter().enumerate().zip(results.iter_mut()) {
-        let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
-        receivers.push(rx);
-        let seg: &SegmentInfo = &header.segments[i];
-        let (huff, cancel) = (&huff, &cancel);
-        guard.push(Box::new(move |scratch: &mut Scratch| {
-            let tx = PoolSink { tx, cancel };
-            *slot = Some(decode_segment_job(
-                scratch, parsed, huff, header, seg, stream, model_cfg, tx, meter,
-            ));
-        }));
-    }
+    let slots = results.iter_mut();
+    let (huff, cancel) = (&huff, &cancel);
+    let (forwarded, refused) = engine.scope(|batch| {
+        let mut receivers = Vec::with_capacity(nseg);
+        for ((stream, seg), slot) in streams.into_iter().zip(&header.segments).zip(slots) {
+            let (tx, rx) = std::sync::mpsc::channel::<Vec<u8>>();
+            receivers.push(rx);
+            batch.push(Box::new(move |scratch: &mut Scratch| {
+                let tx = PoolSink { tx, cancel };
+                *slot = Some(decode_segment_job(
+                    scratch, parsed, huff, header, seg, stream, model_cfg, tx, meter,
+                ));
+            }));
+        }
 
-    let mut forwarded = 0usize;
-    let mut refused = None;
-    'drain: for (rx, seg) in receivers.into_iter().zip(&header.segments) {
-        let before = forwarded;
-        for chunk in rx {
-            if let Err(e) = sink.write(&chunk) {
-                refused = Some(e);
+        let mut forwarded = 0usize;
+        let mut refused = None;
+        'drain: for (rx, seg) in receivers.into_iter().zip(&header.segments) {
+            let before = forwarded;
+            for chunk in rx {
+                if let Err(e) = sink.write(&chunk) {
+                    refused = Some(e);
+                    break 'drain;
+                }
+                forwarded += chunk.len();
+            }
+            // A short segment means its job failed (the error is in its
+            // result slot): what follows it would land at wrong offsets.
+            if (forwarded - before) as u64 != seg.out_bytes {
                 break 'drain;
             }
-            forwarded += chunk.len();
         }
-        // A short segment means its job failed (the error is in its
-        // result slot): what follows it would land at wrong offsets.
-        if (forwarded - before) as u64 != seg.out_bytes {
-            break 'drain;
-        }
-    }
-    // Either everything was forwarded and the jobs are done, or the
-    // rest is unwanted: running walks stop at their next MCU and queued
-    // jobs return on entry, so the join is prompt.
-    cancel.store(true, Ordering::Relaxed);
-    guard.join();
+        // Either everything was forwarded and the jobs are done, or the
+        // rest is unwanted: running walks stop at their next MCU and
+        // queued jobs return on entry, so the scope's wait is prompt.
+        cancel.store(true, Ordering::Relaxed);
+        (forwarded, refused)
+    });
     if let Some(e) = refused {
         return Err(DecodeError::Sink(e));
     }

@@ -286,14 +286,14 @@ fn compress_file(
     let mut results: Vec<Option<SegmentResult>> = (0..nseg).map(|_| None).collect();
     let mut handovers: Vec<Handover> = Vec::with_capacity(nseg + 1);
 
-    let end = {
-        let batch = engine.open_batch();
-        // Any error still drains the batch (below) before propagating,
-        // so in-flight jobs never outlive the borrows they capture.
+    // Jobs borrow their block slice and result slot for the whole
+    // scope, so both are split off outside it.
+    let mut rest = &mut blocks[..];
+    let slots = results.iter_mut();
+    let end = engine.scope(|batch| {
         let run = (|| -> Result<ScanEnd, LeptonError> {
             let mut dec = ScanDecoder::new(jpeg, parsed)?;
-            let mut rest = &mut blocks[..];
-            for (i, slot) in results.iter_mut().enumerate() {
+            for (i, slot) in slots.enumerate() {
                 let (start, end) = (bounds[i], bounds[i + 1]);
                 handovers.push(dec.handover());
                 let len = (end - start) as usize * bpm;
@@ -306,7 +306,7 @@ fn compress_file(
                     lepton_obs::mark_stage("scan_decode");
                 }
                 let seg: &[CoefBlock] = seg;
-                dispatch(engine, &batch, nseg, move |scratch| {
+                dispatch(engine, batch, nseg, move |scratch| {
                     encode_segment_job(scratch, seg, parsed, start, end, model_cfg, slot, meter);
                 });
             }
@@ -314,11 +314,10 @@ fn compress_file(
             Ok(dec.finish()?)
         })();
         // Decode finished (or failed): help drain the remaining encode
-        // jobs, then wait for stragglers on other workers.
+        // jobs; the scope waits for stragglers on other workers.
         batch.participate();
-        batch.join();
         run
-    };
+    });
     engine.checkin_blocks(blocks);
     let end = end?;
 
@@ -345,10 +344,10 @@ fn compress_file(
 
 /// Run one segment's encode `job`: inline on the caller when it is its
 /// chunk's only segment (no queue handoff — the common small-file
-/// path), otherwise queued on `batch`, which the caller joins.
+/// path), otherwise queued on `batch`, whose scope waits for it.
 fn dispatch<'env>(
     engine: &Engine,
-    batch: &BatchGuard<'_>,
+    batch: &BatchGuard<'_, 'env>,
     nseg: usize,
     job: impl FnOnce(&mut Scratch) + Send + 'env,
 ) {
@@ -571,16 +570,17 @@ fn build_container(
     let bpm = parsed.blocks_per_mcu();
     let model_cfg = opts.model;
     let mut results: Vec<Option<SegmentResult>> = (0..nseg).map(|_| None).collect();
-    let batch = engine.open_batch();
-    for (i, slot) in results.iter_mut().enumerate() {
-        let (start, end) = (spec.bounds[i], spec.bounds[i + 1]);
-        let seg = &blocks[start as usize * bpm..end as usize * bpm];
-        dispatch(engine, &batch, nseg, move |scratch| {
-            encode_segment_job(scratch, seg, parsed, start, end, model_cfg, slot, meter);
-        });
-    }
-    batch.participate();
-    batch.join();
+    let slots = results.iter_mut();
+    engine.scope(|batch| {
+        for (i, slot) in slots.enumerate() {
+            let (start, end) = (spec.bounds[i], spec.bounds[i + 1]);
+            let seg = &blocks[start as usize * bpm..end as usize * bpm];
+            dispatch(engine, batch, nseg, move |scratch| {
+                encode_segment_job(scratch, seg, parsed, start, end, model_cfg, slot, meter);
+            });
+        }
+        batch.participate();
+    });
 
     let (streams, cat_total) = collect_segment_results(results)?;
     assemble_container(jpeg, parsed, spec, streams, cat_total)

@@ -14,10 +14,11 @@
 //!   `core/tests/engine_reuse.rs` enforces that byte-for-byte.
 //! * Segment jobs from `compress`/`decompress` are queued to the pool
 //!   instead of spawning `std::thread::scope` threads per call, through
-//!   one enqueue path: open a batch (`Engine::open_batch`) and push
-//!   jobs into it as they become ready (`BatchGuard::push`). Batches
-//!   are FIFO: segment jobs start in segment order, which is what lets
-//!   the decode path bound its in-order drain buffers.
+//!   one enqueue path shaped like it: `Engine::scope` opens a batch and
+//!   its closure pushes jobs as they become ready (`BatchGuard::push`);
+//!   the scope returns only after every job has finished. Batches are
+//!   FIFO: segment jobs start in segment order, which is what lets the
+//!   decode path bound its in-order drain buffers.
 //! * Single-segment work runs inline on the calling thread with a
 //!   checked-out arena — the common small-file path pays no handoff.
 //! * The encoder's coding-order block buffer (the whole file's
@@ -37,7 +38,8 @@ use lepton_jpeg::CoefBlock;
 use lepton_model::{ComponentModel, ModelConfig};
 use lepton_obs::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -62,7 +64,7 @@ pub struct EngineMetrics {
     pub busy_us: Arc<Counter>,
     /// Pooled jobs executed to completion (panic or not).
     pub jobs_completed: Arc<Counter>,
-    /// Jobs that panicked (also flagged per batch at `join`).
+    /// Jobs that panicked (also re-raised by their batch's scope).
     pub jobs_panicked: Arc<Counter>,
     /// Single-segment fast-path closures run inline on caller threads.
     pub inline_jobs: Arc<Counter>,
@@ -100,7 +102,7 @@ impl EngineMetrics {
 }
 
 /// A lifetime-erased job: runs on some executor with that executor's
-/// scratch arena. See the safety contract on [`BatchGuard::push`].
+/// scratch arena. See the safety argument in [`BatchGuard::push`].
 type Job = Box<dyn FnOnce(&mut Scratch) + Send + 'static>;
 
 /// A borrowed-environment job as pushed by the encoder/decoder (erased
@@ -175,36 +177,32 @@ impl Batch {
     }
 }
 
-/// Guard for an open batch. **Always joins**: both [`join`] and `Drop`
-/// block until every job of the batch has finished running, which is
-/// what makes the lifetime erasure in [`BatchGuard::push`] sound even
-/// when the caller unwinds mid-drain.
-pub(crate) struct BatchGuard<'e> {
+/// The handle jobs are pushed through inside [`Engine::scope`], in the
+/// shape of [`std::thread::Scope`]: `'e` is the engine borrow and
+/// `'env` the environment jobs may borrow from — data that outlives
+/// the `scope` call. The guard is invariant in `'env`, so it cannot be
+/// coerced to accept jobs that borrow anything shorter-lived.
+pub(crate) struct BatchGuard<'e, 'env> {
     batch: Arc<Batch>,
     engine: &'e Engine,
+    env: PhantomData<&'env mut &'env ()>,
 }
 
-impl BatchGuard<'_> {
+impl<'env> BatchGuard<'_, 'env> {
     /// Queue one job on the pool — the engine's only enqueue path. Jobs
     /// start in push (= segment) order.
-    ///
-    /// SAFETY CONTRACT (why the lifetime erasure is sound): the guard
-    /// blocks until every pushed job has finished — in [`join`], or in
-    /// `Drop` if the caller unwinds — and jobs only run before that
-    /// point, so borrowed state captured by a job strictly outlives
-    /// every use. Callers must keep the guard on the stack (never
-    /// `mem::forget` it) and must not touch state a pushed job borrows
-    /// until after `join`.
-    ///
-    /// [`join`]: BatchGuard::join
-    pub(crate) fn push<'env>(&self, job: EnvJob<'env>) {
-        // SAFETY: see the contract above.
-        let job: Job = unsafe {
-            std::mem::transmute::<
-                Box<dyn FnOnce(&mut Scratch) + Send + 'env>,
-                Box<dyn FnOnce(&mut Scratch) + Send + 'static>,
-            >(job)
-        };
+    #[allow(unsafe_code)]
+    pub(crate) fn push(&self, job: EnvJob<'env>) {
+        // SAFETY: the job only runs before its batch's `pending` count
+        // reaches zero, and `Engine::scope` — the only constructor of
+        // this guard (its fields are private to this module), which
+        // owns it and hands out only a borrow — waits for exactly that
+        // before it returns or resumes an unwind. `'env` is a lifetime
+        // parameter of `scope`, so everything the job borrows outlives
+        // that wait, and the guard's invariance keeps `'env` from being
+        // shortened. `Batch::execute` catches job panics, so `pending`
+        // always falls.
+        let job = unsafe { std::mem::transmute::<EnvJob<'env>, Job>(job) };
         {
             // Account the job before making it runnable so `pending`
             // can never underflow.
@@ -246,27 +244,6 @@ impl BatchGuard<'_> {
                 None => break,
             }
         }
-    }
-
-    /// Wait for completion and propagate any job panic (mirrors the
-    /// `join().expect(..)` of the scoped-thread implementation this
-    /// pool replaces).
-    pub(crate) fn join(self) {
-        self.batch.wait();
-        if self.batch.panicked.load(Ordering::Relaxed) {
-            panic!("codec engine job panicked");
-        }
-    }
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        // Unwind path: jobs may still be running against borrowed data;
-        // block until they are done. Receivers the unwinding caller
-        // dropped fail the producer jobs' next send, which stops their
-        // walks, so this terminates. No re-panic here — `join` reports
-        // it.
-        self.batch.wait();
     }
 }
 
@@ -478,16 +455,28 @@ impl Engine {
         crate::decoder::decompress_into_on(self, data, opts, sink)
     }
 
-    /// Open an empty batch; jobs join it one at a time through
-    /// [`BatchGuard::push`] as they become ready (the encoder pushes
-    /// segment *i* the moment the serial scan decode passes its end
-    /// boundary; the decoder pushes every segment up front). The guard
-    /// always joins — see the contract on `push`.
-    pub(crate) fn open_batch(&self) -> BatchGuard<'_> {
-        BatchGuard {
+    /// Run `f` with a fresh batch, in the shape of
+    /// [`std::thread::scope`]: `f` pushes jobs as they become ready, and
+    /// jobs may borrow anything that outlives this call. Returns only
+    /// once every pushed job has finished, also when `f` unwinds; then
+    /// re-raises `f`'s panic or a job's.
+    pub(crate) fn scope<'env, R>(&self, f: impl FnOnce(&BatchGuard<'_, 'env>) -> R) -> R {
+        let guard = BatchGuard {
             batch: Arc::default(),
             engine: self,
-        }
+            env: PhantomData,
+        };
+        let r = catch_unwind(AssertUnwindSafe(|| f(&guard)));
+        // Jobs may still be running against borrowed data. If `f`
+        // unwound, receivers it dropped fail the producer jobs' next
+        // send, which stops their walks, so this terminates.
+        guard.batch.wait();
+        let r = r.unwrap_or_else(|payload| resume_unwind(payload));
+        assert!(
+            !guard.batch.panicked.load(Ordering::Relaxed),
+            "codec engine job panicked"
+        );
+        r
     }
 
     /// Run one closure inline on the calling thread with a pooled
@@ -594,23 +583,22 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     /// Push `n` jobs that each bump `counter`.
-    fn push_counting<'e>(engine: &'e Engine, counter: &AtomicUsize, n: usize) -> BatchGuard<'e> {
-        let guard = engine.open_batch();
+    fn push_counting<'env>(batch: &BatchGuard<'_, 'env>, counter: &'env AtomicUsize, n: usize) {
         for _ in 0..n {
-            guard.push(Box::new(|_: &mut Scratch| {
+            batch.push(Box::new(|_: &mut Scratch| {
                 counter.fetch_add(1, Ordering::Relaxed);
             }));
         }
-        guard
     }
 
     #[test]
     fn batch_runs_all_jobs_and_joins() {
         let engine = Engine::new(3);
         let counter = AtomicUsize::new(0);
-        let guard = push_counting(&engine, &counter, 16);
-        guard.participate();
-        guard.join();
+        engine.scope(|batch| {
+            push_counting(batch, &counter, 16);
+            batch.participate();
+        });
         assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
@@ -627,18 +615,18 @@ mod tests {
     }
 
     #[test]
-    fn open_batch_runs_incremental_pushes_in_order() {
+    fn scope_runs_incremental_pushes_in_order() {
         let engine = Engine::new(2);
         let log = Mutex::new(Vec::new());
-        let guard = engine.open_batch();
-        for i in 0..12 {
-            let log = &log;
-            guard.push(Box::new(move |_: &mut Scratch| {
-                log.lock().expect("log").push(i);
-            }));
-        }
-        guard.participate();
-        guard.join();
+        engine.scope(|batch| {
+            for i in 0..12 {
+                let log = &log;
+                batch.push(Box::new(move |_: &mut Scratch| {
+                    log.lock().expect("log").push(i);
+                }));
+            }
+            batch.participate();
+        });
         let mut got = log.into_inner().expect("log");
         // All jobs ran exactly once (start order is FIFO; completion
         // order may interleave across workers).
@@ -647,27 +635,50 @@ mod tests {
     }
 
     #[test]
-    fn open_batch_join_on_empty_batch_returns() {
+    fn scope_on_empty_batch_returns() {
         let engine = Engine::new(1);
-        engine.open_batch().join(); // must not hang
+        engine.scope(|_| {}); // must not hang
     }
 
     #[test]
     #[should_panic(expected = "codec engine job panicked")]
     fn job_panic_propagates_to_join() {
         let engine = Engine::new(2);
-        let guard = engine.open_batch();
-        guard.push(Box::new(|_: &mut Scratch| {}));
-        guard.push(Box::new(|_: &mut Scratch| panic!("boom")));
-        guard.join();
+        engine.scope(|batch| {
+            batch.push(Box::new(|_: &mut Scratch| {}));
+            batch.push(Box::new(|_: &mut Scratch| panic!("boom")));
+        });
     }
 
     #[test]
     fn workers_drain_without_participation() {
         let engine = Engine::new(2);
         let counter = AtomicUsize::new(0);
-        push_counting(&engine, &counter, 8).join();
+        engine.scope(|batch| push_counting(batch, &counter, 8));
         assert_eq!(counter.load(Ordering::Relaxed), 8);
+    }
+
+    /// A caller that unwinds mid-batch still waits for every job it
+    /// pushed: the jobs borrow `counter`, which the unwind would
+    /// otherwise free under them. (`resume_unwind` skips the panic hook,
+    /// whose backtrace printing could outlast the jobs' sleeps.)
+    #[test]
+    fn scope_waits_for_jobs_when_the_caller_unwinds() {
+        let engine = Engine::new(2);
+        let counter = AtomicUsize::new(0);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            engine.scope(|batch| {
+                for _ in 0..6 {
+                    batch.push(Box::new(|_: &mut Scratch| {
+                        std::thread::sleep(Duration::from_millis(5));
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }));
+                }
+                resume_unwind(Box::new("caller unwinds"))
+            })
+        }));
+        assert!(r.is_err());
+        assert_eq!(counter.load(Ordering::Relaxed), 6);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl SimdLevel {
             SimdLevel::Avx2 => "avx2",
         }
     }
-
-    /// Numeric form for a gauge metric: 0 scalar, 1 sse2, 2 avx2.
-    pub fn as_gauge(self) -> i64 {
-        self as i64
-    }
 }
 
 /// The host's level, from hardware detection alone.
@@ -71,12 +66,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_names_and_gauges_are_stable() {
+    fn level_names_are_stable() {
         assert_eq!(SimdLevel::Scalar.as_str(), "scalar");
         assert_eq!(SimdLevel::Sse2.as_str(), "sse2");
         assert_eq!(SimdLevel::Avx2.as_str(), "avx2");
-        assert_eq!(SimdLevel::Scalar.as_gauge(), 0);
-        assert_eq!(SimdLevel::Avx2.as_gauge(), 2);
     }
 
     #[test]
