@@ -272,6 +272,15 @@ impl BoolEncoder {
     pub fn bytes_so_far(&self) -> usize {
         self.out.len()
     }
+
+    /// The emitted bytes, which are final: a carry resolves into the
+    /// cached byte and its pending `0xFF` run *before* they are pushed,
+    /// so nothing already here changes again. They are a prefix of
+    /// [`finish`](Self::finish)'s output, readable while encoding goes
+    /// on — a decoder can consume a stream as it is written.
+    pub fn settled(&self) -> &[u8] {
+        &self.out
+    }
 }
 
 /// Refill-window size for [`BoolDecoder`]'s internal byte buffer. One
@@ -513,6 +522,24 @@ mod tests {
                 _ => dec.get_uniform(),
             };
             assert_eq!(got, bit);
+        }
+    }
+
+    #[test]
+    fn settled_bytes_are_a_prefix_of_the_finished_stream() {
+        // Improbable symbols force long 0xFF runs and carries into them:
+        // every snapshot taken mid-stream must survive into the output.
+        let mut enc = BoolEncoder::new();
+        let mut snapshots = Vec::new();
+        for i in 0..20_000u32 {
+            enc.put_with_prob(i % 3 != 0, 65535 - (i % 7) as u16);
+            if i % 97 == 0 {
+                snapshots.push(enc.settled().to_vec());
+            }
+        }
+        let bytes = enc.finish();
+        for s in snapshots {
+            assert!(bytes.starts_with(&s), "a settled byte changed");
         }
     }
 

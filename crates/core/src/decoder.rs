@@ -10,7 +10,10 @@
 //! (time-to-first-byte, §1).
 //!
 //! Segment jobs run on the pre-spawned [`Engine`] pool with per-worker
-//! model arenas (reset, not reallocated, between jobs). The
+//! model arenas (reset, not reallocated, between jobs). The segment
+//! job is generic over its byte source and its sink, so the encoder's
+//! admission verify runs this same loop on a stream still being
+//! written, into a sink that compares instead of storing. The
 //! single-segment case — most small files — runs inline on the calling
 //! thread and pushes bytes straight into the sink: no queue handoff, no
 //! channel, and streaming latency identical to the multithreaded path.
@@ -20,7 +23,7 @@ use crate::engine::{Engine, Scratch};
 use crate::error::LeptonError;
 use crate::format::{packets, read_container, Container, ContainerHeader, SegmentInfo};
 use crate::security::{JobMeter, ResourceBudget};
-use lepton_arith::{BoolDecoder, VecSource};
+use lepton_arith::{BoolDecoder, ByteSource, VecSource};
 use lepton_jpeg::bitio::ScanWriter;
 use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
 use lepton_jpeg::scan::ScanEncoders;
@@ -114,8 +117,9 @@ impl std::error::Error for DecodeError {}
 /// never block holding a shared pool worker (a stalled consumer would
 /// then starve unrelated codec calls), so buffering is bounded by the
 /// in-flight file's output instead of a channel cap. The inline
-/// single-segment path writes straight into the caller's sink.
-trait SegSink {
+/// single-segment path writes straight into the caller's sink, and the
+/// encoder's admission verify compares against its input.
+pub(crate) trait SegSink {
     /// Forward `bytes`; an error means the consumer refused them and
     /// the walk must stop.
     fn send(&mut self, bytes: Vec<u8>) -> io::Result<()>;
@@ -166,12 +170,12 @@ impl SegSink for DirectSink<'_> {
 /// Decode one thread segment: model-decode each block and Huffman-encode
 /// it into the resumable scan writer, draining output incrementally.
 /// The model pair is borrowed from the executing worker's arena.
-struct SegDecoder<'a, T: SegSink> {
+struct SegDecoder<'a, S: ByteSource, T: SegSink> {
     parsed: &'a ParsedJpeg,
     /// Per-component Huffman encoders, resolved once per container
     /// (not per segment job) and shared by every segment.
     huff: &'a ScanEncoders<'a>,
-    dec: BoolDecoder<VecSource>,
+    dec: BoolDecoder<S>,
     models: &'a mut [ComponentModel; 2],
     writer: ScanWriter,
     prev_dc: [i16; 4],
@@ -185,7 +189,7 @@ struct SegDecoder<'a, T: SegSink> {
     tx: T,
 }
 
-impl<T: SegSink> SegDecoder<'_, T> {
+impl<S: ByteSource, T: SegSink> SegDecoder<'_, S, T> {
     /// Forward the writer's completed bytes once enough are pending
     /// (`force`: whatever is pending). A refusal — of this fragment, or
     /// of another segment's — is the error that stops the walk.
@@ -213,7 +217,7 @@ impl<T: SegSink> SegDecoder<'_, T> {
     }
 }
 
-impl<T: SegSink> BlockOp for SegDecoder<'_, T> {
+impl<S: ByteSource, T: SegSink> BlockOp for SegDecoder<'_, S, T> {
     type Error = DecodeError;
 
     fn mcu_start(&mut self, mcu: u32) -> Result<(), DecodeError> {
@@ -383,7 +387,7 @@ pub(crate) fn decompress_into_on(
 /// budget charges for what the header declares, the JPEG header parse,
 /// and the segment table's agreement with the image and with the
 /// declared total. Returns the parsed header and the job's open meter.
-fn admit(
+pub(crate) fn admit(
     header: &ContainerHeader,
     opts: &DecompressOptions,
 ) -> Result<(ParsedJpeg, JobMeter), LeptonError> {
@@ -450,7 +454,10 @@ fn admit(
 
 /// Split the interleaved arithmetic section into per-segment streams,
 /// charged to the job's meter.
-fn demux(container: &Container<'_>, meter: &JobMeter) -> Result<Vec<Vec<u8>>, LeptonError> {
+pub(crate) fn demux(
+    container: &Container<'_>,
+    meter: &JobMeter,
+) -> Result<Vec<Vec<u8>>, LeptonError> {
     // The per-segment `arith_bytes` fields are attacker-declared u64s
     // feeding `Vec::with_capacity`: charge the meter with the declared
     // total *before* allocating, so a length-field lie aborts with a
@@ -519,16 +526,18 @@ fn decompress_traced(
     Ok(())
 }
 
-/// Decode one segment with the executor's arena, forwarding produced
-/// bytes through `tx`. Returns the bytes sent.
+/// Decode one segment with the executor's arena from the arithmetic
+/// stream `src` — a demuxed buffer, or (admission verify) a stream its
+/// encoder is still writing — forwarding produced bytes through `tx`.
+/// Returns the bytes sent.
 #[allow(clippy::too_many_arguments)]
-fn decode_segment_job<T: SegSink>(
+pub(crate) fn decode_segment_job<S: ByteSource, T: SegSink>(
     scratch: &mut Scratch,
     parsed: &ParsedJpeg,
     huff: &ScanEncoders<'_>,
     header: &ContainerHeader,
     seg: &SegmentInfo,
-    stream: Vec<u8>,
+    src: S,
     model_cfg: ModelConfig,
     tx: T,
     meter: &JobMeter,
@@ -548,7 +557,7 @@ fn decode_segment_job<T: SegSink>(
     let mut op = SegDecoder {
         parsed,
         huff,
-        dec: BoolDecoder::new(VecSource::new(stream)),
+        dec: BoolDecoder::new(src),
         models,
         writer: ScanWriter::resume(handover.partial, handover.bits_used),
         prev_dc: handover.prev_dc,
@@ -603,7 +612,7 @@ fn decode_segments(
                 &huff,
                 header,
                 seg,
-                stream,
+                VecSource::new(stream),
                 model_cfg,
                 DirectSink { sink },
                 meter,
@@ -630,8 +639,9 @@ fn decode_segments(
             receivers.push(rx);
             batch.push(Box::new(move |scratch: &mut Scratch| {
                 let tx = PoolSink { tx, cancel };
+                let src = VecSource::new(stream);
                 *slot = Some(decode_segment_job(
-                    scratch, parsed, huff, header, seg, stream, model_cfg, tx, meter,
+                    scratch, parsed, huff, header, seg, src, model_cfg, tx, meter,
                 ));
             }));
         }
@@ -721,7 +731,7 @@ mod tests {
         let mcus = seg.mcu_end - seg.mcu_start;
         let mut scratch = Scratch::default();
         let mut run = |consumer: &mut GoneAfterOne| {
-            let stream = demux(&container, &meter).unwrap().remove(0);
+            let stream = VecSource::new(demux(&container, &meter).unwrap().remove(0));
             let cfg = ModelConfig::default();
             decode_segment_job(
                 &mut scratch,

@@ -21,6 +21,9 @@
 //!   decode path bound its in-order drain buffers.
 //! * Single-segment work runs inline on the calling thread with a
 //!   checked-out arena — the common small-file path pays no handoff.
+//!   A compression queues its segments' verify jobs first, so idle
+//!   workers verify while the caller encodes, and the caller
+//!   participates afterwards to run any verify job no worker took.
 //! * The encoder's coding-order block buffer (the whole file's
 //!   quantized coefficients, [`CoefBlock`]s in the order the scan codes
 //!   them) comes from a bounded pool rather than a fresh multi-megabyte
@@ -224,9 +227,10 @@ impl<'env> BatchGuard<'_, 'env> {
 
     /// Help execute this batch's jobs on the calling thread (with a
     /// checked-out arena) until none remain unstarted. Used by the
-    /// encode path; the decode path does *not* participate — its caller
-    /// is the in-order drain, and running a producer inline would stall
-    /// the drain and buffer whole segment outputs needlessly.
+    /// encode path, for its encode and verify jobs; the decode path
+    /// does *not* participate — its caller is the in-order drain, and
+    /// running a producer inline would stall the drain and buffer whole
+    /// segment outputs needlessly.
     pub(crate) fn participate(&self) {
         loop {
             let job = self.batch.jobs.lock().expect("batch lock").pop_front();

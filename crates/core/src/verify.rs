@@ -6,6 +6,12 @@
 //! deployment (§5.2, §5.7). This module is that machinery at library
 //! scale: single-shot verification, cross-decoder (1-thread vs
 //! N-thread) determinism checks, and a corpus qualification driver.
+//!
+//! `compress`'s own admission verify decodes each segment's stream
+//! while it is encoded and checks the assembly (see `encoder`).
+//! [`verify_roundtrip`] and [`qualify`] deliberately do not use it: they
+//! compress unverified and decode the whole finished container with
+//! `decompress`, an oracle independent of the streamed path.
 
 use crate::decoder::{decompress_opts, DecompressOptions};
 use crate::encoder::{compress_with_stats, CompressOptions, ThreadPolicy};

@@ -182,32 +182,39 @@ fn compress_fixed(
     )
 }
 
+/// What decoding `container` holds, in bytes: the output, the header
+/// parts, the demuxed arithmetic streams, and per segment a model pair
+/// plus the driver's row rings at their true sizes
+/// (`decode_working_set`, which the allocation tests in `driver` and
+/// `lepton_model` pin to the bytes actually allocated).
+fn decode_charge(container: &[u8]) -> usize {
+    use lepton_core::format::read_container;
+    use lepton_core::security::decode_working_set;
+    let header = read_container(container).unwrap().header;
+    let frame = lepton_jpeg::parse(&header.jpeg_header).unwrap().frame;
+    header.output_size as usize
+        + header.jpeg_header.len()
+        + header.prepend.len()
+        + header.append.len()
+        + header
+            .segments
+            .iter()
+            .map(|s| s.arith_bytes as usize)
+            .sum::<usize>()
+        + decode_working_set(&frame, header.segments.len())
+}
+
 #[test]
 fn decode_meter_charges_exactly_what_the_job_keeps() {
     // The meter's total for an honest container is the sum of what the
-    // decode really holds: the output, the header parts, the demuxed
-    // arithmetic streams, and per segment a model pair plus the
-    // driver's row rings at their true sizes (`decode_working_set`,
-    // which the allocation tests in `driver` and `lepton_model` pin to
-    // the bytes actually allocated). A budget of exactly that admits
-    // the file; one byte less is refused, reporting that figure.
+    // decode really holds (`decode_charge`). A budget of exactly that
+    // admits the file; one byte less is refused, reporting that figure.
     use lepton_core::format::read_container;
-    use lepton_core::security::decode_working_set;
     for (jpeg, segments) in exact_charge_cases() {
         let container = compress_fixed(&jpeg, segments, ResourceBudget::default()).unwrap();
         let header = read_container(&container).unwrap().header;
         assert_eq!(header.segments.len(), segments);
-        let frame = lepton_jpeg::parse(&header.jpeg_header).unwrap().frame;
-        let expected = header.output_size as usize
-            + header.jpeg_header.len()
-            + header.prepend.len()
-            + header.append.len()
-            + header
-                .segments
-                .iter()
-                .map(|s| s.arith_bytes as usize)
-                .sum::<usize>()
-            + decode_working_set(&frame, segments);
+        let expected = decode_charge(&container);
         let with_budget = |decode_bytes| DecompressOptions {
             budget: ResourceBudget {
                 decode_bytes,
@@ -222,6 +229,36 @@ fn decode_meter_charges_exactly_what_the_job_keeps() {
         match decompress_opts(&container, &with_budget(expected - 1)) {
             Err(LeptonError::BudgetExceeded { required, .. }) => assert_eq!(required, expected),
             other => panic!("expected a one-byte breach, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn admission_verify_charges_exactly_what_decompress_does() {
+    // The verify of `compress` decodes under the decode budget with the
+    // decoder's own charges: a budget of exactly what decompressing the
+    // container takes admits the file, byte-identically; one byte less
+    // is refused at the decode stage, reporting that figure.
+    for (jpeg, segments) in exact_charge_cases() {
+        let container = compress_fixed(&jpeg, segments, ResourceBudget::default()).unwrap();
+        let expected = decode_charge(&container);
+        let with_budget = |decode_bytes| ResourceBudget {
+            decode_bytes,
+            ..Default::default()
+        };
+        assert_eq!(
+            compress_fixed(&jpeg, segments, with_budget(expected)).unwrap(),
+            container,
+            "{segments} segments"
+        );
+        match compress_fixed(&jpeg, segments, with_budget(expected - 1)) {
+            Err(LeptonError::BudgetExceeded {
+                stage, required, ..
+            }) => {
+                assert_eq!(stage, BudgetStage::Decode);
+                assert_eq!(required, expected, "{segments} segments");
+            }
+            other => panic!("expected a one-byte decode breach, got {other:?}"),
         }
     }
 }

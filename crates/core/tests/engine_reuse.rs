@@ -71,7 +71,7 @@ fn reused_pool_matches_fresh_engine_byte_for_byte() {
             for policy in &policies {
                 let opts = CompressOptions {
                     threads: *policy,
-                    verify: round == 1, // round 1 also runs the verify decode inline
+                    verify: round == 1, // round 1 also runs the streamed verify jobs
                     ..Default::default()
                 };
                 let out = pool.compress(jpeg, &opts).expect("pooled compress");

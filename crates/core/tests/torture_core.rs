@@ -161,6 +161,78 @@ fn engine_paths_survive_the_matrix() {
     }
 }
 
+/// The committed golden JPEGs, by file name.
+fn golden_jpegs() -> Vec<RigCase> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut cases: Vec<RigCase> = std::fs::read_dir(&dir)
+        .expect("golden dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jpg"))
+        .map(|p| RigCase {
+            label: p.file_name().unwrap().to_string_lossy().into_owned(),
+            input: std::fs::read(&p).expect("golden jpeg"),
+        })
+        .collect();
+    cases.sort_by(|a, b| a.label.cmp(&b.label));
+    cases
+}
+
+#[test]
+fn streamed_verify_agrees_with_the_whole_buffer_oracle() {
+    // The admission verify decodes each segment as it is encoded and
+    // checks the assembly; the oracle is the old, independent shape: an
+    // unverified container, decoded whole and compared. `verify: true`
+    // must accept exactly what the oracle accepts, with the same bytes,
+    // and refuse everything else — on the shared pool and on a pool
+    // whose one worker is also the only helper. The golden JPEGs also
+    // run at 2 and 8 segments.
+    let cases: Vec<(RigCase, &[usize])> = jpeg_cases()
+        .into_iter()
+        .map(|c| (c, &[1, 4][..]))
+        .chain(golden_jpegs().into_iter().map(|c| (c, &[1, 2, 4, 8][..])))
+        .collect();
+    let single = Engine::new(1);
+    let engines = [("global", Engine::global()), ("1 worker", &single)];
+    let mut violations = Vec::new();
+    let mut refused = 0;
+    for (case, policies) in &cases {
+        for &n in *policies {
+            let off = CompressOptions {
+                threads: ThreadPolicy::Fixed(n),
+                verify: false,
+                ..Default::default()
+            };
+            let on = CompressOptions {
+                verify: true,
+                ..off.clone()
+            };
+            let oracle = compress(&case.input, &off)
+                .ok()
+                .filter(|c| decompress(c).is_ok_and(|j| j == case.input));
+            refused += usize::from(oracle.is_none());
+            for (name, engine) in engines {
+                match (&oracle, engine.compress(&case.input, &on)) {
+                    (Some(want), Ok(got)) if got != *want => violations.push(format!(
+                        "{} at {n} segments on {name}: verified bytes differ",
+                        case.label
+                    )),
+                    (Some(_), Err(e)) => violations.push(format!(
+                        "{} at {n} segments on {name}: refused a round-tripping file: {e}",
+                        case.label
+                    )),
+                    (None, Ok(_)) => violations.push(format!(
+                        "{} at {n} segments on {name}: admitted a file the oracle refuses",
+                        case.label
+                    )),
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+    assert!(refused > 0, "the matrix must exercise refusals too");
+}
+
 #[test]
 fn hostile_set_refuses_everything() {
     // Every handcrafted reachability input must be refused (none of

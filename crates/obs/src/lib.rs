@@ -42,7 +42,7 @@ pub use metric::{Counter, Gauge};
 pub use percentile::{nearest_rank, nearest_rank_index, Percentiles};
 pub use registry::Registry;
 pub use snapshot::{MetricValue, Snapshot, SnapshotWireError};
-pub use trace::{mark_stage, span_enter, unmarked, JobTrace, SpanGuard, TraceRing};
+pub use trace::{mark_stage, span_enter, JobTrace, SpanGuard, TraceRing};
 pub use watchdog::{MeanShiftDetector, RateDetector, Watchdog, WatchdogConfig};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -58,27 +58,6 @@ struct ActiveSpan {
 
 thread_local! {
     static CURRENT: RefCell<Option<ActiveSpan>> = const { RefCell::new(None) };
-    /// When true, [`mark_stage`] drops marks on this thread (see
-    /// [`unmarked`]).
-    static SUSPENDED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Run `f` with stage marking suspended on this thread: marks inside
-/// `f` are dropped, and the whole interval is attributed to the next
-/// mark after `f` returns. Used to charge a nested operation's cost to
-/// a single caller stage — e.g. the encoder's verification decode runs
-/// the decoder (whose internal marks would otherwise leak its stage
-/// names into the encode trace) and then marks `"verify"` once.
-pub fn unmarked<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0;
-            SUSPENDED.with(|s| s.set(prev));
-        }
-    }
-    let _restore = Restore(SUSPENDED.with(|s| s.replace(true)));
-    f()
 }
 
 /// Bounded ring of recent [`JobTrace`]s.
@@ -164,9 +143,6 @@ pub fn span_enter(op: &'static str) -> SpanGuard {
 /// Record the time since the previous mark (or span start) as stage
 /// `name` on the active span, if any. Cheap no-op otherwise.
 pub fn mark_stage(name: &'static str) {
-    if SUSPENDED.with(|s| s.get()) {
-        return;
-    }
     CURRENT.with(|c| {
         if let Some(span) = c.borrow_mut().as_mut() {
             if span.stages.len() < MAX_STAGES {
@@ -268,25 +244,6 @@ mod tests {
         assert_eq!(t.outcome, "abandoned");
         // The inner mark landed on the outer span.
         assert!(t.stages.iter().any(|&(n, _)| n == "inner_stage"));
-    }
-
-    #[test]
-    fn unmarked_folds_interval_into_next_mark() {
-        let g = span_enter("test_op_c");
-        mark_stage("first");
-        unmarked(|| {
-            mark_stage("hidden"); // dropped
-        });
-        mark_stage("after"); // includes the unmarked interval
-        g.finish("ok", 0, 0);
-        let t = TraceRing::global()
-            .recent(DEFAULT_RING_CAP)
-            .into_iter()
-            .rev()
-            .find(|t| t.op == "test_op_c")
-            .expect("trace recorded");
-        let names: Vec<_> = t.stages.iter().map(|&(n, _)| n).collect();
-        assert_eq!(names, ["first", "after"]);
     }
 
     #[test]

@@ -441,11 +441,12 @@ pub fn read_bounded<R: Read>(stream: &mut R, max: usize) -> io::Result<Vec<u8>> 
     }
 }
 
-/// Write a response: status byte then payload. The caller closes (or
-/// drops) the stream to mark completion.
+/// Write a response: status byte then payload, in one vectored write
+/// as [`write_frame`] sends a frame (two writes are the Nagle ×
+/// delayed-ACK stall). The caller closes (or drops) the stream to mark
+/// completion.
 pub fn write_response<W: Write>(stream: &mut W, status: Status, payload: &[u8]) -> io::Result<()> {
-    stream.write_all(&[status.to_wire()])?;
-    stream.write_all(payload)?;
+    write_all_vectored(stream, &[status.to_wire()], payload)?;
     stream.flush()
 }
 
@@ -750,6 +751,32 @@ mod tests {
             calls: 0,
         };
         let err = write_frame(&mut full, 9, b'D', b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn response_is_one_vectored_write_and_survives_short_ones() {
+        let status = Status::Rejected(ExitCode::Progressive);
+        let mut want = Vec::new();
+        write_response(&mut want, status, b"one-shot body").unwrap();
+        for cap in [1, 2, usize::MAX] {
+            let mut w = Dribble {
+                out: Vec::new(),
+                cap,
+                calls: 0,
+            };
+            write_response(&mut w, status, b"one-shot body").unwrap();
+            assert_eq!(w.out, want, "cap {cap}");
+            if cap == usize::MAX {
+                assert_eq!(w.calls, 1, "status and payload leave together");
+            }
+        }
+        let mut full = Dribble {
+            out: Vec::new(),
+            cap: 0,
+            calls: 0,
+        };
+        let err = write_response(&mut full, status, b"x").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
