@@ -38,12 +38,13 @@
 //! [`Engine`](crate::Engine) pool (§5.1): segment jobs are queued to
 //! resident workers whose model arenas and output buffers are reset —
 //! not reallocated — between jobs, and the block buffer comes from the
-//! engine's pool. A single-segment chunk is encoded inline on the
+//! engine's pool. A single-segment file is encoded inline on the
 //! calling thread after its verify job is queued, so an idle worker
-//! verifies while the caller encodes. There are two dispatch shapes:
-//! the whole-file driver (any segment count, each encode job pushed the
-//! moment its slice is final) and [`compress_chunked`] (decode
-//! everything, then fan out per chunk over shared slices).
+//! verifies while the caller encodes. There is one dispatch shape, the
+//! whole-file driver: any segment count, each encode job pushed the
+//! moment its slice is final. The decoder still reads the chunk
+//! containers the format admits (a byte range of a file, header
+//! skipped); this build writes none.
 
 use crate::decoder::{admit, decode_segment_job, demux, DecodeError, DecompressOptions, SegSink};
 use crate::driver::{walk_segment, BlockOp};
@@ -56,7 +57,7 @@ use crate::security::{JobMeter, ResourceBudget};
 use lepton_arith::{BoolEncoder, ByteSource};
 use lepton_jpeg::bitio::PadState;
 use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
-use lepton_jpeg::scan::{Handover, ScanDecoder, ScanEncoders, ScanStats};
+use lepton_jpeg::scan::{Handover, ScanDecoder, ScanEncoders, ScanEnd, ScanStats};
 use lepton_jpeg::{CoefBlock, JpegError};
 use lepton_model::component::CategoryBytes;
 use lepton_model::context::{BlockNeighbors, CodedBlock};
@@ -238,7 +239,7 @@ fn compress_traced(
     }
     let mcus = parsed.frame.mcu_count() as u32;
     let nseg = opts.threads.segments(jpeg.len(), mcus);
-    let bounds = segment_bounds(&parsed, 0, mcus, nseg);
+    let bounds = segment_bounds(&parsed, mcus, nseg);
 
     // Open the encode meter and charge the block buffer — the encoder's
     // one frame-sized arena (§3.4: "the Lepton encoder must decode the
@@ -311,7 +312,7 @@ fn compress_file(
     let (slots_ref, plan_ref) = (&slots[..], &plan);
     let done = engine.scope(|batch| {
         let run = (|| -> Result<_, LeptonError> {
-            let mut handovers: Vec<Handover> = Vec::with_capacity(nseg + 1);
+            let mut handovers: Vec<Handover> = Vec::with_capacity(nseg);
             let mut dec = ScanDecoder::new(jpeg, parsed)?;
             let mut inline = None;
             for (i, slot) in slots_ref.iter().enumerate() {
@@ -321,36 +322,30 @@ fn compress_file(
                 let (seg, tail) = std::mem::take(&mut rest).split_at_mut(len);
                 rest = tail;
                 dec.decode_to(end, seg)?;
-                if nseg == 1 {
-                    // The one segment is the whole scan: charge its
-                    // decode to its own stage, as the inline job follows.
-                    lepton_obs::mark_stage("scan_decode");
-                }
                 let seg: &[CoefBlock] = seg;
                 let out = Publisher::new(slot);
-                inline = queue_encode(batch, nseg, move |scratch: &mut Scratch| {
+                let job = move |scratch: &mut Scratch| {
                     encode_segment_job(scratch, seg, parsed, start, end, model_cfg, out, meter);
-                });
+                };
+                if nseg == 1 {
+                    // The one segment is the whole scan: charge its
+                    // decode to its own stage, and encode it inline on
+                    // the caller once its verify job is queued (no queue
+                    // handoff, and an idle worker verifies meanwhile).
+                    lepton_obs::mark_stage("scan_decode");
+                    inline = Some(job);
+                } else {
+                    batch.push(Box::new(job));
+                }
             }
-            handovers.push(dec.handover());
             let end = dec.finish()?;
-            let header = build_header(
-                jpeg,
-                parsed,
-                &ChunkSpec {
-                    byte_start: 0,
-                    byte_end: jpeg.len(),
-                    emit_header: true,
-                    bounds,
-                    handovers: &handovers,
-                    final_chunk: true,
-                    scan_end: end.scan_end,
-                    pad: end.pad,
-                    rst_count: end.rst_count,
-                },
-            );
+            let header = build_header(jpeg, parsed, bounds, &handovers, &end);
             queue_verify(batch, plan_ref, &header, jpeg, opts, slots_ref);
-            let assembled = encode_and_assemble(engine, batch, inline, header, slots_ref)?;
+            match inline {
+                Some(job) => engine.run_inline(job),
+                None => batch.participate(),
+            }
+            let assembled = assemble_container(header, slots_ref)?;
             lepton_obs::mark_stage("arith_encode");
             Ok((end.stats, assembled))
         })();
@@ -366,173 +361,31 @@ fn compress_file(
     Ok((bytes, scan_in, scan_out, header_out))
 }
 
-/// Queue one segment's encode `job` on `batch` — unless it is its
-/// chunk's only segment: then it comes back, to run inline on the
-/// caller once the verify job is queued (no queue handoff for the
-/// common small-file path, and an idle worker verifies meanwhile).
-fn queue_encode<'env, J>(batch: &BatchGuard<'_, 'env>, nseg: usize, job: J) -> Option<J>
-where
-    J: FnOnce(&mut Scratch) + Send + 'env,
-{
-    if nseg == 1 {
-        return Some(job);
-    }
-    batch.push(Box::new(job));
-    None
-}
-
-/// Run the single segment's encode `inline`, or help run the queued
-/// encode jobs until none is unstarted; then collect the streams and
-/// assemble the container.
-fn encode_and_assemble<'env, J>(
-    engine: &Engine,
-    batch: &BatchGuard<'_, 'env>,
-    inline: Option<J>,
-    header: ContainerHeader,
-    slots: &[SegSlot],
-) -> Result<(Vec<u8>, CategoryBytes, usize), LeptonError>
-where
-    J: FnOnce(&mut Scratch) + Send + 'env,
-{
-    match inline {
-        Some(job) => engine.run_inline(job),
-        None => batch.participate(),
-    }
-    assemble_container(header, slots)
-}
-
-/// Compress a JPEG into independent per-chunk containers of at most
-/// `chunk_size` original bytes each (the paper's 4-MiB blocks, §3.4).
-/// Each container decompresses independently to its exact byte range.
-pub fn compress_chunked(
-    jpeg: &[u8],
-    chunk_size: usize,
-    opts: &CompressOptions,
-) -> Result<Vec<Vec<u8>>, LeptonError> {
-    compress_chunked_on(Engine::global(), jpeg, chunk_size, opts)
-}
-
-/// Engine-backed chunked compression, shared by [`compress_chunked`]
-/// and [`Engine::compress_chunked`].
-pub(crate) fn compress_chunked_on(
-    engine: &Engine,
-    jpeg: &[u8],
-    chunk_size: usize,
-    opts: &CompressOptions,
-) -> Result<Vec<Vec<u8>>, LeptonError> {
-    assert!(chunk_size > 0);
-    let parsed = parse_with_limits(jpeg, &opts.limits)?;
-    if parsed.header_len >= chunk_size {
-        // A header spanning chunks is not supported (production rejects
-        // such pathological files too).
-        return Err(LeptonError::Jpeg(JpegError::UnsupportedScan));
-    }
-    let mcus = parsed.frame.mcu_count() as u32;
-
-    // Charge the block buffer plus the per-MCU snapshot table this mode
-    // keeps (chunk boundaries resolve to MCU indices by byte offset, so
-    // the table is frame-sized, not segment-sized).
-    let meter = opts.budget.encode_meter();
-    meter.charge(block_bytes(&parsed))?;
-    meter.charge((mcus as usize + 1).saturating_mul(std::mem::size_of::<Handover>()))?;
-
-    // Decode the whole scan, snapshotting every MCU so chunk boundaries
-    // can be resolved to MCU indices by byte offset.
-    let bpm = parsed.blocks_per_mcu();
-    let mut blocks = engine.checkout_blocks(mcus as usize * bpm);
-    let mut snapshots = Vec::with_capacity(mcus as usize + 1);
-    let mut dec = ScanDecoder::new(jpeg, &parsed)?;
-    for mcu_blocks in blocks.chunks_exact_mut(bpm) {
-        snapshots.push(dec.handover());
-        dec.decode_to(dec.mcu() + 1, mcu_blocks)?;
-    }
-    snapshots.push(dec.handover());
-    let end = dec.finish()?;
-
-    let n_chunks = jpeg.len().div_ceil(chunk_size).max(1);
-    let mut out = Vec::with_capacity(n_chunks);
-    for k in 0..n_chunks {
-        let byte_start = k * chunk_size;
-        let byte_end = ((k + 1) * chunk_size).min(jpeg.len());
-        let final_chunk = k == n_chunks - 1;
-
-        // First MCU whose coding starts at byte >= byte_start.
-        let m_start = snapshots.partition_point(|h| h.byte_offset < byte_start) as u32;
-        let m_end = snapshots.partition_point(|h| h.byte_offset < byte_end) as u32;
-        let (m_start, m_end) = (m_start.min(mcus), m_end.min(mcus));
-
-        let nseg = opts
-            .threads
-            .segments(byte_end - byte_start, (m_end - m_start).max(1));
-        let bounds = segment_bounds(&parsed, m_start, m_end, nseg);
-        let handovers: Vec<Handover> = bounds.iter().map(|&m| snapshots[m as usize]).collect();
-
-        let (bytes, _, _) = build_container(
-            engine,
-            jpeg,
-            &parsed,
-            &blocks,
-            &ChunkSpec {
-                byte_start,
-                byte_end,
-                emit_header: k == 0,
-                bounds: &bounds,
-                handovers: &handovers,
-                final_chunk,
-                scan_end: end.scan_end,
-                pad: end.pad,
-                rst_count: end.rst_count,
-            },
-            opts,
-            &meter,
-        )?;
-        out.push(bytes);
-    }
-    engine.checkin_blocks(blocks);
-    Ok(out)
-}
-
-/// Segment boundaries: `nseg+1` MCU indices in `[from, to]`, equally
+/// Segment boundaries: `nseg+1` MCU indices from 0 to `mcus`, equally
 /// split and snapped to MCU-row starts where possible (paper: "Thread
 /// Segment Vertical Range").
-fn segment_bounds(parsed: &ParsedJpeg, from: u32, to: u32, nseg: u32) -> Vec<u32> {
+fn segment_bounds(parsed: &ParsedJpeg, mcus: u32, nseg: u32) -> Vec<u32> {
     let mcus_x = parsed.frame.mcus_x as u32;
-    let span = to - from;
-    let nseg = nseg.min(span.max(1));
+    let nseg = nseg.min(mcus.max(1));
     let mut bounds = Vec::with_capacity(nseg as usize + 1);
-    bounds.push(from);
+    bounds.push(0);
     for i in 1..nseg {
-        let raw = from + span * i / nseg;
+        let raw = mcus * i / nseg;
         // Snap up to the next row start if that stays in range.
         let snapped = raw.div_ceil(mcus_x) * mcus_x;
-        let b = if snapped > from && snapped < to {
+        let b = if snapped > 0 && snapped < mcus {
             snapped
         } else {
             raw
         };
-        let b = b.clamp(from, to);
         if *bounds.last().expect("nonempty") < b {
             bounds.push(b);
         }
     }
-    if *bounds.last().expect("nonempty") != to {
-        bounds.push(to);
+    if *bounds.last().expect("nonempty") != mcus {
+        bounds.push(mcus);
     }
     bounds
-}
-
-struct ChunkSpec<'a> {
-    byte_start: usize,
-    byte_end: usize,
-    emit_header: bool,
-    /// Segment boundary MCUs (len = nseg + 1).
-    bounds: &'a [u32],
-    /// Handover at each boundary (len = nseg + 1).
-    handovers: &'a [Handover],
-    final_chunk: bool,
-    scan_end: usize,
-    pad: PadState,
-    rst_count: u32,
 }
 
 /// Outcome of one segment-encoding job.
@@ -586,46 +439,6 @@ fn encode_segment_job(
     scratch.arith_buf = stream; // hand the capacity back to the arena
 }
 
-/// Encode and verify all segments of one chunk from the file's
-/// coding-order `blocks` (each segment reads its own slice) and assemble
-/// the chunk's container. Returns (container bytes, model output
-/// attribution, header blob size).
-fn build_container(
-    engine: &Engine,
-    jpeg: &[u8],
-    parsed: &ParsedJpeg,
-    blocks: &[CoefBlock],
-    spec: &ChunkSpec<'_>,
-    opts: &CompressOptions,
-    meter: &JobMeter,
-) -> Result<(Vec<u8>, CategoryBytes, usize), LeptonError> {
-    let nseg = spec.bounds.len() - 1;
-    let bpm = parsed.blocks_per_mcu();
-    let model_cfg = opts.model;
-    let header = build_header(jpeg, parsed, spec);
-    let chunk = &jpeg[spec.byte_start..spec.byte_end];
-    let slots: Vec<SegSlot> = (0..nseg).map(|_| SegSlot::new(opts.verify)).collect();
-    let plan = OnceCell::new();
-    let (slots_ref, plan_ref) = (&slots[..], &plan);
-    let assembled = engine.scope(move |batch| {
-        let mut inline = None;
-        for (i, slot) in slots_ref.iter().enumerate() {
-            let (start, end) = (spec.bounds[i], spec.bounds[i + 1]);
-            let seg = &blocks[start as usize * bpm..end as usize * bpm];
-            let out = Publisher::new(slot);
-            inline = queue_encode(batch, nseg, move |scratch: &mut Scratch| {
-                encode_segment_job(scratch, seg, parsed, start, end, model_cfg, out, meter);
-            });
-        }
-        queue_verify(batch, plan_ref, &header, chunk, opts, slots_ref);
-        let assembled = encode_and_assemble(engine, batch, inline, header, slots_ref);
-        batch.participate();
-        assembled
-    })?;
-    conclude(plan, slots, &assembled.0)?;
-    Ok(assembled)
-}
-
 /// Collect the segment streams in FIFO order — waiting for each encode
 /// job to end — and write the container. Streams arrive in segment
 /// order, which is what keeps the container byte-identical no matter
@@ -648,81 +461,45 @@ fn assemble_container(
     Ok((bytes, cat_total, blob_len))
 }
 
-/// Build one chunk's container header from its scan geometry — every
+/// Build the file's container header from its scan geometry — every
 /// field but the segments' `arith_bytes`, which assembly fills in once
-/// the streams exist.
-fn build_header(jpeg: &[u8], parsed: &ParsedJpeg, spec: &ChunkSpec<'_>) -> ContainerHeader {
-    let nseg = spec.bounds.len() - 1;
-    debug_assert_eq!(spec.handovers.len(), spec.bounds.len());
-
-    // Byte-range bookkeeping.
-    let first_mcu_byte = spec.handovers[0].byte_offset.max(spec.byte_start);
-    let scan_part_end = spec.scan_end.clamp(spec.byte_start, spec.byte_end);
-
-    // Covered-by-segments region: [handover[0].byte_offset,
-    // handover[last].byte_offset) — or up to scan_end for final chunks.
-    let prepend = if spec.bounds[0] == spec.bounds[nseg] {
-        // No MCUs in this chunk: everything before the scan tail is
-        // verbatim prefix.
-        jpeg[spec.byte_start..scan_part_end.max(spec.byte_start)].to_vec()
-    } else {
-        jpeg[spec.byte_start..first_mcu_byte].to_vec()
-    };
-    let prepend = if spec.emit_header {
-        // The header is emitted separately; strip it from the prefix.
-        prepend[parsed
-            .header_len
-            .saturating_sub(spec.byte_start)
-            .min(prepend.len())..]
-            .to_vec()
-    } else {
-        prepend
-    };
-
-    // Trailing bytes: for the final chunk, everything after the scan.
-    let append = if scan_part_end < spec.byte_end {
-        jpeg[scan_part_end..spec.byte_end].to_vec()
-    } else {
-        Vec::new()
-    };
-
-    // Per-segment output byte counts.
-    let mut segments = Vec::with_capacity(nseg);
-    for i in 0..nseg {
-        let seg_start_byte = spec.handovers[i].byte_offset;
-        let out_bytes = if i + 1 < nseg {
-            (spec.handovers[i + 1].byte_offset - seg_start_byte) as u64
-        } else {
-            // Last segment: up to the chunk end (non-final chunks
-            // truncate; final chunks run to the scan end).
-            let end = if spec.final_chunk {
-                scan_part_end
-            } else {
-                spec.byte_end
-            };
-            end.saturating_sub(seg_start_byte) as u64
-        };
-        segments.push(SegmentInfo {
-            mcu_start: spec.bounds[i],
-            mcu_end: spec.bounds[i + 1],
-            out_bytes,
+/// the streams exist. `handovers` holds the snapshot at each segment's
+/// first MCU; the last segment runs to the scan's end, and everything
+/// after it is the verbatim `append`.
+fn build_header(
+    jpeg: &[u8],
+    parsed: &ParsedJpeg,
+    bounds: &[u32],
+    handovers: &[Handover],
+    end: &ScanEnd,
+) -> ContainerHeader {
+    debug_assert_eq!(handovers.len() + 1, bounds.len());
+    let nseg = bounds.len() - 1;
+    let scan_end = end.scan_end.min(jpeg.len());
+    let first_mcu_byte = handovers[0].byte_offset;
+    let seg_ends = handovers[1..nseg].iter().map(|h| h.byte_offset);
+    let segments = (0..nseg)
+        .zip(seg_ends.chain([scan_end]))
+        .map(|(i, seg_end)| SegmentInfo {
+            mcu_start: bounds[i],
+            mcu_end: bounds[i + 1],
+            out_bytes: seg_end.saturating_sub(handovers[i].byte_offset) as u64,
             arith_bytes: 0,
-            handover: SerializedHandover::from_handover(&spec.handovers[i]),
-        });
-    }
-
+            handover: SerializedHandover::from_handover(&handovers[i]),
+        })
+        .collect();
     ContainerHeader {
-        emit_header: spec.emit_header,
+        emit_header: true,
         jpeg_header: jpeg[..parsed.header_len].to_vec(),
-        output_size: (spec.byte_end - spec.byte_start) as u32,
-        pad_bit: match spec.pad {
+        output_size: jpeg.len() as u32,
+        pad_bit: match end.pad {
             PadState::Seen(true) => 1,
             PadState::Seen(false) => 0,
             _ => 2,
         },
-        rst_count: spec.rst_count,
-        prepend,
-        append,
+        rst_count: end.rst_count,
+        prepend: jpeg[parsed.header_len.min(first_mcu_byte)..first_mcu_byte].to_vec(),
+        append: jpeg[scan_end..].to_vec(),
         segments,
     }
 }
@@ -925,26 +702,22 @@ struct VerifyPlan<'j> {
     /// The decode meter `admit` opened and charged.
     meter: JobMeter,
     model: ModelConfig,
-    /// The input bytes the container covers.
-    chunk: &'j [u8],
+    /// The input file.
+    jpeg: &'j [u8],
 }
 
 impl<'j> VerifyPlan<'j> {
     /// The input bytes segment `k` must decode to.
     fn expected(&self, k: usize) -> &'j [u8] {
         let h = &self.header;
-        let lead = if h.emit_header {
-            h.jpeg_header.len()
-        } else {
-            0
-        } + h.prepend.len();
+        let lead = h.jpeg_header.len() + h.prepend.len();
         let len = |s: &SegmentInfo| usize::try_from(s.out_bytes).unwrap_or(usize::MAX);
         let start = h.segments[..k]
             .iter()
             .map(len)
             .fold(lead, usize::saturating_add);
         let end = start.saturating_add(len(&h.segments[k]));
-        self.chunk.get(start..end).unwrap_or_default()
+        self.jpeg.get(start..end).unwrap_or_default()
     }
 
     /// After every job has ended: the verify verdicts, then the
@@ -959,7 +732,7 @@ impl<'j> VerifyPlan<'j> {
             seg.arith_bytes = st.published.len() as u64;
             read.push(st.published);
         }
-        check_composition(container, &header, &read, self.chunk, &self.meter)
+        check_composition(container, &header, &read, self.jpeg, &self.meter)
     }
 }
 
@@ -999,8 +772,8 @@ fn verify_segment_job(
 
 /// The proof composes: the stored bytes pass the decoder's pre-output
 /// path (`read_container`, `demux`) to exactly the header and streams
-/// the verify jobs decoded, and the verbatim parts equal the input at
-/// their offsets. `admit` has already reconciled the segment outputs
+/// the verify jobs decoded, and the verbatim parts — JPEG header,
+/// prepend, append — equal the input at their offsets. `admit` has already reconciled the segment outputs
 /// with the declared total, so `decompress(container)` replays the
 /// verified decodes byte for byte. The demux charges the streams to the
 /// decode meter, as it does in `decompress`.
@@ -1008,7 +781,7 @@ fn check_composition(
     container: &[u8],
     verified: &ContainerHeader,
     streams: &[Vec<u8>],
-    chunk: &[u8],
+    jpeg: &[u8],
     meter: &JobMeter,
 ) -> Result<(), LeptonError> {
     let refused = |e: LeptonError| match e {
@@ -1020,11 +793,11 @@ fn check_composition(
         return Err(LeptonError::RoundtripFailed);
     }
     let h = verified;
-    let head: &[u8] = if h.emit_header { &h.jpeg_header } else { &[] };
-    let verbatim = h.output_size as usize == chunk.len()
-        && chunk.starts_with(head)
-        && chunk[head.len()..].starts_with(&h.prepend)
-        && chunk.ends_with(&h.append);
+    let verbatim = h.emit_header
+        && h.output_size as usize == jpeg.len()
+        && jpeg.starts_with(&h.jpeg_header)
+        && jpeg[h.jpeg_header.len()..].starts_with(&h.prepend)
+        && jpeg.ends_with(&h.append);
     if !verbatim {
         return Err(LeptonError::RoundtripFailed);
     }
@@ -1045,7 +818,7 @@ fn queue_verify<'env, 'j: 'env>(
     batch: &BatchGuard<'_, 'env>,
     plan: &'env OnceCell<Result<VerifyPlan<'j>, LeptonError>>,
     header: &ContainerHeader,
-    chunk: &'j [u8],
+    jpeg: &'j [u8],
     opts: &CompressOptions,
     slots: &'env [SegSlot],
 ) {
@@ -1061,7 +834,7 @@ fn queue_verify<'env, 'j: 'env>(
         parsed,
         meter,
         model: opts.model,
-        chunk,
+        jpeg,
     });
     if let Ok(plan) = plan.get_or_init(|| admitted) {
         for (k, slot) in slots.iter().enumerate() {
@@ -1234,7 +1007,7 @@ mod tests {
             parsed,
             meter,
             model: dopts.model,
-            chunk: &input,
+            jpeg: &input,
         };
         let mut verdicts = Vec::new();
         for (k, stream) in streams.iter().enumerate() {

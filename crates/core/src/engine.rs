@@ -412,16 +412,6 @@ impl Engine {
         crate::encoder::compress_on(self, jpeg, opts)
     }
 
-    /// Compress into independent per-chunk containers (paper §3.4).
-    pub fn compress_chunked(
-        &self,
-        jpeg: &[u8],
-        chunk_size: usize,
-        opts: &crate::encoder::CompressOptions,
-    ) -> Result<Vec<Vec<u8>>, LeptonError> {
-        crate::encoder::compress_chunked_on(self, jpeg, chunk_size, opts)
-    }
-
     /// Decompress a Lepton container using this engine's pool.
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, LeptonError> {
         crate::decoder::decompress_on(self, data, &crate::decoder::DecompressOptions::default())

@@ -26,7 +26,8 @@
 //!
 //! Deviation from the paper, documented in DESIGN.md: segment boundaries
 //! are stored as `u32` MCU indices instead of 2-byte vertical ranges,
-//! because our chunks may split a scan anywhere.
+//! because the format admits chunks that split a scan anywhere; this
+//! build reads them and writes none.
 
 use crate::error::LeptonError;
 use lepton_jpeg::Handover;

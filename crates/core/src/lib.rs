@@ -9,10 +9,10 @@
 //! ## API
 //!
 //! * [`compress`] / [`decompress`] — whole files, one container.
-//! * [`compress_chunked`] / [`decompress`] — independent containers per
-//!   fixed-size byte range of the original file (the paper's 4-MiB
-//!   storage chunks): any chunk decompresses without access to the
-//!   others, via Huffman handover words.
+//!   [`decompress`] also reads the chunk containers the format admits
+//!   (a byte range of a file, restored through Huffman handover words
+//!   without the other ranges — the paper's 4-MiB storage chunks);
+//!   this build writes none.
 //! * [`decompress_into`] — the one decode implementation: output is
 //!   pushed to a [`DecodeSink`] in file order while later thread
 //!   segments are still decoding; the sink learns the validated output
@@ -61,9 +61,7 @@ pub use decoder::{
     DecompressOptions,
 };
 pub use driver::{walk_segment, BlockOp, RingArena};
-pub use encoder::{
-    compress, compress_chunked, compress_with_stats, CompressOptions, CompressStats, ThreadPolicy,
-};
+pub use encoder::{compress, compress_with_stats, CompressOptions, CompressStats, ThreadPolicy};
 pub use engine::{Engine, EngineMetrics};
 pub use error::{ExitCode, LeptonError};
 pub use security::{BudgetStage, JobMeter, ResourceBudget};

@@ -4,8 +4,9 @@
 //! its exact input, and "qualifies" each build by round-tripping a
 //! billion files with independent decoder configurations before
 //! deployment (§5.2, §5.7). This module is that machinery at library
-//! scale: single-shot verification, cross-decoder (1-thread vs
-//! N-thread) determinism checks, and a corpus qualification driver.
+//! scale: single-shot verification (two independent decodes of one
+//! container must agree), a standalone round-trip check, and a corpus
+//! qualification driver.
 //!
 //! `compress`'s own admission verify decodes each segment's stream
 //! while it is encoded and checks the assembly (see `encoder`).
@@ -14,7 +15,7 @@
 //! `decompress`, an oracle independent of the streamed path.
 
 use crate::decoder::{decompress_opts, DecompressOptions};
-use crate::encoder::{compress_with_stats, CompressOptions, ThreadPolicy};
+use crate::encoder::{compress_with_stats, CompressOptions};
 use crate::error::{ExitCode, LeptonError};
 
 /// Outcome of verifying one file.
@@ -131,22 +132,4 @@ pub fn qualify<'a>(
     }
     q.rejected = rejects.into_iter().collect();
     q
-}
-
-/// Cross-check that single-threaded and multi-threaded compression both
-/// round-trip and report their sizes (multithreading trades a little
-/// ratio for speed, §3.4 / Fig. 2).
-pub fn thread_consistency(
-    jpeg: &[u8],
-    opts: &CompressOptions,
-) -> Result<(usize, usize), LeptonError> {
-    let mut one = opts.clone();
-    one.threads = ThreadPolicy::Fixed(1);
-    one.verify = true;
-    let mut many = opts.clone();
-    many.threads = ThreadPolicy::Fixed(8);
-    many.verify = true;
-    let (a, _) = compress_with_stats(jpeg, &one)?;
-    let (b, _) = compress_with_stats(jpeg, &many)?;
-    Ok((a.len(), b.len()))
 }

@@ -7,8 +7,8 @@
 //! behind header-derived sizing, not a new constraint on real files).
 
 use lepton_core::{
-    compress, compress_chunked, decompress_opts, decompress_streaming, BudgetStage,
-    CompressOptions, DecompressOptions, Engine, LeptonError, ResourceBudget,
+    compress, decompress_opts, decompress_streaming, BudgetStage, CompressOptions,
+    DecompressOptions, Engine, LeptonError, ResourceBudget,
 };
 use lepton_corpus::{Corpus, CorpusSpec};
 
@@ -69,13 +69,8 @@ fn undersized_encode_budget_fails_cleanly_everywhere() {
     let jpeg = corpus().remove(0);
     let opts = starved_encode();
     expect_budget(compress(&jpeg, &opts), BudgetStage::Encode);
-    expect_budget(compress_chunked(&jpeg, 4096, &opts), BudgetStage::Encode);
     let engine = Engine::new(2);
     expect_budget(engine.compress(&jpeg, &opts), BudgetStage::Encode);
-    expect_budget(
-        engine.compress_chunked(&jpeg, 4096, &opts),
-        BudgetStage::Encode,
-    );
 }
 
 #[test]
@@ -124,12 +119,6 @@ fn default_budget_passes_the_clean_corpus_unchanged() {
     for jpeg in corpus() {
         let container = compress(&jpeg, &copts).expect("default budget admits clean file");
         assert_eq!(decompress_opts(&container, &dopts).unwrap(), jpeg);
-        let chunks = compress_chunked(&jpeg, 4096, &copts).unwrap();
-        let mut joined = Vec::new();
-        for chunk in &chunks {
-            joined.extend_from_slice(&decompress_opts(chunk, &dopts).unwrap());
-        }
-        assert_eq!(joined, jpeg, "chunked path unchanged under the meter");
     }
 }
 

@@ -117,32 +117,3 @@ fn global_engine_is_deterministic_across_reuse() {
         assert_eq!(lepton_core::decompress(&first).expect("decompress"), *jpeg);
     }
 }
-
-/// Chunked compression through a reused engine stays deterministic and
-/// chunk containers keep decompressing independently.
-#[test]
-fn chunked_compression_deterministic_under_reuse() {
-    let files = corpus();
-    let pool = Engine::new(2);
-    let opts = CompressOptions {
-        threads: ThreadPolicy::Fixed(2),
-        verify: false,
-        ..Default::default()
-    };
-    let jpeg = &files[2];
-    let chunk = jpeg.len() / 3 + 1;
-    let reference = Engine::new(2)
-        .compress_chunked(jpeg, chunk, &opts)
-        .expect("chunked");
-    // Dirty the pool, then compare.
-    for f in &files {
-        let _ = pool.compress(f, &opts).expect("compress");
-    }
-    let again = pool.compress_chunked(jpeg, chunk, &opts).expect("chunked");
-    assert_eq!(again, reference, "chunked outputs diverged under reuse");
-    let mut whole = Vec::new();
-    for c in &again {
-        whole.extend_from_slice(&pool.decompress(c).expect("chunk decompress"));
-    }
-    assert_eq!(&whole, jpeg);
-}

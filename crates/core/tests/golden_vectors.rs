@@ -10,13 +10,24 @@
 //! The vectors were generated by `regenerate` at the commit *before*
 //! the per-block context pass was fused; regenerating is a format
 //! version bump, never a fix for a failing test.
+//!
+//! `golden/chunked/` holds, under its own `SHA256SUMS`, the chunk
+//! containers an earlier build wrote for three of the JPEGs: one per
+//! 1 KiB byte range (`<stem>.c1k.<k>.lep`, two segments each where the
+//! range holds enough MCUs). Every chunk after the first skips the JPEG
+//! header. No encoder in this tree writes that shape any more, so
+//! `regenerate` leaves the directory alone; the decoder must keep
+//! restoring each range on its own.
 
-use lepton_core::{CompressOptions, DecompressOptions, Engine, ThreadPolicy};
+use lepton_core::format::read_container;
+use lepton_core::{
+    decompress, decompress_streaming, CompressOptions, DecompressOptions, Engine, ThreadPolicy,
+};
 use lepton_corpus::{corrupt, synth_image, SceneKind};
 use lepton_jpeg::encoder::{encode_jpeg, EncodeOptions, Image, PixelData, Subsampling};
 use lepton_storage::sha256::{hex, sha256};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Segment counts each vector is stored under.
 const THREADS: [usize; 2] = [1, 4];
@@ -24,6 +35,20 @@ const THREADS: [usize; 2] = [1, 4];
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
+
+fn chunked_dir() -> PathBuf {
+    golden_dir().join("chunked")
+}
+
+/// Original bytes each committed chunk container restores.
+const CHUNK_BYTES: usize = 1024;
+
+/// The JPEGs whose chunk containers are committed.
+const CHUNKED_STEMS: [&str; 3] = [
+    "landscape-422-trailing",
+    "noisy-444-rst3-opt",
+    "textlike-422-rst5-pad0",
+];
 
 fn container_name(stem: &str, threads: usize) -> String {
     format!("{stem}.t{threads}.lep")
@@ -36,9 +61,9 @@ fn opts(threads: usize) -> CompressOptions {
     }
 }
 
-/// `SHA256SUMS` (the `sha256sum -c` format) as name → hex digest.
-fn read_manifest() -> BTreeMap<String, String> {
-    let text = std::fs::read_to_string(golden_dir().join("SHA256SUMS")).expect("manifest");
+/// `dir/SHA256SUMS` (the `sha256sum -c` format) as name → hex digest.
+fn read_manifest_in(dir: &Path) -> BTreeMap<String, String> {
+    let text = std::fs::read_to_string(dir.join("SHA256SUMS")).expect("manifest");
     text.lines()
         .map(|l| {
             let (digest, name) = l.split_once("  ").expect("`<hex>  <name>` line");
@@ -47,29 +72,81 @@ fn read_manifest() -> BTreeMap<String, String> {
         .collect()
 }
 
-#[test]
-fn committed_files_match_the_manifest() {
-    let manifest = read_manifest();
-    let mut on_disk = Vec::new();
-    for entry in std::fs::read_dir(golden_dir()).expect("golden dir") {
-        let name = entry.unwrap().file_name().into_string().unwrap();
-        if name != "SHA256SUMS" {
-            on_disk.push(name);
+fn read_manifest() -> BTreeMap<String, String> {
+    read_manifest_in(&golden_dir())
+}
+
+/// Check that `dir`'s files are exactly those its manifest lists, each
+/// with its listed digest; return the listed names and the names of
+/// `dir`'s subdirectories.
+fn check_manifest(dir: &Path) -> (Vec<String>, Vec<String>) {
+    let manifest = read_manifest_in(dir);
+    let (mut files, mut subdirs) = (Vec::new(), Vec::new());
+    for entry in std::fs::read_dir(dir).expect("golden dir") {
+        let entry = entry.unwrap();
+        let name = entry.file_name().into_string().unwrap();
+        if entry.file_type().unwrap().is_dir() {
+            subdirs.push(name);
+        } else if name != "SHA256SUMS" {
+            files.push(name);
         }
     }
-    on_disk.sort();
+    files.sort();
+    subdirs.sort();
     let listed: Vec<String> = manifest.keys().cloned().collect();
-    assert_eq!(
-        on_disk, listed,
-        "manifest and directory list different files"
-    );
+    assert_eq!(files, listed, "manifest and directory list different files");
     for (name, want) in &manifest {
-        let bytes = std::fs::read(golden_dir().join(name)).unwrap();
+        let bytes = std::fs::read(dir.join(name)).unwrap();
         assert_eq!(&hex(&sha256(&bytes)), want, "{name} changed on disk");
     }
+    (listed, subdirs)
+}
+
+#[test]
+fn committed_files_match_the_manifest() {
+    let (listed, subdirs) = check_manifest(&golden_dir());
+    assert_eq!(subdirs, ["chunked"], "golden/ holds one subdirectory");
     let jpegs = listed.iter().filter(|n| n.ends_with(".jpg")).count();
     assert!((1..=12).contains(&jpegs), "{jpegs} vectors");
     assert_eq!(listed.len(), jpegs * (1 + THREADS.len()));
+}
+
+/// Each committed chunk container, decoded alone — last range first —
+/// through the whole-buffer and the streaming decoder, restores exactly
+/// its 1 KiB range of the JPEG. The set must hold the shapes only chunk
+/// containers have: a container that skips the JPEG header, one whose
+/// range ends in bytes after the scan, and one split into two segments.
+#[test]
+fn committed_chunk_containers_decode_to_their_byte_ranges() {
+    let (listed, subdirs) = check_manifest(&chunked_dir());
+    assert!(subdirs.is_empty());
+    let (mut skips_header, mut appends, mut two_segments) = (false, false, false);
+    let mut decoded = 0;
+    for stem in CHUNKED_STEMS {
+        let jpeg = std::fs::read(golden_dir().join(format!("{stem}.jpg"))).unwrap();
+        for k in (0..jpeg.len().div_ceil(CHUNK_BYTES)).rev() {
+            let name = format!("{stem}.c1k.{k}.lep");
+            let lep = std::fs::read(chunked_dir().join(&name)).expect("chunk container");
+            let want = &jpeg[k * CHUNK_BYTES..((k + 1) * CHUNK_BYTES).min(jpeg.len())];
+            assert!(decompress(&lep).expect("decompress") == want, "{name}");
+            let mut streamed = Vec::new();
+            decompress_streaming(&lep, &DecompressOptions::default(), &mut |b: &[u8]| {
+                streamed.extend_from_slice(b)
+            })
+            .expect("streaming decompress");
+            assert!(streamed == want, "{name}: streaming");
+
+            let header = read_container(&lep).expect("container parses").header;
+            skips_header |= !header.emit_header;
+            appends |= !header.append.is_empty();
+            two_segments |= header.segments.len() == 2;
+            decoded += 1;
+        }
+    }
+    assert_eq!(decoded, listed.len(), "one container per 1 KiB range");
+    assert!(skips_header, "no container skips the JPEG header");
+    assert!(appends, "no container carries an append");
+    assert!(two_segments, "no container has two segments");
 }
 
 #[test]
@@ -220,15 +297,20 @@ fn build(recipe: &Recipe, seed: u64) -> Vec<u8> {
     }
 }
 
-/// Rewrites `tests/golden/` from the recipes with *this* build's
-/// encoder. Run it only to version the format on purpose:
+/// Rewrites the files of `tests/golden/` from the recipes with *this*
+/// build's encoder, leaving `chunked/` as it is. Run it only to version
+/// the format on purpose:
 /// `cargo test -p lepton_core --test golden_vectors -- --ignored`.
 #[test]
 #[ignore = "rewrites the frozen vectors"]
 fn regenerate() {
     let dir = golden_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_file() {
+            std::fs::remove_file(entry.path()).unwrap();
+        }
+    }
     let engine = Engine::new(2);
     let mut manifest = BTreeMap::new();
     let mut put = |name: String, bytes: &[u8]| {

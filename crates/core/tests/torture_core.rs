@@ -2,10 +2,12 @@
 //!
 //! Feeds the full seeded mutation matrix (every [`MutationKind`] ×
 //! seed, plus pristine bases and the handcrafted hostile set) through
-//! `compress`, `compress_chunked`, `decompress`,
-//! `decompress_streaming`, and the explicit `Engine` paths, asserting
-//! the tri-state contract: byte-exact output, or a typed error on a
-//! non-operational taxonomy row — never a panic.
+//! `compress`, `decompress`, `decompress_streaming`, and the explicit
+//! `Engine` paths, asserting the tri-state contract: byte-exact output,
+//! or a typed error on a non-operational taxonomy row — never a panic.
+//! The decode side also mutates two committed header-skip chunk
+//! containers (`golden/chunked/`), a shape this build reads but no
+//! longer writes.
 //!
 //! Wrong-bytes is gated where it is well-defined: pristine inputs must
 //! round-trip exactly, compression runs with `verify: true` (a decode
@@ -16,9 +18,10 @@
 //! fuzz-smoke job stays bounded; set `TORTURE_FULL=1` for a wider
 //! sweep.
 
+use lepton_core::format::read_container;
 use lepton_core::{
-    compress, compress_chunked, decompress, decompress_streaming, CompressOptions,
-    DecompressOptions, Engine, LeptonError, ThreadPolicy,
+    compress, decompress, decompress_streaming, CompressOptions, DecompressOptions, Engine,
+    LeptonError, ThreadPolicy,
 };
 use lepton_corpus::rig::{self, RigCase};
 use lepton_corpus::{hostile_cases, mutation_matrix, probe, Corpus, CorpusSpec};
@@ -54,9 +57,27 @@ fn jpeg_cases() -> Vec<RigCase> {
     cases
 }
 
+/// A middle and the final chunk container of `noisy-444-rst3-opt`
+/// (1 KiB chunks, restart markers): neither carries the JPEG header.
+fn committed_chunk_containers() -> Vec<(String, Vec<u8>)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chunked");
+    [
+        "noisy-444-rst3-opt.c1k.3.lep",
+        "noisy-444-rst3-opt.c1k.6.lep",
+    ]
+    .into_iter()
+    .map(|name| {
+        let bytes = std::fs::read(dir.join(name)).expect("committed chunk container");
+        let header = read_container(&bytes).expect("container parses").header;
+        assert!(!header.emit_header, "{name} must skip the JPEG header");
+        (name.to_string(), bytes)
+    })
+    .collect()
+}
+
 fn container_cases() -> Vec<RigCase> {
     let opts = CompressOptions::default();
-    let named: Vec<(String, Vec<u8>)> = base_jpegs()
+    let mut named: Vec<(String, Vec<u8>)> = base_jpegs()
         .into_iter()
         .map(|(n, d)| {
             (
@@ -65,6 +86,7 @@ fn container_cases() -> Vec<RigCase> {
             )
         })
         .collect();
+    named.extend(committed_chunk_containers());
     let named_refs: Vec<(&str, Vec<u8>)> =
         named.iter().map(|(n, d)| (n.as_str(), d.clone())).collect();
     mutation_matrix(&named_refs, &seeds())
@@ -79,16 +101,6 @@ fn compress_survives_the_matrix() {
     report.assert_clean();
     // The pristine bases must be among the accepted inputs.
     assert!(report.accepted >= 2, "pristine bases must compress");
-}
-
-#[test]
-fn compress_chunked_survives_the_matrix() {
-    let opts = CompressOptions::default();
-    let report = rig::run(&jpeg_cases(), |input| {
-        compress_chunked(input, 4096, &opts).map(|chunks| chunks.iter().map(Vec::len).sum())
-    });
-    report.assert_clean();
-    assert!(report.accepted >= 2);
 }
 
 #[test]

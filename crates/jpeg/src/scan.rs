@@ -442,11 +442,6 @@ impl<'a> ScanDecoder<'a> {
         })
     }
 
-    /// The next MCU to decode.
-    pub fn mcu(&self) -> u32 {
-        self.mcu
-    }
-
     /// Handover snapshot at the current MCU boundary. Taken *before*
     /// any restart handling at this MCU: a segment resuming here is
     /// responsible for emitting the restart marker itself.
@@ -462,9 +457,10 @@ impl<'a> ScanDecoder<'a> {
         }
     }
 
-    /// Decode MCUs `[self.mcu(), to_mcu)` into `blocks` in coding order.
-    /// `blocks[0]` is the first block of MCU `self.mcu()`; the first
-    /// `(to_mcu - self.mcu()) ·` [`ParsedJpeg::blocks_per_mcu`] blocks
+    /// Decode MCUs `[m, to_mcu)` into `blocks` in coding order, where `m`
+    /// is where the previous call stopped (0 at first). `blocks[0]` is
+    /// the first block of MCU `m`; the first
+    /// `(to_mcu - m) ·` [`ParsedJpeg::blocks_per_mcu`] blocks
     /// must arrive zeroed (only the DC and nonzero AC coefficients are
     /// written) and any beyond them are left alone. Panics if `blocks`
     /// is shorter than that. A no-op when `to_mcu` is not ahead of the

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full paper pipeline exercised
 //! end-to-end through the facade crate.
 
-use lepton::codec::{compress, compress_chunked, decompress, CompressOptions, ThreadPolicy};
+use lepton::codec::{compress, decompress, CompressOptions, ThreadPolicy};
 use lepton::corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton::corpus::{Corpus, CorpusSpec as Spec2};
 use lepton::storage::blockstore::{ShardedStore, StoreConfig};
@@ -85,20 +85,6 @@ fn determinism_across_thread_counts() {
         assert_eq!(a, b, "threads={threads}");
         assert_eq!(decompress(&a).expect("decode"), jpg);
     }
-}
-
-#[test]
-fn chunked_equals_whole_file() {
-    let jpg = clean_jpeg(&spec(512), 6);
-    let whole =
-        decompress(&compress(&jpg, &CompressOptions::default()).expect("whole")).expect("dec");
-    let chunks = compress_chunked(&jpg, 32 << 10, &CompressOptions::default()).expect("chunked");
-    let mut reassembled = Vec::new();
-    for c in &chunks {
-        reassembled.extend(decompress(c).expect("chunk decode"));
-    }
-    assert_eq!(whole, jpg);
-    assert_eq!(reassembled, jpg);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Property tests over the whole stack: arbitrary synthesized JPEGs
-//! must round-trip through Lepton under arbitrary thread counts and
-//! chunk sizes; Deflate must round-trip arbitrary bytes; the container
-//! parser must never panic on arbitrary input.
+//! must round-trip through Lepton under arbitrary thread counts;
+//! Deflate must round-trip arbitrary bytes; the container parser must
+//! never panic on arbitrary input.
 
 use lepton::codec::{
-    compress, compress_chunked, decompress, decompress_into, decompress_streaming, CompressOptions,
+    compress, decompress, decompress_into, decompress_streaming, CompressOptions,
     DecompressOptions, ThreadPolicy,
 };
 use lepton::corpus::builder::{clean_jpeg, CorpusSpec};
@@ -40,26 +40,6 @@ proptest! {
         let mut sunk = Vec::new();
         decompress_into(&lepton, &dopts, &mut sunk).expect("sink decode");
         prop_assert_eq!(sunk, jpg);
-    }
-
-    #[test]
-    fn chunked_roundtrip_arbitrary_boundaries(
-        seed in any::<u64>(),
-        chunk_kb in 4usize..64,
-    ) {
-        let spec = CorpusSpec {
-            min_dim: 160,
-            max_dim: 288,
-            ..Default::default()
-        };
-        let jpg = clean_jpeg(&spec, seed);
-        let chunks = compress_chunked(&jpg, chunk_kb << 10, &CompressOptions::default())
-            .expect("chunked compression");
-        let mut out = Vec::new();
-        for c in &chunks {
-            out.extend(decompress(c).expect("chunk decode"));
-        }
-        prop_assert_eq!(out, jpg);
     }
 }
 
