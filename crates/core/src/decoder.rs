@@ -28,7 +28,7 @@ use lepton_jpeg::bitio::ScanWriter;
 use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
 use lepton_jpeg::scan::ScanEncoders;
 use lepton_model::context::{BlockNeighbors, CodedBlock};
-use lepton_model::{ComponentModel, ModelConfig};
+use lepton_model::ComponentModel;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
@@ -261,13 +261,11 @@ impl<S: ByteSource, T: SegSink> BlockOp for SegDecoder<'_, S, T> {
     }
 }
 
-/// Decompression options.
+/// Decompression options. The codec has one probability model, so the
+/// only setting is the memory budget; a model change would be a format
+/// version bump (§6.7), not an option.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DecompressOptions {
-    /// Model configuration — must match the encoder's (the format does
-    /// not negotiate this; like the paper, model changes are version
-    /// bumps, see §6.7).
-    pub model: ModelConfig,
     /// Memory budget the decode job is metered against (§4.2). Every
     /// sizable arena — output buffer, demuxed arithmetic streams, model
     /// pairs, driver row rings — charges a [`JobMeter`] opened on this
@@ -513,7 +511,7 @@ fn decompress_traced(
     produced += header.prepend.len();
     sink.write(&header.prepend).map_err(DecodeError::Sink)?;
 
-    produced += decode_segments(engine, &parsed, header, streams, opts, sink, &meter)?;
+    produced += decode_segments(engine, &parsed, header, streams, sink, &meter)?;
     // Covers the overlapped arithmetic decode + Huffman re-encode
     // drain (they pipeline; wall time is not separable per sub-stage).
     lepton_obs::mark_stage("arith_decode");
@@ -538,7 +536,6 @@ pub(crate) fn decode_segment_job<S: ByteSource, T: SegSink>(
     header: &ContainerHeader,
     seg: &SegmentInfo,
     src: S,
-    model_cfg: ModelConfig,
     tx: T,
     meter: &JobMeter,
 ) -> Result<usize, DecodeError> {
@@ -553,7 +550,7 @@ pub(crate) fn decode_segment_job<S: ByteSource, T: SegSink>(
     meter.charge(crate::security::model_pair_bytes() + crate::driver::ring_bytes(parsed))?;
     let pad_bit = header.pad_bit != 0; // "unknown" defaults to 1s
     let handover = seg.handover.to_handover(seg.mcu_start);
-    let (models, rings) = scratch.walk_arenas(model_cfg);
+    let (models, rings) = scratch.walk_arenas();
     let mut op = SegDecoder {
         parsed,
         huff,
@@ -587,7 +584,6 @@ fn decode_segments(
     parsed: &ParsedJpeg,
     header: &ContainerHeader,
     streams: Vec<Vec<u8>>,
-    opts: &DecompressOptions,
     sink: &mut dyn DecodeSink,
     meter: &JobMeter,
 ) -> Result<usize, DecodeError> {
@@ -595,7 +591,6 @@ fn decode_segments(
     if nseg == 0 {
         return Ok(0);
     }
-    let model_cfg = opts.model;
     // Huffman table refs resolve once per container; every segment job
     // shares them instead of rebuilding the per-component Vec.
     let huff = ScanEncoders::resolve(parsed).map_err(LeptonError::Jpeg)?;
@@ -613,7 +608,6 @@ fn decode_segments(
                 header,
                 seg,
                 VecSource::new(stream),
-                model_cfg,
                 DirectSink { sink },
                 meter,
             )
@@ -641,7 +635,7 @@ fn decode_segments(
                 let tx = PoolSink { tx, cancel };
                 let src = VecSource::new(stream);
                 *slot = Some(decode_segment_job(
-                    scratch, parsed, huff, header, seg, src, model_cfg, tx, meter,
+                    scratch, parsed, huff, header, seg, src, tx, meter,
                 ));
             }));
         }
@@ -732,7 +726,6 @@ mod tests {
         let mut scratch = Scratch::default();
         let mut run = |consumer: &mut GoneAfterOne| {
             let stream = VecSource::new(demux(&container, &meter).unwrap().remove(0));
-            let cfg = ModelConfig::default();
             decode_segment_job(
                 &mut scratch,
                 &parsed,
@@ -740,7 +733,6 @@ mod tests {
                 header,
                 seg,
                 stream,
-                cfg,
                 consumer,
                 &meter,
             )

@@ -56,12 +56,12 @@ use crate::format::{
 use crate::security::{JobMeter, ResourceBudget};
 use lepton_arith::{BoolEncoder, ByteSource};
 use lepton_jpeg::bitio::PadState;
-use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
+use lepton_jpeg::parser::{parse, ParsedJpeg};
 use lepton_jpeg::scan::{Handover, ScanDecoder, ScanEncoders, ScanEnd, ScanStats};
 use lepton_jpeg::{CoefBlock, JpegError};
 use lepton_model::component::CategoryBytes;
 use lepton_model::context::{BlockNeighbors, CodedBlock};
-use lepton_model::{ComponentModel, ModelConfig};
+use lepton_model::ComponentModel;
 use std::cell::OnceCell;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,10 +105,6 @@ impl ThreadPolicy {
 pub struct CompressOptions {
     /// Thread-segment policy.
     pub threads: ThreadPolicy,
-    /// Probability-model configuration (ablations).
-    pub model: ModelConfig,
-    /// Memory budget for parsing/decoding the JPEG.
-    pub limits: ParseLimits,
     /// Prove the container decodes back to the input before returning
     /// it (production always does; §5.7 "blockservers never admit chunks
     /// that fail to round-trip"). The proof is the decoder's own segment
@@ -121,7 +117,9 @@ pub struct CompressOptions {
     /// (§6.2, coefficient blocks + per-segment models + arithmetic
     /// streams) for compression itself, and the decode side (§4.2) for
     /// the verification decode — so a file that could not be *served*
-    /// within budget is already refused at admission.
+    /// within budget is already refused at admission. Parsing applies
+    /// its own fixed 178 MiB coefficient cap first
+    /// ([`JpegError::TooLarge`]), whatever the budget.
     pub budget: ResourceBudget,
 }
 
@@ -129,8 +127,6 @@ impl Default for CompressOptions {
     fn default() -> Self {
         CompressOptions {
             threads: ThreadPolicy::Auto,
-            model: ModelConfig::default(),
-            limits: ParseLimits::default(),
             verify: true,
             budget: ResourceBudget::default(),
         }
@@ -232,7 +228,7 @@ fn compress_traced(
     jpeg: &[u8],
     opts: &CompressOptions,
 ) -> Result<(Vec<u8>, CompressStats), LeptonError> {
-    let parsed = parse_with_limits(jpeg, &opts.limits)?;
+    let parsed = parse(jpeg)?;
     lepton_obs::mark_stage("header_parse");
     if parsed.header_len > jpeg.len() {
         return Err(LeptonError::Jpeg(JpegError::Truncated));
@@ -301,7 +297,6 @@ fn compress_file(
 ) -> Result<(Vec<u8>, ScanStats, CategoryBytes, usize), LeptonError> {
     let nseg = bounds.len() - 1;
     let bpm = parsed.blocks_per_mcu();
-    let model_cfg = opts.model;
     let mut blocks = engine.checkout_blocks(parsed.frame.mcu_count() * bpm);
     let slots: Vec<SegSlot> = (0..nseg).map(|_| SegSlot::new(opts.verify)).collect();
     let plan = OnceCell::new();
@@ -325,7 +320,7 @@ fn compress_file(
                 let seg: &[CoefBlock] = seg;
                 let out = Publisher::new(slot);
                 let job = move |scratch: &mut Scratch| {
-                    encode_segment_job(scratch, seg, parsed, start, end, model_cfg, out, meter);
+                    encode_segment_job(scratch, seg, parsed, start, end, out, meter);
                 };
                 if nseg == 1 {
                     // The one segment is the whole scan: charge its
@@ -397,14 +392,12 @@ type SegmentResult = Result<(Vec<u8>, CategoryBytes), LeptonError>;
 /// in the arena's resident buffer, with only an exact-size copy escaping
 /// the job. The stream and the outcome go to `out`'s slot, settled
 /// bytes as they accrue when a verify job reads them.
-#[allow(clippy::too_many_arguments)]
 fn encode_segment_job(
     scratch: &mut Scratch,
     blocks: &[CoefBlock],
     parsed: &ParsedJpeg,
     start: u32,
     end: u32,
-    model_cfg: ModelConfig,
     out: Publisher<'_>,
     meter: &JobMeter,
 ) {
@@ -416,7 +409,7 @@ fn encode_segment_job(
         return;
     }
     let enc = BoolEncoder::with_buffer(std::mem::take(&mut scratch.arith_buf));
-    let (models, rings) = scratch.walk_arenas(model_cfg);
+    let (models, rings) = scratch.walk_arenas();
     let mut op = SegEncoder {
         blocks: blocks.iter(),
         enc,
@@ -701,7 +694,6 @@ struct VerifyPlan<'j> {
     parsed: ParsedJpeg,
     /// The decode meter `admit` opened and charged.
     meter: JobMeter,
-    model: ModelConfig,
     /// The input file.
     jpeg: &'j [u8],
 }
@@ -759,7 +751,6 @@ fn verify_segment_job(
         &plan.header,
         seg,
         src,
-        plan.model,
         sink,
         &plan.meter,
     )
@@ -826,14 +817,12 @@ fn queue_verify<'env, 'j: 'env>(
         return;
     }
     let dopts = DecompressOptions {
-        model: opts.model,
         budget: opts.budget,
     };
     let admitted = admit(header, &dopts).map(|(parsed, meter)| VerifyPlan {
         header: header.clone(),
         parsed,
         meter,
-        model: opts.model,
         jpeg,
     });
     if let Ok(plan) = plan.get_or_init(|| admitted) {
@@ -1006,7 +995,6 @@ mod tests {
             header,
             parsed,
             meter,
-            model: dopts.model,
             jpeg: &input,
         };
         let mut verdicts = Vec::new();

@@ -38,7 +38,7 @@
 use crate::driver::RingArena;
 use crate::error::LeptonError;
 use lepton_jpeg::CoefBlock;
-use lepton_model::{ComponentModel, ModelConfig};
+use lepton_model::ComponentModel;
 use lepton_obs::{Counter, Gauge, Registry};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -128,17 +128,14 @@ pub(crate) struct Scratch {
 
 impl Scratch {
     /// What a segment walk codes with: the model pair, reset to the
-    /// fresh 50-50 state under `cfg`, and the ring storage. First use
-    /// allocates; every later job reuses the arena.
-    pub(crate) fn walk_arenas(
-        &mut self,
-        cfg: ModelConfig,
-    ) -> (&mut [ComponentModel; 2], &mut RingArena) {
+    /// fresh 50-50 state, and the ring storage. First use allocates;
+    /// every later job reuses the arena.
+    pub(crate) fn walk_arenas(&mut self) -> (&mut [ComponentModel; 2], &mut RingArena) {
         if let Some(pair) = &mut self.models {
-            pair[0].reset(cfg);
-            pair[1].reset(cfg);
+            pair[0].reset();
+            pair[1].reset();
         } else {
-            self.models = Some([ComponentModel::new(cfg), ComponentModel::new(cfg)]);
+            self.models = Some([ComponentModel::new(), ComponentModel::new()]);
         }
         (self.models.as_mut().expect("just ensured"), &mut self.rings)
     }

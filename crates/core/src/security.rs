@@ -13,6 +13,9 @@
 //! * worker threads perform no I/O and no budget-exceeding allocation;
 //! * input bytes are only ever *read* — nothing about the process
 //!   environment changes based on payload content.
+//!
+//! The 200-MiB arena itself is not modelled: budgets meter what a job
+//! allocates, and nothing is pre-allocated to match.
 
 /// Explicit byte budgets, defaulting to the paper's deployed limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,9 +24,6 @@ pub struct ResourceBudget {
     pub decode_bytes: usize,
     /// Encode-side budget (paper: 178 MiB, §6.2).
     pub encode_bytes: usize,
-    /// Upfront arena the production binary zeroes before reading input
-    /// (§5.1: 200 MiB).
-    pub arena_bytes: usize,
 }
 
 impl Default for ResourceBudget {
@@ -31,17 +31,11 @@ impl Default for ResourceBudget {
         ResourceBudget {
             decode_bytes: 24 << 20,
             encode_bytes: 178 << 20,
-            arena_bytes: 200 << 20,
         }
     }
 }
 
 impl ResourceBudget {
-    /// Would an encode-side working set of `bytes` fit?
-    pub fn admits_encode(&self, bytes: usize) -> bool {
-        bytes <= self.encode_bytes
-    }
-
     /// Would a decode-side working set of `bytes` fit?
     pub fn admits_decode(&self, bytes: usize) -> bool {
         bytes <= self.decode_bytes
@@ -176,7 +170,6 @@ mod tests {
         let b = ResourceBudget::default();
         assert_eq!(b.decode_bytes, 24 << 20);
         assert_eq!(b.encode_bytes, 178 << 20);
-        assert_eq!(b.arena_bytes, 200 << 20);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub fn verify_roundtrip(jpeg: &[u8], opts: &CompressOptions) -> Verdict {
         Err(e) => return Verdict::Rejected(ExitCode::classify(&e)),
     };
     let dopts = DecompressOptions {
-        model: opts.model,
         budget: opts.budget,
     };
     match decompress_opts(&lepton, &dopts) {

@@ -42,7 +42,6 @@ fn starved_decode() -> DecompressOptions {
             decode_bytes: 1 << 10,
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 
@@ -209,7 +208,6 @@ fn decode_meter_charges_exactly_what_the_job_keeps() {
                 decode_bytes,
                 ..Default::default()
             },
-            ..Default::default()
         };
         assert_eq!(
             decompress_opts(&container, &with_budget(expected)).unwrap(),

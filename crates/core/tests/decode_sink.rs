@@ -130,7 +130,6 @@ fn refused_containers_never_begin() {
             decode_bytes: 1 << 10,
             ..Default::default()
         },
-        ..Default::default()
     };
     for (bad, opts) in [
         (&lep[..lep.len() / 2], DecompressOptions::default()),

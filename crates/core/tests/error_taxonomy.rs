@@ -239,7 +239,6 @@ fn taxonomy_rows_partition_and_input_rows_are_all_hit() {
             decode_bytes: 1 << 10,
             ..Default::default()
         },
-        ..Default::default()
     };
     let err = decompress_opts(&container, &starved).expect_err("starved decode refused");
     hit.insert(ExitCode::classify(&err));

@@ -9,11 +9,9 @@
 
 use crate::bins::{log159_bucket, magnitude_bucket, BinGrid};
 use crate::coef_coder::{decode_tree, decode_value, encode_tree, encode_value};
-use crate::config::{DcMode, EdgeMode, ModelConfig, ScanOrder};
 use crate::context::{
-    dequantize, lakhani_col, lakhani_row, nonzero_counts, predict_dc_first_cut,
-    predict_dc_gradient, predict_dc_neighbor_avg, weighted_abs_at, weighted_signed_at, BlockEdges,
-    BlockNeighbors, CodedBlock, DcPrediction, INTERIOR_RASTER, INTERIOR_ZZ,
+    dequantize, lakhani_col, lakhani_row, nonzero_counts, predict_dc_gradient, weighted_abs_at,
+    weighted_signed_at, BlockEdges, BlockNeighbors, CodedBlock, DcPrediction, INTERIOR_ZZ,
 };
 use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource};
 use lepton_jpeg::dct::{idct_ac_borders, AcBorders};
@@ -69,7 +67,6 @@ impl CategoryBytes {
 /// Adaptive model state for one component class within one thread
 /// segment.
 pub struct ComponentModel {
-    cfg: ModelConfig,
     /// Output-byte attribution accumulated across encoded blocks.
     stats: CategoryBytes,
     /// 7x7 nonzero count: [neighbor-count bucket][6-bit tree].
@@ -96,6 +93,12 @@ pub struct ComponentModel {
     resid_dc: BinGrid,
 }
 
+impl Default for ComponentModel {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Dimensions of every bin grid of a [`ComponentModel`], in field order.
 const GRID_DIMS: [&[usize]; 11] = [
     &[10, 64],
@@ -113,11 +116,10 @@ const GRID_DIMS: [&[usize]; 11] = [
 
 impl ComponentModel {
     /// Fresh model, all bins at 50-50 (the per-thread starting state).
-    pub fn new(cfg: ModelConfig) -> Self {
+    pub fn new() -> Self {
         let [nz77, nz_edge, exp77, sign77, resid77, exp_edge, sign_edge, resid_edge, exp_dc, sign_dc, resid_dc] =
             GRID_DIMS.map(BinGrid::new);
         ComponentModel {
-            cfg,
             stats: CategoryBytes::default(),
             nz77,
             nz_edge,
@@ -141,15 +143,14 @@ impl ComponentModel {
     }
 
     /// Reset to the per-thread starting state — every bin back at the
-    /// 50-50 prior, attribution cleared, configuration replaced — while
-    /// keeping every allocation. This is the engine's arena-reuse hook
-    /// (paper §5.1: pre-allocated memory, pre-spawned threads): a pooled
-    /// worker resets its resident model between jobs instead of paying
-    /// the ~100k-bin allocation per segment per file. Determinism (§5.2)
+    /// 50-50 prior, attribution cleared — while keeping every
+    /// allocation. This is the engine's arena-reuse hook (paper §5.1:
+    /// pre-allocated memory, pre-spawned threads): a pooled worker
+    /// resets its resident model between jobs instead of paying the
+    /// ~100k-bin allocation per segment per file. Determinism (§5.2)
     /// requires a reset model to be *indistinguishable* from a fresh
     /// one, which the engine-reuse tests enforce byte-for-byte.
-    pub fn reset(&mut self, cfg: ModelConfig) {
-        self.cfg = cfg;
+    pub fn reset(&mut self) {
         self.stats = CategoryBytes::default();
         self.nz77.reset();
         self.nz_edge.reset();
@@ -200,27 +201,6 @@ impl ComponentModel {
         self.stats
     }
 
-    fn interior_order(&self) -> &'static [usize; 49] {
-        match self.cfg.scan_order {
-            ScanOrder::Zigzag => &INTERIOR_ZZ,
-            ScanOrder::Raster => &INTERIOR_RASTER,
-        }
-    }
-
-    fn dc_prediction(&self, ac: &AcBorders, nbr: &BlockNeighbors) -> DcPrediction {
-        let above = nbr.above.map(|b| &b.edges);
-        let left = nbr.left.map(|b| &b.edges);
-        let mut pred = match self.cfg.dc_mode {
-            DcMode::Gradient => predict_dc_gradient(ac, above, left, nbr.quant),
-            DcMode::FirstCut => predict_dc_first_cut(ac, above, left, nbr.quant),
-            DcMode::NeighborAverage => predict_dc_neighbor_avg(nbr.above, nbr.left),
-        };
-        // Keep the delta within the Exp-Golomb range even for adversarial
-        // neighbor content.
-        pred.value = pred.value.clamp(-2047, 2047);
-        pred
-    }
-
     /// Encode one block (must contain in-range baseline coefficients)
     /// and fill `out` — the driver's ring slot for it — with everything
     /// later blocks will consult.
@@ -244,12 +224,11 @@ impl ComponentModel {
         let mark = enc.bytes_so_far() as u64;
 
         // 2. Interior coefficients until the count is exhausted.
-        let order = self.interior_order();
         // Resolve the three neighbor options once per block; the
         // per-coefficient weighted contexts then index directly.
         let (w_a, w_l, w_al) = nbr.weight_sources();
         let mut remaining = nz;
-        for (ki, &r) in order.iter().enumerate() {
+        for (ki, &r) in INTERIOR_ZZ.iter().enumerate() {
             if remaining == 0 {
                 break;
             }
@@ -283,7 +262,7 @@ impl ComponentModel {
                     break;
                 }
                 let v = block[edge_raster(strip, i)] as i32;
-                let (pb, sc) = self.edge_ctx(strip, i, &out.deq, nbr);
+                let (pb, sc) = edge_ctx(strip, i, &out.deq, nbr);
                 let idx = strip * 7 + i - 1;
                 encode_value(
                     enc,
@@ -303,7 +282,7 @@ impl ComponentModel {
 
         // 4. DC, last, as a delta from the prediction.
         let ac = idct_ac_borders(&out.deq);
-        let pred = self.dc_prediction(&ac, nbr);
+        let pred = dc_prediction(&ac, nbr);
         let delta = block[0] as i32 - pred.value;
         encode_value(
             enc,
@@ -343,10 +322,9 @@ impl ComponentModel {
         let nz_bucket = log159_bucket(nbr.nz_context());
         let nz = decode_tree(dec, 6, self.nz77.row1(nz_bucket)).min(49);
 
-        let order = self.interior_order();
         let (w_a, w_l, w_al) = nbr.weight_sources();
         let mut remaining = nz;
-        for (ki, &r) in order.iter().enumerate() {
+        for (ki, &r) in INTERIOR_ZZ.iter().enumerate() {
             if remaining == 0 {
                 break;
             }
@@ -373,7 +351,7 @@ impl ComponentModel {
                 if rem == 0 {
                     break;
                 }
-                let (pb, sc) = self.edge_ctx(strip, i, &out.deq, nbr);
+                let (pb, sc) = edge_ctx(strip, i, &out.deq, nbr);
                 let idx = strip * 7 + i - 1;
                 let v = decode_value(
                     dec,
@@ -390,7 +368,7 @@ impl ComponentModel {
         }
 
         let ac = idct_ac_borders(&out.deq);
-        let pred = self.dc_prediction(&ac, nbr);
+        let pred = dc_prediction(&ac, nbr);
         let delta = decode_value(
             dec,
             DC_MAX_EXP,
@@ -405,37 +383,32 @@ impl ComponentModel {
         out.nz_mask = nz_mask;
         out.nz77 = nz as u8;
     }
+}
 
-    /// Context (prediction bucket, sign context) for edge coefficient
-    /// `i` (1..=7) of the top row (`strip` 0) or the left column
-    /// (`strip` 1). The Lakhani formula only reads interior positions of
-    /// the current block, so a fully dequantized block on encode and an
-    /// interior-only one on decode yield identical results.
-    fn edge_ctx(
-        &self,
-        strip: usize,
-        i: usize,
-        cur_deq: &[i32; 64],
-        nbr: &BlockNeighbors,
-    ) -> (usize, usize) {
-        match self.cfg.edge_mode {
-            EdgeMode::Lakhani => {
-                let p = match (strip, nbr.above, nbr.left) {
-                    (0, Some(a), _) => lakhani_row(&a.deq, cur_deq, i, nbr.quant),
-                    (1, _, Some(l)) => lakhani_col(&l.deq, cur_deq, i, nbr.quant),
-                    _ => return (0, 1),
-                };
-                (magnitude_bucket(p.unsigned_abs(), AC_MAX_EXP), sign_ctx(p))
-            }
-            EdgeMode::Averaged => {
-                let r = edge_raster(strip, i);
-                (
-                    magnitude_bucket(nbr.weighted_abs(r), AC_MAX_EXP),
-                    sign_ctx(nbr.weighted_signed(r)),
-                )
-            }
-        }
-    }
+/// The DC prediction (App. A.2.3), clamped to the coder's range.
+fn dc_prediction(ac: &AcBorders, nbr: &BlockNeighbors) -> DcPrediction {
+    let above = nbr.above.map(|b| &b.edges);
+    let left = nbr.left.map(|b| &b.edges);
+    let mut pred = predict_dc_gradient(ac, above, left, nbr.quant);
+    // Keep the delta within the Exp-Golomb range even for adversarial
+    // neighbor content.
+    pred.value = pred.value.clamp(-2047, 2047);
+    pred
+}
+
+/// Context (prediction bucket, sign context) for edge coefficient `i`
+/// (1..=7) of the top row (`strip` 0) or the left column (`strip` 1),
+/// from the Lakhani prediction (App. A.2.2). The formula only reads
+/// interior positions of the current block, so a fully dequantized
+/// block on encode and an interior-only one on decode yield identical
+/// results.
+fn edge_ctx(strip: usize, i: usize, cur_deq: &[i32; 64], nbr: &BlockNeighbors) -> (usize, usize) {
+    let p = match (strip, nbr.above, nbr.left) {
+        (0, Some(a), _) => lakhani_row(&a.deq, cur_deq, i, nbr.quant),
+        (1, _, Some(l)) => lakhani_col(&l.deq, cur_deq, i, nbr.quant),
+        _ => return (0, 1),
+    };
+    (magnitude_bucket(p.unsigned_abs(), AC_MAX_EXP), sign_ctx(p))
 }
 
 /// Raster index of edge coefficient `i` (1..=7) of the top row
@@ -495,11 +468,11 @@ mod tests {
 
     /// Encode, decode, compare: the coefficients come back, and the
     /// decoder leaves every ring slot exactly as the encoder did.
-    fn roundtrip_plane(plane: &Plane, quant: &[u16; 64], cfg: ModelConfig) -> usize {
-        let (bytes, encoded) = encode_plane(plane, quant, &mut ComponentModel::new(cfg));
+    fn roundtrip_plane(plane: &Plane, quant: &[u16; 64]) -> usize {
+        let (bytes, encoded) = encode_plane(plane, quant, &mut ComponentModel::new());
 
         let mut dec = BoolDecoder::new(SliceSource::new(&bytes));
-        let mut model = ComponentModel::new(cfg);
+        let mut model = ComponentModel::new();
         let mut decoded = vec![CodedBlock::ZERO; encoded.len()];
         for by in 0..plane.blocks_h {
             for bx in 0..plane.blocks_w {
@@ -543,25 +516,7 @@ mod tests {
     fn roundtrip_default_config() {
         let plane = synthetic_plane(6, 4, 42);
         let quant = [8u16; 64];
-        roundtrip_plane(&plane, &quant, ModelConfig::default());
-    }
-
-    #[test]
-    fn roundtrip_all_ablation_configs() {
-        let plane = synthetic_plane(5, 5, 7);
-        let quant = [6u16; 64];
-        for edge in [EdgeMode::Lakhani, EdgeMode::Averaged] {
-            for dc in [DcMode::Gradient, DcMode::FirstCut, DcMode::NeighborAverage] {
-                for so in [ScanOrder::Zigzag, ScanOrder::Raster] {
-                    let cfg = ModelConfig {
-                        edge_mode: edge,
-                        dc_mode: dc,
-                        scan_order: so,
-                    };
-                    roundtrip_plane(&plane, &quant, cfg);
-                }
-            }
-        }
+        roundtrip_plane(&plane, &quant);
     }
 
     #[test]
@@ -583,14 +538,14 @@ mod tests {
                 b[0] = if (bx + by) % 2 == 0 { 2047 } else { -2047 };
             }
         }
-        roundtrip_plane(&plane, &quant, ModelConfig::default());
+        roundtrip_plane(&plane, &quant);
     }
 
     #[test]
     fn roundtrip_all_zero_plane() {
         let plane = Plane::new(8, 2);
         let quant = [16u16; 64];
-        let bytes = roundtrip_plane(&plane, &quant, ModelConfig::default());
+        let bytes = roundtrip_plane(&plane, &quant);
         // 16 all-zero blocks should compress to a handful of bytes.
         assert!(bytes < 64, "got {bytes}");
     }
@@ -603,7 +558,7 @@ mod tests {
         plane.block_mut(0, 0)[1] = -2;
         plane.block_mut(0, 0)[8] = 1;
         let quant = [4u16; 64];
-        roundtrip_plane(&plane, &quant, ModelConfig::default());
+        roundtrip_plane(&plane, &quant);
     }
 
     #[test]
@@ -625,14 +580,14 @@ mod tests {
                 }
             }
         }
-        let s = roundtrip_plane(&smooth, &quant, ModelConfig::default());
-        let n = roundtrip_plane(&noisy, &quant, ModelConfig::default());
+        let s = roundtrip_plane(&smooth, &quant);
+        let n = roundtrip_plane(&noisy, &quant);
         assert!(s < n, "smooth {s} vs noisy {n}");
     }
 
     #[test]
     fn model_size_is_paper_order_of_magnitude() {
-        let m = ComponentModel::new(ModelConfig::default());
+        let m = ComponentModel::new();
         // Paper: 721,564 bins across the model. One component class
         // should be within (coarsely) the same order.
         assert!(m.bin_count() > 50_000, "bins: {}", m.bin_count());
@@ -650,20 +605,16 @@ mod tests {
         let plane = synthetic_plane(4, 3, 11);
         let quant = [5u16; 64];
         let encode_plane = |model: &mut ComponentModel| encode_plane(&plane, &quant, model).0;
-        let mut fresh = ComponentModel::new(ModelConfig::default());
+        let mut fresh = ComponentModel::new();
         let reference = encode_plane(&mut fresh);
         assert!(fresh.bins_touched() > 0);
 
-        // Dirty the same model heavily, reset under a *different*
-        // config, then reset back: output must be byte-identical.
+        // Dirty the same model heavily, then reset: output must be
+        // byte-identical.
         let _ = encode_plane(&mut fresh);
-        fresh.reset(ModelConfig {
-            scan_order: ScanOrder::Raster,
-            ..Default::default()
-        });
+        fresh.reset();
         assert_eq!(fresh.bins_touched(), 0);
         assert_eq!(fresh.stats(), CategoryBytes::default());
-        fresh.reset(ModelConfig::default());
         assert_eq!(encode_plane(&mut fresh), reference);
     }
 
@@ -683,7 +634,7 @@ mod tests {
                 })
                 .collect();
             let mut dec = BoolDecoder::new(SliceSource::new(&garbage));
-            let mut model = ComponentModel::new(ModelConfig::default());
+            let mut model = ComponentModel::new();
             let mut slots = vec![CodedBlock::ZERO; 8];
             for bx in 0..8 {
                 let (out, nbr) = open(&mut slots, 8, (bx, 0), &quant);

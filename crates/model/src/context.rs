@@ -26,22 +26,6 @@ pub const INTERIOR_ZZ: [usize; 49] = {
     out
 };
 
-/// Raster indices of the interior coefficients in raster order (the
-/// §4.3 scan-order ablation).
-pub const INTERIOR_RASTER: [usize; 49] = {
-    let mut out = [0usize; 49];
-    let mut n = 0;
-    let mut r = 0;
-    while r < 64 {
-        if r / 8 != 0 && r % 8 != 0 {
-            out[n] = r;
-            n += 1;
-        }
-        r += 1;
-    }
-    out
-};
-
 /// Zigzag-position masks (bit `k` = zigzag position `k`, as in
 /// [`CodedBlock::nz_mask`]) of the 7x7 interior, the top edge row
 /// `u = 1..=7`, and the left edge column `v = 1..=7`.
@@ -171,21 +155,6 @@ impl BlockNeighbors<'_> {
         )
     }
 
-    /// The weighted neighbor magnitude `⌊(13|A| + 13|L| + 6|AL|)/32⌋`
-    /// used as the 7x7 bin context (§3.3).
-    #[inline]
-    pub fn weighted_abs(&self, raster: usize) -> u32 {
-        let (a, l, al) = self.weight_sources();
-        weighted_abs_at(a, l, al, raster)
-    }
-
-    /// Signed weighted neighbor average (sign context).
-    #[inline]
-    pub fn weighted_signed(&self, raster: usize) -> i32 {
-        let (a, l, al) = self.weight_sources();
-        weighted_signed_at(a, l, al, raster)
-    }
-
     /// Neighbor non-zero-count context `(nA + nL) / 2` (App. A.2.1).
     pub fn nz_context(&self) -> u32 {
         match (self.above, self.left) {
@@ -196,8 +165,9 @@ impl BlockNeighbors<'_> {
     }
 }
 
-/// [`BlockNeighbors::weighted_abs`] with the neighbor `Option`s already
-/// resolved (see [`BlockNeighbors::weight_sources`]).
+/// The weighted neighbor magnitude `⌊(13|A| + 13|L| + 6|AL|)/32⌋` at
+/// `raster`, used as the 7x7 bin context (§3.3), from the neighbors
+/// [`BlockNeighbors::weight_sources`] resolved.
 #[inline]
 pub fn weighted_abs_at(a: &CoefBlock, l: &CoefBlock, al: &CoefBlock, raster: usize) -> u32 {
     let a = a[raster].unsigned_abs() as u32;
@@ -206,8 +176,9 @@ pub fn weighted_abs_at(a: &CoefBlock, l: &CoefBlock, al: &CoefBlock, raster: usi
     (13 * a + 13 * l + 6 * al) / 32
 }
 
-/// [`BlockNeighbors::weighted_signed`] with the neighbor `Option`s
-/// already resolved.
+/// The signed weighted neighbor average at `raster` (the 7x7 sign
+/// context), from the neighbors [`BlockNeighbors::weight_sources`]
+/// resolved.
 #[inline]
 pub fn weighted_signed_at(a: &CoefBlock, l: &CoefBlock, al: &CoefBlock, raster: usize) -> i32 {
     let a = a[raster] as i32;
@@ -330,60 +301,6 @@ pub fn predict_dc_gradient(
     finish_dc_prediction(&preds[..n], quant)
 }
 
-/// First-cut DC prediction (App. A.2.3, Figure 17 left): per-pair DC
-/// that equalizes the border pixels, median-8 averaged.
-pub fn predict_dc_first_cut(
-    ac: &AcBorders,
-    above_edges: Option<&BlockEdges>,
-    left_edges: Option<&BlockEdges>,
-    quant: &[u16; 64],
-) -> DcPrediction {
-    // Fixed-capacity prediction list (hot path: no heap allocation).
-    let mut preds = [0i64; 16];
-    let mut n = 0usize;
-    if let Some(a) = above_edges {
-        for x in 0..8 {
-            preds[n] = a.rows[1][x] - (ac.rows[0][x] >> SCALE_BITS);
-            n += 1;
-        }
-    }
-    if let Some(l) = left_edges {
-        for y in 0..8 {
-            preds[n] = l.cols[1][y] - (ac.cols[0][y] >> SCALE_BITS);
-            n += 1;
-        }
-    }
-    if n >= 8 {
-        // Discard outliers: keep the median 8.
-        preds[..n].sort_unstable();
-        let start = (n - 8) / 2;
-        finish_dc_prediction(&preds[start..start + 8], quant)
-    } else {
-        finish_dc_prediction(&preds[..n], quant)
-    }
-}
-
-/// PackJPG-style DC prediction: average of neighbor DC values.
-pub fn predict_dc_neighbor_avg(
-    above: Option<&CodedBlock>,
-    left: Option<&CodedBlock>,
-) -> DcPrediction {
-    let value = match (above, left) {
-        (Some(a), Some(l)) => (a.coefs[0] as i32 + l.coefs[0] as i32) / 2,
-        (Some(n), None) | (None, Some(n)) => n.coefs[0] as i32,
-        (None, None) => 0,
-    };
-    DcPrediction {
-        value,
-        confidence: if above.is_some() || left.is_some() {
-            6
-        } else {
-            0
-        },
-        sign_ctx: sign_ctx(value),
-    }
-}
-
 fn sign_ctx(v: i32) -> usize {
     match v.signum() {
         -1 => 0,
@@ -451,14 +368,6 @@ mod tests {
         for &r in &INTERIOR_ZZ {
             assert!(r / 8 != 0 && r % 8 != 0);
         }
-        for &r in &INTERIOR_RASTER {
-            assert!(r / 8 != 0 && r % 8 != 0);
-        }
-        let mut zz = INTERIOR_ZZ;
-        let mut ra = INTERIOR_RASTER;
-        zz.sort_unstable();
-        ra.sort_unstable();
-        assert_eq!(zz, ra, "same set, different order");
     }
 
     #[test]
@@ -535,10 +444,11 @@ mod tests {
             above_left: Some(&al),
             quant: &q,
         };
+        let (a, l, al) = nbr.weight_sources();
         // (13*10 + 13*10 + 6*16)/32 = (130+130+96)/32 = 11
-        assert_eq!(nbr.weighted_abs(9), 11);
+        assert_eq!(weighted_abs_at(a, l, al, 9), 11);
         // signed: (130 - 130 + 96)/32 = 3
-        assert_eq!(nbr.weighted_signed(9), 3);
+        assert_eq!(weighted_signed_at(a, l, al, 9), 3);
     }
 
     #[test]
@@ -650,41 +560,5 @@ mod tests {
         let p = predict_dc_gradient(&ac, None, None, &q);
         assert_eq!(p.value, 0);
         assert_eq!(p.confidence, 0);
-    }
-
-    #[test]
-    fn first_cut_discards_outliers() {
-        // 15 agreeing pairs + 1 wild outlier: median-8 average should
-        // sit near the consensus.
-        let q = [1u16; 64];
-        let mut above = BlockEdges {
-            rows: [[1000; 8]; 2],
-            cols: [[0; 8]; 2],
-        };
-        let left = BlockEdges {
-            rows: [[0; 8]; 2],
-            cols: [[1000; 8]; 2],
-        };
-        above.rows[1][0] = 1_000_000; // outlier pair
-        let ac = idct_ac_borders(&[0; 64]);
-        let p = predict_dc_first_cut(&ac, Some(&above), Some(&left), &q);
-        let consensus = div_round(1000, DC_PIXEL_GAIN) as i32;
-        assert!((p.value - consensus).abs() <= 1, "value {}", p.value);
-    }
-
-    #[test]
-    fn neighbor_avg_dc() {
-        let mut a: CoefBlock = [0; 64];
-        let mut l: CoefBlock = [0; 64];
-        a[0] = 100;
-        l[0] = 50;
-        let q = [1u16; 64];
-        let (a, l) = (coded(a, &q), coded(l, &q));
-        let p = predict_dc_neighbor_avg(Some(&a), Some(&l));
-        assert_eq!(p.value, 75);
-        let p = predict_dc_neighbor_avg(None, Some(&l));
-        assert_eq!(p.value, 50);
-        let p = predict_dc_neighbor_avg(None, None);
-        assert_eq!(p.value, 0);
     }
 }

@@ -25,16 +25,14 @@
 //! the paper adopted exactly this abstraction after the reversed-index
 //! incident (§6.1).
 //!
-//! [`config::ModelConfig`] exposes the paper's ablations (averaged-vs-
-//! Lakhani edges, PackJPG-style vs gradient DC, raster-vs-zigzag order)
-//! for the §4.3 experiments.
+//! There is exactly one model. The container does not record which
+//! model wrote it, so a model change is a format-version bump (§6.7);
+//! the committed golden vectors pin this one.
 
 pub mod bins;
 pub mod coef_coder;
 pub mod component;
-pub mod config;
 pub mod context;
 
 pub use component::ComponentModel;
-pub use config::{DcMode, EdgeMode, ModelConfig};
 pub use context::{BlockNeighbors, CodedBlock};

@@ -49,7 +49,7 @@ use crate::protocol::{
     frame_header, read_bounded, read_frame, write_all_vectored, write_frame, write_response,
     BlockStatReply, Op, StatsReply, Status, MUX_MAGIC,
 };
-use lepton_core::{CompressOptions, DecodeError, DecodeSink, ExitCode};
+use lepton_core::{CompressOptions, DecodeError, DecodeSink, ExitCode, ResourceBudget};
 use lepton_obs::{Counter, Gauge, Histogram, Registry, Snapshot, Watchdog, WatchdogConfig};
 use lepton_storage::blockstore::{ShardedStore, StoreError};
 use std::collections::HashMap;
@@ -62,9 +62,11 @@ use std::time::{Duration, Instant};
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Lepton compression options (verification stays on: the
-    /// admission rule is not negotiable, §5.7).
-    pub compress: CompressOptions,
+    /// Memory budgets the conversions run under: the encode side for
+    /// `Compress` (which always verifies: the admission rule is not
+    /// negotiable, §5.7), the decode side for its verify and for
+    /// `Decompress`. A `blockstore` applies its own budget.
+    pub budget: ResourceBudget,
     /// Maximum simultaneous connections; beyond this, clients wait in
     /// the accept backlog. Conversions are allowed to oversubscribe
     /// the CPU — the paper's blockservers routinely ran 15 at once at
@@ -115,7 +117,7 @@ const MAX_INFLIGHT_BYTES: usize = 64 << 20;
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            compress: CompressOptions::default(),
+            budget: ResourceBudget::default(),
             max_connections: 64,
             busy_threshold: 3,
             io_timeout: Duration::from_secs(30),
@@ -821,10 +823,8 @@ fn decompress_op<S: DecodeSink>(
         shared,
         lease: Some(shared.gauge.acquire()),
     };
-    let cfg = &shared.cfg;
     let dec_opts = lepton_core::DecompressOptions {
-        model: cfg.compress.model,
-        budget: cfg.compress.budget,
+        budget: shared.cfg.budget,
     };
     let result = lepton_core::Engine::global().decompress_into(payload, &dec_opts, &mut sink);
     // Anything but a completed body is still unsettled here.
@@ -877,7 +877,11 @@ fn execute_op_inner(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Ve
                 return (Status::Shutdown, Vec::new());
             }
             let _lease = shared.gauge.acquire();
-            match lepton_core::Engine::global().compress(payload, &cfg.compress) {
+            let opts = CompressOptions {
+                budget: cfg.budget,
+                ..Default::default()
+            };
+            match lepton_core::Engine::global().compress(payload, &opts) {
                 Ok(lepton) => {
                     metrics.served.inc();
                     // Feed the §6 ratio series: a fleet-wide drift here

@@ -3,7 +3,7 @@
 //! refusal (a §6.2 exit-code row, or a protocol status) — the service
 //! never dies, never hangs, and never serves wrong bytes.
 
-use lepton_core::{CompressOptions, ExitCode, ResourceBudget};
+use lepton_core::{ExitCode, ResourceBudget};
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_corpus::{hostile_cases, mutation_matrix, rig::RigCase};
 use lepton_server::{client, serve, ClientError, Endpoint, MuxClient, Op, ServiceConfig, Status};
@@ -196,6 +196,59 @@ fn block_ops_survive_the_matrix_and_never_lose_bytes() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The service's own budget governs both conversion ops, in both wire
+/// modes: a starved encode side refuses `Compress` with the §6.2 encode
+/// row, a starved decode side refuses `Decompress` of a valid container
+/// with the decode row — typed refusals, never a served body.
+#[test]
+fn service_budget_governs_both_conversion_ops() {
+    let jpeg = clean_jpeg(&spec(), 0xB2);
+    let container = lepton_core::compress(&jpeg, &Default::default()).unwrap();
+    let cases = [
+        (
+            Op::Compress,
+            &jpeg,
+            ResourceBudget {
+                encode_bytes: 1 << 10,
+                ..Default::default()
+            },
+            ExitCode::MemEncodeLimit,
+        ),
+        (
+            Op::Decompress,
+            &container,
+            ResourceBudget {
+                decode_bytes: 1 << 10,
+                ..Default::default()
+            },
+            ExitCode::MemDecodeLimit,
+        ),
+    ];
+    for (op, payload, budget, want) in cases {
+        let cfg = ServiceConfig {
+            budget,
+            ..Default::default()
+        };
+        let handle = serve(&tcp_any(), cfg).unwrap();
+        let (status, body) = client::convert(handle.endpoint(), op, payload, TIMEOUT).unwrap();
+        assert_eq!(status, Status::Rejected(want), "{op:?}, one-shot");
+        assert!(body.is_empty(), "{op:?}, one-shot: refusal carried a body");
+        let mut mux = MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
+        let (status, body) = mux.call(op, payload).unwrap();
+        assert_eq!(status, Status::Rejected(want), "{op:?}, framed");
+        assert!(body.is_empty(), "{op:?}, framed: refusal carried a body");
+        handle.shutdown();
+    }
+    // The same payloads convert under the default budget.
+    let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
+    client::compress(handle.endpoint(), &jpeg, TIMEOUT).unwrap();
+    assert_eq!(
+        client::decompress(handle.endpoint(), &container, TIMEOUT).unwrap(),
+        jpeg
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn budget_starved_block_get_is_rejected_with_the_decode_row() {
     let root = temp_dir("budget");
@@ -212,11 +265,8 @@ fn budget_starved_block_get_is_rejected_with_the_decode_row() {
             &root,
             StoreConfig {
                 cache_bytes: 0,
-                compress: CompressOptions {
-                    budget: ResourceBudget {
-                        decode_bytes: 1 << 10,
-                        ..Default::default()
-                    },
+                budget: ResourceBudget {
+                    decode_bytes: 1 << 10,
                     ..Default::default()
                 },
                 ..Default::default()

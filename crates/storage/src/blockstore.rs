@@ -24,7 +24,7 @@
 use crate::sha256::{sha256, Digest};
 use crate::vfs::{RealVfs, Vfs};
 use crate::StoredFormat;
-use lepton_core::CompressOptions;
+use lepton_core::{CompressOptions, ResourceBudget};
 use lepton_obs::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -103,9 +103,10 @@ pub struct StoreConfig {
     /// Total decoded-block cache budget in bytes, split evenly across
     /// shards. `0` disables the cache (every read decodes).
     pub cache_bytes: usize,
-    /// Codec options for the write path. `verify` is forced on at
-    /// admission regardless of what is set here.
-    pub compress: CompressOptions,
+    /// Memory budgets the codec runs under: the encode side at `put`
+    /// admission (which always verifies), the decode side for the
+    /// admission check and every read.
+    pub budget: ResourceBudget,
     /// When `false`, `put` skips the codec and stores bytes raw — the
     /// shutoff switch (§5.7) and the way tests/benches populate a
     /// store that `backfill` then converts.
@@ -122,7 +123,7 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 16,
             cache_bytes: 64 << 20,
-            compress: CompressOptions::default(),
+            budget: ResourceBudget::default(),
             compress_on_write: true,
             recover_on_open: true,
         }
@@ -616,17 +617,16 @@ impl ShardedStore {
     /// the caller's exact bytes before anything is admitted. `None`
     /// means "store the original" — never an error to the caller.
     fn try_admit(&self, data: &[u8]) -> Option<Vec<u8>> {
-        let mut opts = self.cfg.compress.clone();
-        opts.verify = true;
+        let budget = self.cfg.budget;
+        let opts = CompressOptions {
+            budget,
+            ..Default::default()
+        };
         let lepton = lepton_core::Engine::global().compress(data, &opts).ok()?;
         // compress() already verified internally, but the blockstore
         // commit gate trusts nothing it did not check itself (§5.6
-        // "double-checks the result"). The check must decode with the
-        // store's own model config — the container does not carry it.
-        let dec_opts = lepton_core::DecompressOptions {
-            model: opts.model,
-            budget: opts.budget,
-        };
+        // "double-checks the result").
+        let dec_opts = lepton_core::DecompressOptions { budget };
         if lepton_core::Engine::global()
             .decompress_opts(&lepton, &dec_opts)
             .as_deref()
@@ -744,10 +744,8 @@ impl ShardedStore {
         let shard = self.shard_of(key);
         let decoded = match format {
             StoredFormat::Lepton => {
-                // Same model config the admission gate wrote with.
                 let dec_opts = lepton_core::DecompressOptions {
-                    model: self.cfg.compress.model,
-                    budget: self.cfg.compress.budget,
+                    budget: self.cfg.budget,
                 };
                 match lepton_core::Engine::global().decompress_opts(&payload, &dec_opts) {
                     Ok(jpeg) => jpeg,

@@ -8,7 +8,7 @@
 //! on read is policy, not damage: the record must not be quarantined
 //! and must remain readable by an adequately-budgeted handle.
 
-use lepton_core::{CompressOptions, ResourceBudget};
+use lepton_core::ResourceBudget;
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_corpus::{hostile_cases, mutation_matrix, probe, rig::RigCase};
 use lepton_storage::blockstore::{ShardedStore, StoreConfig, StoreError};
@@ -43,7 +43,6 @@ fn starved_budget() -> ResourceBudget {
     ResourceBudget {
         decode_bytes: 1 << 10,
         encode_bytes: 1 << 10,
-        ..Default::default()
     }
 }
 
@@ -86,10 +85,7 @@ fn starved_encode_budget_degrades_to_raw_storage() {
     let store = ShardedStore::open(
         &root,
         StoreConfig {
-            compress: CompressOptions {
-                budget: starved_budget(),
-                ..Default::default()
-            },
+            budget: starved_budget(),
             ..Default::default()
         },
     )
@@ -118,11 +114,8 @@ fn starved_decode_budget_refuses_reads_without_quarantine() {
         &root,
         StoreConfig {
             cache_bytes: 0,
-            compress: CompressOptions {
-                budget: ResourceBudget {
-                    decode_bytes: 1 << 10,
-                    ..Default::default()
-                },
+            budget: ResourceBudget {
+                decode_bytes: 1 << 10,
                 ..Default::default()
             },
             ..Default::default()
