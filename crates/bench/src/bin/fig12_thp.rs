@@ -15,7 +15,6 @@ fn main() {
             thp_fraction: thp,
             thp_stall_prob: 0.08,
             thp_stall_max: 12.0,
-            ..Default::default()
         },
         workload: lepton_cluster::WorkloadConfig {
             base_encode_rate: 10.0,

@@ -41,8 +41,7 @@ pub enum Command {
         seed: u64,
     },
     /// `lepton serve (--uds PATH | --tcp ADDR) [--max-conns N]
-    /// [--workers N] [--threshold T] [--shutoff FILE]` — run the
-    /// conversion service.
+    /// [--workers N] [--shutoff FILE]` — run the conversion service.
     Serve {
         /// `--uds PATH` listen endpoint.
         uds: Option<PathBuf>,
@@ -52,14 +51,12 @@ pub enum Command {
         max_conns: usize,
         /// Conversion worker-pool size (`--workers N`, 0 = auto).
         workers: usize,
-        /// Advertised busy threshold.
-        threshold: u32,
         /// Shutoff-switch file.
         shutoff: Option<PathBuf>,
     },
     /// `lepton stats (--uds PATH | --tcp ADDR) [--watch]
     /// [--interval-ms N]` — fetch and render a live service's
-    /// telemetry snapshot (`Stats` v2): counters, gauges, per-op
+    /// telemetry snapshot (the `StatsV2` op): counters, gauges, per-op
     /// latency percentiles, stage traces, and the degraded flag.
     Stats {
         /// `--uds PATH` service endpoint.
@@ -383,7 +380,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
             let mut tcp = None;
             let mut max_conns = 64usize;
             let mut workers = 0usize;
-            let mut threshold = 3u32;
             let mut shutoff = None;
             while let Some(a) = it.next() {
                 match a {
@@ -391,7 +387,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                     "--tcp" => tcp = Some(want_value(a, &mut it)?.to_string()),
                     "--max-conns" => max_conns = parse_num(a, want_value(a, &mut it)?)?,
                     "--workers" => workers = parse_num(a, want_value(a, &mut it)?)?,
-                    "--threshold" => threshold = parse_num(a, want_value(a, &mut it)?)?,
                     "--shutoff" => shutoff = Some(PathBuf::from(want_value(a, &mut it)?)),
                     _ => return Err(UsageError(format!("unknown flag {a}"))),
                 }
@@ -406,7 +401,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                 tcp,
                 max_conns,
                 workers,
-                threshold,
                 shutoff,
             })
         }
@@ -657,7 +651,7 @@ USAGE:
   lepton verify     <file...>
   lepton qualify    [--count N] [--seed S]
   lepton serve      (--uds PATH | --tcp ADDR) [--max-conns N] [--workers N]
-                    [--threshold T] [--shutoff FILE]
+                    [--shutoff FILE]
   lepton stats      (--uds PATH | --tcp ADDR) [--watch] [--interval-ms N]
   lepton corpus     --out DIR [--count N] [--seed S] [--dirty]
   lepton store put      --root DIR <file...> [--shards N] [--no-compress]
@@ -814,16 +808,11 @@ mod tests {
     fn serve_requires_exactly_one_endpoint() {
         assert!(parse(&["serve"]).is_err());
         assert!(parse(&["serve", "--uds", "/s", "--tcp", "127.0.0.1:1"]).is_err());
-        let Command::Serve {
-            max_conns,
-            threshold,
-            ..
-        } = parse(&["serve", "--uds", "/tmp/s.sock"]).unwrap()
+        let Command::Serve { max_conns, .. } = parse(&["serve", "--uds", "/tmp/s.sock"]).unwrap()
         else {
             panic!()
         };
         assert_eq!(max_conns, 64);
-        assert_eq!(threshold, 3, "default matches the paper's deployment");
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn write_output(
     }
 }
 
-/// Render a telemetry snapshot (`Stats` v2) as aligned text rows:
+/// Render a telemetry snapshot (the `StatsV2` op) as aligned text rows:
 /// counters and gauges print their live values, histograms print
 /// count/mean and the tail percentiles, and the degraded-health flag
 /// leads the listing so an operator's eye lands on it first.
@@ -273,7 +273,6 @@ fn run_inner(cmd: Command, log: &mut dyn Write) -> Result<i32, Box<dyn std::erro
             tcp,
             max_conns,
             workers,
-            threshold,
             shutoff,
         } => {
             let endpoint = match (&uds, &tcp) {
@@ -284,7 +283,6 @@ fn run_inner(cmd: Command, log: &mut dyn Write) -> Result<i32, Box<dyn std::erro
             let cfg = lepton_server::ServiceConfig {
                 max_connections: max_conns,
                 conversion_workers: workers,
-                busy_threshold: threshold,
                 shutoff_file: shutoff,
                 ..Default::default()
             };

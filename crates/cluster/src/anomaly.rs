@@ -1,14 +1,11 @@
-//! Anomaly injection: the §6 pathologies.
+//! Anomaly injection: the §6.3 pathology.
 //!
-//! * Transparent huge pages (§6.3): on affected machines the kernel's
-//!   defragmentation stalls a process *before it reads any input* — up
-//!   to tens of seconds — disproportionately hitting p95/p99. The model
-//!   marks a fraction of machines "THP-enabled" and samples stalls on
-//!   them; stalls are amortized over the next ~10 decodes like the paper
-//!   observed.
-//! * Decode timeouts (§6.6): unhealthy (swapping/overheating) hosts can
-//!   hang a decode past the timeout; such jobs are retried on an
-//!   isolated healthy cluster.
+//! Transparent huge pages (§6.3): on affected machines the kernel's
+//! defragmentation stalls a process *before it reads any input* — up
+//! to tens of seconds — disproportionately hitting p95/p99. The model
+//! marks a fraction of machines "THP-enabled" and samples stalls on
+//! them; stalls are amortized over the next ~10 decodes like the paper
+//! observed.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -28,10 +25,6 @@ pub struct AnomalyConfig {
     pub thp_stall_prob: f64,
     /// Maximum stall seconds (paper saw 30 s to first byte).
     pub thp_stall_max: f64,
-    /// Fraction of machines that are unhealthy.
-    pub unhealthy_fraction: f64,
-    /// Decode timeout (§6.6).
-    pub timeout_secs: f64,
 }
 
 impl Default for AnomalyConfig {
@@ -40,8 +33,6 @@ impl Default for AnomalyConfig {
             thp_fraction: 0.0,
             thp_stall_prob: 0.05,
             thp_stall_max: 8.0,
-            unhealthy_fraction: 0.0,
-            timeout_secs: 30.0,
         }
     }
 }
@@ -71,68 +62,6 @@ impl AnomalyConfig {
         } else {
             0.0
         }
-    }
-
-    /// Does a decode on an unhealthy machine exceed the timeout?
-    pub fn times_out(&self, rng: &mut StdRng, machine: usize) -> bool {
-        if self.unhealthy_fraction <= 0.0 {
-            return false;
-        }
-        let h = (machine as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F) >> 40;
-        let unhealthy = (h as f64 / (1u64 << 24) as f64) < self.unhealthy_fraction;
-        unhealthy && rng.gen_bool(0.3)
-    }
-}
-
-/// The §6.6 timeout-requeue pipeline: chunks whose decode exceeded the
-/// timeout are re-verified on an isolated healthy cluster (3 consecutive
-/// clean decodes delete the queue entry; any failure pages a human).
-#[derive(Clone, Debug, Default)]
-pub struct TimeoutQueue {
-    /// Pending (chunk id, retries so far).
-    pending: Vec<(u64, u32)>,
-    /// Chunks fully cleared.
-    pub cleared: u64,
-    /// Human pages (decode failed on the healthy cluster).
-    pub paged: u64,
-}
-
-impl TimeoutQueue {
-    /// Enqueue a timed-out chunk.
-    pub fn report_timeout(&mut self, chunk_id: u64) {
-        self.pending.push((chunk_id, 0));
-    }
-
-    /// Process the queue with a decode oracle (returns success).
-    /// Each chunk needs 3 consecutive successful decodes.
-    pub fn drain(&mut self, mut decode_ok: impl FnMut(u64) -> bool) {
-        let mut still = Vec::new();
-        for (id, _) in self.pending.drain(..) {
-            let mut ok = true;
-            for _ in 0..3 {
-                if !decode_ok(id) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.cleared += 1;
-            } else {
-                self.paged += 1;
-                still.push((id, 1));
-            }
-        }
-        self.pending = still;
-    }
-
-    /// Outstanding entries.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// No outstanding entries?
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 
@@ -168,7 +97,6 @@ mod tests {
             thp_fraction: 1.0,
             thp_stall_prob: 0.5,
             thp_stall_max: 10.0,
-            ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(2);
         let stalls: Vec<f64> = (0..1000).map(|_| cfg.sample_stall(&mut rng, 0)).collect();
@@ -177,17 +105,5 @@ mod tests {
         // Heavy tail: mean well below max.
         let mean = stalls.iter().sum::<f64>() / stalls.len() as f64;
         assert!(mean < 3.0, "mean {mean}");
-    }
-
-    #[test]
-    fn timeout_queue_clears_or_pages() {
-        let mut q = TimeoutQueue::default();
-        q.report_timeout(1);
-        q.report_timeout(2);
-        // Chunk 1 decodes fine; chunk 2 fails once.
-        q.drain(|id| id != 2);
-        assert_eq!(q.cleared, 1);
-        assert_eq!(q.paged, 1);
-        assert_eq!(q.len(), 1);
     }
 }

@@ -54,11 +54,6 @@ impl TimeSeries {
     pub fn count_series(&self) -> Vec<usize> {
         self.buckets.iter().map(|b| b.len()).collect()
     }
-
-    /// Mutable access to a bucket (for merging).
-    pub fn bucket_mut(&mut self, i: usize) -> &mut Percentiles {
-        &mut self.buckets[i]
-    }
 }
 
 #[cfg(test)]

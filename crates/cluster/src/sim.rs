@@ -4,9 +4,10 @@
 //! blockservers uniformly at random; each blockserver has 16 cores and a
 //! Lepton conversion wants 8, so "a blockserver can become oversubscribed
 //! … if it is randomly assigned 3 or more Lepton conversions at once."
-//! Outsourcing moves conversions off overloaded machines, either to a
-//! dedicated cluster or to another randomly chosen blockserver (power-of-
-//! two-choices flavor).
+//! Outsourcing moves conversions off overloaded machines, either to the
+//! least-loaded machine of a dedicated cluster or to one randomly chosen
+//! blockserver, with no load probe. This simulator is the repo's one
+//! implementation of §5.5's outsourcing decision.
 
 use crate::anomaly::AnomalyConfig;
 use crate::metrics::{Percentiles, TimeSeries};
@@ -72,8 +73,10 @@ pub struct ClusterConfig {
     pub cores: u32,
     /// Cores one Lepton conversion wants (paper: 8).
     pub cores_per_lepton: u32,
-    /// Outsource when local concurrent conversions exceed this (§5.5:
-    /// "more than three … at a time"; Fig. 10 sweeps 3 and 4).
+    /// Outsource an arrival whose home server already runs this many
+    /// conversions, so no server takes on more than this many by
+    /// itself (§5.5: "more than three … at a time"; Fig. 10 sweeps 3
+    /// and 4).
     pub outsource_threshold: u32,
     /// Outsourcing strategy.
     pub policy: OutsourcePolicy,

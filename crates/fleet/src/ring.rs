@@ -99,11 +99,6 @@ impl Ring {
         &self.nodes
     }
 
-    /// Member count.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Virtual nodes per member.
     pub fn vnodes(&self) -> usize {
         self.vnodes

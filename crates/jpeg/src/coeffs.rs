@@ -83,11 +83,6 @@ impl CoefPlanes {
                 .collect(),
         }
     }
-
-    /// Total bytes of coefficient storage (for memory accounting).
-    pub fn byte_size(&self) -> usize {
-        self.planes.iter().map(|p| p.raw().len() * 2).sum()
-    }
 }
 
 #[cfg(test)]

@@ -128,7 +128,7 @@ impl Histogram {
 }
 
 /// A plain (non-atomic) copy of a histogram: what travels on the
-/// `Stats` v2 wire and lands in bench JSON.
+/// `StatsV2` wire and lands in bench JSON.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.

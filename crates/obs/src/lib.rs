@@ -24,7 +24,7 @@
 //!   both defer to.
 //!
 //! Snapshots serialise to a versioned length-prefixed wire format
-//! ([`Snapshot::to_wire`]) served by the server's `Stats` v2 op.
+//! ([`Snapshot::to_wire`]) served by the server's `StatsV2` op.
 //!
 //! [`set_enabled`] switches histogram and trace recording off at
 //! runtime for A/B overhead measurements.

@@ -3,7 +3,7 @@
 //! Both the offline figure harnesses ([`Percentiles`], re-exported by
 //! `lepton_cluster::metrics`) and the runtime histograms
 //! ([`crate::Histogram`]) defer to [`nearest_rank_index`], so a p99
-//! printed by `fig10_replay` and a p99 served by `Op::Stats` v2 mean
+//! printed by `fig10_replay` and a p99 served by `Op::StatsV2` mean
 //! the same thing.
 
 /// Index of the nearest-rank percentile `p` (0..=100) in a sorted

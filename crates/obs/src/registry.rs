@@ -109,13 +109,6 @@ impl Registry {
         map.insert(name.to_owned(), Handle::Gauge(Arc::clone(g)));
     }
 
-    /// Register an externally owned histogram under `name` (see
-    /// [`Registry::adopt_counter`]).
-    pub fn adopt_histogram(&self, name: &str, h: &Arc<Histogram>) {
-        let mut map = self.inner.lock().expect("registry poisoned");
-        map.insert(name.to_owned(), Handle::Histogram(Arc::clone(h)));
-    }
-
     /// Point-in-time copy of every registered metric, name-sorted.
     pub fn snapshot(&self) -> Snapshot {
         let map = self.inner.lock().expect("registry poisoned");

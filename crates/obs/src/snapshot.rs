@@ -1,6 +1,6 @@
 //! Point-in-time metric snapshots and their versioned wire format.
 //!
-//! This is the payload of the server's `Stats` v2 op. Layout (all
+//! This is the payload of the server's `StatsV2` op. Layout (all
 //! integers little-endian):
 //!
 //! ```text
@@ -19,9 +19,9 @@
 //!
 //! Decoding is strict: truncated or oversized payloads, bad versions,
 //! unknown kinds, malformed names and out-of-range buckets all fail
-//! with a typed [`SnapshotWireError`]. Old clients keep speaking the
-//! fixed 24-byte v1 `StatsReply`; this format only travels on the new
-//! op, so the version byte exists for v3, not for v1 disambiguation.
+//! with a typed [`SnapshotWireError`]. The version byte leaves room for
+//! a later layout; version 1 was a fixed 24-byte reply on another op
+//! byte, which is retired.
 
 use crate::hist::{HistogramSnapshot, BUCKET_COUNT};
 

@@ -9,7 +9,7 @@
 //! other workers simply don't mark (their cost shows up in the
 //! caller's wait stage). Closing the span pushes a [`JobTrace`] into
 //! a bounded ring of recent jobs and folds each stage duration into
-//! `trace.stage.*` histograms on the global registry, so `Stats` v2
+//! `trace.stage.*` histograms on the global registry, so `StatsV2`
 //! exposes stage-level p50/p99/p999 fleet-wide.
 //!
 //! The ring holds [`DEFAULT_RING_CAP`] entries behind a mutex touched

@@ -11,7 +11,7 @@
 //! A [`Watchdog`] owns one of each, buckets observations into
 //! fixed-size evaluation windows (count-based, so tests and replays
 //! are deterministic — no wall clock), and latches a degraded-health
-//! flag that servers expose via `Stats` v2 and fleet gateways consult
+//! flag that servers expose via `StatsV2` and fleet gateways consult
 //! for routing decisions. The flag clears itself after a configurable
 //! number of consecutive healthy windows.
 
@@ -155,11 +155,6 @@ impl Watchdog {
             trips: AtomicU64::new(0),
             inner: Mutex::new((WindowState::default(), detector)),
         }
-    }
-
-    /// Watchdog with default thresholds.
-    pub fn with_defaults() -> Self {
-        Self::new(WatchdogConfig::default())
     }
 
     /// The configured thresholds.

@@ -12,7 +12,7 @@
 
 use crate::endpoint::{Conn, Endpoint};
 use crate::protocol::{
-    read_bounded, read_frame_header, write_frame, BlockStatReply, Op, StatsReply, Status, MUX_MAGIC,
+    read_bounded, read_frame_header, write_frame, BlockStatReply, Op, Status, MUX_MAGIC,
 };
 use lepton_obs::Snapshot;
 use std::collections::HashMap;
@@ -69,7 +69,7 @@ impl ClientError {
     /// moment, not about the request — backing off and retrying,
     /// ideally elsewhere, is exactly what the shedding node wants).
     /// A non-timeout refusal is authoritative (the input is bad
-    /// everywhere — §5.5's router never re-runs a rejection), a
+    /// everywhere, so no other replica would answer differently), a
     /// garbled reply means a protocol mismatch no retry will fix, and
     /// an `InvalidData` I/O error is the size-budget gate
     /// (`read_bounded`) — deterministic, so retrying it only burns
@@ -272,20 +272,9 @@ pub fn ping(ep: &Endpoint, timeout: Duration) -> Result<(), ClientError> {
     }
 }
 
-/// Load probe: the number the outsourcing router compares (§5.5).
-pub fn probe(ep: &Endpoint, timeout: Duration) -> Result<StatsReply, ClientError> {
-    match convert(ep, Op::Stats, &[], timeout)? {
-        (Status::Ok, body) => {
-            StatsReply::from_wire(&body).ok_or(ClientError::Garbled("stats reply size"))
-        }
-        (status, _) => Err(ClientError::Refused(status)),
-    }
-}
-
-/// Full telemetry snapshot (`Stats` v2): every registry counter,
-/// gauge, and latency histogram, plus the degraded-health flag.
-/// Old servers that do not speak `Op::StatsV2` refuse the op with a
-/// typed status; callers can fall back to [`probe`].
+/// Full telemetry snapshot ([`Op::StatsV2`]): every registry counter,
+/// gauge, and latency histogram, plus the degraded-health flag. A
+/// server that does not speak the op refuses it with a typed status.
 pub fn probe_snapshot(ep: &Endpoint, timeout: Duration) -> Result<Snapshot, ClientError> {
     match convert(ep, Op::StatsV2, &[], timeout)? {
         (Status::Ok, body) => {

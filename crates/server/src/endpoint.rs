@@ -1,10 +1,10 @@
 //! Transport abstraction: Unix-domain sockets and TCP.
 //!
-//! Under normal operation the blockserver talks to a *local* Lepton
-//! process over a Unix-domain socket; when outsourcing, it makes a TCP
-//! connection to a machine in the same building instead (§5.5). Both
-//! transports carry the same byte protocol, so everything above this
-//! module is transport-agnostic.
+//! In the paper, the blockserver talks to a *local* Lepton process
+//! over a Unix-domain socket, and to a machine in the same building
+//! over TCP when it outsources (§5.5). Both transports carry the same
+//! byte protocol, so everything above this module is
+//! transport-agnostic; the fleet's nodes and gateway use TCP.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -17,7 +17,7 @@ use std::time::Duration;
 pub enum Endpoint {
     /// Unix-domain socket path (local conversions).
     Uds(PathBuf),
-    /// TCP address (outsourced conversions).
+    /// TCP address (conversions and block ops from other machines).
     Tcp(SocketAddr),
 }
 

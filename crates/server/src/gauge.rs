@@ -1,16 +1,16 @@
-//! Concurrent-conversion accounting.
+//! Concurrency accounting for the service.
 //!
-//! The outsourcing decision in the paper hinges on one number: how
-//! many Lepton conversions are running on this machine *right now*
-//! (§5.5: "Lepton will outsource any compression operations that occur
-//! on machines that have more than three conversions happening at a
-//! time"). [`ConcurrencyGauge`] tracks that number with an RAII lease,
-//! plus the high-water mark the Figure 9 experiment plots.
+//! [`ConcurrencyGauge`] counts work in flight with an RAII lease, plus
+//! a high-water mark and a running total. The service keeps two:
+//! `server.conversions` (Lepton conversions running right now, the
+//! number §5.5's outsourcing rule is stated in, which
+//! `lepton_cluster::sim` models) and `server.conns` (live
+//! connections, whose high water the connection-cap tests read).
 //!
-//! The gauge now lives on the unified telemetry registry: it is a
-//! thin facade over a [`lepton_obs::Gauge`] (active + high water) and
-//! a [`lepton_obs::Counter`] (total leases), so `Stats` v2 exports the
-//! same numbers the admission path reads, with no parallel bookkeeping.
+//! Each gauge is a thin facade over a [`lepton_obs::Gauge`] (active +
+//! high water) and a [`lepton_obs::Counter`] (total leases) on the
+//! service's registry, so the `StatsV2` snapshot exports the same
+//! atomics the service updates, with no parallel bookkeeping.
 //!
 //! # Why this no longer uses `SeqCst`
 //!

@@ -5,7 +5,10 @@
 //! files", and when the local machine is overloaded the blockserver
 //! "will make a TCP connection to a machine tagged for outsourcing"
 //! instead (§5.5). This crate is that service layer, transport and
-//! all:
+//! all. It serves whatever connects; the choice of *where* a
+//! conversion runs (local, to self, to dedicated) is modelled once,
+//! by `lepton_cluster::sim`, which drives the Fig. 9, 10 and 14
+//! harnesses.
 //!
 //! * [`protocol`] — the wire protocol in both modes: legacy
 //!   one-conversion-per-connection (op byte, payload, half-close;
@@ -27,9 +30,6 @@
 //!   blockstore access (`block_put`/`block_get`/`block_stat`), and
 //!   [`client::MuxClient`] for pipelining many requests over one
 //!   connection.
-//! * [`router`] — outsourcing: power-of-two-choices selection over a
-//!   dedicated cluster ("To dedicated") or the blockserver fleet
-//!   itself ("To self"), with local fallback (§5.5, Fig. 9/10).
 //!
 //! ```no_run
 //! use lepton_server::{serve, Endpoint, ServiceConfig};
@@ -49,12 +49,10 @@ pub mod client;
 pub mod endpoint;
 pub mod gauge;
 pub mod protocol;
-pub mod router;
 pub mod server;
 
 pub use client::{retry_with_backoff, ClientError, MuxClient, RetryPolicy};
 pub use endpoint::{Conn, Endpoint, Listener};
 pub use gauge::ConcurrencyGauge;
-pub use protocol::{BlockStatReply, Frame, Op, StatsReply, Status, MUX_MAGIC};
-pub use router::{Destination, Router, RouterMetrics, Strategy};
+pub use protocol::{BlockStatReply, Frame, Op, Status, MUX_MAGIC};
 pub use server::{serve, ServiceConfig, ServiceHandle, ServiceMetrics};

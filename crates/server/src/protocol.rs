@@ -9,9 +9,9 @@
 //!
 //! We keep exactly that shape and add the two bytes the paper leaves
 //! implicit: a leading *op* byte on the request (so one port serves
-//! compress, decompress, and load probes) and a leading *status* byte
-//! on the response (so a client can tell a converted payload from a
-//! rejection without sniffing magic numbers).
+//! conversions, block reads and writes, and probes) and a leading
+//! *status* byte on the response (so a client can tell a converted
+//! payload from a rejection without sniffing magic numbers).
 //!
 //! ```text
 //! request  = op:u8  payload:*    EOF(shutdown write)
@@ -59,14 +59,11 @@ pub enum Op {
     Decompress,
     /// No payload; empty OK response. Liveness probe.
     Ping,
-    /// No payload; returns a [`StatsReply`]. Load probe used by the
-    /// power-of-two-choices outsourcing router.
-    Stats,
     /// No payload; returns a versioned telemetry snapshot
     /// (`lepton_obs::Snapshot` wire format v2: length-prefixed
-    /// key/value metrics plus sparse histogram buckets). Old clients
-    /// keep sending [`Op::Stats`] and still get the fixed 24-byte
-    /// [`StatsReply`]; the two ops coexist indefinitely.
+    /// key/value metrics plus sparse histogram buckets). The service's
+    /// one stats op; the name and the `V` byte date from when a fixed
+    /// 24-byte v1 reply (byte `S`, now an unknown op) sat beside it.
     StatsV2,
     /// Block bytes in, 32-byte content address out: store a block in
     /// the service's blockstore (compress-on-write is transparent —
@@ -97,7 +94,6 @@ impl Op {
             Op::Compress => b'C',
             Op::Decompress => b'D',
             Op::Ping => b'P',
-            Op::Stats => b'S',
             Op::StatsV2 => b'V',
             Op::BlockPut => b'B',
             Op::BlockGet => b'G',
@@ -112,7 +108,6 @@ impl Op {
             b'C' => Some(Op::Compress),
             b'D' => Some(Op::Decompress),
             b'P' => Some(Op::Ping),
-            b'S' => Some(Op::Stats),
             b'V' => Some(Op::StatsV2),
             b'B' => Some(Op::BlockPut),
             b'G' => Some(Op::BlockGet),
@@ -124,11 +119,10 @@ impl Op {
 
     /// Every op, in wire-introduction order. Drives per-op metric
     /// arrays and exhaustiveness tests.
-    pub const ALL: [Op; 9] = [
+    pub const ALL: [Op; 8] = [
         Op::Compress,
         Op::Decompress,
         Op::Ping,
-        Op::Stats,
         Op::StatsV2,
         Op::BlockPut,
         Op::BlockGet,
@@ -143,7 +137,6 @@ impl Op {
             Op::Compress => "compress",
             Op::Decompress => "decompress",
             Op::Ping => "ping",
-            Op::Stats => "stats",
             Op::StatsV2 => "stats_v2",
             Op::BlockPut => "block_put",
             Op::BlockGet => "block_get",
@@ -158,12 +151,11 @@ impl Op {
             Op::Compress => 0,
             Op::Decompress => 1,
             Op::Ping => 2,
-            Op::Stats => 3,
-            Op::StatsV2 => 4,
-            Op::BlockPut => 5,
-            Op::BlockGet => 6,
-            Op::BlockStat => 7,
-            Op::BlockList => 8,
+            Op::StatsV2 => 3,
+            Op::BlockPut => 4,
+            Op::BlockGet => 5,
+            Op::BlockStat => 6,
+            Op::BlockList => 7,
         }
     }
 }
@@ -270,62 +262,6 @@ impl Status {
     /// True for `Ok`.
     pub fn is_ok(self) -> bool {
         self == Status::Ok
-    }
-}
-
-/// The reply payload of [`Op::Stats`]: a fixed 24-byte little-endian
-/// record. This is what an outsourcing router compares when it has two
-/// random choices in hand (§5.5).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Conversions in flight right now.
-    pub active: u32,
-    /// Most conversions ever in flight at once.
-    pub high_water: u32,
-    /// The server's configured busy threshold (outsource if exceeded).
-    pub busy_threshold: u32,
-    /// Conversions served since start.
-    pub total_served: u64,
-    /// Conversions rejected or failed since start.
-    pub total_failed: u32,
-}
-
-impl StatsReply {
-    /// Serialized size in bytes.
-    pub const WIRE_LEN: usize = 24;
-
-    /// Encode to the fixed wire record.
-    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        out[0..4].copy_from_slice(&self.active.to_le_bytes());
-        out[4..8].copy_from_slice(&self.high_water.to_le_bytes());
-        out[8..12].copy_from_slice(&self.busy_threshold.to_le_bytes());
-        out[12..20].copy_from_slice(&self.total_served.to_le_bytes());
-        out[20..24].copy_from_slice(&self.total_failed.to_le_bytes());
-        out
-    }
-
-    /// Decode the fixed wire record.
-    pub fn from_wire(b: &[u8]) -> Option<StatsReply> {
-        if b.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let le32 = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
-        let le64 = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
-        Some(StatsReply {
-            active: le32(0),
-            high_water: le32(4),
-            busy_threshold: le32(8),
-            total_served: le64(12),
-            total_failed: le32(20),
-        })
-    }
-
-    /// Is this server over its busy threshold (the outsourcing
-    /// trigger, §5.5: "more than three conversions happening at a
-    /// time")?
-    pub fn is_busy(&self) -> bool {
-        self.active > self.busy_threshold
     }
 }
 
@@ -564,6 +500,7 @@ mod tests {
             assert_eq!(op.index(), i, "ALL order matches index()");
         }
         assert_eq!(Op::from_wire(b'X'), None);
+        assert_eq!(Op::from_wire(b'S'), None, "the retired v1 stats byte");
         assert_eq!(Op::from_wire(0), None);
     }
 
@@ -607,20 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reply_roundtrip() {
-        let s = StatsReply {
-            active: 7,
-            high_water: 19,
-            busy_threshold: 3,
-            total_served: 1 << 40,
-            total_failed: 12,
-        };
-        assert_eq!(StatsReply::from_wire(&s.to_wire()), Some(s));
-        assert_eq!(StatsReply::from_wire(&[0u8; 23]), None);
-        assert_eq!(StatsReply::from_wire(&[0u8; 25]), None);
-    }
-
-    #[test]
     fn block_stat_reply_roundtrip() {
         let s = BlockStatReply {
             blocks: 12,
@@ -634,18 +557,6 @@ mod tests {
         assert_eq!(BlockStatReply::from_wire(&s.to_wire()), Some(s));
         assert_eq!(BlockStatReply::from_wire(&[0u8; 55]), None);
         assert!(s.savings() > 0.5);
-    }
-
-    #[test]
-    fn busy_is_strictly_greater_than_threshold() {
-        let mut s = StatsReply {
-            busy_threshold: 3,
-            ..Default::default()
-        };
-        s.active = 3;
-        assert!(!s.is_busy(), "paper outsources on *more than* three");
-        s.active = 4;
-        assert!(s.is_busy());
     }
 
     #[test]

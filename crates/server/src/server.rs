@@ -39,15 +39,15 @@
 //!   (backpressure) instead of refusing the read.
 //!
 //! The shutoff switch is a file whose existence is checked before
-//! compressing anything new (§5.7); decodes are never refused. Load
-//! probes (`Ping`/`Stats`) are answered inline by the driver, never
-//! queued behind conversions.
+//! compressing anything new (§5.7); decodes are never refused. Probes
+//! (`Ping`/`StatsV2`) are answered inline by the driver, never queued
+//! behind conversions.
 
 use crate::endpoint::{Conn, Endpoint, Listener};
 use crate::gauge::ConcurrencyGauge;
 use crate::protocol::{
     frame_header, read_bounded, read_frame, write_all_vectored, write_frame, write_response,
-    BlockStatReply, Op, StatsReply, Status, MUX_MAGIC,
+    BlockStatReply, Op, Status, MUX_MAGIC,
 };
 use lepton_core::{CompressOptions, DecodeError, DecodeSink, ExitCode, ResourceBudget};
 use lepton_obs::{Counter, Gauge, Histogram, Registry, Snapshot, Watchdog, WatchdogConfig};
@@ -72,9 +72,6 @@ pub struct ServiceConfig {
     /// the CPU — the paper's blockservers routinely ran 15 at once at
     /// peak (§5.5) — but never unboundedly.
     pub max_connections: usize,
-    /// Advertised busy threshold: a router outsources when `active >
-    /// busy_threshold` (the paper deployed 3 and 4).
-    pub busy_threshold: u32,
     /// Per-connection socket IO timeout.
     pub io_timeout: Duration,
     /// Largest accepted request payload. Conversions are per-chunk, so
@@ -101,7 +98,7 @@ pub struct ServiceConfig {
     pub job_queue_depth: usize,
     /// Anomaly-watchdog thresholds (§6 monitoring): window size and
     /// the shed/error-rate and compression-ratio-shift alarms that
-    /// latch the degraded-health flag `Stats` v2 reports.
+    /// latch the degraded-health flag the `StatsV2` op reports.
     pub watchdog: WatchdogConfig,
 }
 
@@ -119,7 +116,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             budget: ResourceBudget::default(),
             max_connections: 64,
-            busy_threshold: 3,
             io_timeout: Duration::from_secs(30),
             max_request_bytes: 24 << 20,
             shutoff_file: None,
@@ -131,11 +127,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Counters exported by [`ServiceHandle::stats`] and the `Stats` op.
+/// Counters exported by [`ServiceHandle::metrics`] and the `StatsV2` op.
 ///
-/// Since the telemetry unification these are views onto the service's
-/// [`Registry`] (`server.served` etc.), so the v1 24-byte reply, the
-/// v2 snapshot and these handles always agree.
+/// These are views onto the service's [`Registry`] (`server.served`
+/// etc.), so the wire snapshot and these handles always agree.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     /// Successful conversions (compress + decompress).
@@ -261,7 +256,7 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> std::io::Result<Service
     let (job_tx, job_rx) = crossbeam::channel::bounded::<MuxJob>(cfg.job_queue_depth.max(1));
 
     // The unified telemetry registry: every counter the service
-    // updates lives here under a stable dotted name, so the v2 Stats
+    // updates lives here under a stable dotted name, so the `StatsV2`
     // snapshot is a read, not a collection effort.
     let registry = Arc::new(Registry::new());
     let metrics = Arc::new(ServiceMetrics::on_registry(&registry));
@@ -376,8 +371,8 @@ impl ServiceHandle {
         &self.endpoint
     }
 
-    /// Live conversion-concurrency gauge (what the outsourcing router
-    /// and the `Stats` op read).
+    /// Live conversion-concurrency gauge, exported as
+    /// `server.conversions.*` by the `StatsV2` op.
     pub fn gauge(&self) -> &Arc<ConcurrencyGauge> {
         &self.shared.gauge
     }
@@ -388,11 +383,6 @@ impl ServiceHandle {
     /// exactly that.
     pub fn connections(&self) -> &Arc<ConcurrencyGauge> {
         &self.shared.conns
-    }
-
-    /// The same snapshot the wire `Stats` op returns.
-    pub fn stats(&self) -> StatsReply {
-        stats_reply(&self.shared)
     }
 
     /// Raw metric counters.
@@ -406,7 +396,7 @@ impl ServiceHandle {
         &self.shared.registry
     }
 
-    /// The same versioned snapshot the wire `Stats` v2 op returns:
+    /// The same versioned snapshot the wire `StatsV2` op returns:
     /// this service's registry merged with the process-global one
     /// (engine, job traces), plus watchdog health gauges.
     pub fn snapshot(&self) -> Snapshot {
@@ -465,17 +455,7 @@ impl Drop for ServiceHandle {
     }
 }
 
-fn stats_reply(shared: &Shared) -> StatsReply {
-    StatsReply {
-        active: shared.gauge.active(),
-        high_water: shared.gauge.high_water(),
-        busy_threshold: shared.cfg.busy_threshold,
-        total_served: shared.metrics.served.get(),
-        total_failed: shared.metrics.failed.get() as u32,
-    }
-}
-
-/// Build the v2 stats snapshot: refresh the computed gauges, then
+/// Build the `StatsV2` snapshot: refresh the computed gauges, then
 /// merge this service's registry with the process-global registry
 /// (codec engine counters, `trace.*` stage histograms).
 fn stats_snapshot(shared: &Shared) -> Snapshot {
@@ -488,10 +468,6 @@ fn stats_snapshot(shared: &Shared) -> Snapshot {
     if store_read_only(shared) {
         shared.registry.gauge("health.degraded").set(1);
     }
-    shared
-        .registry
-        .gauge("server.busy_threshold")
-        .set(i64::from(shared.cfg.busy_threshold));
     let mut snap = shared.registry.snapshot();
     snap.merge(Registry::global().snapshot());
     snap
@@ -613,7 +589,7 @@ fn drive_mux(conn: Conn, shared: &Arc<Shared>) {
         };
         // Probes are answered inline — they must never queue behind
         // conversions (that is what makes them useful under load).
-        if matches!(op, Op::Ping | Op::Stats | Op::StatsV2) {
+        if matches!(op, Op::Ping | Op::StatsV2) {
             let (status, body) = execute_op(shared, op, &frame.payload);
             mux.respond(frame.id, status, &body);
             continue;
@@ -846,7 +822,7 @@ fn refusal(e: &DecodeError) -> Status {
 /// its wall time into the registry's per-op latency histogram.
 fn timed_op<R>(shared: &Shared, op: Op, f: impl FnOnce() -> R) -> R {
     let start = Instant::now();
-    if !matches!(op, Op::Ping | Op::Stats | Op::StatsV2) {
+    if !matches!(op, Op::Ping | Op::StatsV2) {
         let delay = shared.delay_ms.load(Ordering::SeqCst);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
@@ -869,7 +845,6 @@ fn execute_op_inner(shared: &Arc<Shared>, op: Op, payload: &[u8]) -> (Status, Ve
     let watchdog = &shared.watchdog;
     match op {
         Op::Ping => (Status::Ok, Vec::new()),
-        Op::Stats => (Status::Ok, stats_reply(shared).to_wire().to_vec()),
         Op::StatsV2 => (Status::Ok, stats_snapshot(shared).to_wire()),
         Op::Compress => {
             if shutoff_engaged(cfg) {

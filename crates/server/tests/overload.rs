@@ -53,9 +53,8 @@ fn mux_pipelines_requests_and_answers_out_of_order() {
     assert_eq!(ds, Status::Ok);
     assert_eq!(back, jpeg);
 
-    let stats = handle.stats();
-    assert_eq!(stats.total_served, 3);
-    assert_eq!(stats.total_failed, 0);
+    assert_eq!(handle.metrics().served.get(), 3);
+    assert_eq!(handle.metrics().failed.get(), 0);
     handle.shutdown();
 }
 

@@ -2,7 +2,7 @@
 //! arbitrary bytes, every encoder inverted by its decoder.
 
 use lepton_obs::{hist, MetricValue, Snapshot, SnapshotWireError};
-use lepton_server::protocol::{read_bounded, read_request, Op, StatsReply, Status, EXIT_CODES};
+use lepton_server::protocol::{read_bounded, read_request, Op, Status, EXIT_CODES};
 use proptest::prelude::*;
 
 /// Arbitrary single metric value, covering all three kinds (histogram
@@ -51,34 +51,7 @@ proptest! {
         }
     }
 
-    #[test]
-    fn stats_reply_roundtrip(
-        active in any::<u32>(),
-        high_water in any::<u32>(),
-        busy_threshold in any::<u32>(),
-        total_served in any::<u64>(),
-        total_failed in any::<u32>(),
-    ) {
-        let s = StatsReply {
-            active,
-            high_water,
-            busy_threshold,
-            total_served,
-            total_failed,
-        };
-        prop_assert_eq!(StatsReply::from_wire(&s.to_wire()), Some(s));
-    }
-
-    /// Stats parsing is length-strict: any length but the canonical one
-    /// returns None (a truncated probe must not yield a bogus load of 0
-    /// and attract all the traffic).
-    #[test]
-    fn stats_reply_rejects_wrong_lengths(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let parsed = StatsReply::from_wire(&bytes);
-        prop_assert_eq!(parsed.is_some(), bytes.len() == StatsReply::WIRE_LEN);
-    }
-
-    /// `Stats` v2 snapshot wire: decode inverts encode exactly for
+    /// `StatsV2` snapshot wire: decode inverts encode exactly for
     /// arbitrary valid snapshots (all metric kinds, sparse histogram
     /// buckets, the degraded flag).
     #[test]
@@ -123,22 +96,6 @@ proptest! {
             Snapshot::from_wire(&wire),
             Err(SnapshotWireError::TooManyEntries(n))
         );
-    }
-
-    /// The legacy 24-byte v1 probe reply still parses unchanged: new
-    /// telemetry must not break deployed v1 clients.
-    #[test]
-    fn stats_v1_back_compat_unchanged(
-        active in any::<u32>(),
-        high_water in any::<u32>(),
-        busy_threshold in any::<u32>(),
-        total_served in any::<u64>(),
-        total_failed in any::<u32>(),
-    ) {
-        let s = StatsReply { active, high_water, busy_threshold, total_served, total_failed };
-        let wire = s.to_wire();
-        prop_assert_eq!(wire.len(), StatsReply::WIRE_LEN);
-        prop_assert_eq!(StatsReply::from_wire(&wire), Some(s));
     }
 
     /// Request framing: op byte + arbitrary payload + EOF parses back

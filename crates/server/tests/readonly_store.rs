@@ -2,7 +2,7 @@
 //! path flips the store read-only, after which the server sheds writes
 //! with the typed transient [`Status::ReadOnly`], keeps serving reads,
 //! and carries the degraded-health flag (plus the `store.readonly`
-//! gauge) on the `Stats` v2 wire.
+//! gauge) on the `StatsV2` wire.
 
 use lepton_server::client::{self, ClientError};
 use lepton_server::{serve, Endpoint, ServiceConfig, Status};
@@ -75,7 +75,7 @@ fn enospc_sheds_writes_serves_reads_and_degrades_stats() {
         before
     );
 
-    // The degraded flag and the readonly gauge ride the Stats v2 wire.
+    // The degraded flag and the readonly gauge ride the `StatsV2` wire.
     let snap = client::probe_snapshot(ep, TIMEOUT).unwrap();
     assert!(snap.degraded(), "read-only latch must degrade health");
     assert_eq!(snap.gauge("store.readonly"), 1, "gauge must be exported");

@@ -1,15 +1,12 @@
 //! End-to-end tests of the conversion service over real sockets:
-//! Unix-domain and TCP transports, concurrent load, outsourcing
-//! policy, shutoff switch, and malformed traffic.
+//! Unix-domain and TCP transports, concurrent load, shutoff switch,
+//! and malformed traffic.
 
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
-use lepton_server::{
-    client, serve, ClientError, Destination, Endpoint, MuxClient, Op, Router, ServiceConfig,
-    Status, Strategy,
-};
+use lepton_server::protocol::{read_frame, write_frame};
+use lepton_server::{client, serve, ClientError, Endpoint, Op, ServiceConfig, Status, MUX_MAGIC};
 use std::io::{Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,9 +40,8 @@ fn uds_compress_decompress_roundtrip() {
     let back = client::decompress(handle.endpoint(), &lepton, TIMEOUT).unwrap();
     assert_eq!(back, jpeg, "byte-exact through the socket");
 
-    let stats = handle.stats();
-    assert_eq!(stats.total_served, 2);
-    assert_eq!(stats.total_failed, 0);
+    assert_eq!(handle.metrics().served.get(), 2);
+    assert_eq!(handle.metrics().failed.get(), 0);
     handle.shutdown();
 }
 
@@ -65,9 +61,9 @@ fn tcp_transport_carries_same_protocol() {
 fn ping_and_stats_ops() {
     let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
     client::ping(handle.endpoint(), TIMEOUT).unwrap();
-    let stats = client::probe(handle.endpoint(), TIMEOUT).unwrap();
-    assert_eq!(stats.active, 0);
-    assert_eq!(stats.busy_threshold, 3, "default matches the paper");
+    let snap = client::probe_snapshot(handle.endpoint(), TIMEOUT).unwrap();
+    assert!(snap.get("server.conversions.active").is_some());
+    assert_eq!(snap.gauge("server.conversions.active"), 0);
     handle.shutdown();
 }
 
@@ -88,19 +84,50 @@ fn rejections_carry_exit_codes() {
         err,
         ClientError::Refused(Status::Rejected(_)) | ClientError::Refused(Status::BadRequest)
     ));
-    assert!(handle.stats().total_failed >= 2);
+    assert!(handle.metrics().failed.get() >= 2);
     handle.shutdown();
 }
 
+/// `S` was the v1 stats op; it is an unknown op now, like `Z`.
 #[test]
 fn unknown_op_is_bad_request() {
     let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
+    for op in [b'Z', b'S'] {
+        let mut conn = handle.endpoint().connect(Some(TIMEOUT)).unwrap();
+        conn.write_all(&[op]).unwrap();
+        conn.write_all(b"whatever").unwrap();
+        conn.shutdown_write().unwrap();
+        let mut resp = Vec::new();
+        conn.read_to_end(&mut resp).unwrap();
+        assert_eq!(
+            Status::from_wire(resp[0]),
+            Some(Status::BadRequest),
+            "op {:?}",
+            op as char
+        );
+    }
+    handle.shutdown();
+}
+
+/// In framed mode an unknown op is refused under its own frame id and
+/// the connection stays usable.
+#[test]
+fn unknown_op_is_bad_request_in_framed_mode() {
+    let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
     let mut conn = handle.endpoint().connect(Some(TIMEOUT)).unwrap();
-    conn.write_all(b"Zwhatever").unwrap();
-    conn.shutdown_write().unwrap();
-    let mut resp = Vec::new();
-    conn.read_to_end(&mut resp).unwrap();
-    assert_eq!(Status::from_wire(resp[0]), Some(Status::BadRequest));
+    conn.write_all(&[MUX_MAGIC]).unwrap();
+    write_frame(&mut conn, 7, b'S', &[]).unwrap();
+    let refused = read_frame(&mut conn, 1 << 20)
+        .unwrap()
+        .expect("a reply frame");
+    assert_eq!(refused.id, 7);
+    assert_eq!(Status::from_wire(refused.byte), Some(Status::BadRequest));
+    write_frame(&mut conn, 8, Op::Ping.to_wire(), &[]).unwrap();
+    let pong = read_frame(&mut conn, 1 << 20)
+        .unwrap()
+        .expect("a reply frame");
+    assert_eq!(pong.id, 8);
+    assert_eq!(Status::from_wire(pong.byte), Some(Status::Ok));
     handle.shutdown();
 }
 
@@ -175,9 +202,8 @@ fn concurrent_clients_all_roundtrip() {
     for t in threads {
         t.join().unwrap();
     }
-    let stats = handle.stats();
-    assert_eq!(stats.total_served, 16);
-    assert!(stats.high_water >= 1);
+    assert_eq!(handle.metrics().served.get(), 16);
+    assert!(handle.gauge().high_water() >= 1);
     Arc::try_unwrap(handle).ok().unwrap().shutdown();
 }
 
@@ -191,189 +217,6 @@ fn graceful_shutdown_then_connection_refused() {
     // Socket file is gone; connecting must fail.
     assert!(client::ping(&ep, Duration::from_millis(200)).is_err());
     assert!(!path.exists());
-}
-
-#[test]
-fn router_stays_local_under_light_load() {
-    let local = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let remote = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let router = Router::new(
-        local.endpoint().clone(),
-        vec![remote.endpoint().clone()],
-        vec![],
-        Strategy::ToSelf,
-        3,
-        TIMEOUT,
-    );
-    let jpeg = clean_jpeg(&spec(), 4);
-    let (lepton, dest) = router.compress(&jpeg).unwrap();
-    assert_eq!(dest, Destination::Local, "idle machine keeps its work");
-    assert_eq!(lepton_core::decompress(&lepton).unwrap(), jpeg);
-    assert_eq!(remote.stats().total_served, 0);
-    local.shutdown();
-    remote.shutdown();
-}
-
-/// Keeps conversions running on `ep` until [`BusyLoad::join`]. The
-/// gauge only counts running conversions, so the load is real work:
-/// `n` framed connections, each compressing a large input over and
-/// over, always with its next request already queued at the service —
-/// a worker that finishes one picks up another at once, so the gauge
-/// does not dip between them for a probe to catch.
-struct BusyLoad {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl BusyLoad {
-    fn start(ep: &Endpoint, n: usize) -> BusyLoad {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::new();
-        for s in 0..n {
-            let (ep, stop) = (ep.clone(), Arc::clone(&stop));
-            threads.push(std::thread::spawn(move || {
-                let big = CorpusSpec {
-                    min_dim: 640,
-                    max_dim: 900,
-                    ..Default::default()
-                };
-                let jpeg = clean_jpeg(&big, 7000 + s as u64);
-                let mut mux = MuxClient::connect(&ep, TIMEOUT).unwrap();
-                let mut running = mux.send(Op::Compress, &jpeg).unwrap();
-                while !stop.load(Ordering::SeqCst) {
-                    let queued = mux.send(Op::Compress, &jpeg).unwrap();
-                    let _ = mux.recv(running);
-                    running = queued;
-                }
-                let _ = mux.recv(running);
-            }));
-        }
-        BusyLoad { stop, threads }
-    }
-
-    /// Release the load and wait for its last conversions.
-    fn join(self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads {
-            t.join().unwrap();
-        }
-    }
-}
-
-#[test]
-fn router_outsources_when_local_is_saturated() {
-    // Local server with enough workers that the gauge can exceed the
-    // threshold of 0 the moment any conversion is in flight.
-    let local = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let dedicated = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let router = Router::new(
-        local.endpoint().clone(),
-        vec![],
-        vec![dedicated.endpoint().clone()],
-        Strategy::ToDedicated,
-        0, // outsource the moment anything is running locally
-        TIMEOUT,
-    );
-
-    // Saturate local, then route while it is busy.
-    let load = BusyLoad::start(local.endpoint(), 2);
-    // Wait until the gauge actually shows in-flight work.
-    let deadline = std::time::Instant::now() + TIMEOUT;
-    while local.gauge().active() == 0 {
-        assert!(std::time::Instant::now() < deadline, "load never arrived");
-        std::thread::yield_now();
-    }
-
-    let jpeg = clean_jpeg(&spec(), 5);
-    let (lepton, dest) = router.compress(&jpeg).unwrap();
-    assert!(
-        matches!(dest, Destination::Outsourced(_)),
-        "busy local machine must outsource (got {dest:?})"
-    );
-    assert_eq!(lepton_core::decompress(&lepton).unwrap(), jpeg);
-    assert!(dedicated.stats().total_served >= 1);
-    assert_eq!(
-        router
-            .metrics
-            .outsourced
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
-
-    load.join();
-    local.shutdown();
-    dedicated.shutdown();
-}
-
-#[test]
-fn router_two_choices_picks_lighter_remote() {
-    // Remote A is saturated by held conversions; remote B idle. The
-    // two-choice probe must pick B.
-    let local = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let remote_a = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let remote_b = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-
-    let load_local = BusyLoad::start(local.endpoint(), 2);
-    let load_a = BusyLoad::start(remote_a.endpoint(), 3);
-    let deadline = std::time::Instant::now() + TIMEOUT;
-    while local.gauge().active() == 0 || remote_a.gauge().active() == 0 {
-        assert!(std::time::Instant::now() < deadline, "load never arrived");
-        std::thread::yield_now();
-    }
-
-    let router = Router::new(
-        local.endpoint().clone(),
-        vec![remote_a.endpoint().clone(), remote_b.endpoint().clone()],
-        vec![],
-        Strategy::ToSelf,
-        0,
-        TIMEOUT,
-    );
-    let jpeg = clean_jpeg(&spec(), 6);
-    let (_, dest) = router.compress(&jpeg).unwrap();
-    assert_eq!(
-        dest,
-        Destination::Outsourced(remote_b.endpoint().clone()),
-        "power of two choices must prefer the idle machine"
-    );
-
-    load_local.join();
-    load_a.join();
-    local.shutdown();
-    remote_a.shutdown();
-    remote_b.shutdown();
-}
-
-#[test]
-fn router_falls_back_to_local_when_remotes_are_dead() {
-    let local = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    // A dead endpoint: bind then immediately shut down to free the port.
-    let dead = serve(&tcp_any(), ServiceConfig::default()).unwrap();
-    let dead_ep = dead.endpoint().clone();
-    dead.shutdown();
-
-    let load = BusyLoad::start(local.endpoint(), 2);
-    let deadline = std::time::Instant::now() + TIMEOUT;
-    while local.gauge().active() == 0 {
-        assert!(std::time::Instant::now() < deadline, "load never arrived");
-        std::thread::yield_now();
-    }
-
-    let router = Router::new(
-        local.endpoint().clone(),
-        vec![dead_ep],
-        vec![],
-        Strategy::ToSelf,
-        0,
-        Duration::from_secs(5),
-    );
-    let jpeg = clean_jpeg(&spec(), 7);
-    let (lepton, dest) = router.compress(&jpeg).unwrap();
-    assert_eq!(dest, Destination::Local, "no remote ⇒ run it here");
-    assert_eq!(lepton_core::decompress(&lepton).unwrap(), jpeg);
-
-    load.join();
-    local.shutdown();
 }
 
 #[test]
@@ -398,7 +241,7 @@ fn queued_conversions_drain_on_shutdown() {
     for t in threads {
         t.join().unwrap();
     }
-    assert_eq!(handle.stats().total_served, 4);
+    assert_eq!(handle.metrics().served.get(), 4);
     handle.shutdown();
 }
 

@@ -1,7 +1,7 @@
-//! Live `Stats` v2 integration: a served workload must show up in the
+//! Live `StatsV2` integration: a served workload must show up in the
 //! wire snapshot — per-op latency histograms, engine gauges, job
-//! traces — alongside the unchanged v1 probe, and an overload storm
-//! must flip the degraded-health flag that the snapshot carries.
+//! traces — and an overload storm must flip the degraded-health flag
+//! that the snapshot carries.
 
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_obs::WatchdogConfig;
@@ -23,10 +23,9 @@ fn tcp_any() -> Endpoint {
     Endpoint::tcp("127.0.0.1:0").unwrap()
 }
 
-/// One conversion, then a v2 snapshot over the wire: the op latency
+/// One conversion, then a snapshot over the wire: the op latency
 /// histogram, the engine gauges, and the codec's own stage traces are
-/// all present and current — and the legacy 24-byte v1 probe still
-/// answers on the same connection discipline.
+/// all present and current.
 #[test]
 fn stats_v2_live_snapshot_reflects_served_work() {
     let handle = serve(&tcp_any(), ServiceConfig::default()).unwrap();
@@ -65,12 +64,8 @@ fn stats_v2_live_snapshot_reflects_served_work() {
 
     // Server counters agree with the work done, and health is good.
     assert!(snap.counter("server.served") >= 1);
+    assert_eq!(snap.counter("server.failed"), 0);
     assert!(!snap.degraded());
-
-    // v1 remains the compact load probe it always was.
-    let v1 = client::probe(handle.endpoint(), TIMEOUT).unwrap();
-    assert!(v1.total_served >= 1);
-    assert_eq!(v1.total_failed, 0);
     handle.shutdown();
 }
 

@@ -96,7 +96,7 @@ fn golden_containers_stream_byte_exact() {
         served += 1;
     }
     assert!(served >= 2, "golden set missing");
-    assert_eq!(handle.stats().total_served, served);
+    assert_eq!(handle.metrics().served.get(), served);
     assert_eq!(handle.metrics().stream_aborts.get(), 0);
     handle.shutdown();
 }
@@ -191,7 +191,7 @@ fn mid_body_failure_aborts_the_connection_not_the_service() {
     // The aborted connection is dead, the service is not.
     assert!(mux.call(Op::Ping, &[]).is_err());
     assert_eq!(handle.metrics().stream_aborts.get(), 1);
-    assert_eq!(handle.stats().total_failed, 1);
+    assert_eq!(handle.metrics().failed.get(), 1);
     let mut mux = MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
     let (status, back) = mux.call(Op::Decompress, &good).unwrap();
     assert_eq!(status, Status::Ok);

@@ -1,13 +1,17 @@
-//! The production service layer over real sockets (§5.5): a local
-//! blockserver conversion service on a Unix-domain socket, a dedicated
-//! outsourcing cluster on TCP, and a router that sheds load with
-//! power-of-two choices when the local machine is saturated.
+//! The production service layer over real sockets (§5.5): one
+//! conversion service on a Unix-domain socket, as a blockserver's
+//! local Lepton process, and one on TCP, as a machine another
+//! blockserver connects to. A burst of uploads is split across the
+//! two, and each service's telemetry is read back over the wire.
+//!
+//! Where a conversion *should* run (local, to self, to dedicated) is
+//! modelled by `lepton_cluster::sim`, which drives the Fig. 9, 10 and
+//! 14 harnesses; this example shows the transport those choices use.
 //!
 //! Run with: `cargo run --release --example conversion_service`
 
 use lepton::corpus::builder::{clean_jpeg, CorpusSpec};
-use lepton::server::{client, serve, Destination, Endpoint, Router, ServiceConfig, Strategy};
-use std::sync::atomic::Ordering;
+use lepton::server::{client, serve, Endpoint, ServiceConfig};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -17,43 +21,22 @@ fn main() {
     // in production ("Lepton operates by listening on a Unix-domain
     // socket for files").
     let sock = std::env::temp_dir().join(format!("lepton-example-{}.sock", std::process::id()));
-    let local = serve(
-        &Endpoint::uds(&sock),
-        ServiceConfig {
-            max_connections: 16,
-            busy_threshold: 1, // tiny threshold so the demo outsources
-            ..Default::default()
-        },
+    let uds = serve(&Endpoint::uds(&sock), ServiceConfig::default()).expect("bind UDS service");
+    // A remote machine: the same protocol over TCP ("the blockserver
+    // instead will make a TCP connection to a machine tagged for
+    // outsourcing").
+    let tcp = serve(
+        &Endpoint::tcp("127.0.0.1:0").expect("loopback"),
+        ServiceConfig::default(),
     )
-    .expect("bind local service");
-    println!("local service:     {}", local.endpoint());
+    .expect("bind TCP service");
+    let services = [("uds", &uds), ("tcp", &tcp)];
+    for (name, h) in services {
+        println!("{name} service: {}", h.endpoint());
+    }
 
-    // The dedicated outsourcing cluster: two machines on TCP ("the
-    // blockserver instead will make a TCP connection to a machine
-    // tagged for outsourcing").
-    let dedicated: Vec<_> = (0..2)
-        .map(|i| {
-            let h = serve(
-                &Endpoint::tcp("127.0.0.1:0").expect("loopback"),
-                ServiceConfig::default(),
-            )
-            .expect("bind dedicated service");
-            println!("dedicated node {i}:  {}", h.endpoint());
-            h
-        })
-        .collect();
-
-    let router = Router::new(
-        local.endpoint().clone(),
-        vec![],
-        dedicated.iter().map(|h| h.endpoint().clone()).collect(),
-        Strategy::ToDedicated,
-        1,
-        TIMEOUT,
-    );
-
-    // A burst of photo uploads: more simultaneous conversions than the
-    // local machine wants to run (the Thursday-peak regime of Fig. 9).
+    // A burst of photo uploads, all in flight at once, alternating
+    // between the two services.
     let spec = CorpusSpec {
         min_dim: 320,
         max_dim: 512,
@@ -61,66 +44,44 @@ fn main() {
     };
     let photos: Vec<Vec<u8>> = (0..8).map(|s| clean_jpeg(&spec, 1000 + s)).collect();
 
-    println!(
-        "\nconverting {} uploads through the router...",
-        photos.len()
-    );
+    println!("\nconverting {} uploads concurrently...", photos.len());
     let start = Instant::now();
     std::thread::scope(|scope| {
-        let router = &router;
         for (i, jpeg) in photos.iter().enumerate() {
+            let (name, h) = services[i % services.len()];
+            let ep = h.endpoint().clone();
             scope.spawn(move || {
-                let (lepton, dest) = router.compress(jpeg).expect("conversion");
+                let lepton = client::compress(&ep, jpeg, TIMEOUT).expect("conversion");
                 let back = lepton::codec::decompress(&lepton).expect("decode");
                 assert_eq!(&back, jpeg, "byte-exact through the wire");
-                let where_ = match dest {
-                    Destination::Local => "local".to_string(),
-                    Destination::Outsourced(ep) => format!("outsourced -> {ep}"),
-                };
                 println!(
-                    "  upload {i}: {:>7} -> {:>7} bytes  [{where_}]",
+                    "  upload {i}: {:>7} -> {:>7} bytes  [{name}]",
                     jpeg.len(),
                     lepton.len()
                 );
             });
         }
     });
-    println!("burst done in {:?}", start.elapsed());
+    println!("burst done in {:?}\n", start.elapsed());
 
-    // Where did the work land?
-    println!(
-        "\nrouting: {} local, {} outsourced, {} fallbacks",
-        router.metrics.local.load(Ordering::Relaxed),
-        router.metrics.outsourced.load(Ordering::Relaxed),
-        router.metrics.fallbacks.load(Ordering::Relaxed),
-    );
-    for (i, h) in dedicated.iter().enumerate() {
-        let s = h.stats();
+    // Each service served its half, and says so over the wire too.
+    for (name, h) in services {
+        let served = h.metrics().served.get();
+        assert_eq!(served, 4, "{name} served its half of the burst");
+        client::ping(h.endpoint(), TIMEOUT).expect("ping");
+        let snap = client::probe_snapshot(h.endpoint(), TIMEOUT).expect("stats probe");
+        assert_eq!(snap.counter("server.served"), served);
         println!(
-            "dedicated node {i}: served {} (high water {})",
-            s.total_served, s.high_water
+            "{name}: served {served} (high water {}); snapshot: {} metrics, \
+             {} active, degraded {}",
+            h.gauge().high_water(),
+            snap.entries.len(),
+            snap.gauge("server.conversions.active"),
+            snap.degraded()
         );
     }
-    let s = local.stats();
-    println!(
-        "local:            served {} (high water {})",
-        s.total_served, s.high_water
-    );
 
-    // Load probes are first-class protocol citizens (the power-of-two
-    // router uses them); so is liveness.
-    client::ping(local.endpoint(), TIMEOUT).expect("ping");
-    let probe = client::probe(local.endpoint(), TIMEOUT).expect("stats probe");
-    println!(
-        "probe: active={} busy_threshold={} — busy: {}",
-        probe.active,
-        probe.busy_threshold,
-        probe.is_busy()
-    );
-
-    local.shutdown();
-    for h in dedicated {
-        h.shutdown();
-    }
+    uds.shutdown();
+    tcp.shutdown();
     println!("all services drained and stopped ✓");
 }

@@ -7,7 +7,9 @@
 //! This crate re-exports the workspace's public API:
 //!
 //! * [`codec`] — the Lepton codec itself: [`codec::compress`],
-//!   [`codec::decompress`], chunked and streaming variants.
+//!   [`codec::decompress`], and streaming decode into a
+//!   [`codec::DecodeSink`]. The encoder writes whole-file containers;
+//!   the decoder also reads the chunk containers earlier builds wrote.
 //! * [`jpeg`] — the baseline JPEG substrate (parser, Huffman scan codec,
 //!   DCT, pixel encoder).
 //! * [`model`] — the adaptive probability model (7x7 AC, Lakhani edges,
@@ -23,11 +25,12 @@
 //!   gateway over live blockserver nodes with failover, read-repair,
 //!   health ejection, and a rebalance driver.
 //! * [`cluster`] — the deployment simulator (outsourcing, backfill,
-//!   anomalies) behind the paper's §5–§6 figures.
+//!   THP stalls) behind the paper's §5–§6 figures; the repo's one
+//!   model of §5.5's outsourcing decision.
 //! * [`corpus`] — deterministic synthetic JPEG corpus generation.
 //! * [`server`] — the production service layer (§5.5): Unix-domain
-//!   socket and TCP conversion service, outsourcing router, shutoff
-//!   switch.
+//!   socket and TCP conversion service, multiplexed serving core,
+//!   admission control, shutoff switch.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and experiment index.
