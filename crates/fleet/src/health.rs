@@ -17,7 +17,7 @@
 //! timeout per request. The single-probe rule keeps a recovering node
 //! from being trampled the instant its probation ends.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Ejection policy knobs.
@@ -89,7 +89,7 @@ impl NodeHealth {
     /// whole further probation passes, which covers a probe whose
     /// caller died without reporting.
     pub fn admit(&self) -> bool {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match g.state {
             State::Healthy => true,
             State::Ejected { since } => {
@@ -120,7 +120,7 @@ impl NodeHealth {
     /// A request to this node succeeded: any streak ends, probation
     /// ends, the node is healthy.
     pub fn record_success(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         g.consecutive_failures = 0;
         g.state = State::Healthy;
     }
@@ -128,7 +128,7 @@ impl NodeHealth {
     /// A request to this node failed. Returns `true` when this failure
     /// ejected the node (so the caller can count ejection events).
     pub fn record_failure(&self) -> bool {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         g.consecutive_failures = g.consecutive_failures.saturating_add(1);
         let eject = match g.state {
             State::Healthy => g.consecutive_failures >= self.policy.eject_after,
@@ -148,12 +148,12 @@ impl NodeHealth {
 
     /// Is the node currently ejected (including mid-probe)?
     pub fn is_ejected(&self) -> bool {
-        !matches!(self.inner.lock().state, State::Healthy)
+        self.snapshot().ejected
     }
 
     /// Snapshot for reporting.
     pub fn snapshot(&self) -> HealthSnapshot {
-        let g = self.inner.lock();
+        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         HealthSnapshot {
             ejected: !matches!(g.state, State::Healthy),
             consecutive_failures: g.consecutive_failures,
@@ -237,5 +237,22 @@ mod tests {
         assert!(!h.admit());
         std::thread::sleep(Duration::from_millis(35));
         assert!(h.admit(), "a lost probe must not wedge the node");
+    }
+
+    #[test]
+    fn a_panic_holding_the_lock_does_not_wedge_the_node() {
+        let h = std::sync::Arc::new(NodeHealth::new(quick()));
+        let h2 = std::sync::Arc::clone(&h);
+        let _ = std::thread::spawn(move || {
+            let _g = h2.inner.lock();
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(h.inner.is_poisoned());
+        assert!(h.admit());
+        assert!(!h.record_failure());
+        assert_eq!(h.snapshot().consecutive_failures, 1);
+        h.record_success();
+        assert_eq!(h.snapshot().consecutive_failures, 0);
     }
 }

@@ -21,15 +21,16 @@
 //! The resource discipline (§5.1: bound everything *before* it becomes
 //! memory or threads):
 //!
-//! * **Connections** are capped by a permit semaphore; past the cap,
-//!   clients wait in the accept backlog. Driver threads therefore
-//!   never exceed `max_connections` — overload cannot stack threads.
+//! * **Connections** are capped by the registry of live connections;
+//!   past `max_connections`, clients wait in the accept backlog, so
+//!   overload cannot stack driver threads. A connection is registered
+//!   under the shutdown sweep's lock, so it is swept or never served.
 //! * **Pipelined bytes** are capped per connection: a framed
 //!   connection may have at most `MAX_INFLIGHT_BYTES` of request
 //!   payload admitted-but-unanswered; past that the driver stops
 //!   reading, which turns into TCP backpressure on the sender.
 //! * **Conversion jobs** from framed connections flow through one
-//!   bounded job queue into a fixed worker pool.
+//!   bounded job queue (a std `sync_channel`) into a fixed worker pool.
 //! * **Admission control** sheds compress-side work (`Compress`,
 //!   `BlockPut`) with a fast typed [`Status::Overloaded`] when the job
 //!   queue is full or the codec engine's own queue is already deep —
@@ -55,7 +56,8 @@ use lepton_storage::blockstore::{ShardedStore, StoreError};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -218,14 +220,37 @@ struct Shared {
     /// The single producer handle onto the bounded job queue; taken
     /// (set to `None`) at shutdown so the worker pool drains and
     /// exits.
-    job_tx: Mutex<Option<crossbeam::channel::Sender<MuxJob>>>,
+    job_tx: Mutex<Option<SyncSender<MuxJob>>>,
     /// One reader handle per live connection, registered by the
-    /// acceptor. Shutdown closes every read side so idle drivers
-    /// (a mux connection waiting for its next frame can wait forever)
-    /// unblock immediately instead of running out their io timeout;
-    /// write sides stay open, so in-flight responses still land.
+    /// acceptor before its driver starts; its size is the connection
+    /// cap. Shutdown closes every read side so idle drivers (a mux
+    /// connection waiting for its next frame can wait forever) unblock
+    /// immediately instead of running out their io timeout; write
+    /// sides stay open, so in-flight responses still land.
     readers: Mutex<HashMap<u64, Conn>>,
+    /// Signalled as each driver leaves `readers`.
+    conn_closed: Condvar,
     next_conn_id: AtomicU64,
+}
+
+/// A driver's place in [`Shared::readers`]. Dropping it, also when the
+/// driver unwinds, frees the slot and wakes the acceptor: the cap and
+/// the shutdown drain both wait for it.
+struct Registered<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        // Never panic in `Drop`: a poisoned registry is still sound.
+        self.shared
+            .readers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+        self.shared.conn_closed.notify_all();
+    }
 }
 
 /// A running conversion service. Dropping the handle shuts it down.
@@ -253,7 +278,8 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> std::io::Result<Service
             .unwrap_or(1)
             .min(8)
     };
-    let (job_tx, job_rx) = crossbeam::channel::bounded::<MuxJob>(cfg.job_queue_depth.max(1));
+    let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<MuxJob>(cfg.job_queue_depth.max(1));
+    let job_rx = Arc::new(Mutex::new(job_rx));
 
     // The unified telemetry registry: every counter the service
     // updates lives here under a stable dotted name, so the `StatsV2`
@@ -282,13 +308,14 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> std::io::Result<Service
         delay_ms: AtomicU64::new(0),
         job_tx: Mutex::new(Some(job_tx)),
         readers: Mutex::new(HashMap::new()),
+        conn_closed: Condvar::new(),
         next_conn_id: AtomicU64::new(0),
     });
 
     let workers = (0..worker_count)
         .map(|i| {
             let shared = Arc::clone(&shared);
-            let job_rx = job_rx.clone();
+            let job_rx = Arc::clone(&job_rx);
             std::thread::Builder::new()
                 .name(format!("lepton-serve-{i}"))
                 .spawn(move || worker_loop(&shared, &job_rx))
@@ -296,64 +323,54 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> std::io::Result<Service
         })
         .collect();
 
-    // Connection permits: a bounded channel used as a semaphore. The
-    // acceptor blocks pushing a token at the cap, which turns overload
-    // into accept-backlog backpressure instead of unbounded threads.
-    let cap = shared.cfg.max_connections.max(1);
-    let (permit_tx, permit_rx) = crossbeam::channel::bounded::<()>(cap);
-
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
-            // Driver threads signal completion through this guard so
-            // shutdown can drain them all.
-            let wg = crossbeam::sync::WaitGroup::new();
+            let cap = shared.cfg.max_connections.max(1);
             loop {
-                match listener.accept() {
-                    Ok(conn) => {
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break; // the wake-up connection from shutdown()
-                        }
-                        let _ = conn.set_io_timeout(Some(shared.cfg.io_timeout));
-                        if permit_tx.send(()).is_err() {
-                            break;
-                        }
-                        let permit_rx = permit_rx.clone();
-                        let shared = Arc::clone(&shared);
-                        let guard = wg.clone();
-                        // Register the reader before the driver exists
-                        // so a shutdown sweep can never miss a live
-                        // connection.
-                        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(reader) = conn.try_clone() {
-                            shared
-                                .readers
-                                .lock()
-                                .expect("reader registry")
-                                .insert(conn_id, reader);
-                        }
-                        std::thread::spawn(move || {
-                            let _conn_lease = shared.conns.acquire();
-                            drive_connection(conn, &shared);
-                            shared
-                                .readers
-                                .lock()
-                                .expect("reader registry")
-                                .remove(&conn_id);
-                            let _ = permit_rx.try_recv(); // release the permit
-                            drop(guard);
-                        });
-                    }
-                    Err(_) => {
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
+                let conn = match listener.accept() {
+                    Ok(conn) => conn,
+                    Err(_) if shared.stop.load(Ordering::SeqCst) => break,
+                    Err(_) => continue,
+                };
+                if shared.stop.load(Ordering::SeqCst) {
+                    break; // the wake-up connection from shutdown()
                 }
+                let _ = conn.set_io_timeout(Some(shared.cfg.io_timeout));
+                // A connection without a registered reader is one the
+                // shutdown sweep could never reach: close it unserved.
+                let Ok(reader) = conn.try_clone() else {
+                    continue;
+                };
+                let mut readers = shared.readers.lock().expect("reader registry");
+                while readers.len() >= cap {
+                    readers = shared.conn_closed.wait(readers).expect("reader registry");
+                }
+                // Under the sweep's lock: registered means swept.
+                if shared.stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+                readers.insert(conn_id, reader);
+                drop(readers);
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let _slot = Registered {
+                        shared: &shared,
+                        id: conn_id,
+                    };
+                    // Dropped before `_slot`, so the gauge never counts
+                    // more drivers than the cap admits.
+                    let _lease = shared.conns.acquire();
+                    drive_connection(conn, &shared);
+                });
             }
             // Drain: every in-flight driver completes before the
             // acceptor thread (and with it `shutdown()`) returns.
-            wg.wait();
+            let mut readers = shared.readers.lock().expect("reader registry");
+            while !readers.is_empty() {
+                readers = shared.conn_closed.wait(readers).expect("reader registry");
+            }
         })
     };
 
@@ -628,7 +645,7 @@ fn drive_mux(conn: Conn, shared: &Arc<Shared>) {
         if sheds(op) {
             // Compress-side work never waits on a full queue: shed
             // fast, the caller has a fallback.
-            if let Err(crossbeam::channel::TrySendError::Full(job)) = tx.try_send(job) {
+            if let Err(TrySendError::Full(job)) = tx.try_send(job) {
                 shed(shared);
                 mux.respond(frame.id, Status::Overloaded, &[]);
                 mux.release(job.payload.len());
@@ -661,8 +678,13 @@ fn shed(shared: &Shared) {
 
 /// The framed-mode worker loop: execute conversion jobs, write the
 /// response frame, release the connection's in-flight budget.
-fn worker_loop(shared: &Arc<Shared>, rx: &crossbeam::channel::Receiver<MuxJob>) {
-    while let Ok(job) = rx.recv() {
+fn worker_loop(shared: &Arc<Shared>, rx: &Mutex<Receiver<MuxJob>>) {
+    loop {
+        // The guard dies with this statement; `while let` would hold
+        // it through the job and serialise the pool.
+        let Ok(job) = rx.lock().expect("job queue").recv() else {
+            return;
+        };
         if job.op == Op::Decompress {
             stream_decompress(shared, &job.conn, job.id, &job.payload);
         } else {

@@ -248,3 +248,35 @@ fn framed_tcp_calls_with_payload_do_not_wait_on_delayed_ack() {
     );
     handle.shutdown();
 }
+
+/// Shutdown at the connection cap is prompt: a connection waiting in
+/// the backlog behind the one live slot is never served, so no driver
+/// starts after the sweep only to wait out its first read's
+/// `io_timeout`.
+#[test]
+fn shutdown_at_the_connection_cap_is_prompt() {
+    let cfg = ServiceConfig {
+        max_connections: 1,
+        io_timeout: Duration::from_secs(30),
+        ..Default::default()
+    };
+    let handle = serve(&tcp_any(), cfg).unwrap();
+    // An idle framed client holds the only slot.
+    let mut idle = MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
+    let (status, _) = idle.call(Op::Ping, &[]).unwrap();
+    assert_eq!(status, Status::Ok);
+    // A second connection waits behind it and never sends a byte.
+    let _waiting = handle
+        .endpoint()
+        .connect(Some(Duration::from_secs(10)))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+
+    let t0 = Instant::now();
+    handle.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "shutdown at the cap took {:?}",
+        t0.elapsed()
+    );
+}

@@ -8,7 +8,7 @@ use lepton_server::{client, serve, ClientError, Endpoint, Op, ServiceConfig, Sta
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -220,9 +220,10 @@ fn graceful_shutdown_then_connection_refused() {
 }
 
 #[test]
-fn queued_conversions_drain_on_shutdown() {
-    // One worker, several queued conversions: shutdown must complete
-    // them all rather than dropping the queue.
+fn connection_cap_recycles_slots() {
+    // One connection slot, four clients at once: each waits in the
+    // accept backlog until the previous driver gives its slot back,
+    // and every one is served.
     let cfg = ServiceConfig {
         max_connections: 1,
         ..Default::default()
@@ -242,7 +243,42 @@ fn queued_conversions_drain_on_shutdown() {
         t.join().unwrap();
     }
     assert_eq!(handle.metrics().served.get(), 4);
+    assert_eq!(handle.connections().high_water(), 1);
     handle.shutdown();
+}
+
+#[test]
+fn queued_conversions_drain_on_shutdown() {
+    // One slow worker, four pipelined conversions admitted before
+    // shutdown starts: shutdown must complete them all rather than
+    // dropping the queue, and every answer must reach the client.
+    let cfg = ServiceConfig {
+        conversion_workers: 1,
+        ..Default::default()
+    };
+    let handle = serve(&tcp_any(), cfg).unwrap();
+    handle.inject_delay(Duration::from_millis(100));
+    let jpeg = clean_jpeg(&spec(), 204);
+    let mut mux = client::MuxClient::connect(handle.endpoint(), TIMEOUT).unwrap();
+    let ids: Vec<u32> = (0..4)
+        .map(|_| mux.send(Op::Compress, &jpeg).unwrap())
+        .collect();
+
+    // All four frames are admitted once their bytes count in flight.
+    let inflight = handle.registry().gauge("server.inflight_bytes");
+    let deadline = Instant::now() + TIMEOUT;
+    while inflight.value() < 4 * jpeg.len() as i64 {
+        assert!(Instant::now() < deadline, "frames never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stopper = std::thread::spawn(move || handle.shutdown());
+
+    for id in ids {
+        let (status, lepton) = mux.recv(id).unwrap();
+        assert_eq!(status, Status::Ok);
+        assert_eq!(lepton_core::decompress(&lepton).unwrap(), jpeg);
+    }
+    stopper.join().unwrap();
 }
 
 #[test]

@@ -23,15 +23,14 @@
 
 use crate::sha256::{sha256, Digest};
 use crate::vfs::{RealVfs, Vfs};
-use crate::StoredFormat;
+use crate::{lock, StoredFormat};
 use lepton_core::{CompressOptions, ResourceBudget};
 use lepton_obs::{Counter, Gauge, Registry};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Magic prefixing every on-disk block record.
@@ -499,7 +498,7 @@ impl ShardedStore {
 
     /// Why the store latched, when it did.
     pub fn read_only_reason(&self) -> Option<String> {
-        self.read_only_reason.lock().clone()
+        lock(&self.read_only_reason).clone()
     }
 
     /// Latch the store read-only. Called automatically on ENOSPC or a
@@ -507,7 +506,7 @@ impl ShardedStore {
     /// operator (or a test) can freeze writes deliberately. The latch
     /// is per-handle and clears only by reopening the store.
     pub fn latch_read_only(&self, reason: &str) {
-        let mut slot = self.read_only_reason.lock();
+        let mut slot = lock(&self.read_only_reason);
         if slot.is_none() {
             *slot = Some(reason.to_string());
         }
@@ -519,9 +518,7 @@ impl ShardedStore {
     fn check_writable(&self) -> Result<(), StoreError> {
         if self.is_read_only() {
             self.metrics.readonly_sheds.inc();
-            let reason = self
-                .read_only_reason
-                .lock()
+            let reason = lock(&self.read_only_reason)
                 .clone()
                 .unwrap_or_else(|| "latched".to_string());
             return Err(StoreError::ReadOnly(reason));
@@ -592,7 +589,7 @@ impl ShardedStore {
         };
 
         let shard = self.shard_of(&key);
-        let guard = shard.write_lock.lock();
+        let guard = lock(&shard.write_lock);
         if self.vfs.exists(&path) {
             return Ok(key); // raced with another writer of the same content
         }
@@ -705,7 +702,7 @@ impl ShardedStore {
     /// not in the store; a damaged record is [`StoreError::Corrupt`].
     pub fn get(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
         let shard = self.shard_of(key);
-        if let Some(hit) = shard.cache.lock().get(key) {
+        if let Some(hit) = lock(&shard.cache).get(key) {
             self.metrics.cache_hits.inc();
             return Ok(Some(hit));
         }
@@ -724,7 +721,7 @@ impl ShardedStore {
         };
         let decoded = self.decode_and_verify(key, format, original_len, payload)?;
         if self.cfg.cache_bytes > 0 {
-            shard.cache.lock().insert(*key, decoded.clone());
+            lock(&shard.cache).insert(*key, decoded.clone());
         }
         Ok(Some(decoded))
     }
@@ -777,7 +774,7 @@ impl ShardedStore {
 
     fn corrupt(&self, shard: &Shard, key: &Digest) -> StoreError {
         self.metrics.corrupt_blocks.inc();
-        shard.cache.lock().remove(key);
+        lock(&shard.cache).remove(key);
         StoreError::Corrupt(*key)
     }
 
@@ -983,12 +980,12 @@ impl ShardedStore {
                     // I/O errors are folded into "damaged" for the
                     // report: either way the block is unreadable here.
                     if !self.check_block(key).unwrap_or(false) {
-                        corrupt.lock().push(*key);
+                        lock(&corrupt).push(*key);
                     }
                 });
             }
         });
-        let corrupt_keys = corrupt.into_inner();
+        let corrupt_keys = corrupt.into_inner().unwrap_or_else(PoisonError::into_inner);
         Ok(ScrubReport {
             scanned: todo.len() as u64 + quarantined_count,
             corrupt: corrupt_keys.len() as u64,
@@ -1050,7 +1047,7 @@ impl ShardedStore {
                 if name.starts_with(".tmp-") {
                     report.orphans_found += 1;
                     if apply {
-                        let _guard = shard.write_lock.lock();
+                        let _guard = lock(&shard.write_lock);
                         if self.vfs.remove_file(&shard.dir.join(&name)).is_ok() {
                             report.orphans_removed += 1;
                             removed_any = true;
@@ -1106,8 +1103,8 @@ impl ShardedStore {
     pub fn quarantine(&self, key: &Digest) -> Result<bool, StoreError> {
         let shard = self.shard_of(key);
         let path = self.block_path(key);
-        let _guard = shard.write_lock.lock();
-        shard.cache.lock().remove(key);
+        let _guard = lock(&shard.write_lock);
+        lock(&shard.cache).remove(key);
         let dest = self.quarantine_path(key);
         match self.vfs.rename(&path, &dest) {
             Ok(()) => {
@@ -1150,7 +1147,7 @@ impl ShardedStore {
         let shard = self.shard_of(key);
         let after = lepton.len() as u64;
         {
-            let _guard = shard.write_lock.lock();
+            let _guard = lock(&shard.write_lock);
             self.write_record(
                 shard,
                 &self.block_path(key),

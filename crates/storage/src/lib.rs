@@ -24,6 +24,17 @@ pub mod deploy;
 pub mod sha256;
 pub mod vfs;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Take `m`'s lock even after a thread panicked while holding it. A
+/// poisoned lock is taken, not propagated: what the store guards (a
+/// shard's write token and block cache, the read-only reason, the
+/// fault VFS's file table) is valid between any two of its updates, so
+/// one panicked caller must not wedge every later one.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// How a stored chunk is encoded at rest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoredFormat {
@@ -35,4 +46,24 @@ pub enum StoredFormat {
     Deflate,
     /// The original bytes, untouched.
     Raw,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn mutex_survives_poison() {
+        let m = Arc::new(Mutex::new(0u8));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) = 7;
+        assert_eq!(*lock(&m), 7);
+    }
 }

@@ -23,11 +23,11 @@
 //! discipline the torture rig applies to hostile inputs, extended to
 //! hostile hardware.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An open file handle obtained from a [`Vfs`].
 pub trait VfsFile: Read + Write + Send {
@@ -281,7 +281,7 @@ pub struct FaultVfs {
 
 impl std::fmt::Debug for FaultVfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         f.debug_struct("FaultVfs")
             .field("seed", &self.cfg.seed)
             .field("op", &st.op)
@@ -341,31 +341,31 @@ impl FaultVfs {
     /// Mutating operations performed so far — the size of the crash
     /// matrix for a given workload.
     pub fn op_count(&self) -> u64 {
-        self.state.lock().op
+        lock(&self.state).op
     }
 
     /// Whether the simulated machine is currently powered off.
     pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
+        lock(&self.state).crashed
     }
 
     /// Every fault injected so far, in order.
     pub fn fault_log(&self) -> Vec<FaultEvent> {
-        self.state.lock().log.clone()
+        lock(&self.state).log.clone()
     }
 
     /// Queue a one-shot fault for the next mutating operation,
     /// regardless of the seeded schedule — targeted injection for
     /// tests ("the next fsync hits ENOSPC").
     pub fn inject_next(&self, kind: FaultKind) {
-        self.state.lock().injected.push_back(kind);
+        lock(&self.state).injected.push_back(kind);
     }
 
     /// Cut power *now*: discard all un-fsynced state (applying the
     /// remnant policy to unsynced tails) and refuse every operation
     /// until [`FaultVfs::reboot`]. Idempotent.
     pub fn power_cut(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if !st.crashed {
             let op = st.op;
             Self::crash_locked(&self.cfg, &mut st, op);
@@ -375,14 +375,14 @@ impl FaultVfs {
     /// Bring the machine back up after a power cut. The surviving
     /// state is exactly what the crash semantics preserved.
     pub fn reboot(&self) {
-        self.state.lock().crashed = false;
+        lock(&self.state).crashed = false;
     }
 
     /// The surviving live view: path → contents, sorted. Two
     /// `FaultVfs` instances driven identically must dump identically —
     /// the determinism contract the proptest pins down.
     pub fn dump(&self) -> BTreeMap<PathBuf, Vec<u8>> {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         st.files
             .iter()
             .map(|(p, n)| (p.clone(), n.live.clone()))
@@ -558,7 +558,7 @@ struct FaultFile {
 
 impl Read for FaultFile {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         if st.crashed {
             return Err(powered_off());
         }
@@ -582,7 +582,7 @@ impl Write for FaultFile {
                 "read-only handle",
             ));
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let gated = gate(&self.cfg, &mut st, &self.path, true);
         let short = match gated {
             Ok(_) => None,
@@ -616,7 +616,7 @@ impl Write for FaultFile {
 
 impl VfsFile for FaultFile {
     fn sync_all(&mut self) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if self.writable {
             gate(&self.cfg, &mut st, &self.path, false).map_err(InjectedFault::into_io)?;
         } else if st.crashed {
@@ -632,7 +632,7 @@ impl VfsFile for FaultFile {
     }
 
     fn len(&self) -> io::Result<u64> {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         if st.crashed {
             return Err(powered_off());
         }
@@ -646,7 +646,7 @@ impl VfsFile for FaultFile {
 
 impl Vfs for FaultVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         gate(&self.cfg, &mut st, path, false).map_err(InjectedFault::into_io)?;
         if let Some(parent) = path.parent() {
             if !st.dirs.contains(parent) {
@@ -668,7 +668,7 @@ impl Vfs for FaultVfs {
     }
 
     fn open(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         if st.crashed {
             return Err(powered_off());
         }
@@ -686,7 +686,7 @@ impl Vfs for FaultVfs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         gate(&self.cfg, &mut st, from, false).map_err(InjectedFault::into_io)?;
         let mut node = st
             .files
@@ -713,7 +713,7 @@ impl Vfs for FaultVfs {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         gate(&self.cfg, &mut st, path, false).map_err(InjectedFault::into_io)?;
         match st.files.remove(path) {
             Some(node) => {
@@ -727,7 +727,7 @@ impl Vfs for FaultVfs {
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         gate(&self.cfg, &mut st, path, false).map_err(InjectedFault::into_io)?;
         let mut p = path.to_path_buf();
         let mut chain = vec![p.clone()];
@@ -742,7 +742,7 @@ impl Vfs for FaultVfs {
     }
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         gate(&self.cfg, &mut st, path, false).map_err(InjectedFault::into_io)?;
         if !st.dirs.contains(path) {
             return Err(io::Error::new(io::ErrorKind::NotFound, "no such directory"));
@@ -761,7 +761,7 @@ impl Vfs for FaultVfs {
     }
 
     fn read_dir(&self, path: &Path) -> io::Result<Vec<String>> {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         if st.crashed {
             return Err(powered_off());
         }
@@ -786,7 +786,7 @@ impl Vfs for FaultVfs {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        let st = self.state.lock();
+        let st = lock(&self.state);
         !st.crashed && (st.files.contains_key(path) || st.dirs.contains(path))
     }
 }
