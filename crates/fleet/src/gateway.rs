@@ -34,8 +34,8 @@ use crate::health::{HealthPolicy, HealthSnapshot, NodeHealth};
 use crate::ring::{Ring, DEFAULT_SEED, DEFAULT_VNODES};
 use lepton_obs::{Counter, Registry, Watchdog, WatchdogConfig};
 use lepton_server::client::{self, retry_with_backoff, ClientError, RetryPolicy};
-use lepton_server::protocol::BlockStatReply;
 use lepton_server::Endpoint;
+use lepton_storage::blockstore::StoreStats;
 use lepton_storage::sha256::{sha256, Digest};
 use std::sync::Arc;
 use std::time::Duration;
@@ -226,7 +226,7 @@ pub struct NodeStat {
     /// Health snapshot at aggregation time.
     pub health: HealthSnapshot,
     /// The node's own blockstore summary, when reachable.
-    pub stats: Option<BlockStatReply>,
+    pub stats: Option<StoreStats>,
 }
 
 /// Fleet-wide aggregation of per-node blockstore stats.

@@ -12,9 +12,10 @@
 
 use crate::endpoint::{Conn, Endpoint};
 use crate::protocol::{
-    read_bounded, read_frame_header, write_frame, BlockStatReply, Op, Status, MUX_MAGIC,
+    block_stat_from_wire, read_bounded, read_frame_header, write_frame, Op, Status, MUX_MAGIC,
 };
 use lepton_obs::Snapshot;
+use lepton_storage::blockstore::StoreStats;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -309,10 +310,10 @@ pub fn block_get(
 }
 
 /// Summarize the service's blockstore.
-pub fn block_stat(ep: &Endpoint, timeout: Duration) -> Result<BlockStatReply, ClientError> {
+pub fn block_stat(ep: &Endpoint, timeout: Duration) -> Result<StoreStats, ClientError> {
     match convert(ep, Op::BlockStat, &[], timeout)? {
         (Status::Ok, body) => {
-            BlockStatReply::from_wire(&body).ok_or(ClientError::Garbled("block stat reply size"))
+            block_stat_from_wire(&body).ok_or(ClientError::Garbled("block stat reply size"))
         }
         (status, _) => Err(ClientError::Refused(status)),
     }

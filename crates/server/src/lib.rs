@@ -54,5 +54,5 @@ pub mod server;
 pub use client::{retry_with_backoff, ClientError, MuxClient, RetryPolicy};
 pub use endpoint::{Conn, Endpoint, Listener};
 pub use gauge::ConcurrencyGauge;
-pub use protocol::{BlockStatReply, Frame, Op, Status, MUX_MAGIC};
+pub use protocol::{Frame, Op, Status, MUX_MAGIC};
 pub use server::{serve, ServiceConfig, ServiceHandle, ServiceMetrics};

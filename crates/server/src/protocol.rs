@@ -48,6 +48,7 @@
 //! `UnexpectedEof`) has an aborted response, never a short valid one.
 
 use lepton_core::ExitCode;
+use lepton_storage::blockstore::StoreStats;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Request operation, the first byte on the wire.
@@ -71,8 +72,8 @@ pub enum Op {
     BlockPut,
     /// 32-byte content address in, original block bytes out.
     BlockGet,
-    /// No payload; returns a [`BlockStatReply`] summarizing the
-    /// service's blockstore.
+    /// No payload; returns the service blockstore's [`StoreStats`]
+    /// (see [`block_stat_to_wire`]).
     BlockStat,
     /// No payload; returns every block address in the service's
     /// blockstore as concatenated 32-byte digests. What a fleet
@@ -265,75 +266,42 @@ impl Status {
     }
 }
 
-/// The reply payload of [`Op::BlockStat`]: a fixed 56-byte
-/// little-endian record summarizing the service's blockstore.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BlockStatReply {
-    /// Blocks at rest.
-    pub blocks: u64,
-    /// Of which Lepton-compressed.
-    pub lepton_blocks: u64,
-    /// Of which raw.
-    pub raw_blocks: u64,
-    /// Sum of original (logical) block sizes.
-    pub logical_bytes: u64,
-    /// Sum of at-rest payload sizes.
-    pub stored_bytes: u64,
-    /// Decoded-block cache hits so far.
-    pub cache_hits: u64,
-    /// Decoded-block cache misses so far.
-    pub cache_misses: u64,
+/// Size of the [`Op::BlockStat`] reply, a layout frozen across builds:
+/// the seven [`StoreStats`] fields in order, field `i` a LE u64 at `8 * i`.
+pub const BLOCK_STAT_LEN: usize = 56;
+
+/// Encode a store summary as the [`Op::BlockStat`] reply.
+pub fn block_stat_to_wire(s: &StoreStats) -> Vec<u8> {
+    [
+        s.blocks,
+        s.lepton_blocks,
+        s.raw_blocks,
+        s.logical_bytes,
+        s.stored_bytes,
+        s.cache_hits,
+        s.cache_misses,
+    ]
+    .iter()
+    .flat_map(|v| v.to_le_bytes())
+    .collect()
 }
 
-impl BlockStatReply {
-    /// Serialized size in bytes.
-    pub const WIRE_LEN: usize = 56;
-
-    /// Encode to the fixed wire record.
-    pub fn to_wire(&self) -> [u8; Self::WIRE_LEN] {
-        let mut out = [0u8; Self::WIRE_LEN];
-        for (i, v) in [
-            self.blocks,
-            self.lepton_blocks,
-            self.raw_blocks,
-            self.logical_bytes,
-            self.stored_bytes,
-            self.cache_hits,
-            self.cache_misses,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            out[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        out
+/// Decode an [`Op::BlockStat`] reply; `None` unless it is exactly
+/// [`BLOCK_STAT_LEN`] bytes.
+pub fn block_stat_from_wire(b: &[u8]) -> Option<StoreStats> {
+    if b.len() != BLOCK_STAT_LEN {
+        return None;
     }
-
-    /// Decode the fixed wire record.
-    pub fn from_wire(b: &[u8]) -> Option<BlockStatReply> {
-        if b.len() != Self::WIRE_LEN {
-            return None;
-        }
-        let le64 = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
-        Some(BlockStatReply {
-            blocks: le64(0),
-            lepton_blocks: le64(1),
-            raw_blocks: le64(2),
-            logical_bytes: le64(3),
-            stored_bytes: le64(4),
-            cache_hits: le64(5),
-            cache_misses: le64(6),
-        })
-    }
-
-    /// Storage savings fraction (0..1) over the whole store.
-    pub fn savings(&self) -> f64 {
-        if self.logical_bytes == 0 {
-            0.0
-        } else {
-            1.0 - self.stored_bytes as f64 / self.logical_bytes as f64
-        }
-    }
+    let le64 = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+    Some(StoreStats {
+        blocks: le64(0),
+        lepton_blocks: le64(1),
+        raw_blocks: le64(2),
+        logical_bytes: le64(3),
+        stored_bytes: le64(4),
+        cache_hits: le64(5),
+        cache_misses: le64(6),
+    })
 }
 
 /// Read a request (op byte + payload-until-EOF) from a stream whose
@@ -545,7 +513,7 @@ mod tests {
 
     #[test]
     fn block_stat_reply_roundtrip() {
-        let s = BlockStatReply {
+        let s = StoreStats {
             blocks: 12,
             lepton_blocks: 9,
             raw_blocks: 3,
@@ -554,9 +522,20 @@ mod tests {
             cache_hits: 77,
             cache_misses: 13,
         };
-        assert_eq!(BlockStatReply::from_wire(&s.to_wire()), Some(s));
-        assert_eq!(BlockStatReply::from_wire(&[0u8; 55]), None);
-        assert!(s.savings() > 0.5);
+        // Pinned as bytes, not only by a round trip: builds of mixed
+        // versions read each field at its offset.
+        let mut want = [0u8; BLOCK_STAT_LEN];
+        want[0] = 12; // blocks
+        want[8] = 9; // lepton_blocks
+        want[16] = 3; // raw_blocks
+        want[24 + 4] = 2; // logical_bytes, 1 << 33
+        want[32 + 3] = 0xC0; // stored_bytes, 3 << 30
+        want[40] = 77; // cache_hits
+        want[48] = 13; // cache_misses
+        assert_eq!(block_stat_to_wire(&s), want);
+        assert_eq!(block_stat_from_wire(&want), Some(s));
+        assert_eq!(block_stat_from_wire(&want[..55]), None);
+        assert_eq!(block_stat_from_wire(&[0u8; 57]), None);
     }
 
     #[test]

@@ -47,8 +47,8 @@
 use crate::endpoint::{Conn, Endpoint, Listener};
 use crate::gauge::ConcurrencyGauge;
 use crate::protocol::{
-    frame_header, read_bounded, read_frame, write_all_vectored, write_frame, write_response,
-    BlockStatReply, Op, Status, MUX_MAGIC,
+    block_stat_to_wire, frame_header, read_bounded, read_frame, write_all_vectored, write_frame,
+    write_response, Op, Status, MUX_MAGIC,
 };
 use lepton_core::{CompressOptions, DecodeError, DecodeSink, ExitCode, ResourceBudget};
 use lepton_obs::{Counter, Gauge, Histogram, Registry, Snapshot, Watchdog, WatchdogConfig};
@@ -1026,18 +1026,7 @@ fn execute_block_op(
             }
         },
         Op::BlockStat => match store.stat() {
-            Ok(stats) => {
-                let reply = BlockStatReply {
-                    blocks: stats.blocks,
-                    lepton_blocks: stats.lepton_blocks,
-                    raw_blocks: stats.raw_blocks,
-                    logical_bytes: stats.logical_bytes,
-                    stored_bytes: stats.stored_bytes,
-                    cache_hits: stats.cache_hits,
-                    cache_misses: stats.cache_misses,
-                };
-                (Status::Ok, reply.to_wire().to_vec())
-            }
+            Ok(stats) => (Status::Ok, block_stat_to_wire(&stats)),
             Err(_) => {
                 metrics.failed.inc();
                 (Status::StorageFailed, Vec::new())

@@ -20,28 +20,28 @@
 //! [`ShardedStore::backfill`] is the §5.6 worker loop: walk the store,
 //! convert eligible blocks in place, report rates the cluster model
 //! can be calibrated with.
+//!
+//! Submodules: `record` (the record header and the names in a shard
+//! directory), `cache` (the per-shard LRU) and `walk` (scrub, recovery
+//! with its quarantine, backfill); here, the write and read paths.
+
+mod cache;
+mod record;
+mod walk;
+
+pub use walk::{BackfillReport, RecoveryReport, ScrubReport};
 
 use crate::sha256::{sha256, Digest};
-use crate::vfs::{RealVfs, Vfs};
+use crate::vfs::{RealVfs, Vfs, VfsFile};
 use crate::{lock, StoredFormat};
+use cache::ShardCache;
 use lepton_core::{CompressOptions, ResourceBudget};
 use lepton_obs::{Counter, Gauge, Registry};
-use std::collections::{BTreeMap, HashMap};
+use record::{Entry, Header};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
-
-/// Magic prefixing every on-disk block record.
-const RECORD_MAGIC: [u8; 4] = *b"LBS1";
-
-/// Record header: magic, format byte, original length (LE u64).
-const HEADER_LEN: usize = 4 + 1 + 8;
-
-/// A parsed record header plus the open handle positioned at the
-/// payload: `(format, original length, file)`.
-type OpenRecord = (StoredFormat, u64, Box<dyn crate::vfs::VfsFile>);
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Errors the disk-backed store can report.
 #[derive(Debug)]
@@ -72,15 +72,11 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "io: {e}"),
-            StoreError::Corrupt(key) => {
-                write!(f, "corrupt block {}", hex(key))
-            }
+            StoreError::Corrupt(key) => write!(f, "corrupt block {}", hex(key)),
             StoreError::Budget { required, limit } => {
                 write!(f, "decode budget exceeded: need {required}, limit {limit}")
             }
-            StoreError::ReadOnly(reason) => {
-                write!(f, "store is read-only: {reason}")
-            }
+            StoreError::ReadOnly(reason) => write!(f, "store is read-only: {reason}"),
         }
     }
 }
@@ -152,8 +148,9 @@ pub struct ShardedMetrics {
     pub cache_hits: Arc<Counter>,
     /// Reads that had to touch disk (and the codec, for Lepton blocks).
     pub cache_misses: Arc<Counter>,
-    /// Corrupt records detected (and refused) by the read path —
-    /// damaged headers and failed hash checks alike.
+    /// Damaged records a read refused to serve (`get`, `check_block`):
+    /// damaged headers and failed hash checks alike. Header-only walks
+    /// (`stat`, `format_of`, backfill's scan, recovery) never count.
     pub corrupt_blocks: Arc<Counter>,
     /// Reads refused because the decode would exceed the memory budget
     /// (the record is healthy; it is not quarantined).
@@ -174,8 +171,8 @@ pub struct ShardedMetrics {
     pub blocks_at_rest: Arc<Gauge>,
 }
 
-/// Point-in-time summary of a store, as `stat` reports it.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// Point-in-time summary of a store, as `stat` and `BlockStat` report it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Blocks at rest.
     pub blocks: u64,
@@ -204,151 +201,8 @@ impl StoreStats {
     }
 }
 
-/// Outcome of one [`ShardedStore::backfill`] run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BackfillReport {
-    /// Blocks examined (everything not already Lepton).
-    pub scanned: u64,
-    /// Blocks converted to Lepton in place.
-    pub converted: u64,
-    /// Blocks that failed admission and were left as they were.
-    pub skipped: u64,
-    /// At-rest bytes before conversion of the converted blocks.
-    pub bytes_before: u64,
-    /// At-rest bytes after conversion of the converted blocks.
-    pub bytes_after: u64,
-    /// Wall-clock seconds for the whole pass.
-    pub secs: f64,
-}
-
-impl BackfillReport {
-    /// Conversions per second across the pass (0 when nothing ran).
-    pub fn conversions_per_sec(&self) -> f64 {
-        if self.secs <= 0.0 {
-            0.0
-        } else {
-            self.converted as f64 / self.secs
-        }
-    }
-
-    /// Savings fraction achieved on the converted blocks.
-    pub fn savings(&self) -> f64 {
-        if self.bytes_before == 0 {
-            0.0
-        } else {
-            1.0 - self.bytes_after as f64 / self.bytes_before as f64
-        }
-    }
-}
-
-/// Outcome of one [`ShardedStore::scrub`] pass.
-#[derive(Clone, Debug, Default)]
-pub struct ScrubReport {
-    /// Blocks examined.
-    pub scanned: u64,
-    /// Blocks whose at-rest record failed its integrity check.
-    pub corrupt: u64,
-    /// Addresses of the damaged blocks (what an operator — or the
-    /// fleet's read-repair — would fetch from a healthy replica).
-    pub corrupt_keys: Vec<Digest>,
-    /// Wall-clock seconds for the whole pass.
-    pub secs: f64,
-}
-
-/// Outcome of one [`ShardedStore::recover`] sweep.
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryReport {
-    /// Orphaned `*.tmp` files found (a crash mid-write leaves them).
-    pub orphans_found: u64,
-    /// Of which actually removed (equal to `orphans_found` when
-    /// applied; 0 on a dry run).
-    pub orphans_removed: u64,
-    /// Records whose header is torn — truncated, bad magic, unknown
-    /// format byte, or a raw payload shorter than its declared length.
-    pub torn_found: u64,
-    /// Of which quarantined to `<hex>.corrupt` (0 on a dry run).
-    pub torn_quarantined: u64,
-    /// Quarantine tombstones still awaiting repair.
-    pub quarantined_pending: u64,
-    /// Healthy blocks counted during the walk — the reconciled
-    /// at-rest block count.
-    pub blocks: u64,
-    /// Whether repairs were applied (`false` = dry run).
-    pub applied: bool,
-    /// Wall-clock seconds for the sweep.
-    pub secs: f64,
-}
-
-impl RecoveryReport {
-    /// Nothing to repair and nothing pending.
-    pub fn clean(&self) -> bool {
-        self.orphans_found == 0 && self.torn_found == 0 && self.quarantined_pending == 0
-    }
-}
-
-/// A bounded LRU of decoded blocks; one per shard, behind the shard's
-/// own lock.
-struct ShardCache {
-    /// Decoded block + its recency stamp.
-    map: HashMap<Digest, (Vec<u8>, u64)>,
-    /// Recency index: stamp → key; the smallest stamp is the LRU entry.
-    by_stamp: BTreeMap<u64, Digest>,
-    total: usize,
-    cap: usize,
-    tick: u64,
-}
-
-impl ShardCache {
-    fn new(cap: usize) -> Self {
-        ShardCache {
-            map: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-            total: 0,
-            cap,
-            tick: 0,
-        }
-    }
-
-    fn get(&mut self, key: &Digest) -> Option<Vec<u8>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (data, stamp) = self.map.get_mut(key)?;
-        self.by_stamp.remove(&*stamp);
-        *stamp = tick;
-        self.by_stamp.insert(tick, *key);
-        Some(data.clone())
-    }
-
-    fn insert(&mut self, key: Digest, data: Vec<u8>) {
-        if data.len() > self.cap {
-            return; // would evict the whole cache for one block
-        }
-        if let Some((old, stamp)) = self.map.remove(&key) {
-            self.total -= old.len();
-            self.by_stamp.remove(&stamp);
-        }
-        while self.total + data.len() > self.cap {
-            let Some((&oldest, _)) = self.by_stamp.iter().next() else {
-                break;
-            };
-            let victim = self.by_stamp.remove(&oldest).expect("indexed");
-            let (evicted, _) = self.map.remove(&victim).expect("in map");
-            self.total -= evicted.len();
-        }
-        self.tick += 1;
-        self.total += data.len();
-        self.by_stamp.insert(self.tick, key);
-        self.map.insert(key, (data, self.tick));
-    }
-
-    /// Drop a key (used when a block is detected corrupt or rewritten).
-    fn remove(&mut self, key: &Digest) {
-        if let Some((data, stamp)) = self.map.remove(key) {
-            self.total -= data.len();
-            self.by_stamp.remove(&stamp);
-        }
-    }
-}
+/// A parsed header and the open record positioned at its payload.
+type OpenRecord = (Header, Box<dyn VfsFile>);
 
 struct Shard {
     dir: PathBuf,
@@ -435,13 +289,10 @@ impl ShardedStore {
         let geometry = root.join("GEOMETRY");
         match vfs.read(&geometry) {
             Ok(existing) => {
-                let on_disk: usize =
-                    String::from_utf8_lossy(&existing)
-                        .trim()
-                        .parse()
-                        .map_err(|_| {
-                            io::Error::new(io::ErrorKind::InvalidData, "unreadable GEOMETRY file")
-                        })?;
+                let text = String::from_utf8_lossy(&existing);
+                let on_disk: usize = text.trim().parse().map_err(|_| {
+                    io::Error::new(io::ErrorKind::InvalidData, "unreadable GEOMETRY file")
+                })?;
                 if on_disk != cfg.shards {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -542,14 +393,25 @@ impl ShardedStore {
     }
 
     fn block_path(&self, key: &Digest) -> PathBuf {
-        self.shard_of(key).dir.join(hex(key))
+        self.shard_of(key).dir.join(record::block_name(key))
     }
 
     /// Where a quarantined record sits: a tombstone name every walk
     /// skips, so the damaged bytes stay for forensics without being
     /// servable.
     fn quarantine_path(&self, key: &Digest) -> PathBuf {
-        self.shard_of(key).dir.join(format!("{}.corrupt", hex(key)))
+        self.shard_of(key).dir.join(record::tombstone_name(key))
+    }
+
+    /// Every classified name in the store, in shard order.
+    fn entries(&self) -> io::Result<Vec<Entry>> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            for name in self.vfs.read_dir(&shard.dir)? {
+                out.push(Entry::classify(&name));
+            }
+        }
+        Ok(out)
     }
 
     /// Store a block; returns the SHA-256 of `data`, under which the
@@ -657,19 +519,17 @@ impl ShardedStore {
         payload: &[u8],
     ) -> Result<(), StoreError> {
         self.check_writable()?;
-        let tmp = shard.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
+        let header = Header {
+            format,
+            original_len,
+        };
+        let n = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
+        let tmp = shard.dir.join(record::tmp_name(n));
         let wrote = || -> Result<(), (io::Error, bool)> {
             let enospc_only = |e: io::Error| (e, false);
             let always_latch = |e: io::Error| (e, true);
             let mut f = self.vfs.create(&tmp).map_err(enospc_only)?;
-            f.write_all(&RECORD_MAGIC).map_err(enospc_only)?;
-            f.write_all(&[format_byte(format)]).map_err(enospc_only)?;
-            f.write_all(&original_len.to_le_bytes())
-                .map_err(enospc_only)?;
+            f.write_all(&header.to_bytes()).map_err(enospc_only)?;
             f.write_all(payload).map_err(enospc_only)?;
             f.sync_all().map_err(always_latch)?;
             drop(f);
@@ -708,8 +568,8 @@ impl ShardedStore {
         }
         self.metrics.cache_misses.inc();
 
-        let (format, original_len, payload) = match self.read_record(key)? {
-            Some(rec) => rec,
+        let decoded = match self.read_verified(key)? {
+            Some(decoded) => decoded,
             // A quarantined block is *damaged*, not absent: reporting
             // it as a miss would let a caller (or a fleet's replica
             // quorum) conclude the block never existed. The damage was
@@ -719,27 +579,41 @@ impl ShardedStore {
             }
             None => return Ok(None),
         };
-        let decoded = self.decode_and_verify(key, format, original_len, payload)?;
         if self.cfg.cache_bytes > 0 {
             lock(&shard.cache).insert(*key, decoded.clone());
         }
         Ok(Some(decoded))
     }
 
-    /// The integrity gate shared by the serving read path and the
-    /// scrub: decode a record's payload and prove the result hashes to
-    /// the address it was stored under. Damage is counted and the
-    /// cache purged (via `corrupt`); what this returns is safe to
-    /// serve.
+    /// The cold-read gate of `get` and the scrub: read the record,
+    /// decode it and prove it hashes to its address. The one place the
+    /// store refuses to serve, so the one place damage (header or
+    /// payload) is counted and the cache purged.
+    fn read_verified(&self, key: &Digest) -> Result<Option<Vec<u8>>, StoreError> {
+        let verified = self.open_record(key).and_then(|rec| {
+            let Some((header, mut f)) = rec else {
+                return Ok(None);
+            };
+            let mut payload = Vec::new();
+            f.read_to_end(&mut payload)?;
+            self.decode_and_verify(key, header, payload).map(Some)
+        });
+        if let Err(StoreError::Corrupt(_)) = verified {
+            self.metrics.corrupt_blocks.inc();
+            lock(&self.shard_of(key).cache).remove(key);
+        }
+        verified
+    }
+
+    /// Decode a payload; check it against its header and its address.
     fn decode_and_verify(
         &self,
         key: &Digest,
-        format: StoredFormat,
-        original_len: u64,
+        header: Header,
         payload: Vec<u8>,
     ) -> Result<Vec<u8>, StoreError> {
-        let shard = self.shard_of(key);
-        let decoded = match format {
+        let corrupt = || StoreError::Corrupt(*key);
+        let decoded = match header.format {
             StoredFormat::Lepton => {
                 let dec_opts = lepton_core::DecompressOptions {
                     budget: self.cfg.budget,
@@ -755,81 +629,48 @@ impl ShardedStore {
                         self.metrics.budget_rejections.inc();
                         return Err(StoreError::Budget { required, limit });
                     }
-                    Err(_) => return Err(self.corrupt(shard, key)),
+                    Err(_) => return Err(corrupt()),
                 }
             }
             StoredFormat::Deflate => {
-                match lepton_deflate::zlib_decompress(&payload, original_len as usize) {
-                    Ok(bytes) => bytes,
-                    Err(_) => return Err(self.corrupt(shard, key)),
-                }
+                lepton_deflate::zlib_decompress(&payload, header.original_len as usize)
+                    .map_err(|_| corrupt())?
             }
             StoredFormat::Raw => payload,
         };
-        if decoded.len() as u64 != original_len || sha256(&decoded) != *key {
-            return Err(self.corrupt(shard, key));
+        if decoded.len() as u64 != header.original_len || sha256(&decoded) != *key {
+            return Err(corrupt());
         }
         Ok(decoded)
     }
 
-    fn corrupt(&self, shard: &Shard, key: &Digest) -> StoreError {
-        self.metrics.corrupt_blocks.inc();
-        lock(&shard.cache).remove(key);
-        StoreError::Corrupt(*key)
-    }
-
-    /// Open a record and parse its header. A truncated or unparseable
-    /// header is corruption (counted, cache purged); a genuine I/O
-    /// failure is [`StoreError::Io`], never misreported as damage.
+    /// Open a record and parse its header. A damaged header is
+    /// [`StoreError::Corrupt`], reported but not counted (only a read
+    /// that refuses to serve counts damage); a genuine I/O failure is
+    /// [`StoreError::Io`], never misreported as damage.
     fn open_record(&self, key: &Digest) -> Result<Option<OpenRecord>, StoreError> {
-        let path = self.block_path(key);
-        let mut f = match self.vfs.open(&path) {
+        let mut f = match self.vfs.open(&self.block_path(key)) {
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let mut header = [0u8; HEADER_LEN];
-        if let Err(e) = f.read_exact(&mut header) {
-            return if e.kind() == io::ErrorKind::UnexpectedEof {
-                Err(self.corrupt(self.shard_of(key), key)) // truncated record
-            } else {
-                Err(e.into())
-            };
+        match Header::read(&mut f)? {
+            Some(header) => Ok(Some((header, f))),
+            None => Err(StoreError::Corrupt(*key)),
         }
-        if header[..4] != RECORD_MAGIC {
-            return Err(self.corrupt(self.shard_of(key), key));
-        }
-        let Some(format) = parse_format(header[4]) else {
-            return Err(self.corrupt(self.shard_of(key), key));
-        };
-        let original_len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
-        Ok(Some((format, original_len, f)))
     }
 
-    /// Header-only read: format, original length, and at-rest payload
-    /// size (from file metadata — the payload bytes are not touched).
-    fn read_header(&self, key: &Digest) -> Result<Option<(StoredFormat, u64, u64)>, StoreError> {
-        let Some((format, original_len, f)) = self.open_record(key)? else {
+    /// Header-only read: the header and the at-rest payload size (from
+    /// file metadata — the payload bytes are not touched).
+    fn read_header(&self, key: &Digest) -> Result<Option<(Header, u64)>, StoreError> {
+        let Some((header, f)) = self.open_record(key)? else {
             return Ok(None);
         };
-        let total = f.len().map_err(StoreError::Io)?;
+        let total = f.len()?;
         Ok(Some((
-            format,
-            original_len,
-            total.saturating_sub(HEADER_LEN as u64),
+            header,
+            total.saturating_sub(record::HEADER_LEN as u64),
         )))
-    }
-
-    fn read_record(
-        &self,
-        key: &Digest,
-    ) -> Result<Option<(StoredFormat, u64, Vec<u8>)>, StoreError> {
-        let Some((format, original_len, mut f)) = self.open_record(key)? else {
-            return Ok(None);
-        };
-        let mut payload = Vec::new();
-        f.read_to_end(&mut payload)?;
-        Ok(Some((format, original_len, payload)))
     }
 
     /// Whether `key` is present (no decode, no cache effects).
@@ -837,25 +678,24 @@ impl ShardedStore {
         self.vfs.exists(&self.block_path(key))
     }
 
-    /// How a block is encoded at rest, if present (header-only read).
+    /// How a block is encoded at rest, if present (header-only read; a
+    /// damaged header is [`StoreError::Corrupt`], not counted).
     pub fn format_of(&self, key: &Digest) -> Result<Option<StoredFormat>, StoreError> {
-        Ok(self.read_header(key)?.map(|(f, _, _)| f))
+        Ok(self.read_header(key)?.map(|(h, _)| h.format))
     }
 
     /// At-rest payload size of a block, if present (header-only read).
     pub fn stored_size(&self, key: &Digest) -> Result<Option<usize>, StoreError> {
-        Ok(self.read_header(key)?.map(|(_, _, p)| p as usize))
+        Ok(self.read_header(key)?.map(|(_, p)| p as usize))
     }
 
-    /// Every block address in the store, in shard order. Temp files
-    /// and unparseable names are skipped.
+    /// Every block address in the store, in shard order. Temp files,
+    /// tombstones and unparseable names are skipped.
     pub fn keys(&self) -> io::Result<Vec<Digest>> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            for name in self.vfs.read_dir(&shard.dir)? {
-                if let Some(d) = parse_hex(&name) {
-                    out.push(d);
-                }
+        for entry in self.entries()? {
+            if let Entry::Block(key) = entry {
+                out.push(key);
             }
         }
         Ok(out)
@@ -890,9 +730,9 @@ impl ShardedStore {
     }
 
     /// Walk the store and summarize it. Header-only reads — payload
-    /// bytes are never touched. Records with damaged headers are
-    /// skipped (they are already counted in `metrics.corrupt_blocks`);
-    /// genuine I/O failures still abort the walk.
+    /// bytes are never touched, and a record with a damaged header is
+    /// skipped without being counted (the read that refuses it counts
+    /// it); genuine I/O failures still abort the walk.
     pub fn stat(&self) -> Result<StoreStats, StoreError> {
         let mut stats = StoreStats {
             cache_hits: self.metrics.cache_hits.get(),
@@ -900,15 +740,15 @@ impl ShardedStore {
             ..Default::default()
         };
         for key in self.keys()? {
-            let (format, original_len, payload_len) = match self.read_header(&key) {
+            let (header, payload_len) = match self.read_header(&key) {
                 Ok(Some(rec)) => rec,
                 Ok(None) | Err(StoreError::Corrupt(_)) => continue,
                 Err(e) => return Err(e),
             };
             stats.blocks += 1;
-            stats.logical_bytes += original_len;
+            stats.logical_bytes += header.original_len;
             stats.stored_bytes += payload_len;
-            match format {
+            match header.format {
                 StoredFormat::Lepton => stats.lepton_blocks += 1,
                 _ => stats.raw_blocks += 1,
             }
@@ -924,294 +764,11 @@ impl ShardedStore {
     /// `metrics.corrupt_blocks`, cache entry purged); a block that
     /// vanished mid-walk reads as intact.
     pub fn check_block(&self, key: &Digest) -> Result<bool, StoreError> {
-        let (format, original_len, payload) = match self.read_record(key) {
-            Ok(Some(rec)) => rec,
-            Ok(None) => return Ok(true),
-            Err(StoreError::Corrupt(_)) => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        match self.decode_and_verify(key, format, original_len, payload) {
+        match self.read_verified(key) {
             Ok(_) => Ok(true),
             Err(StoreError::Corrupt(_)) => Ok(false),
             Err(e) => Err(e),
         }
-    }
-
-    /// Quarantined blocks still awaiting repair: a `<hex>.corrupt`
-    /// tombstone with no replacement record. These are damage an
-    /// operator must still act on, even though `keys()` no longer
-    /// lists them.
-    fn quarantined_keys(&self) -> io::Result<Vec<Digest>> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for name in self.vfs.read_dir(&shard.dir)? {
-                let Some(stem) = name.strip_suffix(".corrupt") else {
-                    continue;
-                };
-                if let Some(key) = parse_hex(stem) {
-                    if !self.contains(&key) {
-                        out.push(key);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Walk the store with `parallelism` workers, hash-checking every
-    /// block at rest (§5.6's triple-verify discipline as an operator
-    /// tool). Read-only: damaged blocks are reported, not touched —
-    /// pair with [`ShardedStore::quarantine`] or the fleet's
-    /// read-repair to act on the findings. Quarantined blocks whose
-    /// replacement has not arrived yet are reported as corrupt too;
-    /// damage must stay visible until it is actually repaired.
-    pub fn scrub(&self, parallelism: usize) -> Result<ScrubReport, StoreError> {
-        let todo = self.keys()?;
-        let quarantined = self.quarantined_keys()?;
-        let quarantined_count = quarantined.len() as u64;
-        let t0 = Instant::now();
-        let next = AtomicUsize::new(0);
-        let corrupt = Mutex::new(quarantined);
-        std::thread::scope(|scope| {
-            for _ in 0..parallelism.max(1) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = todo.get(i) else { break };
-                    // I/O errors are folded into "damaged" for the
-                    // report: either way the block is unreadable here.
-                    if !self.check_block(key).unwrap_or(false) {
-                        lock(&corrupt).push(*key);
-                    }
-                });
-            }
-        });
-        let corrupt_keys = corrupt.into_inner().unwrap_or_else(PoisonError::into_inner);
-        Ok(ScrubReport {
-            scanned: todo.len() as u64 + quarantined_count,
-            corrupt: corrupt_keys.len() as u64,
-            corrupt_keys,
-            secs: t0.elapsed().as_secs_f64(),
-        })
-    }
-
-    /// Header-only crash-damage check used by the recovery sweep: is
-    /// the record's header parseable, and (for raw records, where it
-    /// is knowable without decoding) is the payload the length the
-    /// header declares? Encoded payloads torn mid-stream are caught by
-    /// the read path's hash gate and by `scrub`; this pass only
-    /// quarantines what a crash demonstrably tore. Deliberately does
-    /// not touch the corrupt counter or the cache — it reports to the
-    /// recovery accounting instead.
-    fn record_is_torn(&self, key: &Digest) -> Result<bool, StoreError> {
-        let path = self.block_path(key);
-        let mut f = match self.vfs.open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        let total = f.len()?;
-        let mut header = [0u8; HEADER_LEN];
-        match f.read_exact(&mut header) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(true),
-            Err(e) => return Err(e.into()),
-        }
-        if header[..4] != RECORD_MAGIC {
-            return Ok(true);
-        }
-        let Some(format) = parse_format(header[4]) else {
-            return Ok(true);
-        };
-        let original_len = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
-        let payload_len = total.saturating_sub(HEADER_LEN as u64);
-        Ok(format == StoredFormat::Raw && payload_len != original_len)
-    }
-
-    /// The crash-recovery sweep: walk every shard, delete orphaned
-    /// `*.tmp` files (a crash mid-write leaves them), quarantine
-    /// records whose header a crash tore, and reconcile the at-rest
-    /// block count. With `apply = false` nothing is touched — the
-    /// report says what *would* happen (the CLI's dry-run default).
-    ///
-    /// Runs automatically at [`ShardedStore::open`]; an operator can
-    /// rerun it any time via `lepton store recover`.
-    pub fn recover(&self, apply: bool) -> Result<RecoveryReport, StoreError> {
-        let t0 = Instant::now();
-        let mut report = RecoveryReport {
-            applied: apply,
-            ..Default::default()
-        };
-        for shard in &self.shards {
-            let mut removed_any = false;
-            for name in self.vfs.read_dir(&shard.dir)? {
-                if name.starts_with(".tmp-") {
-                    report.orphans_found += 1;
-                    if apply {
-                        let _guard = lock(&shard.write_lock);
-                        if self.vfs.remove_file(&shard.dir.join(&name)).is_ok() {
-                            report.orphans_removed += 1;
-                            removed_any = true;
-                        }
-                    }
-                    continue;
-                }
-                if let Some(stem) = name.strip_suffix(".corrupt") {
-                    if let Some(key) = parse_hex(stem) {
-                        if !self.contains(&key) {
-                            report.quarantined_pending += 1;
-                        }
-                    }
-                    continue;
-                }
-                let Some(key) = parse_hex(&name) else {
-                    continue;
-                };
-                if self.record_is_torn(&key)? {
-                    report.torn_found += 1;
-                    if apply && self.quarantine(&key)? {
-                        report.torn_quarantined += 1;
-                        report.quarantined_pending += 1;
-                    }
-                } else {
-                    report.blocks += 1;
-                }
-            }
-            if removed_any {
-                // The removals must be durable too, or the next crash
-                // resurrects the orphans this sweep just buried.
-                self.vfs.sync_dir(&shard.dir)?;
-            }
-        }
-        report.secs = t0.elapsed().as_secs_f64();
-        self.metrics.recovery_runs.inc();
-        self.metrics.recovery_orphans.add(report.orphans_removed);
-        self.metrics.recovery_torn.add(report.torn_quarantined);
-        self.metrics.blocks_at_rest.set(report.blocks as i64);
-        Ok(report)
-    }
-
-    /// Move a damaged record aside (renamed to `<hex>.corrupt`, a name
-    /// the store's walks skip) so a subsequent `put` of the true
-    /// content can land — content-addressed dedup would otherwise see
-    /// the damaged file and refuse to rewrite it. Returns whether a
-    /// record was actually quarantined. The serving path calls this
-    /// when a read trips the integrity gate, which is what lets a
-    /// fleet's read-repair overwrite a bad replica.
-    /// Quarantine runs even on a read-only store: it moves damage
-    /// aside without writing new data, and repair must stay possible
-    /// on a degraded node.
-    pub fn quarantine(&self, key: &Digest) -> Result<bool, StoreError> {
-        let shard = self.shard_of(key);
-        let path = self.block_path(key);
-        let _guard = lock(&shard.write_lock);
-        lock(&shard.cache).remove(key);
-        let dest = self.quarantine_path(key);
-        match self.vfs.rename(&path, &dest) {
-            Ok(()) => {
-                // The tombstone rename must be as durable as the data
-                // renames, or a crash un-quarantines the damage.
-                if let Err(e) = self.vfs.sync_dir(&shard.dir) {
-                    self.latch_read_only(&format!("failed fsync during quarantine: {e}"));
-                    return Err(StoreError::Io(e));
-                }
-                Ok(true)
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Convert one existing block to Lepton in place if it qualifies.
-    /// Returns `(bytes_before, bytes_after)` when converted.
-    fn backfill_one(&self, key: &Digest) -> Result<Option<(u64, u64)>, StoreError> {
-        let Some((format, _, before)) = self.read_header(key)? else {
-            return Ok(None);
-        };
-        if format == StoredFormat::Lepton {
-            return Ok(None);
-        }
-        // Full read path (hash check included): never convert bytes we
-        // cannot prove are the original content.
-        let Some(original) = self.get(key)? else {
-            return Ok(None);
-        };
-        if !looks_like_jpeg(&original) {
-            return Ok(None);
-        }
-        let Some(lepton) = self.try_admit(&original) else {
-            return Ok(None);
-        };
-        if lepton.len() as u64 >= before {
-            return Ok(None);
-        }
-        let shard = self.shard_of(key);
-        let after = lepton.len() as u64;
-        {
-            let _guard = lock(&shard.write_lock);
-            self.write_record(
-                shard,
-                &self.block_path(key),
-                StoredFormat::Lepton,
-                original.len() as u64,
-                &lepton,
-            )?;
-        }
-        // The cached decode stays valid (content is unchanged). The
-        // put-path counters are not touched — this handle may never
-        // have put the block — only the monotonic conversion count;
-        // at-rest truth comes from `stat()`.
-        self.metrics.backfill_conversions.inc();
-        Ok(Some((before, after)))
-    }
-
-    /// The backfill driver (§5.6): walk the store with `parallelism`
-    /// worker threads, converting every eligible block in place. Safe
-    /// to run while `put`/`get` traffic continues.
-    pub fn backfill(&self, parallelism: usize) -> Result<BackfillReport, StoreError> {
-        let parallelism = parallelism.max(1);
-        let todo: Vec<Digest> = {
-            let mut v = Vec::new();
-            for key in self.keys()? {
-                if self.format_of(&key)? != Some(StoredFormat::Lepton) {
-                    v.push(key);
-                }
-            }
-            v
-        };
-        let t0 = Instant::now();
-        let next = AtomicUsize::new(0);
-        let converted = AtomicU64::new(0);
-        let skipped = AtomicU64::new(0);
-        let bytes_before = AtomicU64::new(0);
-        let bytes_after = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..parallelism {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = todo.get(i) else { break };
-                    match self.backfill_one(key) {
-                        Ok(Some((before, after))) => {
-                            converted.fetch_add(1, Ordering::Relaxed);
-                            bytes_before.fetch_add(before, Ordering::Relaxed);
-                            bytes_after.fetch_add(after, Ordering::Relaxed);
-                        }
-                        // Corrupt or ineligible blocks are left alone;
-                        // backfill is an optimization pass, not repair.
-                        Ok(None) | Err(_) => {
-                            skipped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        Ok(BackfillReport {
-            scanned: todo.len() as u64,
-            converted: converted.into_inner(),
-            skipped: skipped.into_inner(),
-            bytes_before: bytes_before.into_inner(),
-            bytes_after: bytes_after.into_inner(),
-            secs: t0.elapsed().as_secs_f64(),
-        })
     }
 }
 
@@ -1220,23 +777,6 @@ impl ShardedStore {
 /// for filesystems that report it differently.
 fn is_enospc(e: &io::Error) -> bool {
     e.raw_os_error() == Some(28) || matches!(e.kind(), io::ErrorKind::StorageFull)
-}
-
-fn format_byte(f: StoredFormat) -> u8 {
-    match f {
-        StoredFormat::Lepton => b'L',
-        StoredFormat::Deflate => b'Z',
-        StoredFormat::Raw => b'R',
-    }
-}
-
-fn parse_format(b: u8) -> Option<StoredFormat> {
-    match b {
-        b'L' => Some(StoredFormat::Lepton),
-        b'Z' => Some(StoredFormat::Deflate),
-        b'R' => Some(StoredFormat::Raw),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -1298,7 +838,7 @@ mod tests {
         let data = b"text an earlier build stored deflated. ".repeat(40);
         let key = sha256(&data);
         let z = lepton_deflate::zlib_compress(&data, lepton_deflate::Level::Default);
-        let mut record = RECORD_MAGIC.to_vec();
+        let mut record = b"LBS1".to_vec();
         record.push(b'Z');
         record.extend_from_slice(&(data.len() as u64).to_le_bytes());
         record.extend_from_slice(&z);
@@ -1313,7 +853,7 @@ mod tests {
         // that lands in the Deflate stream's final padding bits decodes
         // to the same bytes and may be served; wrong bytes never are.
         let mut refused = 0;
-        for i in HEADER_LEN..record.len() {
+        for i in record::HEADER_LEN..record.len() {
             let mut bad = record.clone();
             bad[i] ^= 0x10;
             vfs.write(&path, &bad).unwrap();
@@ -1638,5 +1178,160 @@ mod tests {
         assert!(used > store.shard_count() / 2, "only {used} shards used");
         assert_eq!(store.keys().unwrap().len(), 64);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// An in-memory store with a damaged record planted after open (so
+    /// the startup sweep has not quarantined it): the magic of a raw
+    /// record smashed.
+    fn store_with_bad_magic(compress_on_write: bool) -> (ShardedStore, Digest) {
+        use crate::vfs::{FaultConfig, FaultVfs, Vfs};
+        let vfs = FaultVfs::new(FaultConfig::default());
+        let cfg = StoreConfig {
+            shards: 2,
+            compress_on_write,
+            ..Default::default()
+        };
+        let store = ShardedStore::open_on(vfs.clone(), "/store", cfg).unwrap();
+        let data = b"a block whose header rots".to_vec();
+        let key = sha256(&data);
+        let mut record = b"XBS1R".to_vec();
+        record.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        record.extend_from_slice(&data);
+        vfs.write(&store.block_path(&key), &record).unwrap();
+        (store, key)
+    }
+
+    /// The corrupt counter is the integrity alarm: only a read that
+    /// refuses to serve raises it. A header-only walk that meets the
+    /// same damage (every `BlockStat` runs `stat`) must not.
+    #[test]
+    fn stat_leaves_the_corrupt_counter_to_refused_reads() {
+        let (store, bad) = store_with_bad_magic(true);
+        store.put(b"one healthy block").unwrap();
+        let first = store.stat().unwrap();
+        let second = store.stat().unwrap();
+        assert_eq!(store.metrics.corrupt_blocks.get(), 0, "stat counted damage");
+        assert_eq!(first, second);
+        assert_eq!(first.blocks, 1, "the damaged record is not summarized");
+        assert!(matches!(store.format_of(&bad), Err(StoreError::Corrupt(k)) if k == bad));
+        assert!(matches!(
+            store.stored_size(&bad),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert_eq!(
+            store.metrics.corrupt_blocks.get(),
+            0,
+            "header reads counted"
+        );
+
+        assert!(matches!(store.get(&bad), Err(StoreError::Corrupt(k)) if k == bad));
+        assert_eq!(store.metrics.corrupt_blocks.get(), 1);
+        let after = store.stat().unwrap();
+        assert_eq!(store.metrics.corrupt_blocks.get(), 1);
+        assert_eq!(
+            StoreStats {
+                cache_hits: 0,
+                cache_misses: 0,
+                ..after
+            },
+            StoreStats {
+                cache_hits: 0,
+                cache_misses: 0,
+                ..first
+            }
+        );
+    }
+
+    #[test]
+    fn backfill_skips_a_damaged_header_and_converts_the_rest() {
+        let (store, _bad) = store_with_bad_magic(false);
+        let jpgs: Vec<Vec<u8>> = [10, 11, 12].map(|s| clean_jpeg(&spec(), s)).to_vec();
+        let keys: Vec<Digest> = jpgs.iter().map(|j| store.put(j).unwrap()).collect();
+        let report = store.backfill(2).unwrap();
+        assert_eq!(report.converted, 3, "{report:?}");
+        assert!(report.skipped >= 1, "{report:?}");
+        for (k, j) in keys.iter().zip(&jpgs) {
+            assert_eq!(store.format_of(k).unwrap(), Some(StoredFormat::Lepton));
+            assert_eq!(store.get(k).unwrap().unwrap(), *j);
+        }
+    }
+
+    /// The record format pinned case by case: what a header-only read
+    /// (`format_of`) and the recovery sweep's dry run say about each
+    /// kind of damage. Neither raises the corrupt counter.
+    #[test]
+    fn header_damage_table() {
+        use crate::vfs::{FaultConfig, FaultVfs, Vfs};
+        let vfs = FaultVfs::new(FaultConfig::default());
+        let cfg = StoreConfig {
+            shards: 2,
+            ..Default::default()
+        };
+        let store = ShardedStore::open_on(vfs.clone(), "/store", cfg).unwrap();
+        let payload = b"twelve bytes".to_vec();
+        let key = sha256(&payload);
+        let record = |magic: &[u8], format: u8, len: usize| {
+            let mut r = magic.to_vec();
+            r.push(format);
+            r.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            r.extend_from_slice(&payload[..len.min(payload.len())]);
+            r.resize(r.len().max(13 + len), b'!');
+            r
+        };
+        let whole = record(b"LBS1", b'R', payload.len());
+        // (case, record bytes, format_of (`None`: `Corrupt`), torn)
+        let mut cases: Vec<(String, Vec<u8>, Option<StoredFormat>, bool)> = vec![
+            ("raw".into(), whole.clone(), Some(StoredFormat::Raw), false),
+            (
+                "lepton".into(),
+                record(b"LBS1", b'L', 5),
+                Some(StoredFormat::Lepton),
+                false,
+            ),
+            (
+                "deflate".into(),
+                record(b"LBS1", b'Z', 5),
+                Some(StoredFormat::Deflate),
+                false,
+            ),
+            ("bad magic".into(), record(b"LBS2", b'R', 12), None, true),
+            (
+                "raw short".into(),
+                record(b"LBS1", b'R', 11),
+                Some(StoredFormat::Raw),
+                true,
+            ),
+            (
+                "raw long".into(),
+                record(b"LBS1", b'R', 13),
+                Some(StoredFormat::Raw),
+                true,
+            ),
+        ];
+        for cut in 0..=12 {
+            cases.push((format!("cut at {cut}"), whole[..cut].to_vec(), None, true));
+        }
+        for byte in (0..=255u8).filter(|b| !b"LZR".contains(b)) {
+            cases.push((
+                format!("format {byte:#04x}"),
+                record(b"LBS1", byte, 12),
+                None,
+                true,
+            ));
+        }
+        let path = store.block_path(&key);
+        for (case, bytes, format, torn) in cases {
+            vfs.write(&path, &bytes).unwrap();
+            let got = match store.format_of(&key) {
+                Ok(Some(format)) => Some(format),
+                Err(StoreError::Corrupt(k)) if k == key => None,
+                other => panic!("{case}: {other:?}"),
+            };
+            assert_eq!(got, format, "{case}");
+            let dry = store.recover(false).unwrap();
+            assert_eq!(dry.torn_found, u64::from(torn), "{case}");
+            assert_eq!(dry.blocks, u64::from(!torn), "{case}");
+        }
+        assert_eq!(store.metrics.corrupt_blocks.get(), 0);
     }
 }

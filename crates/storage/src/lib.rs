@@ -10,11 +10,14 @@
 //!
 //! There is one store and one admission path:
 //! [`blockstore::ShardedStore`], the durable, sharded store the
-//! `lepton store` CLI, the conversion service and the fleet run on. It
-//! does all its I/O through a [`vfs::Vfs`], so the same code runs on
-//! disk ([`vfs::RealVfs`]) and, for tests and examples that want no
-//! filesystem, in memory (a fault-free [`vfs::FaultVfs`]). The §5.7
-//! shutoff switch is [`blockstore::ShardedStore::put_raw`] /
+//! `lepton store` CLI, the conversion service and the fleet run on. Its
+//! on-disk decisions each live in one module: the record format and
+//! shard-directory names, the decoded-block cache, and the whole-store
+//! walks (scrub, recovery, backfill). It does all its I/O through a
+//! [`vfs::Vfs`], so the same code runs on disk ([`vfs::RealVfs`]) and,
+//! for tests and examples that want no filesystem, in memory (a
+//! fault-free [`vfs::FaultVfs`]). The §5.7 shutoff switch is
+//! [`blockstore::ShardedStore::put_raw`] /
 //! `StoreConfig::compress_on_write`, with
 //! [`blockstore::ShardedStore::backfill`] converting what it let
 //! through; [`deploy`] models build qualification.
