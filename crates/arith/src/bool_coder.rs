@@ -152,6 +152,66 @@ impl ByteSource for VecSource {
     }
 }
 
+/// One bit-coding walk for both directions.
+///
+/// A model written once against `Coder` both encodes and decodes, so
+/// the decoder repeats the encoder's bin choices by construction
+/// rather than by keeping two mirror copies in step (App. A.2; the
+/// §6.1 reversed-index incident is what a drifted copy costs).
+/// [`BoolEncoder`] and [`BoolDecoder`] are the only implementations.
+pub trait Coder {
+    /// Code one bit given `prob_false`, the 16-bit fixed-point
+    /// probability (`1..=65535`) that it is `false`. The encoder codes
+    /// `bit` and returns it; the decoder ignores `bit` and returns the
+    /// bit it reads.
+    fn code_with_prob(&mut self, bit: bool, prob_false: u16) -> bool;
+
+    /// Bytes emitted so far: the encoder's output length (the final
+    /// size adds up to 5 flush bytes), 0 when decoding. Output
+    /// attribution (Fig. 4) reads deltas of this.
+    fn bytes_so_far(&self) -> usize;
+
+    /// Code one bit against the probability in `branch`, then adapt it.
+    #[inline]
+    fn code(&mut self, bit: bool, branch: &mut Branch) -> bool {
+        let bit = self.code_with_prob(bit, branch.prob_false());
+        branch.record(bit);
+        bit
+    }
+
+    /// Code one bit at probability 1/2 (no adaptation), for residual
+    /// bits a model deems incompressible.
+    #[inline]
+    fn code_uniform(&mut self, bit: bool) -> bool {
+        self.code_with_prob(bit, 1 << 15)
+    }
+}
+
+impl Coder for BoolEncoder {
+    #[inline]
+    fn code_with_prob(&mut self, bit: bool, prob_false: u16) -> bool {
+        self.put_with_prob(bit, prob_false);
+        bit
+    }
+
+    #[inline]
+    fn bytes_so_far(&self) -> usize {
+        self.out.len()
+    }
+}
+
+impl<S: ByteSource> Coder for BoolDecoder<S> {
+    #[inline]
+    fn code_with_prob(&mut self, _bit: bool, prob_false: u16) -> bool {
+        self.get_with_prob(prob_false)
+    }
+
+    #[inline]
+    fn bytes_so_far(&self) -> usize {
+        0
+    }
+}
+
 /// Binary range encoder.
 ///
 /// Bits are coded against a probability, either adaptively via a
@@ -195,7 +255,7 @@ impl BoolEncoder {
     }
 
     /// Encode `bit` with the probability stored in `branch`, then adapt
-    /// the branch. This is the only call the hot path of the model uses.
+    /// the branch ([`Coder::code`] on an encoder).
     #[inline]
     pub fn put(&mut self, bit: bool, branch: &mut Branch) {
         self.put_with_prob(bit, branch.prob_false());
@@ -217,22 +277,6 @@ impl BoolEncoder {
         while self.range < TOP {
             self.range <<= 8;
             self.shift_low();
-        }
-    }
-
-    /// Encode a bit with probability 1/2 (no adaptation). Used for
-    /// residual bits the model deems incompressible.
-    #[inline]
-    pub fn put_uniform(&mut self, bit: bool) {
-        self.put_with_prob(bit, 1 << 15);
-    }
-
-    /// Encode the low `n` bits of `v`, most-significant first, each at
-    /// probability 1/2.
-    pub fn put_uniform_bits(&mut self, v: u32, n: u32) {
-        debug_assert!(n <= 32);
-        for i in (0..n).rev() {
-            self.put_uniform((v >> i) & 1 == 1);
         }
     }
 
@@ -265,12 +309,6 @@ impl BoolEncoder {
             self.shift_low();
         }
         self.out
-    }
-
-    /// Bytes emitted so far (the final size will include up to 5 more
-    /// flush bytes). Useful for instrumentation (Fig. 4 component sizes).
-    pub fn bytes_so_far(&self) -> usize {
-        self.out.len()
     }
 
     /// The emitted bytes, which are final: a carry resolves into the
@@ -360,22 +398,6 @@ impl<S: ByteSource> BoolDecoder<S> {
         bit
     }
 
-    /// Decode a probability-1/2 bit.
-    #[inline]
-    pub fn get_uniform(&mut self) -> bool {
-        self.get_with_prob(1 << 15)
-    }
-
-    /// Decode `n` probability-1/2 bits, most-significant first.
-    pub fn get_uniform_bits(&mut self, n: u32) -> u32 {
-        debug_assert!(n <= 32);
-        let mut v = 0u32;
-        for _ in 0..n {
-            v = (v << 1) | self.get_uniform() as u32;
-        }
-        v
-    }
-
     /// Access the underlying source. Note the decoder prefetches up to
     /// one refill window, so a consumption counter on the source runs
     /// ahead of the bytes actually folded into the coder state.
@@ -456,13 +478,20 @@ mod tests {
 
     #[test]
     fn uniform_bits_roundtrip() {
+        /// The low `n` bits of `v`, most-significant first, each at
+        /// probability 1/2; returns the value coded.
+        fn code_bits(c: &mut impl Coder, v: u32, n: u32) -> u32 {
+            (0..n).rev().fold(0, |acc, i| {
+                acc << 1 | c.code_uniform((v >> i) & 1 == 1) as u32
+            })
+        }
         let mut enc = BoolEncoder::new();
-        enc.put_uniform_bits(0xDEAD_BEEF, 32);
-        enc.put_uniform_bits(0x5, 3);
+        assert_eq!(code_bits(&mut enc, 0xDEAD_BEEF, 32), 0xDEAD_BEEF);
+        code_bits(&mut enc, 0x5, 3);
         let bytes = enc.finish();
         let mut dec = BoolDecoder::new(SliceSource::new(&bytes));
-        assert_eq!(dec.get_uniform_bits(32), 0xDEAD_BEEF);
-        assert_eq!(dec.get_uniform_bits(3), 0x5);
+        assert_eq!(code_bits(&mut dec, 0, 32), 0xDEAD_BEEF);
+        assert_eq!(code_bits(&mut dec, 0, 3), 0x5);
     }
 
     #[test]
@@ -508,7 +537,9 @@ mod tests {
             match which {
                 0 => enc.put(bit, &mut b1),
                 1 => enc.put(bit, &mut b2),
-                _ => enc.put_uniform(bit),
+                _ => {
+                    enc.code_uniform(bit);
+                }
             }
         }
         let bytes = enc.finish();
@@ -519,7 +550,7 @@ mod tests {
             let got = match which {
                 0 => dec.get(&mut b1),
                 1 => dec.get(&mut b2),
-                _ => dec.get_uniform(),
+                _ => dec.code_uniform(false),
             };
             assert_eq!(got, bit);
         }

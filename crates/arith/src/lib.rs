@@ -14,6 +14,11 @@
 //!   algebraically equivalent binary arithmetic coders, and the byte-wise
 //!   form is easier to prove correct. The probability resolution is 16
 //!   bits (VP8 uses 8); this only improves coding efficiency.
+//! * [`Coder`] — what both directions share. A model is written once,
+//!   generic over `C: Coder`: [`Coder::code`] encodes the bit it is
+//!   given on a [`BoolEncoder`] and returns the decoded bit on a
+//!   [`BoolDecoder`], so encoder and decoder make the same bin choices
+//!   by construction (App. A.2).
 //!
 //! # Streaming
 //!
@@ -24,26 +29,29 @@
 //!
 //! # Example
 //!
+//! One walk, run once per direction: the decoder passes placeholder
+//! bits and gets the encoded ones back.
+//!
 //! ```
-//! use lepton_arith::{BoolEncoder, BoolDecoder, Branch, SliceSource};
+//! use lepton_arith::{BoolDecoder, BoolEncoder, Branch, Coder, SliceSource};
+//!
+//! /// Codes `bits` (ignored when decoding); returns the bits coded.
+//! fn walk(c: &mut impl Coder, bits: &[bool]) -> Vec<bool> {
+//!     let mut bin = Branch::new();
+//!     bits.iter().map(|&b| c.code(b, &mut bin)).collect()
+//! }
 //!
 //! let bits = [true, false, true, true, false, false, true, false];
 //! let mut enc = BoolEncoder::new();
-//! let mut bin = Branch::new();
-//! for &b in &bits {
-//!     enc.put(b, &mut bin);
-//! }
+//! walk(&mut enc, &bits);
 //! let bytes = enc.finish();
 //!
 //! let mut dec = BoolDecoder::new(SliceSource::new(&bytes));
-//! let mut bin = Branch::new();
-//! for &b in &bits {
-//!     assert_eq!(dec.get(&mut bin), b);
-//! }
+//! assert_eq!(walk(&mut dec, &[false; 8]), bits);
 //! ```
 
 mod bool_coder;
 mod branch;
 
-pub use bool_coder::{BoolDecoder, BoolEncoder, ByteSource, SliceSource, VecSource};
+pub use bool_coder::{BoolDecoder, BoolEncoder, ByteSource, Coder, SliceSource, VecSource};
 pub use branch::{prob_from_counts, Branch, PROB_LUT};

@@ -7,7 +7,7 @@
 //! contexts blended by confidence-weighted averaging. It is used as the
 //! [`crate::PaqCodec`] fallback path for non-JPEG data.
 
-use lepton_arith::{BoolDecoder, BoolEncoder, ByteSource, SliceSource};
+use lepton_arith::{BoolDecoder, BoolEncoder, Coder, SliceSource};
 
 /// One counter pair (like `Branch` but exposing confidence).
 #[derive(Clone, Copy)]
@@ -97,9 +97,21 @@ impl Mixer {
         self.o2[i2].record(bit);
     }
 
-    fn push_byte(&mut self, byte: u8) {
+    /// Code one byte (ignored when decoding), most-significant bit
+    /// first, and slide it into the context; returns the byte coded.
+    fn code_byte<C: Coder>(&mut self, c: &mut C, byte: u8) -> u8 {
+        let mut node = 1usize;
+        for i in (0..8).rev() {
+            let p = self.predict(node);
+            let bit = c.code_with_prob((byte >> i) & 1 == 1, p);
+            self.update(node, bit);
+            node = node * 2 + bit as usize;
+        }
+        // `node` is now `256 + byte`.
+        let byte = node as u8;
         self.h2 = (self.h2 << 8) | self.h1 as u16;
         self.h1 = byte;
+        byte
     }
 }
 
@@ -110,15 +122,7 @@ pub fn cm_compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     for &byte in data {
-        let mut node = 1usize;
-        for i in (0..8).rev() {
-            let bit = (byte >> i) & 1 == 1;
-            let p = mx.predict(node);
-            enc.put_with_prob(bit, p);
-            mx.update(node, bit);
-            node = node * 2 + bit as usize;
-        }
-        mx.push_byte(byte);
+        mx.code_byte(&mut enc, byte);
     }
     out.extend(enc.finish());
     out
@@ -137,23 +141,9 @@ pub fn cm_decompress(data: &[u8], max_size: usize) -> Option<Vec<u8>> {
     let mut mx = Mixer::new();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut node = 1usize;
-        let mut byte = 0u8;
-        for _ in 0..8 {
-            let p = mx.predict(node);
-            let bit = decode_bit(&mut dec, p);
-            byte = (byte << 1) | bit as u8;
-            mx.update(node, bit);
-            node = node * 2 + bit as usize;
-        }
-        out.push(byte);
-        mx.push_byte(byte);
+        out.push(mx.code_byte(&mut dec, 0));
     }
     Some(out)
-}
-
-fn decode_bit<S: ByteSource>(dec: &mut BoolDecoder<S>, p: u16) -> bool {
-    dec.get_with_prob(p)
 }
 
 #[cfg(test)]

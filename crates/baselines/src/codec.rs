@@ -1,5 +1,9 @@
 //! The common codec interface used by the evaluation harnesses.
 
+use lepton_arith::{BoolDecoder, BoolEncoder, VecSource};
+use lepton_jpeg::scan::{decode_scan, encode_scan_whole, EncodeParams};
+use lepton_jpeg::CoefPlanes;
+
 /// Errors a codec can report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -85,6 +89,60 @@ pub fn decode_with_fallback(
             .map_err(|_| CodecError::Corrupt),
         _ => Err(CodecError::Corrupt),
     }
+}
+
+/// Encode a JPEG whose scan a stand-in codes as one arithmetic-coded
+/// walk over its coefficient planes (PackJPG-like, MozJPEG-arith): the
+/// walk codes the planes on an encoder, and the header, pad bit,
+/// restart count and trailing bytes ride in a [`JpegCarrier`]. Input
+/// that does not parse and scan-decode falls back to Deflate.
+pub fn encode_carried(
+    data: &[u8],
+    walk: impl FnOnce(&mut BoolEncoder, &mut CoefPlanes),
+) -> Vec<u8> {
+    encode_with_fallback(data, || {
+        let parsed = lepton_jpeg::parse(data).ok()?;
+        let (mut sd, _) = decode_scan(data, &parsed, &[]).ok()?;
+        let mut enc = BoolEncoder::new();
+        walk(&mut enc, &mut sd.coefs);
+        Some(
+            JpegCarrier {
+                header: data[..parsed.header_len].to_vec(),
+                pad_bit: sd.pad.bit_or_default() as u8,
+                rst_count: sd.rst_count,
+                append: data[sd.scan_end..].to_vec(),
+                payload: enc.finish(),
+            }
+            .serialize(),
+        )
+    })
+}
+
+/// Decode [`encode_carried`] output: the same walk, on a decoder, fills
+/// zeroed planes, which the original Huffman tables re-encode.
+pub fn decode_carried(
+    data: &[u8],
+    size_hint: usize,
+    walk: impl FnOnce(&mut BoolDecoder<VecSource>, &mut CoefPlanes),
+) -> Result<Vec<u8>, CodecError> {
+    decode_with_fallback(data, size_hint, |payload| {
+        let carrier = JpegCarrier::parse(payload)?;
+        let parsed = lepton_jpeg::parse(&carrier.header).map_err(|_| CodecError::Corrupt)?;
+        let mut planes = CoefPlanes::for_frame(&parsed.frame);
+        walk(
+            &mut BoolDecoder::new(VecSource::new(carrier.payload)),
+            &mut planes,
+        );
+        let params = EncodeParams {
+            pad_bit: carrier.pad_bit != 0,
+            rst_limit: carrier.rst_count,
+        };
+        let scan = encode_scan_whole(&planes, &parsed, &params).map_err(|_| CodecError::Corrupt)?;
+        let mut out = carrier.header;
+        out.extend(scan);
+        out.extend_from_slice(&carrier.append);
+        Ok(out)
+    })
 }
 
 /// Minimal varints shared by the baseline containers.

@@ -6,44 +6,16 @@
 //! adaptive range coding for density. On JPEG bodies both achieve ≈0%
 //! (Fig. 2's point about generic codecs).
 
-use crate::codec::{Codec, CodecError};
-use lepton_arith::{BoolDecoder, BoolEncoder, Branch, SliceSource};
+use crate::codec::{varint, Codec, CodecError};
+use lepton_arith::{BoolDecoder, BoolEncoder, Branch, Coder, SliceSource};
 use lepton_deflate::lz77::{Matcher, MatcherConfig, Token};
+use lepton_model::coef_coder::code_tree;
 
 /// Fast byte-oriented LZ (Zstandard speed class): tokens are emitted in
 /// a simple tagged byte stream with varint lengths — no bit-level
 /// entropy stage at all, trading ratio for speed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LzFastCodec;
-
-fn put_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn get_varint(data: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
-    let mut v = 0u32;
-    let mut shift = 0;
-    loop {
-        let b = *data.get(*pos).ok_or(CodecError::Corrupt)?;
-        *pos += 1;
-        v |= ((b & 0x7F) as u32) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 28 {
-            return Err(CodecError::Corrupt);
-        }
-    }
-}
 
 impl Codec for LzFastCodec {
     fn name(&self) -> &'static str {
@@ -55,7 +27,7 @@ impl Codec for LzFastCodec {
         let mut tokens = Vec::new();
         m.tokenize(data, 0, data.len(), &mut tokens);
         let mut out = Vec::with_capacity(data.len() / 2 + 16);
-        put_varint(&mut out, data.len() as u32);
+        varint::put(&mut out, data.len() as u32);
         // Batch literals: (literal run length, literals, match len, dist).
         let mut i = 0;
         while i < tokens.len() {
@@ -64,7 +36,7 @@ impl Codec for LzFastCodec {
                 i += 1;
             }
             let nlits = i - lit_start;
-            put_varint(&mut out, nlits as u32);
+            varint::put(&mut out, nlits as u32);
             for t in &tokens[lit_start..i] {
                 if let Token::Literal(b) = t {
                     out.push(*b);
@@ -72,32 +44,32 @@ impl Codec for LzFastCodec {
             }
             if i < tokens.len() {
                 if let Token::Match { len, dist } = tokens[i] {
-                    put_varint(&mut out, len as u32);
-                    put_varint(&mut out, dist as u32);
+                    varint::put(&mut out, len as u32);
+                    varint::put(&mut out, dist as u32);
                 }
                 i += 1;
             } else {
-                put_varint(&mut out, 0); // no trailing match
-                put_varint(&mut out, 0);
+                varint::put(&mut out, 0); // no trailing match
+                varint::put(&mut out, 0);
             }
         }
         if tokens.is_empty() {
-            put_varint(&mut out, 0);
-            put_varint(&mut out, 0);
-            put_varint(&mut out, 0);
+            varint::put(&mut out, 0);
+            varint::put(&mut out, 0);
+            varint::put(&mut out, 0);
         }
         Ok(out)
     }
 
     fn decode(&self, data: &[u8], _size_hint: usize) -> Result<Vec<u8>, CodecError> {
         let mut pos = 0usize;
-        let total = get_varint(data, &mut pos)? as usize;
+        let total = varint::get(data, &mut pos)? as usize;
         if total > (1 << 30) {
             return Err(CodecError::Corrupt);
         }
         let mut out = Vec::with_capacity(total);
         while out.len() < total {
-            let nlits = get_varint(data, &mut pos)? as usize;
+            let nlits = varint::get(data, &mut pos)? as usize;
             if pos + nlits > data.len() || out.len() + nlits > total {
                 return Err(CodecError::Corrupt);
             }
@@ -106,8 +78,8 @@ impl Codec for LzFastCodec {
             if out.len() == total {
                 break;
             }
-            let len = get_varint(data, &mut pos)? as usize;
-            let dist = get_varint(data, &mut pos)? as usize;
+            let len = varint::get(data, &mut pos)? as usize;
+            let dist = varint::get(data, &mut pos)? as usize;
             if len == 0 {
                 continue;
             }
@@ -142,26 +114,11 @@ impl LitModel {
         }
     }
 
-    fn encode(&mut self, enc: &mut BoolEncoder, prev: u8, byte: u8) {
+    /// Code `byte` (ignored when decoding) after `prev`; returns the
+    /// byte coded.
+    fn code<C: Coder>(&mut self, c: &mut C, prev: u8, byte: u8) -> u8 {
         let base = prev as usize * 256;
-        let mut node = 1usize;
-        for i in (0..8).rev() {
-            let bit = (byte >> i) & 1 == 1;
-            enc.put(bit, &mut self.bins[base + node]);
-            node = node * 2 + bit as usize;
-        }
-    }
-
-    fn decode<S: lepton_arith::ByteSource>(&mut self, dec: &mut BoolDecoder<S>, prev: u8) -> u8 {
-        let base = prev as usize * 256;
-        let mut node = 1usize;
-        let mut byte = 0u8;
-        for _ in 0..8 {
-            let bit = dec.get(&mut self.bins[base + node]);
-            byte = (byte << 1) | bit as u8;
-            node = node * 2 + bit as usize;
-        }
-        byte
+        code_tree(c, byte as u32, 8, &mut self.bins[base..base + 256]) as u8
     }
 }
 
@@ -179,32 +136,24 @@ impl NumModel {
         }
     }
 
-    fn encode(&mut self, enc: &mut BoolEncoder, v: u32) {
-        let n = 32 - v.leading_zeros(); // v >= 1
-        for i in 0..n {
-            enc.put(true, &mut self.exp[i as usize]);
-        }
-        enc.put(false, &mut self.exp[n as usize]);
-        for j in (0..n.saturating_sub(1)).rev() {
-            enc.put((v >> j) & 1 == 1, &mut self.bits[j as usize]);
-        }
-    }
-
-    fn decode<S: lepton_arith::ByteSource>(&mut self, dec: &mut BoolDecoder<S>) -> u32 {
+    /// Code `v >= 1` (ignored when decoding); returns the value coded,
+    /// 0 for a stream no encoder wrote.
+    fn code<C: Coder>(&mut self, c: &mut C, v: u32) -> u32 {
+        let len = 32 - v.leading_zeros();
         let mut n = 0u32;
-        while n < 31 && dec.get(&mut self.exp[n as usize]) {
+        while n < 31 && c.code(len > n, &mut self.exp[n as usize]) {
             n += 1;
         }
         if n == 0 {
-            return 0; // only used for "is literal" disambiguation
+            return 0;
         }
-        let mut v = 1u32 << (n - 1);
+        let mut out = 1u32 << (n - 1);
         for j in (0..n - 1).rev() {
-            if dec.get(&mut self.bits[j as usize]) {
-                v |= 1 << j;
+            if c.code((v >> j) & 1 == 1, &mut self.bits[j as usize]) {
+                out |= 1 << j;
             }
         }
-        v
+        out
     }
 }
 
@@ -228,28 +177,28 @@ impl Codec for RangeLzCodec {
             match *t {
                 Token::Literal(b) => {
                     enc.put(false, &mut is_match);
-                    lits.encode(&mut enc, prev, b);
+                    lits.code(&mut enc, prev, b);
                     prev = b;
                     pos += 1;
                 }
                 Token::Match { len, dist } => {
                     enc.put(true, &mut is_match);
-                    lens.encode(&mut enc, len as u32);
-                    dists.encode(&mut enc, dist as u32);
+                    lens.code(&mut enc, len as u32);
+                    dists.code(&mut enc, dist as u32);
                     pos += len as usize;
                     prev = data[pos - 1];
                 }
             }
         }
         let mut out = Vec::new();
-        put_varint(&mut out, data.len() as u32);
+        varint::put(&mut out, data.len() as u32);
         out.extend(enc.finish());
         Ok(out)
     }
 
     fn decode(&self, data: &[u8], _size_hint: usize) -> Result<Vec<u8>, CodecError> {
         let mut pos = 0usize;
-        let total = get_varint(data, &mut pos)? as usize;
+        let total = varint::get(data, &mut pos)? as usize;
         if total > (1 << 30) {
             return Err(CodecError::Corrupt);
         }
@@ -262,8 +211,8 @@ impl Codec for RangeLzCodec {
         let mut prev = 0u8;
         while out.len() < total {
             if dec.get(&mut is_match) {
-                let len = lens.decode(&mut dec) as usize;
-                let dist = dists.decode(&mut dec) as usize;
+                let len = lens.code(&mut dec, 0) as usize;
+                let dist = dists.code(&mut dec, 0) as usize;
                 if len == 0 || dist == 0 || dist > out.len() || out.len() + len > total {
                     return Err(CodecError::Corrupt);
                 }
@@ -274,7 +223,7 @@ impl Codec for RangeLzCodec {
                 }
                 prev = *out.last().expect("nonempty");
             } else {
-                let b = lits.decode(&mut dec, prev);
+                let b = lits.code(&mut dec, prev, 0);
                 out.push(b);
                 prev = b;
             }
@@ -372,9 +321,9 @@ mod tests {
     fn varint_roundtrip() {
         for v in [0u32, 1, 127, 128, 300, 65535, 1 << 20, u32::MAX >> 4] {
             let mut buf = Vec::new();
-            put_varint(&mut buf, v);
+            varint::put(&mut buf, v);
             let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
+            assert_eq!(varint::get(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
         }
     }

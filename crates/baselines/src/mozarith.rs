@@ -3,15 +3,17 @@
 //! The JPEG specification's arithmetic extension uses ~300 statistic
 //! bins (paper §3.2) with contexts limited to the previous DC difference
 //! and per-band state — no spatial neighbor modeling. This codec
-//! reproduces that class: same Exp-Golomb binarization machinery as
-//! Lepton, but a deliberately small bin space. The ratio gap between
-//! this codec and Lepton isolates the value of Lepton's 721k-bin
-//! neighbor-indexed model.
+//! reproduces that class with a deliberately small bin space. DC
+//! differences go through Lepton's own Exp-Golomb coder
+//! ([`lepton_model::coef_coder::code_value`]); AC values use a
+//! spec-class variant whose residual bits are coded at probability 1/2.
+//! The ratio gap between this codec and Lepton isolates the value of
+//! Lepton's 721k-bin neighbor-indexed model.
 
-use crate::codec::{decode_with_fallback, encode_with_fallback, Codec, CodecError, JpegCarrier};
-use lepton_arith::{BoolDecoder, BoolEncoder, Branch, SliceSource};
-use lepton_jpeg::scan::{decode_scan, encode_scan_whole, EncodeParams};
+use crate::codec::{decode_carried, encode_carried, Codec, CodecError};
+use lepton_arith::{Branch, Coder};
 use lepton_jpeg::{CoefPlanes, ZIGZAG};
+use lepton_model::coef_coder::code_value;
 
 /// The ~300-bin arithmetic JPEG codec.
 #[derive(Clone, Copy, Debug, Default)]
@@ -29,6 +31,9 @@ fn band(k: usize) -> usize {
     }
 }
 const NBANDS: usize = 4;
+/// Exp-Golomb range of a DC difference and of an AC value.
+const DC_EXP: usize = 13;
+const AC_EXP: usize = 11;
 
 /// Small-model state: ≈ (5 DC ctx × 13 + 13) + 8 bands × (eob + exp 11 +
 /// sign + resid) ≈ 300 bins, matching the spec's order of magnitude.
@@ -44,11 +49,11 @@ struct SmallModel {
 impl SmallModel {
     fn new() -> Self {
         SmallModel {
-            dc_exp: vec![Branch::new(); 5 * 13],
+            dc_exp: vec![Branch::new(); 5 * DC_EXP],
             dc_sign: vec![Branch::new(); 5],
-            dc_resid: vec![Branch::new(); 13],
+            dc_resid: vec![Branch::new(); DC_EXP],
             eob: vec![Branch::new(); NBANDS],
-            exp: vec![Branch::new(); NBANDS * 11],
+            exp: vec![Branch::new(); NBANDS * AC_EXP],
             sign: Branch::new(),
         }
     }
@@ -75,183 +80,75 @@ fn dc_ctx(prev_diff: i32) -> usize {
     }
 }
 
-fn encode_value(
-    enc: &mut BoolEncoder,
-    v: i32,
-    max_exp: usize,
-    exp: &mut [Branch],
-    sign: &mut Branch,
-    resid: Option<&mut [Branch]>,
-) {
+/// The spec-class AC value coder: an Exp-Golomb exponent on the band's
+/// bins and a shared sign bin, but residual magnitude bits carry no
+/// context. Returns the value coded.
+fn code_ac<C: Coder>(c: &mut C, v: i32, exp: &mut [Branch], sign: &mut Branch) -> i32 {
     let mag = v.unsigned_abs();
-    let n = (32 - mag.leading_zeros()) as usize;
-    for i in 0..max_exp {
-        let more = n > i;
-        enc.put(more, &mut exp[i]);
-        if !more {
-            break;
-        }
-    }
-    if n == 0 {
-        return;
-    }
-    enc.put(v < 0, sign);
-    match resid {
-        Some(bins) => {
-            for j in (0..n - 1).rev() {
-                enc.put((mag >> j) & 1 == 1, &mut bins[j]);
-            }
-        }
-        None => {
-            // Spec-class: residual magnitude bits carry no context.
-            for j in (0..n - 1).rev() {
-                enc.put_uniform((mag >> j) & 1 == 1);
-            }
-        }
-    }
-}
-
-fn decode_value<S: lepton_arith::ByteSource>(
-    dec: &mut BoolDecoder<S>,
-    max_exp: usize,
-    exp: &mut [Branch],
-    sign: &mut Branch,
-    resid: Option<&mut [Branch]>,
-) -> i32 {
+    let len = (32 - mag.leading_zeros()) as usize;
     let mut n = 0usize;
-    for i in 0..max_exp {
-        if dec.get(&mut exp[i]) {
-            n = i + 1;
-        } else {
-            break;
-        }
+    while n < AC_EXP && c.code(len > n, &mut exp[n]) {
+        n += 1;
     }
     if n == 0 {
         return 0;
     }
-    let neg = dec.get(sign);
-    let mut mag = 1u32 << (n - 1);
-    match resid {
-        Some(bins) => {
-            for j in (0..n - 1).rev() {
-                if dec.get(&mut bins[j]) {
-                    mag |= 1 << j;
-                }
-            }
-        }
-        None => {
-            for j in (0..n - 1).rev() {
-                if dec.get_uniform() {
-                    mag |= 1 << j;
-                }
-            }
+    let neg = c.code(v < 0, sign);
+    let mut out = 1u32 << (n - 1);
+    for j in (0..n - 1).rev() {
+        if c.code_uniform((mag >> j) & 1 == 1) {
+            out |= 1 << j;
         }
     }
     if neg {
-        -(mag as i32)
+        -(out as i32)
     } else {
-        mag as i32
+        out as i32
     }
 }
 
-fn encode_planes(parsed: &lepton_jpeg::ParsedJpeg, planes: &CoefPlanes) -> Vec<u8> {
-    let mut enc = BoolEncoder::new();
-    let mut models: Vec<SmallModel> = (0..2).map(|_| SmallModel::new()).collect();
+/// One walk over every plane, for both directions: `planes` holds the
+/// coefficients to encode, or zeros to decode into.
+fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
+    let mut models = [SmallModel::new(), SmallModel::new()];
     debug_assert!(models[0].bin_count() < 400);
-    let frame = &parsed.frame;
-    for (ci, plane) in planes.planes.iter().enumerate() {
-        let class = usize::from(ci != 0);
-        let m = &mut models[class];
+    for (ci, plane) in planes.planes.iter_mut().enumerate() {
+        let m = &mut models[usize::from(ci != 0)];
         let mut prev_dc = 0i32;
         let mut prev_diff = 0i32;
-        let _ = frame;
-        for by in 0..plane.blocks_h {
-            for bx in 0..plane.blocks_w {
-                let block = plane.block(bx, by);
-                let diff = block[0] as i32 - prev_dc;
-                prev_dc = block[0] as i32;
-                let ctx = dc_ctx(prev_diff);
-                prev_diff = diff;
-                encode_value(
-                    &mut enc,
-                    diff,
-                    13,
-                    &mut m.dc_exp[ctx * 13..(ctx + 1) * 13],
-                    &mut m.dc_sign[ctx],
-                    Some(&mut m.dc_resid),
-                );
-                // AC: per coefficient, EOB flag when the rest is zero.
-                let last_nz = (1..64).rev().find(|&k| block[ZIGZAG[k]] != 0).unwrap_or(0);
-                for k in 1..=last_nz {
-                    let b = band(k);
-                    enc.put(false, &mut m.eob[b]); // not end-of-block yet
-                    let v = block[ZIGZAG[k]] as i32;
-                    encode_value(
-                        &mut enc,
-                        v,
-                        11,
-                        &mut m.exp[b * 11..(b + 1) * 11],
-                        &mut m.sign,
-                        None,
-                    );
-                }
-                if last_nz < 63 {
-                    enc.put(true, &mut m.eob[band(last_nz + 1)]);
-                }
-            }
-        }
-    }
-    enc.finish()
-}
-
-fn decode_planes(
-    parsed: &lepton_jpeg::ParsedJpeg,
-    stream: &[u8],
-) -> Result<CoefPlanes, CodecError> {
-    let mut dec = BoolDecoder::new(SliceSource::new(stream));
-    let mut models: Vec<SmallModel> = (0..2).map(|_| SmallModel::new()).collect();
-    let mut planes = CoefPlanes::for_frame(&parsed.frame);
-    for ci in 0..planes.planes.len() {
-        let class = usize::from(ci != 0);
-        let m = &mut models[class];
-        let mut prev_dc = 0i32;
-        let mut prev_diff = 0i32;
-        let plane = &mut planes.planes[ci];
         for by in 0..plane.blocks_h {
             for bx in 0..plane.blocks_w {
                 let block = plane.block_mut(bx, by);
                 let ctx = dc_ctx(prev_diff);
-                let diff = decode_value(
-                    &mut dec,
-                    13,
-                    &mut m.dc_exp[ctx * 13..(ctx + 1) * 13],
+                prev_diff = code_value(
+                    c,
+                    block[0] as i32 - prev_dc,
+                    DC_EXP,
+                    &mut m.dc_exp[ctx * DC_EXP..(ctx + 1) * DC_EXP],
                     &mut m.dc_sign[ctx],
-                    Some(&mut m.dc_resid),
+                    &mut m.dc_resid,
                 );
-                prev_diff = diff;
-                let dc = prev_dc + diff;
-                prev_dc = dc;
-                block[0] = dc.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+                prev_dc += prev_diff;
+                block[0] = prev_dc.clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+                // AC: per coefficient, an end-of-block flag first (set
+                // once the rest of the block is zero).
+                let last_nz = (1..64).rev().find(|&k| block[ZIGZAG[k]] != 0).unwrap_or(0);
                 let mut k = 1usize;
-                while k < 64 {
+                while k < 64 && !c.code(k > last_nz, &mut m.eob[band(k)]) {
                     let b = band(k);
-                    if dec.get(&mut m.eob[b]) {
-                        break;
-                    }
-                    let v = decode_value(
-                        &mut dec,
-                        11,
-                        &mut m.exp[b * 11..(b + 1) * 11],
+                    let coef = &mut block[ZIGZAG[k]];
+                    let v = code_ac(
+                        c,
+                        *coef as i32,
+                        &mut m.exp[b * AC_EXP..(b + 1) * AC_EXP],
                         &mut m.sign,
-                        None,
                     );
-                    block[ZIGZAG[k]] = v.clamp(-2047, 2047) as i16;
+                    *coef = v.clamp(-2047, 2047) as i16;
                     k += 1;
                 }
             }
         }
     }
-    Ok(planes)
 }
 
 impl Codec for MozArithCodec {
@@ -264,39 +161,11 @@ impl Codec for MozArithCodec {
     }
 
     fn encode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(encode_with_fallback(data, || {
-            let parsed = lepton_jpeg::parse(data).ok()?;
-            let (sd, _) = decode_scan(data, &parsed, &[]).ok()?;
-            let payload = encode_planes(&parsed, &sd.coefs);
-            Some(
-                JpegCarrier {
-                    header: data[..parsed.header_len].to_vec(),
-                    pad_bit: sd.pad.bit_or_default() as u8,
-                    rst_count: sd.rst_count,
-                    append: data[sd.scan_end..].to_vec(),
-                    payload,
-                }
-                .serialize(),
-            )
-        }))
+        Ok(encode_carried(data, code_planes))
     }
 
     fn decode(&self, data: &[u8], size_hint: usize) -> Result<Vec<u8>, CodecError> {
-        decode_with_fallback(data, size_hint, |payload| {
-            let carrier = JpegCarrier::parse(payload)?;
-            let parsed = lepton_jpeg::parse(&carrier.header).map_err(|_| CodecError::Corrupt)?;
-            let planes = decode_planes(&parsed, &carrier.payload)?;
-            let params = EncodeParams {
-                pad_bit: carrier.pad_bit != 0,
-                rst_limit: carrier.rst_count,
-            };
-            let scan =
-                encode_scan_whole(&planes, &parsed, &params).map_err(|_| CodecError::Corrupt)?;
-            let mut out = carrier.header;
-            out.extend(scan);
-            out.extend_from_slice(&carrier.append);
-            Ok(out)
-        })
+        decode_carried(data, size_hint, code_planes)
     }
 }
 

@@ -11,10 +11,10 @@
 //! none of Lepton's distribution properties — the paper's Figure 1/2
 //! contrast in miniature.
 
-use crate::codec::{decode_with_fallback, encode_with_fallback, Codec, CodecError, JpegCarrier};
-use lepton_arith::{BoolDecoder, BoolEncoder, Branch, SliceSource};
-use lepton_jpeg::scan::{decode_scan, encode_scan_whole, EncodeParams};
+use crate::codec::{decode_carried, encode_carried, Codec, CodecError};
+use lepton_arith::{Branch, Coder};
 use lepton_jpeg::{CoefPlanes, ZIGZAG};
+use lepton_model::coef_coder::{code_tree, code_value};
 
 /// The PackJPG-class codec.
 #[derive(Clone, Copy, Debug, Default)]
@@ -63,30 +63,6 @@ fn count_ac(block: &[i16; 64]) -> u32 {
     (1..64).filter(|&r| block[r] != 0).count() as u32
 }
 
-fn code_tree(enc: &mut BoolEncoder, v: u32, bits: usize, tree: &mut [Branch]) {
-    let mut node = 1usize;
-    for i in (0..bits).rev() {
-        let bit = (v >> i) & 1 == 1;
-        enc.put(bit, &mut tree[node]);
-        node = node * 2 + bit as usize;
-    }
-}
-
-fn read_tree<S: lepton_arith::ByteSource>(
-    dec: &mut BoolDecoder<S>,
-    bits: usize,
-    tree: &mut [Branch],
-) -> u32 {
-    let mut node = 1usize;
-    let mut v = 0u32;
-    for _ in 0..bits {
-        let bit = dec.get(&mut tree[node]);
-        v = (v << 1) | bit as u32;
-        node = node * 2 + bit as usize;
-    }
-    v
-}
-
 fn bucket(x: u32) -> usize {
     (32 - x.leading_zeros()).min(11) as usize
 }
@@ -99,169 +75,14 @@ fn sign3(v: i32) -> usize {
     }
 }
 
-fn code_value(
-    enc: &mut BoolEncoder,
-    v: i32,
-    max_exp: usize,
-    exp: &mut [Branch],
-    sign: &mut Branch,
-    resid: &mut [Branch],
-) {
-    let mag = v.unsigned_abs();
-    let n = (32 - mag.leading_zeros()) as usize;
-    debug_assert!(n <= max_exp);
-    for i in 0..max_exp {
-        let more = n > i;
-        enc.put(more, &mut exp[i]);
-        if !more {
-            break;
-        }
-    }
-    if n == 0 {
-        return;
-    }
-    enc.put(v < 0, sign);
-    for j in (0..n - 1).rev() {
-        enc.put((mag >> j) & 1 == 1, &mut resid[j]);
-    }
-}
-
-fn read_value<S: lepton_arith::ByteSource>(
-    dec: &mut BoolDecoder<S>,
-    max_exp: usize,
-    exp: &mut [Branch],
-    sign: &mut Branch,
-    resid: &mut [Branch],
-) -> i32 {
-    let mut n = 0usize;
-    for i in 0..max_exp {
-        if dec.get(&mut exp[i]) {
-            n = i + 1;
-        } else {
-            break;
-        }
-    }
-    if n == 0 {
-        return 0;
-    }
-    let neg = dec.get(sign);
-    let mut mag = 1u32 << (n - 1);
-    for j in (0..n - 1).rev() {
-        if dec.get(&mut resid[j]) {
-            mag |= 1 << j;
-        }
-    }
-    if neg {
-        -(mag as i32)
-    } else {
-        mag as i32
-    }
-}
-
-fn encode_global(planes: &CoefPlanes) -> Vec<u8> {
-    let mut enc = BoolEncoder::new();
+/// The band-major walk over every plane, for both directions: `planes`
+/// holds the coefficients to encode, or zeros to decode into, and each
+/// coded value is written back before later contexts read it.
+fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
     let mut models = [BandModel::new(), BandModel::new()];
-    for (ci, plane) in planes.planes.iter().enumerate() {
+    for (ci, plane) in planes.planes.iter_mut().enumerate() {
         let m = &mut models[usize::from(ci != 0)];
         // Pass 1: the DC plane, neighbor-average predicted.
-        for by in 0..plane.blocks_h {
-            for bx in 0..plane.blocks_w {
-                let dc = plane.block(bx, by)[0] as i32;
-                let above = (by > 0).then(|| plane.block(bx, by - 1)[0] as i32);
-                let left = (bx > 0).then(|| plane.block(bx - 1, by)[0] as i32);
-                let pred = match (above, left) {
-                    (Some(a), Some(l)) => (a + l) / 2,
-                    (Some(a), None) => a,
-                    (None, Some(l)) => l,
-                    (None, None) => 0,
-                };
-                let delta = dc - pred.clamp(-2047, 2047);
-                let pb = bucket(pred.unsigned_abs());
-                code_value(
-                    &mut enc,
-                    delta,
-                    DC_EXP,
-                    &mut m.dc_exp[pb * DC_EXP..(pb + 1) * DC_EXP],
-                    &mut m.dc_sign[sign3(pred)],
-                    &mut m.dc_resid,
-                );
-            }
-        }
-        // Pass 2: per-block AC nonzero counts ("sorting" equivalent —
-        // PackJPG's global reorder clusters trailing zeros; transmitting
-        // the count lets band passes skip exhausted blocks).
-        // Context must come from *transmitted* counts: the decoder has
-        // no coefficients yet during this pass.
-        let mut remaining = vec![0u32; plane.blocks_w * plane.blocks_h];
-        for by in 0..plane.blocks_h {
-            for bx in 0..plane.blocks_w {
-                let n = count_ac(plane.block(bx, by));
-                let na = if by > 0 {
-                    remaining[(by - 1) * plane.blocks_w + bx]
-                } else {
-                    0
-                };
-                let nl = if bx > 0 {
-                    remaining[by * plane.blocks_w + bx - 1]
-                } else {
-                    0
-                };
-                let ctx = nz_bucket((na + nl) / 2);
-                code_tree(&mut enc, n, 6, &mut m.nz[ctx * 64..(ctx + 1) * 64]);
-                remaining[by * plane.blocks_w + bx] = n;
-            }
-        }
-        // Pass 3..65: each zigzag band, globally, skipping done blocks.
-        for k in 1..64usize {
-            let r = ZIGZAG[k];
-            for by in 0..plane.blocks_h {
-                for bx in 0..plane.blocks_w {
-                    let rem = &mut remaining[by * plane.blocks_w + bx];
-                    if *rem == 0 {
-                        continue;
-                    }
-                    let v = plane.block(bx, by)[r] as i32;
-                    let a = if by > 0 {
-                        plane.block(bx, by - 1)[r] as i32
-                    } else {
-                        0
-                    };
-                    let l = if bx > 0 {
-                        plane.block(bx - 1, by)[r] as i32
-                    } else {
-                        0
-                    };
-                    let nb = bucket((a.unsigned_abs() + l.unsigned_abs()) / 2);
-                    let sctx = sign3((a + l) / 2);
-                    let base = ((k - 1) * 12 + nb) * AC_EXP;
-                    code_value(
-                        &mut enc,
-                        v,
-                        AC_EXP,
-                        &mut m.ac_exp[base..base + AC_EXP],
-                        &mut m.ac_sign[(k - 1) * 3 + sctx],
-                        &mut m.ac_resid,
-                    );
-                    if v != 0 {
-                        *rem -= 1;
-                    }
-                }
-            }
-        }
-    }
-    enc.finish()
-}
-
-fn decode_global(
-    parsed: &lepton_jpeg::ParsedJpeg,
-    stream: &[u8],
-) -> Result<CoefPlanes, CodecError> {
-    let mut dec = BoolDecoder::new(SliceSource::new(stream));
-    let mut models = [BandModel::new(), BandModel::new()];
-    let mut planes = CoefPlanes::for_frame(&parsed.frame);
-    for ci in 0..planes.planes.len() {
-        let m = &mut models[usize::from(ci != 0)];
-        let plane = &mut planes.planes[ci];
         for by in 0..plane.blocks_h {
             for bx in 0..plane.blocks_w {
                 let above = (by > 0).then(|| plane.block(bx, by - 1)[0] as i32);
@@ -274,17 +95,23 @@ fn decode_global(
                 }
                 .clamp(-2047, 2047);
                 let pb = bucket(pred.unsigned_abs());
-                let delta = read_value(
-                    &mut dec,
+                let dc = &mut plane.block_mut(bx, by)[0];
+                let delta = code_value(
+                    c,
+                    *dc as i32 - pred,
                     DC_EXP,
                     &mut m.dc_exp[pb * DC_EXP..(pb + 1) * DC_EXP],
                     &mut m.dc_sign[sign3(pred)],
                     &mut m.dc_resid,
                 );
-                plane.block_mut(bx, by)[0] =
-                    (pred + delta).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
+                *dc = (pred + delta).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
             }
         }
+        // Pass 2: per-block AC nonzero counts ("sorting" equivalent —
+        // PackJPG's global reorder clusters trailing zeros; transmitting
+        // the count lets band passes skip exhausted blocks).
+        // Context must come from *transmitted* counts: the decoder has
+        // no coefficients yet during this pass.
         let mut remaining = vec![0u32; plane.blocks_w * plane.blocks_h];
         for by in 0..plane.blocks_h {
             for bx in 0..plane.blocks_w {
@@ -299,10 +126,12 @@ fn decode_global(
                     0
                 };
                 let ctx = nz_bucket((na + nl) / 2);
-                let n = read_tree(&mut dec, 6, &mut m.nz[ctx * 64..(ctx + 1) * 64]);
+                let n = count_ac(plane.block(bx, by));
+                let n = code_tree(c, n, 6, &mut m.nz[ctx * 64..(ctx + 1) * 64]);
                 remaining[by * plane.blocks_w + bx] = n.min(63);
             }
         }
+        // Pass 3..65: each zigzag band, globally, skipping done blocks.
         for k in 1..64usize {
             let r = ZIGZAG[k];
             for by in 0..plane.blocks_h {
@@ -324,14 +153,16 @@ fn decode_global(
                     let nb = bucket((a.unsigned_abs() + l.unsigned_abs()) / 2);
                     let sctx = sign3((a + l) / 2);
                     let base = ((k - 1) * 12 + nb) * AC_EXP;
-                    let v = read_value(
-                        &mut dec,
+                    let coef = &mut plane.block_mut(bx, by)[r];
+                    let v = code_value(
+                        c,
+                        *coef as i32,
                         AC_EXP,
                         &mut m.ac_exp[base..base + AC_EXP],
                         &mut m.ac_sign[(k - 1) * 3 + sctx],
                         &mut m.ac_resid,
                     );
-                    plane.block_mut(bx, by)[r] = v.clamp(-2047, 2047) as i16;
+                    *coef = v.clamp(-2047, 2047) as i16;
                     if v != 0 {
                         *rem -= 1;
                     }
@@ -339,7 +170,6 @@ fn decode_global(
             }
         }
     }
-    Ok(planes)
 }
 
 impl Codec for PackJpgCodec {
@@ -352,39 +182,11 @@ impl Codec for PackJpgCodec {
     }
 
     fn encode(&self, data: &[u8]) -> Result<Vec<u8>, CodecError> {
-        Ok(encode_with_fallback(data, || {
-            let parsed = lepton_jpeg::parse(data).ok()?;
-            let (sd, _) = decode_scan(data, &parsed, &[]).ok()?;
-            let payload = encode_global(&sd.coefs);
-            Some(
-                JpegCarrier {
-                    header: data[..parsed.header_len].to_vec(),
-                    pad_bit: sd.pad.bit_or_default() as u8,
-                    rst_count: sd.rst_count,
-                    append: data[sd.scan_end..].to_vec(),
-                    payload,
-                }
-                .serialize(),
-            )
-        }))
+        Ok(encode_carried(data, code_global))
     }
 
     fn decode(&self, data: &[u8], size_hint: usize) -> Result<Vec<u8>, CodecError> {
-        decode_with_fallback(data, size_hint, |payload| {
-            let carrier = JpegCarrier::parse(payload)?;
-            let parsed = lepton_jpeg::parse(&carrier.header).map_err(|_| CodecError::Corrupt)?;
-            let planes = decode_global(&parsed, &carrier.payload)?;
-            let params = EncodeParams {
-                pad_bit: carrier.pad_bit != 0,
-                rst_limit: carrier.rst_count,
-            };
-            let scan =
-                encode_scan_whole(&planes, &parsed, &params).map_err(|_| CodecError::Corrupt)?;
-            let mut out = carrier.header;
-            out.extend(scan);
-            out.extend_from_slice(&carrier.append);
-            Ok(out)
-        })
+        decode_carried(data, size_hint, code_global)
     }
 }
 

@@ -36,7 +36,7 @@ fn corpus() -> Vec<Vec<u8>> {
         min_dim: 48,
         max_dim: 160,
         clean_fraction: 0.6,
-        seed: 0x5_7A4D_1B,
+        seed: 0x057A_4D1B,
     };
     let mut files: Vec<Vec<u8>> = Corpus::generate(&spec)
         .files

@@ -175,8 +175,7 @@ impl BlockOp for SegEncoder<'_, '_> {
         out: &mut CodedBlock,
     ) -> Result<(), LeptonError> {
         let block = self.blocks.next().expect("one block per visit");
-        self.models[class].encode_block(&mut self.enc, block, nbr, out);
-        Ok(())
+        Ok(self.models[class].encode_block(&mut self.enc, block, nbr, out)?)
     }
 
     fn mcu_end(&mut self, _mcu: u32) -> Result<(), LeptonError> {

@@ -281,3 +281,28 @@ fn taxonomy_rows_partition_and_input_rows_are_all_hit() {
         );
     }
 }
+
+#[test]
+fn a_dc_beyond_the_model_range_is_refused_not_panicked() {
+    // Every DC difference is legal and every DC fits an i16, so the
+    // scan decodes; the model's DC delta cannot reach the ramp's top,
+    // and the encoder refuses where it forms that delta.
+    let jpeg = hostile::dc_beyond_model_range();
+    let parsed = lepton_jpeg::parse(&jpeg).expect("header parses");
+    let (scan, _) = lepton_jpeg::decode_scan(&jpeg, &parsed, &[]).expect("scan decodes");
+    assert_eq!(scan.coefs.planes[0].block(7, 0)[0], 16_000);
+    for threads in [1, 4] {
+        let opts = CompressOptions {
+            threads: lepton_core::ThreadPolicy::Fixed(threads),
+            ..Default::default()
+        };
+        let err = compress(&jpeg, &opts).expect_err("refused");
+        assert!(
+            matches!(err, LeptonError::Jpeg(JpegError::DcOutOfRange)),
+            "{err:?}"
+        );
+        assert_eq!(ExitCode::classify(&err), ExitCode::AcOutOfRange);
+    }
+    // The engine that refused it keeps converting.
+    compress(&clean_jpeg(), &CompressOptions::default()).expect("clean file compresses");
+}

@@ -74,6 +74,26 @@ pub fn dc_out_of_range() -> Vec<u8> {
     v
 }
 
+/// "DC values out of range", past the scan: every DC difference is a
+/// legal category-11 value (+2000), so the scan decodes to a DC ramp
+/// 2000, 4000, …, 16000 that fits an i16. The model codes DC as a delta
+/// from a prediction clamped to ±2047, and a delta of 8192 or more is
+/// beyond its Exp-Golomb range, so the encoder must refuse the file.
+pub fn dc_beyond_model_range() -> Vec<u8> {
+    let mut v = single_code_header(0x0B, 0x00, 64, 8);
+    v.extend_from_slice(&sos_gray());
+    // Per block: DC code `0`, the 11 bits of +2000, then AC code `0`
+    // (EOB) — 13 bits, 8 blocks, 13 whole bytes. The longest run of
+    // `1` bits is 5, so no byte needs 0xFF stuffing.
+    let mut bits = 0u128;
+    for _ in 0..8 {
+        bits = (bits << 13) | (2000 << 1);
+    }
+    v.extend_from_slice(&bits.to_be_bytes()[3..]);
+    v.extend_from_slice(&[0xFF, 0xD9]);
+    v
+}
+
 /// "AC values out of range": DC decodes cleanly to size 0, then the
 /// first AC symbol is run 0 / size 11 — past the baseline 10.
 pub fn ac_out_of_range() -> Vec<u8> {

@@ -54,8 +54,9 @@ pub fn mutation_matrix(bases: &[(&str, Vec<u8>)], seeds: &[u64]) -> Vec<RigCase>
 pub fn hostile_cases() -> Vec<RigCase> {
     use crate::hostile as h;
     type Builder = fn() -> Vec<u8>;
-    let builders: [(&str, Builder); 17] = [
+    let builders: [(&str, Builder); 18] = [
         ("dc_out_of_range", h::dc_out_of_range),
+        ("dc_beyond_model_range", h::dc_beyond_model_range),
         ("ac_out_of_range", h::ac_out_of_range),
         ("bad_scan_code", h::bad_scan_code),
         ("mixed_pad_bits", h::mixed_pad_bits),

@@ -8,20 +8,20 @@
 //! which is why `new()` is cheap and explicit.
 
 use crate::bins::{log159_bucket, magnitude_bucket, BinGrid};
-use crate::coef_coder::{decode_tree, decode_value, encode_tree, encode_value};
+use crate::coef_coder::{code_tree, code_value};
 use crate::context::{
-    dequantize, lakhani_col, lakhani_row, nonzero_counts, predict_dc_gradient, weighted_abs_at,
+    lakhani_col, lakhani_row, nonzero_counts, predict_dc_gradient, weighted_abs_at,
     weighted_signed_at, BlockEdges, BlockNeighbors, CodedBlock, DcPrediction, INTERIOR_ZZ,
 };
-use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource};
+use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource, Coder};
 use lepton_jpeg::dct::{idct_ac_borders, AcBorders};
 use lepton_jpeg::scan::nonzero_mask;
-use lepton_jpeg::{CoefBlock, ZIGZAG_INV};
+use lepton_jpeg::{CoefBlock, JpegError, ZIGZAG_INV};
 
 /// Maximum Exp-Golomb exponent for AC coefficients (baseline range
 /// ±1023, with headroom to ±2047).
 const AC_MAX_EXP: usize = 11;
-/// Maximum exponent for the DC delta (±8191 headroom).
+/// Maximum exponent for the DC delta (±8191).
 const DC_MAX_EXP: usize = 13;
 
 #[inline]
@@ -203,25 +203,62 @@ impl ComponentModel {
 
     /// Encode one block (must contain in-range baseline coefficients)
     /// and fill `out` — the driver's ring slot for it — with everything
-    /// later blocks will consult.
+    /// later blocks will consult. Refuses a DC the prediction cannot
+    /// reach within the coder's range ([`JpegError::DcOutOfRange`]).
     pub fn encode_block(
         &mut self,
         enc: &mut BoolEncoder,
         block: &CoefBlock,
         nbr: &BlockNeighbors,
         out: &mut CodedBlock,
-    ) {
+    ) -> Result<(), JpegError> {
         out.coefs = *block;
-        dequantize(block, nbr.quant, &mut out.deq);
-        let nz_mask = nonzero_mask(block) & !1; // AC positions only
-        let (nz, nz_row, nz_col) = nonzero_counts(nz_mask);
+        out.nz_mask = nonzero_mask(block) & !1; // AC positions only
+        self.code_block(enc, nbr, out)
+    }
+
+    /// Decode one block into `out`, the driver's ring slot for it,
+    /// leaving `out` exactly as [`Self::encode_block`] did; adversarial
+    /// input produces garbage coefficients but never panics.
+    pub fn decode_block<S: ByteSource>(
+        &mut self,
+        dec: &mut BoolDecoder<S>,
+        nbr: &BlockNeighbors,
+        out: &mut CodedBlock,
+    ) {
+        out.coefs = [0; 64];
+        out.nz_mask = 0;
+        // The decoder's DC placeholder is 0 and the prediction is
+        // clamped to ±2047, so its delta is always in range.
+        let coded = self.code_block(dec, nbr, out);
+        debug_assert!(coded.is_ok());
+    }
+
+    /// The one block walk, for both directions. On entry `out.coefs` and
+    /// `out.nz_mask` hold the block to encode, or zeros to decode into.
+    /// Each coefficient is patched into `coefs` and `deq` as it is
+    /// coded, so every context reads the same state either way.
+    fn code_block<C: Coder>(
+        &mut self,
+        c: &mut C,
+        nbr: &BlockNeighbors,
+        out: &mut CodedBlock,
+    ) -> Result<(), JpegError> {
+        let (nz77_in, nz_row, nz_col) = nonzero_counts(out.nz_mask);
+        out.deq = [0; 64];
+        let mut nz_mask = 0u64;
+        let mut set = |out: &mut CodedBlock, r: usize, v: i32| {
+            out.coefs[r] = v as i16;
+            out.deq[r] = v * nbr.quant[r] as i32;
+            nz_mask |= 1 << ZIGZAG_INV[r];
+        };
 
         // 1. Interior nonzero count.
-        let mark = enc.bytes_so_far() as u64;
+        let mark = c.bytes_so_far();
         let nz_bucket = log159_bucket(nbr.nz_context());
-        encode_tree(enc, nz, 6, self.nz77.row1(nz_bucket));
-        self.stats.nz += enc.bytes_so_far() as u64 - mark;
-        let mark = enc.bytes_so_far() as u64;
+        let nz = code_tree(c, nz77_in, 6, self.nz77.row1(nz_bucket)).min(49);
+        self.stats.nz += (c.bytes_so_far() - mark) as u64;
+        let mark = c.bytes_so_far();
 
         // 2. Interior coefficients until the count is exhausted.
         // Resolve the three neighbor options once per block; the
@@ -232,107 +269,12 @@ impl ComponentModel {
             if remaining == 0 {
                 break;
             }
-            let v = block[r] as i32;
             let pb = magnitude_bucket(weighted_abs_at(w_a, w_l, w_al, r), AC_MAX_EXP);
             let nzb = log159_bucket(remaining);
             let sc = sign_ctx(weighted_signed_at(w_a, w_l, w_al, r));
-            encode_value(
-                enc,
-                v,
-                AC_MAX_EXP,
-                self.exp77.row3(ki, pb, nzb),
-                self.sign77.at2(ki, sc),
-                self.resid77.row1(ki),
-            );
-            if v != 0 {
-                remaining -= 1;
-            }
-        }
-        debug_assert_eq!(remaining, 0, "nonzero count mismatch");
-        self.stats.ac77 += enc.bytes_so_far() as u64 - mark;
-        let mark = enc.bytes_so_far() as u64;
-
-        // 3. Edge strips (row then column).
-        let nz77b = log159_bucket(nz);
-        for (strip, count) in [nz_row, nz_col].into_iter().enumerate() {
-            encode_tree(enc, count, 3, self.nz_edge.row2(strip, nz77b));
-            let mut rem = count as usize;
-            for i in 1..8usize {
-                if rem == 0 {
-                    break;
-                }
-                let v = block[edge_raster(strip, i)] as i32;
-                let (pb, sc) = edge_ctx(strip, i, &out.deq, nbr);
-                let idx = strip * 7 + i - 1;
-                encode_value(
-                    enc,
-                    v,
-                    AC_MAX_EXP,
-                    self.exp_edge.row3(idx, pb, rem),
-                    self.sign_edge.at2(idx, sc),
-                    self.resid_edge.row1(idx),
-                );
-                if v != 0 {
-                    rem -= 1;
-                }
-            }
-        }
-        self.stats.edge += enc.bytes_so_far() as u64 - mark;
-        let mark = enc.bytes_so_far() as u64;
-
-        // 4. DC, last, as a delta from the prediction.
-        let ac = idct_ac_borders(&out.deq);
-        let pred = dc_prediction(&ac, nbr);
-        let delta = block[0] as i32 - pred.value;
-        encode_value(
-            enc,
-            delta,
-            DC_MAX_EXP,
-            self.exp_dc.row1(pred.confidence),
-            self.sign_dc.at1(pred.sign_ctx),
-            self.resid_dc.row0(),
-        );
-        self.stats.dc += enc.bytes_so_far() as u64 - mark;
-
-        out.edges = BlockEdges::finish(&ac, out.deq[0]);
-        out.nz_mask = nz_mask;
-        out.nz77 = nz as u8;
-    }
-
-    /// Decode one block into `out`, the driver's ring slot for it.
-    /// Inverse of [`Self::encode_block`] (and leaves `out` exactly as
-    /// the encoder did); adversarial input produces garbage
-    /// coefficients but never panics.
-    pub fn decode_block<S: ByteSource>(
-        &mut self,
-        dec: &mut BoolDecoder<S>,
-        nbr: &BlockNeighbors,
-        out: &mut CodedBlock,
-    ) {
-        // Coefficients are patched in, dequantized, as they are decoded.
-        out.coefs = [0; 64];
-        out.deq = [0; 64];
-        let mut nz_mask = 0u64;
-        let mut set = |out: &mut CodedBlock, r: usize, v: i32| {
-            out.coefs[r] = v as i16;
-            out.deq[r] = v * nbr.quant[r] as i32;
-            nz_mask |= 1 << ZIGZAG_INV[r];
-        };
-
-        let nz_bucket = log159_bucket(nbr.nz_context());
-        let nz = decode_tree(dec, 6, self.nz77.row1(nz_bucket)).min(49);
-
-        let (w_a, w_l, w_al) = nbr.weight_sources();
-        let mut remaining = nz;
-        for (ki, &r) in INTERIOR_ZZ.iter().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            let pb = magnitude_bucket(weighted_abs_at(w_a, w_l, w_al, r), AC_MAX_EXP);
-            let nzb = log159_bucket(remaining);
-            let sc = sign_ctx(weighted_signed_at(w_a, w_l, w_al, r));
-            let v = decode_value(
-                dec,
+            let v = code_value(
+                c,
+                out.coefs[r] as i32,
                 AC_MAX_EXP,
                 self.exp77.row3(ki, pb, nzb),
                 self.sign77.at2(ki, sc),
@@ -343,45 +285,62 @@ impl ComponentModel {
                 remaining -= 1;
             }
         }
+        self.stats.ac77 += (c.bytes_so_far() - mark) as u64;
+        let mark = c.bytes_so_far();
 
+        // 3. Edge strips (row then column).
         let nz77b = log159_bucket(nz);
-        for strip in 0..2 {
-            let mut rem = decode_tree(dec, 3, self.nz_edge.row2(strip, nz77b)) as usize;
+        for (strip, count) in [nz_row, nz_col].into_iter().enumerate() {
+            let mut rem = code_tree(c, count, 3, self.nz_edge.row2(strip, nz77b)) as usize;
             for i in 1..8usize {
                 if rem == 0 {
                     break;
                 }
+                let r = edge_raster(strip, i);
                 let (pb, sc) = edge_ctx(strip, i, &out.deq, nbr);
                 let idx = strip * 7 + i - 1;
-                let v = decode_value(
-                    dec,
+                let v = code_value(
+                    c,
+                    out.coefs[r] as i32,
                     AC_MAX_EXP,
                     self.exp_edge.row3(idx, pb, rem),
                     self.sign_edge.at2(idx, sc),
                     self.resid_edge.row1(idx),
                 );
                 if v != 0 {
-                    set(out, edge_raster(strip, i), v);
+                    set(out, r, v);
                     rem -= 1;
                 }
             }
         }
+        self.stats.edge += (c.bytes_so_far() - mark) as u64;
+        let mark = c.bytes_so_far();
 
+        // 4. DC, last, as a delta from the prediction. A legal DC (any
+        // i16) can sit further from the prediction than the delta's
+        // Exp-Golomb range reaches; such a file is refused.
         let ac = idct_ac_borders(&out.deq);
         let pred = dc_prediction(&ac, nbr);
-        let delta = decode_value(
-            dec,
+        let delta = out.coefs[0] as i32 - pred.value;
+        if delta.unsigned_abs() >> DC_MAX_EXP != 0 {
+            return Err(JpegError::DcOutOfRange);
+        }
+        let delta = code_value(
+            c,
+            delta,
             DC_MAX_EXP,
             self.exp_dc.row1(pred.confidence),
             self.sign_dc.at1(pred.sign_ctx),
             self.resid_dc.row0(),
         );
+        self.stats.dc += (c.bytes_so_far() - mark) as u64;
         let dc = (pred.value + delta).clamp(i16::MIN as i32, i16::MAX as i32);
         out.coefs[0] = dc as i16;
         out.deq[0] = dc * nbr.quant[0] as i32;
         out.edges = BlockEdges::finish(&ac, out.deq[0]);
         out.nz_mask = nz_mask;
         out.nz77 = nz as u8;
+        Ok(())
     }
 }
 
@@ -399,9 +358,8 @@ fn dc_prediction(ac: &AcBorders, nbr: &BlockNeighbors) -> DcPrediction {
 /// Context (prediction bucket, sign context) for edge coefficient `i`
 /// (1..=7) of the top row (`strip` 0) or the left column (`strip` 1),
 /// from the Lakhani prediction (App. A.2.2). The formula only reads
-/// interior positions of the current block, so a fully dequantized
-/// block on encode and an interior-only one on decode yield identical
-/// results.
+/// interior positions of the current block, all of which the walk has
+/// patched into `cur_deq` by the time edges are coded.
 fn edge_ctx(strip: usize, i: usize, cur_deq: &[i32; 64], nbr: &BlockNeighbors) -> (usize, usize) {
     let p = match (strip, nbr.above, nbr.left) {
         (0, Some(a), _) => lakhani_row(&a.deq, cur_deq, i, nbr.quant),
@@ -460,7 +418,9 @@ mod tests {
         for by in 0..plane.blocks_h {
             for bx in 0..plane.blocks_w {
                 let (out, nbr) = open(&mut slots, plane.blocks_w, (bx, by), quant);
-                model.encode_block(&mut enc, plane.block(bx, by), &nbr, out);
+                model
+                    .encode_block(&mut enc, plane.block(bx, by), &nbr, out)
+                    .expect("in range");
             }
         }
         (enc.finish(), slots)
@@ -616,6 +576,34 @@ mod tests {
         assert_eq!(fresh.bins_touched(), 0);
         assert_eq!(fresh.stats(), CategoryBytes::default());
         assert_eq!(encode_plane(&mut fresh), reference);
+    }
+
+    #[test]
+    fn encode_refuses_a_dc_beyond_the_delta_range() {
+        // Any i16 is a legal DC, but the prediction is clamped to ±2047
+        // and the delta reaches only ±8191 from it.
+        let quant = [1u16; 64];
+        let nbr = BlockNeighbors {
+            above: None,
+            left: None,
+            above_left: None,
+            quant: &quant,
+        };
+        let mut model = ComponentModel::new();
+        let mut enc = BoolEncoder::new();
+        let mut out = CodedBlock::ZERO;
+        for dc in [i16::MAX, i16::MIN, 2047 + 8192] {
+            let mut block = [0i16; 64];
+            block[0] = dc;
+            assert_eq!(
+                model.encode_block(&mut enc, &block, &nbr, &mut out),
+                Err(JpegError::DcOutOfRange),
+                "dc {dc}"
+            );
+        }
+        let mut block = [0i16; 64];
+        block[0] = 100;
+        assert_eq!(model.encode_block(&mut enc, &block, &nbr, &mut out), Ok(()));
     }
 
     #[test]

@@ -83,14 +83,6 @@ impl BlockEdges {
     }
 }
 
-/// Dequantize a block into i32 raster coefficients.
-#[inline]
-pub fn dequantize(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
-    for i in 0..64 {
-        out[i] = block[i] as i32 * quant[i] as i32;
-    }
-}
-
 /// Everything later blocks consult about an already-coded block — one
 /// slot of the segment driver's neighbour ring, filled in place by
 /// [`crate::ComponentModel`] while it codes the block.
@@ -99,7 +91,8 @@ pub struct CodedBlock {
     /// Quantized coefficients (raster order, absolute DC).
     pub coefs: CoefBlock,
     /// The same, dequantized (the Lakhani edge predictor works in
-    /// dequantized units; each block is dequantized once, here).
+    /// dequantized units; the model patches each coefficient in as it
+    /// codes it).
     pub deq: [i32; 64],
     /// Bottom-right border pixels.
     pub edges: BlockEdges,
@@ -343,6 +336,14 @@ mod tests {
     use super::*;
     use lepton_jpeg::dct::idct_ac_borders;
     use lepton_jpeg::scan::nonzero_mask;
+
+    /// Dequantize a block into i32 raster coefficients (what the
+    /// model's walk leaves in [`CodedBlock::deq`]).
+    fn dequantize(block: &CoefBlock, quant: &[u16; 64], out: &mut [i32; 64]) {
+        for i in 0..64 {
+            out[i] = block[i] as i32 * quant[i] as i32;
+        }
+    }
 
     fn deq(block: &CoefBlock, quant: &[u16; 64]) -> [i32; 64] {
         let mut out = [0; 64];

@@ -25,6 +25,14 @@
 //! the paper adopted exactly this abstraction after the reversed-index
 //! incident (§6.1).
 //!
+//! The decoder must repeat every bin choice of the encoder. Each model
+//! here is therefore written once, generic over [`lepton_arith::Coder`]:
+//! [`ComponentModel`]'s one block walk and [`coef_coder`]'s two value
+//! coders take the value to encode (ignored when decoding) and return
+//! the value coded, and the block walk patches each coefficient into
+//! the ring slot as it codes it, so both directions read the same
+//! contexts by construction.
+//!
 //! There is exactly one model. The container does not record which
 //! model wrote it, so a model change is a format-version bump (§6.7);
 //! the committed golden vectors pin this one.

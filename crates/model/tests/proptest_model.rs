@@ -9,7 +9,7 @@
 
 use lepton_arith::{BoolDecoder, BoolEncoder, Branch, SliceSource};
 use lepton_model::bins::{log159_bucket, magnitude_bucket, BinGrid};
-use lepton_model::coef_coder::{decode_tree, decode_value, encode_tree, encode_value};
+use lepton_model::coef_coder::{code_tree, code_value};
 use proptest::prelude::*;
 
 const MAX_EXP: usize = 11; // JPEG coefficients fit i16 after dequant bounds
@@ -28,7 +28,7 @@ proptest! {
         let mut sign = Branch::new();
         let mut resid = fresh_bins(MAX_EXP);
         for &v in &values {
-            encode_value(&mut enc, v, MAX_EXP, &mut exp, &mut sign, &mut resid);
+            code_value(&mut enc, v, MAX_EXP, &mut exp, &mut sign, &mut resid);
         }
         let bytes = enc.finish();
 
@@ -38,7 +38,7 @@ proptest! {
         let mut resid = fresh_bins(MAX_EXP);
         for &v in &values {
             prop_assert_eq!(
-                decode_value(&mut dec, MAX_EXP, &mut exp, &mut sign, &mut resid),
+                code_value(&mut dec, 0, MAX_EXP, &mut exp, &mut sign, &mut resid),
                 v
             );
         }
@@ -57,7 +57,7 @@ proptest! {
         ];
         for &(which, v) in &pairs {
             let c = &mut ctx[which as usize];
-            encode_value(&mut enc, v, MAX_EXP, &mut c.0, &mut c.1, &mut c.2);
+            code_value(&mut enc, v, MAX_EXP, &mut c.0, &mut c.1, &mut c.2);
         }
         let bytes = enc.finish();
 
@@ -68,7 +68,7 @@ proptest! {
         ];
         for &(which, v) in &pairs {
             let c = &mut ctx[which as usize];
-            prop_assert_eq!(decode_value(&mut dec, MAX_EXP, &mut c.0, &mut c.1, &mut c.2), v);
+            prop_assert_eq!(code_value(&mut dec, 0, MAX_EXP, &mut c.0, &mut c.1, &mut c.2), v);
         }
     }
 
@@ -83,14 +83,14 @@ proptest! {
         let mut enc = BoolEncoder::new();
         let mut tree = fresh_bins(1 << bits);
         for &v in &vals {
-            encode_tree(&mut enc, v, bits, &mut tree);
+            code_tree(&mut enc, v, bits, &mut tree);
         }
         let bytes = enc.finish();
 
         let mut dec = BoolDecoder::new(SliceSource::new(&bytes));
         let mut tree = fresh_bins(1 << bits);
         for &v in &vals {
-            prop_assert_eq!(decode_tree(&mut dec, bits, &mut tree), v);
+            prop_assert_eq!(code_tree(&mut dec, 0, bits, &mut tree), v);
         }
     }
 

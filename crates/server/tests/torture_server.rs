@@ -5,7 +5,7 @@
 
 use lepton_core::{ExitCode, ResourceBudget};
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
-use lepton_corpus::{hostile_cases, mutation_matrix, rig::RigCase};
+use lepton_corpus::{hostile, hostile_cases, mutation_matrix, rig::RigCase};
 use lepton_server::{client, serve, ClientError, Endpoint, MuxClient, Op, ServiceConfig, Status};
 use lepton_storage::blockstore::{ShardedStore, StoreConfig};
 use std::path::PathBuf;
@@ -166,6 +166,30 @@ fn framed_decompress_never_completes_a_body_the_decoder_refused() {
     assert!(typed > 0 && aborted > 0, "{typed} typed, {aborted} aborted");
     assert_eq!(handle.metrics().stream_aborts.get(), aborted);
     client::ping(handle.endpoint(), TIMEOUT).unwrap();
+    handle.shutdown();
+}
+
+/// A file the scan accepts and the model refuses — a DC ramp beyond the
+/// model's DC delta range — answers a framed `Compress` with a typed
+/// rejection, and the service's one conversion worker lives on to
+/// convert the next file on the same connection.
+#[test]
+fn framed_compress_refuses_a_dc_beyond_the_model_and_keeps_converting() {
+    let cfg = ServiceConfig {
+        conversion_workers: 1,
+        ..Default::default()
+    };
+    let handle = serve(&tcp_any(), cfg).unwrap();
+    let mut mux = MuxClient::connect(handle.endpoint(), Duration::from_secs(10)).unwrap();
+    let (status, body) = mux
+        .call(Op::Compress, &hostile::dc_beyond_model_range())
+        .unwrap();
+    assert_eq!(status, Status::Rejected(ExitCode::AcOutOfRange));
+    assert!(body.is_empty(), "refusal carried a body");
+    let jpeg = clean_jpeg(&spec(), 0xDC);
+    let (status, lepton) = mux.call(Op::Compress, &jpeg).unwrap();
+    assert_eq!(status, Status::Ok);
+    assert_eq!(lepton_core::decompress(&lepton).unwrap(), jpeg);
     handle.shutdown();
 }
 
