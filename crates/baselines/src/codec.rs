@@ -96,7 +96,7 @@ pub fn decode_with_fallback(
 /// walk codes the planes on an encoder, and the header, pad bit,
 /// restart count and trailing bytes ride in a [`JpegCarrier`]. Input
 /// that does not parse and scan-decode falls back to Deflate.
-pub fn encode_carried(
+pub(crate) fn encode_carried(
     data: &[u8],
     walk: impl FnOnce(&mut BoolEncoder, &mut CoefPlanes),
 ) -> Vec<u8> {
@@ -120,7 +120,7 @@ pub fn encode_carried(
 
 /// Decode [`encode_carried`] output: the same walk, on a decoder, fills
 /// zeroed planes, which the original Huffman tables re-encode.
-pub fn decode_carried(
+pub(crate) fn decode_carried(
     data: &[u8],
     size_hint: usize,
     walk: impl FnOnce(&mut BoolDecoder<VecSource>, &mut CoefPlanes),
