@@ -160,6 +160,12 @@ impl ByteSource for VecSource {
 /// §6.1 reversed-index incident is what a drifted copy costs).
 /// [`BoolEncoder`] and [`BoolDecoder`] are the only implementations.
 pub trait Coder {
+    /// `true` for [`BoolEncoder`], `false` for [`BoolDecoder`]. A walk
+    /// must not choose bins by it (the shared walk exists to rule that
+    /// out); it guards checks of the encoder's input, such as a value's
+    /// range, that a decoder's ignored placeholder need not meet.
+    const ENCODES: bool;
+
     /// Code one bit given `prob_false`, the 16-bit fixed-point
     /// probability (`1..=65535`) that it is `false`. The encoder codes
     /// `bit` and returns it; the decoder ignores `bit` and returns the
@@ -188,6 +194,8 @@ pub trait Coder {
 }
 
 impl Coder for BoolEncoder {
+    const ENCODES: bool = true;
+
     #[inline]
     fn code_with_prob(&mut self, bit: bool, prob_false: u16) -> bool {
         self.put_with_prob(bit, prob_false);
@@ -201,6 +209,8 @@ impl Coder for BoolEncoder {
 }
 
 impl<S: ByteSource> Coder for BoolDecoder<S> {
+    const ENCODES: bool = false;
+
     #[inline]
     fn code_with_prob(&mut self, _bit: bool, prob_false: u16) -> bool {
         self.get_with_prob(prob_false)

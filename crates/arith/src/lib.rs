@@ -18,7 +18,8 @@
 //!   generic over `C: Coder`: [`Coder::code`] encodes the bit it is
 //!   given on a [`BoolEncoder`] and returns the decoded bit on a
 //!   [`BoolDecoder`], so encoder and decoder make the same bin choices
-//!   by construction (App. A.2).
+//!   by construction (App. A.2). [`Coder::ENCODES`] guards only checks
+//!   of the encoder's input, never a bin choice.
 //!
 //! # Streaming
 //!

@@ -133,9 +133,11 @@ fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
                 // AC: per coefficient, an end-of-block flag first (set
                 // once the rest of the block is zero).
                 let last_nz = (1..64).rev().find(|&k| block[ZIGZAG[k]] != 0).unwrap_or(0);
-                let mut k = 1usize;
-                while k < 64 && !c.code(k > last_nz, &mut m.eob[band(k)]) {
+                for k in 1..64 {
                     let b = band(k);
+                    if c.code(k > last_nz, &mut m.eob[b]) {
+                        break;
+                    }
                     let coef = &mut block[ZIGZAG[k]];
                     let v = code_ac(
                         c,
@@ -144,7 +146,6 @@ fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
                         &mut m.sign,
                     );
                     *coef = v.clamp(-2047, 2047) as i16;
-                    k += 1;
                 }
             }
         }
@@ -205,6 +206,18 @@ mod tests {
         let data = vec![9u8; 400];
         let e = c.encode(&data).unwrap();
         assert_eq!(c.decode(&e, data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn a_running_dc_past_the_delta_range_round_trips() {
+        // Every difference is +2000, but the DC climbs to 16000: the
+        // decoder's placeholder difference (0 minus the running DC)
+        // leaves the coder's range, and must be ignored, not checked.
+        let jpg = lepton_corpus::hostile::dc_beyond_model_range();
+        let c = MozArithCodec;
+        let e = c.encode(&jpg).unwrap();
+        assert_eq!(e[0], crate::codec::tag::TRANSFORMED);
+        assert_eq!(c.decode(&e, jpg.len()).unwrap(), jpg);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use lepton_arith::{Branch, Coder};
 ///
 /// `exp_bins` must hold at least `max_exp` bins, `resid_bins` at least
 /// `max_exp - 1`. An encoder's `v` out of range is a caller bug and
-/// panics; a decoder reads at most `max_exp` unary bits.
+/// panics; a decoder ignores `v`, whatever its range, and reads at most
+/// `max_exp` unary bits.
 // Inlined at every call site so that `max_exp` is a constant there:
 // out of line, one copy served all three of the block walk's call
 // sites and decode ran about 8 % slower than with a specialised copy.
@@ -31,10 +32,12 @@ pub fn code_value<C: Coder>(
 ) -> i32 {
     let mag = v.unsigned_abs();
     let len = (32 - mag.leading_zeros()) as usize;
-    assert!(
-        len <= max_exp,
-        "value {v} exceeds Exp-Golomb range 2^{max_exp}"
-    );
+    if C::ENCODES {
+        assert!(
+            len <= max_exp,
+            "value {v} exceeds Exp-Golomb range 2^{max_exp}"
+        );
+    }
     assert!(exp_bins.len() >= max_exp);
     let mut exp = 0usize;
     while exp < max_exp && c.code(len > exp, &mut exp_bins[exp]) {
@@ -129,6 +132,20 @@ mod tests {
         let mut enc = BoolEncoder::new();
         let (mut exp, mut sign, mut resid) = bins(4);
         code_value(&mut enc, 16, 4, &mut exp, &mut sign, &mut resid);
+    }
+
+    #[test]
+    fn decoder_ignores_an_out_of_range_placeholder() {
+        // A walk may form its placeholder from decoded state (a running
+        // DC), so a decoder must not range-check what it ignores.
+        let mut enc = BoolEncoder::new();
+        let (mut exp, mut sign, mut resid) = bins(4);
+        code_value(&mut enc, 15, 4, &mut exp, &mut sign, &mut resid);
+        let bytes = enc.finish();
+        let mut dec = BoolDecoder::new(SliceSource::new(&bytes));
+        let (mut exp, mut sign, mut resid) = bins(4);
+        let v = code_value(&mut dec, -1 << 20, 4, &mut exp, &mut sign, &mut resid);
+        assert_eq!(v, 15);
     }
 
     #[test]
