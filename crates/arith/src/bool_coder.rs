@@ -175,7 +175,10 @@ pub trait Coder {
     /// Bytes emitted so far: the encoder's output length (the final
     /// size adds up to 5 flush bytes), 0 when decoding. Output
     /// attribution (Fig. 4) reads deltas of this.
-    fn bytes_so_far(&self) -> usize;
+    #[inline]
+    fn bytes_so_far(&self) -> usize {
+        0
+    }
 
     /// Code one bit against the probability in `branch`, then adapt it.
     #[inline]
@@ -214,11 +217,6 @@ impl<S: ByteSource> Coder for BoolDecoder<S> {
     #[inline]
     fn code_with_prob(&mut self, _bit: bool, prob_false: u16) -> bool {
         self.get_with_prob(prob_false)
-    }
-
-    #[inline]
-    fn bytes_so_far(&self) -> usize {
-        0
     }
 }
 

@@ -58,6 +58,7 @@ impl SmallModel {
         }
     }
 
+    #[cfg(test)]
     fn bin_count(&self) -> usize {
         self.dc_exp.len()
             + self.dc_sign.len()
@@ -111,7 +112,6 @@ fn code_ac<C: Coder>(c: &mut C, v: i32, exp: &mut [Branch], sign: &mut Branch) -
 /// coefficients to encode, or zeros to decode into.
 fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
     let mut models = [SmallModel::new(), SmallModel::new()];
-    debug_assert!(models[0].bin_count() < 400);
     for (ci, plane) in planes.planes.iter_mut().enumerate() {
         let m = &mut models[usize::from(ci != 0)];
         let mut prev_dc = 0i32;
