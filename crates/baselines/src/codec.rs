@@ -91,20 +91,25 @@ pub fn decode_with_fallback(
     }
 }
 
+/// A walk's refusal: the planes hold a value outside the range its
+/// model codes (see `lepton_model::coef_coder::fits`).
+pub(crate) struct OutOfRange;
+
 /// Encode a JPEG whose scan a stand-in codes as one arithmetic-coded
 /// walk over its coefficient planes (PackJPG-like, MozJPEG-arith): the
 /// walk codes the planes on an encoder, and the header, pad bit,
 /// restart count and trailing bytes ride in a [`JpegCarrier`]. Input
-/// that does not parse and scan-decode falls back to Deflate.
+/// that does not parse and scan-decode, or that the walk refuses,
+/// falls back to Deflate.
 pub(crate) fn encode_carried(
     data: &[u8],
-    walk: impl FnOnce(&mut BoolEncoder, &mut CoefPlanes),
+    walk: impl FnOnce(&mut BoolEncoder, &mut CoefPlanes) -> Result<(), OutOfRange>,
 ) -> Vec<u8> {
     encode_with_fallback(data, || {
         let parsed = lepton_jpeg::parse(data).ok()?;
         let (mut sd, _) = decode_scan(data, &parsed, &[]).ok()?;
         let mut enc = BoolEncoder::new();
-        walk(&mut enc, &mut sd.coefs);
+        walk(&mut enc, &mut sd.coefs).ok()?;
         Some(
             JpegCarrier {
                 header: data[..parsed.header_len].to_vec(),
@@ -123,7 +128,7 @@ pub(crate) fn encode_carried(
 pub(crate) fn decode_carried(
     data: &[u8],
     size_hint: usize,
-    walk: impl FnOnce(&mut BoolDecoder<VecSource>, &mut CoefPlanes),
+    walk: impl FnOnce(&mut BoolDecoder<VecSource>, &mut CoefPlanes) -> Result<(), OutOfRange>,
 ) -> Result<Vec<u8>, CodecError> {
     decode_with_fallback(data, size_hint, |payload| {
         let carrier = JpegCarrier::parse(payload)?;
@@ -132,7 +137,8 @@ pub(crate) fn decode_carried(
         walk(
             &mut BoolDecoder::new(VecSource::new(carrier.payload)),
             &mut planes,
-        );
+        )
+        .map_err(|_| CodecError::Corrupt)?;
         let params = EncodeParams {
             pad_bit: carrier.pad_bit != 0,
             rst_limit: carrier.rst_count,

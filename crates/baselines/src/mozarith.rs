@@ -10,10 +10,10 @@
 //! The ratio gap between this codec and Lepton isolates the value of
 //! Lepton's 721k-bin neighbor-indexed model.
 
-use crate::codec::{decode_carried, encode_carried, Codec, CodecError};
+use crate::codec::{decode_carried, encode_carried, Codec, CodecError, OutOfRange};
 use lepton_arith::{Branch, Coder};
 use lepton_jpeg::{CoefPlanes, ZIGZAG};
-use lepton_model::coef_coder::code_value;
+use lepton_model::coef_coder::{code_value, fits};
 
 /// The ~300-bin arithmetic JPEG codec.
 #[derive(Clone, Copy, Debug, Default)]
@@ -109,8 +109,11 @@ fn code_ac<C: Coder>(c: &mut C, v: i32, exp: &mut [Branch], sign: &mut Branch) -
 }
 
 /// One walk over every plane, for both directions: `planes` holds the
-/// coefficients to encode, or zeros to decode into.
-fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
+/// coefficients to encode, or zeros to decode into. The running DC
+/// ignores restarts, which reset the scan's own predictor, so a legal
+/// file can ask for a difference past the range; the encoder refuses
+/// such planes.
+fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOfRange> {
     let mut models = [SmallModel::new(), SmallModel::new()];
     for (ci, plane) in planes.planes.iter_mut().enumerate() {
         let m = &mut models[usize::from(ci != 0)];
@@ -120,9 +123,15 @@ fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
             for bx in 0..plane.blocks_w {
                 let block = plane.block_mut(bx, by);
                 let ctx = dc_ctx(prev_diff);
+                let diff = block[0] as i32 - prev_dc;
+                // The decoder's placeholder `0 - prev_dc` may leave the
+                // range; only the encoder's input is checked.
+                if C::ENCODES && !fits(diff, DC_EXP) {
+                    return Err(OutOfRange);
+                }
                 prev_diff = code_value(
                     c,
-                    block[0] as i32 - prev_dc,
+                    diff,
                     DC_EXP,
                     &mut m.dc_exp[ctx * DC_EXP..(ctx + 1) * DC_EXP],
                     &mut m.dc_sign[ctx],
@@ -150,6 +159,7 @@ fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
             }
         }
     }
+    Ok(())
 }
 
 impl Codec for MozArithCodec {

@@ -11,10 +11,10 @@
 //! none of Lepton's distribution properties — the paper's Figure 1/2
 //! contrast in miniature.
 
-use crate::codec::{decode_carried, encode_carried, Codec, CodecError};
+use crate::codec::{decode_carried, encode_carried, Codec, CodecError, OutOfRange};
 use lepton_arith::{Branch, Coder};
 use lepton_jpeg::{CoefPlanes, ZIGZAG};
-use lepton_model::coef_coder::{code_tree, code_value};
+use lepton_model::coef_coder::{code_tree, code_value, fits};
 
 /// The PackJPG-class codec.
 #[derive(Clone, Copy, Debug, Default)]
@@ -77,8 +77,10 @@ fn sign3(v: i32) -> usize {
 
 /// The band-major walk over every plane, for both directions: `planes`
 /// holds the coefficients to encode, or zeros to decode into, and each
-/// coded value is written back before later contexts read it.
-fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
+/// coded value is written back before later contexts read it. A legal
+/// DC can sit further from its clamped prediction than the delta's
+/// range reaches; the walk refuses such planes.
+fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOfRange> {
     let mut models = [BandModel::new(), BandModel::new()];
     for (ci, plane) in planes.planes.iter_mut().enumerate() {
         let m = &mut models[usize::from(ci != 0)];
@@ -96,9 +98,13 @@ fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
                 .clamp(-2047, 2047);
                 let pb = bucket(pred.unsigned_abs());
                 let dc = &mut plane.block_mut(bx, by)[0];
+                let delta = *dc as i32 - pred;
+                if !fits(delta, DC_EXP) {
+                    return Err(OutOfRange);
+                }
                 let delta = code_value(
                     c,
-                    *dc as i32 - pred,
+                    delta,
                     DC_EXP,
                     &mut m.dc_exp[pb * DC_EXP..(pb + 1) * DC_EXP],
                     &mut m.dc_sign[sign3(pred)],
@@ -170,6 +176,7 @@ fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) {
             }
         }
     }
+    Ok(())
 }
 
 impl Codec for PackJpgCodec {

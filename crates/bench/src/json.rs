@@ -1,14 +1,17 @@
-//! Minimal JSON emission for the fig/tab harnesses.
+//! Minimal JSON emission for the figures.
 //!
-//! Every harness prints a human-readable table and closes with one
-//! machine-readable record of the same run: [`emit`] writes one
-//! compact JSON object to stdout.
+//! A figure that emits a record prints a human-readable table and
+//! returns the record's [`Fields`]; `Figure::run_here` adds `kind` and [`emit`]
+//! writes one compact JSON object to stdout.
 //!
 //! Hand-rolled because the environment is offline (no serde); only
-//! what the harnesses need is implemented.
+//! what the figures need is implemented.
 
-/// A JSON value. Construct with the helpers ([`Json::obj`],
-/// [`Json::arr`], `From` impls) rather than the variants directly.
+/// The fields of one record, in order, as a figure returns them.
+pub type Fields = Vec<(&'static str, Json)>;
+
+/// A JSON value. Construct with [`Json::obj`] and the `From` impls
+/// rather than the variants directly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null` (also what non-finite floats serialize as).
@@ -27,45 +30,26 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-impl From<bool> for Json {
-    fn from(v: bool) -> Self {
-        Json::Bool(v)
-    }
+/// `From` impls for the scalar and array values figures record.
+macro_rules! json_from {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
+        $(impl From<$t> for Json {
+            fn from($v: $t) -> Self {
+                $e
+            }
+        })*
+    };
 }
-impl From<i64> for Json {
-    fn from(v: i64) -> Self {
-        Json::Int(v)
-    }
-}
-impl From<usize> for Json {
-    fn from(v: usize) -> Self {
-        Json::Int(v as i64)
-    }
-}
-impl From<u64> for Json {
-    fn from(v: u64) -> Self {
-        Json::Int(v as i64)
-    }
-}
-impl From<f64> for Json {
-    fn from(v: f64) -> Self {
-        Json::Num(v)
-    }
-}
-impl From<&str> for Json {
-    fn from(v: &str) -> Self {
-        Json::Str(v.to_string())
-    }
-}
-impl From<String> for Json {
-    fn from(v: String) -> Self {
-        Json::Str(v)
-    }
-}
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Self {
-        Json::Arr(v)
-    }
+
+json_from! {
+    bool => |v| Json::Bool(v),
+    i64 => |v| Json::Int(v),
+    usize => |v| Json::Int(v as i64),
+    u64 => |v| Json::Int(v as i64),
+    f64 => |v| Json::Num(v),
+    &str => |v| Json::Str(v.to_string()),
+    String => |v| Json::Str(v),
+    Vec<Json> => |v| Json::Arr(v),
 }
 
 impl Json {
@@ -77,11 +61,6 @@ impl Json {
                 .map(|(k, v)| (k.into(), v.into()))
                 .collect(),
         )
-    }
-
-    /// An array from values.
-    pub fn arr<V: Into<Json>>(items: impl IntoIterator<Item = V>) -> Json {
-        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -189,11 +168,11 @@ mod tests {
             ("ratio", Json::from(0.25)),
             ("ok", Json::from(true)),
             ("bad", Json::Num(f64::NAN)),
-            ("pts", Json::arr([1i64, 2, 3])),
+            ("pts", Json::Arr(vec![Json::from(1i64), Json::from(2i64)])),
         ]);
         assert_eq!(
             v.to_string(),
-            r#"{"name":"fig\"x\"","n":3,"ratio":0.25,"ok":true,"bad":null,"pts":[1,2,3]}"#
+            r#"{"name":"fig\"x\"","n":3,"ratio":0.25,"ok":true,"bad":null,"pts":[1,2]}"#
         );
     }
 
@@ -235,7 +214,7 @@ mod tests {
     fn nested_objects_keep_order() {
         let v = Json::obj([
             ("z", Json::obj([("k", Json::Null)])),
-            ("a", Json::arr(Vec::<Json>::new())),
+            ("a", Json::Arr(Vec::new())),
         ]);
         assert_eq!(v.to_string(), r#"{"z":{"k":null},"a":[]}"#);
     }

@@ -1,20 +1,29 @@
-//! Shared measurement machinery for the per-figure harnesses.
+//! The paper's evaluation as one program, `paperfigs`.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (see DESIGN.md §3 for the index). This library
-//! provides what they share: a reader of the process's peak resident
+//! [`figures::FIGURES`] has one row per figure or table: its name, the
+//! paper reference, its [`figures::Kind`] (measured, model or
+//! stand-in), its caption and its function. The figure functions are
+//! grouped by kind in `measured`, `model` and `stand_in`; this module
+//! holds what they share: a reader of the process's peak resident
 //! memory (Fig. 3), corpus construction at benchmark scale, timing
-//! helpers, and simple text "plots".
+//! helpers, temp directories and simple text "plots".
 
+pub mod figures;
 pub mod json;
+mod measured;
+mod model;
+mod stand_in;
 
+use lepton_corpus::builder::clean_jpeg;
 use lepton_corpus::{Corpus, CorpusSpec};
+use lepton_obs::nearest_rank;
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// This process's peak resident set (`VmHWM`) in KiB, or `None` where
 /// `/proc/self/status` is absent or has no such line. Fig. 3 reads it
 /// before and after one operation in a fresh process.
-pub fn vm_hwm_kib() -> Option<u64> {
+pub(crate) fn vm_hwm_kib() -> Option<u64> {
     parse_vm_hwm_kib(&std::fs::read_to_string("/proc/self/status").ok()?)
 }
 
@@ -29,7 +38,7 @@ fn parse_vm_hwm_kib(status: &str) -> Option<u64> {
 /// count; `fig7`/`fig8` spend it as a bound on how many size points
 /// run — either way, a small value (say 3) means a quick
 /// pass and the unset default means the full run.
-pub fn bench_file_count(default: usize) -> usize {
+pub(crate) fn bench_file_count(default: usize) -> usize {
     std::env::var("LEPTON_BENCH_FILES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -37,7 +46,7 @@ pub fn bench_file_count(default: usize) -> usize {
 }
 
 /// The standard benchmark corpus (clean JPEGs only).
-pub fn bench_corpus(count: usize, max_dim: usize, seed: u64) -> Vec<Vec<u8>> {
+pub(crate) fn bench_corpus(count: usize, max_dim: usize, seed: u64) -> Vec<Vec<u8>> {
     let spec = CorpusSpec {
         count,
         min_dim: 96,
@@ -52,8 +61,24 @@ pub fn bench_corpus(count: usize, max_dim: usize, seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// One clean JPEG of `dim` to `dim + span` pixels a side.
+pub(crate) fn clean_jpeg_near(dim: usize, span: usize, seed: u64) -> Vec<u8> {
+    let spec = CorpusSpec {
+        min_dim: dim,
+        max_dim: dim + span,
+        ..Default::default()
+    };
+    clean_jpeg(&spec, seed)
+}
+
+/// Sort `samples` and read the nearest-rank percentiles `ps` off them.
+pub(crate) fn ranks<const N: usize>(samples: &mut [f64], ps: [f64; N]) -> [f64; N] {
+    samples.sort_by(f64::total_cmp);
+    ps.map(|p| nearest_rank(samples, p))
+}
+
 /// The §4 population: includes rejects and corruption.
-pub fn mixed_corpus(count: usize, seed: u64) -> Corpus {
+pub(crate) fn mixed_corpus(count: usize, seed: u64) -> Corpus {
     Corpus::generate(&CorpusSpec {
         count,
         min_dim: 64,
@@ -64,19 +89,19 @@ pub fn mixed_corpus(count: usize, seed: u64) -> Corpus {
 }
 
 /// Time a closure, returning (result, seconds).
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let r = f();
     (r, t0.elapsed().as_secs_f64())
 }
 
 /// Mbit/s for `bytes` processed in `secs`.
-pub fn mbps(bytes: usize, secs: f64) -> f64 {
+pub(crate) fn mbps(bytes: usize, secs: f64) -> f64 {
     (bytes as f64 * 8.0) / (secs.max(1e-9) * 1e6)
 }
 
 /// Render a crude horizontal bar for terminal "figures".
-pub fn bar(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     let n = if max <= 0.0 {
         0
     } else {
@@ -85,24 +110,25 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Print a standard harness header naming the figure being reproduced.
-pub fn header(id: &str, caption: &str) {
-    println!("==============================================================");
-    println!("{id}: {caption}");
-    println!("==============================================================");
+/// A fresh, empty directory `lepton-{tag}-{pid}` under the system temp
+/// dir; the caller removes it when done.
+pub(crate) fn temp_root(tag: &str) -> PathBuf {
+    let p = std::env::temp_dir().join(format!("lepton-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&p);
+    std::fs::create_dir_all(&p).expect("create temp dir");
+    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The harnesses' percentiles are `lepton_obs::nearest_rank` over
+    /// The figures' percentiles are `lepton_obs::nearest_rank` over
     /// sorted samples.
     #[test]
     fn percentile_and_bar() {
         let mut v = vec![4.0, 1.0, 3.0, 2.0, 5.0];
-        v.sort_by(f64::total_cmp);
-        assert_eq!(lepton_obs::nearest_rank(&v, 50.0), 3.0);
+        assert_eq!(ranks(&mut v, [50.0, 100.0]), [3.0, 5.0]);
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(0.0, 10.0, 10), "");
     }

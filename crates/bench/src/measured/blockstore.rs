@@ -1,60 +1,40 @@
-//! Blockstore harness: throughput and savings of the sharded,
-//! compress-on-write store (§5.6/§5.7 as a storage system, not a
-//! codec).
-//!
-//! Reports, in both human and JSON form:
-//! * write-path throughput (puts/s, Mbit/s) and at-rest savings,
-//! * cold-decode vs cached-hot read throughput (the LRU's win),
-//! * concurrent-read scaling as the shard count grows,
-//! * savings by block size (the Fig. 6 uniformity claim, measured on
-//!   the store rather than the bare codec),
-//! * a real backfill run, fed into the Fig. 11 fleet model's
-//!   economics via [`MeasuredBackfill`].
+//! The sharded, compress-on-write block store (§5.6/§5.7 as a storage
+//! system, not a codec): write throughput and at-rest savings, cold vs
+//! cached reads, concurrent reads by shard count, savings by block size
+//! (Fig. 6 on the store), and a real backfill priced by the Fig. 11
+//! model via [`MeasuredBackfill`].
 
-use lepton_bench::json::{emit, Json};
-use lepton_bench::{bench_file_count, header, mbps, timed};
+use crate::json::{Fields, Json};
+use crate::{bench_file_count, clean_jpeg_near, mbps, temp_root, timed};
 use lepton_cluster::backfill::{BackfillConfig, Economics, MeasuredBackfill};
-use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use lepton_storage::blockstore::{ShardedStore, StoreConfig};
 use lepton_storage::sha256::Digest;
-use std::path::PathBuf;
 
 /// Threads driving the concurrent-read stage.
 const READ_THREADS: usize = 8;
 /// Hot-read rounds over the whole corpus (keeps timings measurable).
 const HOT_ROUNDS: usize = 20;
 
-fn temp_root(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("lepton-fig13bs-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    p
+/// `len` incompressible bytes from the xorshift state `x`.
+fn noise(x: &mut u64, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            (*x >> 32) as u8
+        })
+        .collect()
 }
 
 /// A size-spread corpus: JPEG blocks plus some incompressible blobs,
 /// like real blockserver traffic.
 fn corpus(n: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(n + n / 4);
-    for seed in 0..n as u64 {
-        let dim = 96 + (seed as usize * 53) % 420;
-        let spec = CorpusSpec {
-            min_dim: dim,
-            max_dim: dim + 48,
-            ..Default::default()
-        };
-        out.push(clean_jpeg(&spec, seed));
-    }
+    let mut out: Vec<Vec<u8>> = (0..n as u64)
+        .map(|seed| clean_jpeg_near(96 + (seed as usize * 53) % 420, 48, seed))
+        .collect();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
-    for i in 0..n / 4 {
-        let blob: Vec<u8> = (0..20_000 + i * 1000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 32) as u8
-            })
-            .collect();
-        out.push(blob);
-    }
+    out.extend((0..n / 4).map(|i| noise(&mut x, 20_000 + i * 1000)));
     out
 }
 
@@ -88,37 +68,14 @@ fn concurrent_reads_per_sec(store: &ShardedStore, keys: &[Digest], rounds: usize
     (READ_THREADS * rounds * keys.len()) as f64 / secs.max(1e-9)
 }
 
-/// Corpus for the shard-scaling stage: many small incompressible
-/// blocks, so warm reads are dominated by the per-shard lock rather
-/// than by copying payload bytes.
-fn scaling_corpus(count: usize, bytes_each: usize) -> Vec<Vec<u8>> {
-    let mut x = 0xA076_1D64_78BD_642Fu64;
-    (0..count)
-        .map(|_| {
-            (0..bytes_each)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x >> 32) as u8
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn main() {
-    header(
-        "Blockstore",
-        "compress-on-write blockstore: throughput, cache, shards, backfill",
-    );
+pub(crate) fn fig13_blockstore() -> Option<Fields> {
     let n = bench_file_count(24);
     let blocks = corpus(n);
     let total_bytes: usize = blocks.iter().map(|b| b.len()).sum();
     println!("corpus: {} blocks, {} bytes\n", blocks.len(), total_bytes);
 
     // ---- Write path --------------------------------------------------
-    let write_root = temp_root("write");
+    let write_root = temp_root("fig13bs-write");
     let store = ShardedStore::open(&write_root, StoreConfig::default()).expect("open");
     let (keys, write_secs) = timed(|| {
         blocks
@@ -190,13 +147,16 @@ fn main() {
     // fights one mutex, N shards spread them N ways. (On a single
     // hardware thread the win is smaller — it comes from avoiding
     // contended-lock overhead rather than true parallelism.)
-    let small = scaling_corpus(192, 4096);
+    // Many small incompressible blocks, so warm reads are dominated by
+    // the per-shard lock rather than by copying payload bytes.
+    let mut x = 0xA076_1D64_78BD_642Fu64;
+    let small: Vec<Vec<u8>> = (0..192).map(|_| noise(&mut x, 4096)).collect();
     let mut shard_scaling = Vec::new();
     let mut scale_rps = Vec::new();
     println!("\nconcurrent reads, {READ_THREADS} threads, 192 x 4 KiB blocks:");
     println!("{:>7} {:>13}", "shards", "reads/s");
     for shards in [1usize, 4, 16] {
-        let root = temp_root(&format!("shards{shards}"));
+        let root = temp_root(&format!("fig13bs-shards{shards}"));
         let cfg = StoreConfig {
             shards,
             compress_on_write: false,
@@ -217,7 +177,7 @@ fn main() {
     println!("sharding speedup (16 vs 1): {shard_speedup:.2}x");
 
     // ---- Backfill, feeding the Fig. 11 model ------------------------
-    let backfill_root = temp_root("backfill");
+    let backfill_root = temp_root("fig13bs-backfill");
     let raw_cfg = StoreConfig {
         compress_on_write: false,
         ..Default::default()
@@ -251,46 +211,44 @@ fn main() {
         eco.gib_saved_per_kwh()
     );
 
-    emit(
-        "fig13_blockstore",
-        [
-            ("blocks", Json::from(blocks.len())),
-            ("bytes", Json::from(total_bytes)),
-            ("shards", Json::from(store.shard_count())),
-            (
-                "write_puts_per_sec",
-                Json::from(blocks.len() as f64 / write_secs),
-            ),
-            ("write_mbps", Json::from(mbps(total_bytes, write_secs))),
-            ("store_savings_pct", Json::from(100.0 * stats.savings())),
-            ("read_cold_mbps", Json::from(mbps(total_bytes, cold_secs))),
-            ("read_hot_mbps", Json::from(mbps(total_bytes, hot_secs))),
-            ("cache_speedup", Json::from(speedup)),
-            ("shard_scaling", Json::Arr(shard_scaling)),
-            ("shard_speedup_16_vs_1", Json::from(shard_speedup)),
-            ("savings_by_size", Json::Arr(savings_by_size)),
-            (
-                "backfill",
-                Json::obj([
-                    ("converted", Json::from(report.converted)),
-                    (
-                        "conversions_per_sec",
-                        Json::from(report.conversions_per_sec()),
-                    ),
-                    ("savings_pct", Json::from(100.0 * report.savings())),
-                    ("parallelism", Json::from(parallelism)),
-                ]),
-            ),
-            (
-                "economics_measured",
-                Json::obj([
-                    ("conversions_per_kwh", Json::from(eco.conversions_per_kwh)),
-                    ("gib_saved_per_kwh", Json::from(eco.gib_saved_per_kwh())),
-                ]),
-            ),
-        ],
-    );
+    let record = vec![
+        ("blocks", Json::from(blocks.len())),
+        ("bytes", Json::from(total_bytes)),
+        ("shards", Json::from(store.shard_count())),
+        (
+            "write_puts_per_sec",
+            Json::from(blocks.len() as f64 / write_secs),
+        ),
+        ("write_mbps", Json::from(mbps(total_bytes, write_secs))),
+        ("store_savings_pct", Json::from(100.0 * stats.savings())),
+        ("read_cold_mbps", Json::from(mbps(total_bytes, cold_secs))),
+        ("read_hot_mbps", Json::from(mbps(total_bytes, hot_secs))),
+        ("cache_speedup", Json::from(speedup)),
+        ("shard_scaling", Json::Arr(shard_scaling)),
+        ("shard_speedup_16_vs_1", Json::from(shard_speedup)),
+        ("savings_by_size", Json::Arr(savings_by_size)),
+        (
+            "backfill",
+            Json::obj([
+                ("converted", Json::from(report.converted)),
+                (
+                    "conversions_per_sec",
+                    Json::from(report.conversions_per_sec()),
+                ),
+                ("savings_pct", Json::from(100.0 * report.savings())),
+                ("parallelism", Json::from(parallelism)),
+            ]),
+        ),
+        (
+            "economics_measured",
+            Json::obj([
+                ("conversions_per_kwh", Json::from(eco.conversions_per_kwh)),
+                ("gib_saved_per_kwh", Json::from(eco.gib_saved_per_kwh())),
+            ]),
+        ),
+    ];
 
     let _ = std::fs::remove_dir_all(&write_root);
     let _ = std::fs::remove_dir_all(&backfill_root);
+    Some(record)
 }

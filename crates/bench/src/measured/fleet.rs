@@ -1,104 +1,29 @@
-//! Fleet harness: the consistent-hash gateway over live blockserver
-//! nodes, measured end to end over real sockets (§5.5/§5.6 as a
-//! *fleet*, not a machine).
-//!
-//! Reports, in both human and JSON form:
-//! * replicated put/get throughput as the node count grows,
-//! * failover read latency: healthy reads vs the first read after a
-//!   node dies (pays the discovery cost) vs reads after ejection
-//!   (dead node skipped entirely),
-//! * rebalance movement when a node joins — blocks moved should be
-//!   ~K·R/N, not a reshuffle,
-//! * the measured rates projected onto larger fleets and priced in
-//!   the §5.6.1 economics units via `cluster::fleet`.
-//!
-//! Quick mode (`LEPTON_BENCH_FILES`, CI smoke sets 3) bounds the
-//! corpus; node counts stay ≤3 so the harness is laptop- and
-//! CI-friendly either way.
+//! The consistent-hash gateway over live blockserver nodes, measured
+//! end to end over real sockets (§5.5/§5.6 as a *fleet*, DESIGN §3.3):
+//! replicated put/get throughput by node count; read latency healthy,
+//! on the first pass after a node dies and after its ejection;
+//! rebalance movement when a node joins (≈ K·R/N blocks, not a
+//! reshuffle); and the measured rates priced in §5.6.1 units via
+//! `cluster::fleet`. Node counts stay ≤ 3 in one process.
 
-use lepton_bench::json::{emit, Json};
-use lepton_bench::{bench_file_count, header, mbps, timed};
+use super::{busiest_primary, gateway, get_ms, spawn_fleet, REPLICAS};
+use crate::json::{Fields, Json};
+use crate::{bench_file_count, clean_jpeg_near, mbps, ranks, timed};
 use lepton_cluster::fleet::MeasuredFleet;
-use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
-use lepton_fleet::{rebalance, FleetConfig, FleetGateway, HealthPolicy, LocalFleet};
-use lepton_obs::nearest_rank;
-use lepton_server::client::RetryPolicy;
-use lepton_server::ServiceConfig;
-use lepton_storage::blockstore::StoreConfig;
+use lepton_fleet::rebalance;
 use lepton_storage::sha256::Digest;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
-/// Replication factor under test.
-const REPLICAS: usize = 2;
 /// Node counts for the throughput sweep (quick mode and CI cap at 3
 /// nodes; a single process hosts them all, so bigger sweeps measure
 /// scheduler contention, not fleet behavior).
 const NODE_COUNTS: [usize; 3] = [1, 2, 3];
 
-fn temp_root(tag: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("lepton-fig15-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    std::fs::create_dir_all(&p).expect("mkdir");
-    p
-}
-
-fn fleet_cfg() -> FleetConfig {
-    FleetConfig {
-        replicas: REPLICAS,
-        timeout: Duration::from_secs(30),
-        retry: RetryPolicy {
-            attempts: 2,
-            initial_backoff: Duration::from_millis(5),
-            multiplier: 2,
-            max_backoff: Duration::from_millis(20),
-            jitter: Some(0xF15),
-        },
-        health: HealthPolicy {
-            eject_after: 2,
-            probation: Duration::from_secs(300),
-        },
-        ..Default::default()
-    }
-}
-
-/// JPEG blocks sized like user photo chunks (scaled down for CI).
-fn corpus(n: usize) -> Vec<Vec<u8>> {
-    (0..n as u64)
-        .map(|seed| {
-            let dim = 80 + (seed as usize * 37) % 160;
-            let spec = CorpusSpec {
-                min_dim: dim,
-                max_dim: dim + 32,
-                ..Default::default()
-            };
-            clean_jpeg(&spec, seed)
-        })
-        .collect()
-}
-
-fn spawn(tag: &str, nodes: usize) -> (PathBuf, LocalFleet) {
-    let root = temp_root(tag);
-    let fleet = LocalFleet::spawn(
-        &root,
-        nodes,
-        &StoreConfig {
-            shards: 4,
-            ..Default::default()
-        },
-        &ServiceConfig::default(),
-    )
-    .expect("spawn fleet");
-    (root, fleet)
-}
-
-fn main() {
-    header(
-        "Fleet",
-        "consistent-hash gateway over live nodes: throughput, failover, rebalance",
-    );
+pub(crate) fn fig15_fleet() -> Option<Fields> {
     let n = bench_file_count(16);
-    let blocks = corpus(n);
+    // JPEG blocks sized like user photo chunks (scaled down for CI).
+    let blocks: Vec<Vec<u8>> = (0..n as u64)
+        .map(|seed| clean_jpeg_near(80 + (seed as usize * 37) % 160, 32, seed))
+        .collect();
     let total_bytes: usize = blocks.iter().map(|b| b.len()).sum();
     println!(
         "corpus: {} blocks, {} bytes; R={REPLICAS}\n",
@@ -115,8 +40,8 @@ fn main() {
     let mut last_rates = (0.0f64, 0.0f64, 0.0f64); // puts/s, put secs, get secs
     let mut measured_savings = 0.0f64;
     for &nodes in &NODE_COUNTS {
-        let (root, fleet) = spawn(&format!("tp{nodes}"), nodes);
-        let gw = FleetGateway::new(fleet.members().to_vec(), fleet_cfg());
+        let (root, fleet) = spawn_fleet(&format!("fig15-tp{nodes}"), nodes);
+        let gw = gateway(fleet.members(), 0xF15, None);
         let (keys, put_secs) = timed(|| {
             blocks
                 .iter()
@@ -158,45 +83,26 @@ fn main() {
     // and measure the first pass (pays connect errors + read-repair)
     // and a second pass (dead node ejected, reads go straight to the
     // survivor).
-    let (root, mut fleet) = spawn("failover", 3);
-    let gw = FleetGateway::new(fleet.members().to_vec(), fleet_cfg());
+    let (root, mut fleet) = spawn_fleet("fig15-failover", 3);
+    let gw = gateway(fleet.members(), 0xF15, None);
     let keys: Vec<Digest> = blocks.iter().map(|b| gw.put(b).expect("put")).collect();
 
-    let lat_ms = |gw: &FleetGateway, keys: &[Digest]| -> Vec<f64> {
-        keys.iter()
-            .map(|k| {
-                let t0 = Instant::now();
-                let out = gw.get(k).expect("get").expect("present");
-                std::hint::black_box(out.len());
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect()
-    };
+    let pass_ms = || -> Vec<f64> { keys.iter().map(|k| get_ms(&gw, k)).collect() };
     // Warm every node's decoded-block cache first so the phases
     // compare routing cost, not the server's cold-decode cost.
-    let _ = lat_ms(&gw, &keys);
-    let mut healthy = lat_ms(&gw, &keys);
+    let _ = pass_ms();
+    let mut healthy = pass_ms();
     // Kill the node that is primary for the most keys, so the corpus
     // (which may be tiny in quick mode) is guaranteed to exercise the
     // failover path.
-    let victim = (0..3usize)
-        .max_by_key(|&i| keys.iter().filter(|k| gw.replica_set(k)[0] == i).count())
-        .expect("three nodes");
-    let victim_primaries = keys
-        .iter()
-        .filter(|k| gw.replica_set(k)[0] == victim)
-        .count();
+    let (victim, victim_primaries) = busiest_primary(&gw, 3, keys.iter());
     fleet.kill(victim);
-    let mut first = lat_ms(&gw, &keys); // discovery + ejection + repair
-    let mut after = lat_ms(&gw, &keys); // dead node skipped
+    let mut first = pass_ms(); // discovery + ejection + repair
+    let mut after = pass_ms(); // dead node skipped
 
-    let p50_p99 = |samples: &mut Vec<f64>| {
-        samples.sort_by(f64::total_cmp);
-        (nearest_rank(samples, 50.0), nearest_rank(samples, 99.0))
-    };
-    let (h50, h99) = p50_p99(&mut healthy);
-    let (f50, f99) = p50_p99(&mut first);
-    let (a50, a99) = p50_p99(&mut after);
+    let [h50, h99] = ranks(&mut healthy, [50.0, 99.0]);
+    let [f50, f99] = ranks(&mut first, [50.0, 99.0]);
+    let [a50, a99] = ranks(&mut after, [50.0, 99.0]);
     println!(
         "\nfailover read latency (3 nodes, kill node {victim} — primary for \
          {victim_primaries} of {} keys):",
@@ -227,13 +133,12 @@ fn main() {
     // ---- Rebalance movement on a node join --------------------------
     // K blocks on 2 nodes at R=2 (every node holds everything); add a
     // third and rebalance: ideal movement is K·R/3 copies.
-    let (root, fleet) = spawn("join", 3);
-    let two: Vec<_> = fleet.members()[..2].to_vec();
-    let gw2 = FleetGateway::new(two, fleet_cfg());
+    let (root, fleet) = spawn_fleet("fig15-join", 3);
+    let gw2 = gateway(&fleet.members()[..2], 0xF15, None);
     for b in &blocks {
         gw2.put(b).expect("put");
     }
-    let gw3 = FleetGateway::new(fleet.members().to_vec(), fleet_cfg());
+    let gw3 = gateway(fleet.members(), 0xF15, None);
     let report = rebalance(&gw3);
     let ideal = blocks.len() as f64 * REPLICAS as f64 / 3.0;
     println!(
@@ -280,27 +185,24 @@ fn main() {
         projected.logical_bytes_per_sec * 8.0 / 1e6
     );
 
-    emit(
-        "fig15_fleet",
-        [
-            ("blocks", Json::from(blocks.len())),
-            ("bytes", Json::from(total_bytes)),
-            ("replicas", Json::from(REPLICAS)),
-            ("scaling", Json::Arr(scaling)),
-            ("failover", failover),
-            ("rebalance", rebalance_json),
-            (
-                "economics_measured",
-                Json::obj([
-                    ("puts_per_sec_3_nodes", Json::from(puts_per_sec)),
-                    ("ingests_per_kwh", Json::from(eco.conversions_per_kwh)),
-                    ("gib_saved_per_kwh", Json::from(eco.gib_saved_per_kwh())),
-                    (
-                        "stored_per_logical_byte",
-                        Json::from(measured.stored_per_logical_byte()),
-                    ),
-                ]),
-            ),
-        ],
-    );
+    Some(vec![
+        ("blocks", Json::from(blocks.len())),
+        ("bytes", Json::from(total_bytes)),
+        ("replicas", Json::from(REPLICAS)),
+        ("scaling", Json::Arr(scaling)),
+        ("failover", failover),
+        ("rebalance", rebalance_json),
+        (
+            "economics_measured",
+            Json::obj([
+                ("puts_per_sec_3_nodes", Json::from(puts_per_sec)),
+                ("ingests_per_kwh", Json::from(eco.conversions_per_kwh)),
+                ("gib_saved_per_kwh", Json::from(eco.gib_saved_per_kwh())),
+                (
+                    "stored_per_logical_byte",
+                    Json::from(measured.stored_per_logical_byte()),
+                ),
+            ]),
+        ),
+    ])
 }

@@ -1,52 +1,30 @@
-//! Trace replay against the live serving core: the Fig. 10 question —
-//! what happens to read tails when one machine in the fleet goes slow —
-//! answered with real sockets instead of the simulator.
+//! Trace replay against the live serving core (DESIGN §3.4): the
+//! Fig. 10 question — what happens to read tails when one machine goes
+//! slow — answered with real sockets instead of the simulator.
 //!
-//! The harness wires `cluster::workload` (zipf popularity, the §5.4
-//! diurnal/weekly rhythms, the Fig. 14 stored-fraction ramp) and
-//! `cluster::incident` (the §6.5 timeline shapes the degraded window)
-//! into a replay against a 3-node `LocalFleet` behind `FleetGateway`:
-//!
-//! 1. **healthy** — the full trace (default 100k requests, reads and
-//!    writes mixed per the workload ratio) replayed serially; this is
-//!    the latency baseline.
-//! 2. **incident, serial reads** — one node (the one carrying the most
-//!    primary read traffic) is slowed by an injected delay for the
-//!    incident window of the trace; the gateway reads serially, so
-//!    every victim-primary read in the window eats the delay.
-//! 3. **incident, hedged reads** — same slowness, but the gateway fires
-//!    a hedge to the next replica after a small latency budget. The
-//!    winner answers; the abandoned loser is cancelled and counted,
-//!    never charged to health or `failovers`.
-//!
-//! Reported per phase: p50/p99/p999 read latency, plus shed counts from
-//! the serving cores and hedge counters from the gateway. The claim
-//! under test: hedging keeps the incident p99 within 5x the healthy
-//! baseline, while serial reads do not.
-//!
-//! Quick mode (`LEPTON_BENCH_FILES`, CI smoke sets 3) scales the trace
-//! down (files x 1000 requests); full mode replays 100,000.
+//! A zipf/diurnal week with the Fig. 14 stored-fraction ramp
+//! (`cluster::workload`) runs against a 3-node `LocalFleet` behind a
+//! `FleetGateway` in three phases: **healthy** (the whole trace, the
+//! baseline); **incident, serial reads** (the busiest primary slowed
+//! for the §6.5 failover-to-diagnosis window of a read segment); and
+//! **incident, hedged reads** (the same, with a hedge to the next
+//! replica after a small budget). The claim under test: hedging keeps
+//! the incident p99 within 5x the healthy baseline, serial reads do
+//! not. Quick mode (`LEPTON_BENCH_FILES`) replays files x 1000
+//! requests; the full run replays 100,000.
 
-use lepton_bench::json::{emit, Json};
-use lepton_bench::{bench_file_count, header};
+use super::{busiest_primary, gateway, get_ms, spawn_fleet, REPLICAS};
+use crate::json::{Fields, Json};
+use crate::{bench_file_count, clean_jpeg_near, ranks};
 use lepton_cluster::incident::SafetyNetScenario;
 use lepton_cluster::workload::WEEK;
 use lepton_cluster::{WorkloadConfig, WorkloadPhase, Zipf};
-use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
-use lepton_fleet::{FleetConfig, FleetGateway, HealthPolicy, LocalFleet};
-use lepton_obs::nearest_rank;
-use lepton_server::client::RetryPolicy;
-use lepton_server::ServiceConfig;
-use lepton_storage::blockstore::StoreConfig;
+use lepton_fleet::{FleetGateway, LocalFleet};
 use lepton_storage::sha256::Digest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Replication factor: every block lives on two of the three nodes, so
-/// a hedged read always has somewhere else to go.
-const REPLICAS: usize = 2;
 const NODES: usize = 3;
 const SEED: u64 = 10;
 
@@ -56,52 +34,6 @@ struct Request {
     read: bool,
     /// Catalog index of the block touched.
     key: usize,
-}
-
-fn temp_root() -> PathBuf {
-    let p = std::env::temp_dir().join(format!("lepton-fig10-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&p);
-    std::fs::create_dir_all(&p).expect("mkdir");
-    p
-}
-
-fn fleet_cfg(hedge: Option<Duration>) -> FleetConfig {
-    FleetConfig {
-        replicas: REPLICAS,
-        timeout: Duration::from_secs(30),
-        retry: RetryPolicy {
-            attempts: 2,
-            initial_backoff: Duration::from_millis(5),
-            multiplier: 2,
-            max_backoff: Duration::from_millis(20),
-            jitter: Some(0xF10),
-        },
-        health: HealthPolicy {
-            eject_after: 2,
-            probation: Duration::from_secs(300),
-        },
-        hedge,
-        ..Default::default()
-    }
-}
-
-/// Photo-chunk-sized JPEGs (tens to hundreds of KB): big enough that a
-/// healthy read costs what production reads cost — hashing and moving
-/// real bytes — so the 5x-tail comparison is made against an honest
-/// baseline, small enough that decodes stay in the low milliseconds and
-/// the 64 MiB decoded-block cache holds the whole catalog.
-fn corpus(n: usize) -> Vec<Vec<u8>> {
-    (0..n as u64)
-        .map(|seed| {
-            let dim = 192 + (seed as usize * 53) % 288;
-            let spec = CorpusSpec {
-                min_dim: dim,
-                max_dim: dim + 32,
-                ..Default::default()
-            };
-            clean_jpeg(&spec, seed)
-        })
-        .collect()
 }
 
 /// Generate the replay trace: Poisson arrivals under the diurnal/weekly
@@ -159,10 +91,7 @@ fn replay_reads(
         if i == end {
             fleet.inject_delay(victim, Duration::ZERO);
         }
-        let t0 = Instant::now();
-        let block = gw.get(&keys[ki]).expect("get").expect("present");
-        std::hint::black_box(block.len());
-        out.push(t0.elapsed().as_secs_f64() * 1e3);
+        out.push(get_ms(gw, &keys[ki]));
     }
     fleet.inject_delay(victim, Duration::ZERO);
     out
@@ -191,20 +120,10 @@ fn snapshot_json(snap: &lepton_obs::Snapshot) -> Json {
     }))
 }
 
-fn p3(samples: &mut [f64]) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    (
-        nearest_rank(samples, 50.0),
-        nearest_rank(samples, 99.0),
-        nearest_rank(samples, 99.9),
-    )
-}
+/// The read percentiles each phase reports.
+const P3: [f64; 3] = [50.0, 99.0, 99.9];
 
-fn main() {
-    header(
-        "Replay",
-        "zipf/diurnal trace against the live fleet: serial vs hedged read tails under a slow node",
-    );
+pub(crate) fn fig10_replay() -> Option<Fields> {
     let files = bench_file_count(100);
     let requests = files * 1000;
     let catalog = (files / 2).clamp(8, 64);
@@ -216,20 +135,18 @@ fn main() {
         requests - reads_total
     );
 
-    let root = temp_root();
-    let fleet = LocalFleet::spawn(
-        &root,
-        NODES,
-        &StoreConfig {
-            shards: 4,
-            ..Default::default()
-        },
-        &ServiceConfig::default(),
-    )
-    .expect("spawn fleet");
-    let gw = FleetGateway::new(fleet.members().to_vec(), fleet_cfg(None));
+    let (root, fleet) = spawn_fleet("fig10", NODES);
+    let gw = gateway(fleet.members(), 0xF10, None);
 
-    let blocks = corpus(catalog);
+    // Photo-chunk-sized JPEGs (tens to hundreds of KB): big enough that
+    // a healthy read costs what production reads cost — hashing and
+    // moving real bytes — so the 5x-tail comparison is made against an
+    // honest baseline, small enough that decodes stay in the low
+    // milliseconds and the 64 MiB decoded-block cache holds the whole
+    // catalog.
+    let blocks: Vec<Vec<u8>> = (0..catalog as u64)
+        .map(|seed| clean_jpeg_near(192 + (seed as usize * 53) % 288, 32, seed))
+        .collect();
     let keys: Vec<Digest> = blocks.iter().map(|b| gw.put(b).expect("put")).collect();
     // Warm every node's decoded-block cache so the healthy baseline
     // measures serving cost, not first-touch decode cost.
@@ -241,20 +158,18 @@ fn main() {
     let mut read_ms = Vec::with_capacity(reads_total);
     let mut write_ms = Vec::with_capacity(requests - reads_total);
     for req in &trace {
-        let t0 = Instant::now();
         if req.read {
-            let block = gw.get(&keys[req.key]).expect("get").expect("present");
-            std::hint::black_box(block.len());
-            read_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            read_ms.push(get_ms(&gw, &keys[req.key]));
         } else {
+            let t0 = Instant::now();
             // Re-uploads of popular content: the stores dedup them, as
             // production does.
             std::hint::black_box(gw.put(&blocks[req.key]).expect("put"));
             write_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         }
     }
-    let (h50, h99, h999) = p3(&mut read_ms);
-    let (w50, w99, _) = p3(&mut write_ms);
+    let [h50, h99, h999] = ranks(&mut read_ms, P3);
+    let [w50, w99] = ranks(&mut write_ms, [50.0, 99.0]);
 
     // ---- The incident -------------------------------------------------
     // Degraded phases replay a steady-state read segment (the tail of
@@ -265,19 +180,8 @@ fn main() {
 
     // The slow node: whichever carries the most primary read traffic in
     // the segment (zipf-weighted, so the head keys decide).
-    let victim = (0..NODES)
-        .max_by_key(|&i| {
-            segment
-                .iter()
-                .filter(|&&ki| gw.replica_set(&keys[ki])[0] == i)
-                .count()
-        })
-        .expect("nodes");
-    let victim_share = segment
-        .iter()
-        .filter(|&&ki| gw.replica_set(&keys[ki])[0] == victim)
-        .count() as f64
-        / seg_len as f64;
+    let (victim, primaries) = busiest_primary(&gw, NODES, segment.iter().map(|&ki| &keys[ki]));
+    let victim_share = primaries as f64 / seg_len as f64;
 
     // Slowness and window sized off the measured baseline: the delay is
     // unmistakably pathological (>= 10x healthy p99), the window covers
@@ -292,15 +196,15 @@ fn main() {
 
     // ---- Phase 2: incident, serial reads ------------------------------
     let mut serial_ms = replay_reads(&gw, &fleet, &keys, segment, victim, delay, window);
-    let (s50, s99, s999) = p3(&mut serial_ms);
+    let [s50, s99, s999] = ranks(&mut serial_ms, P3);
 
     // ---- Phase 3: incident, hedged reads ------------------------------
     // Budget: twice the healthy p99 — late enough that healthy reads
     // almost never hedge, early enough that a stuck read barely waits.
     let budget = Duration::from_secs_f64((h99 * 2.0 / 1e3).clamp(0.0005, 0.010));
-    let gw_hedged = FleetGateway::new(fleet.members().to_vec(), fleet_cfg(Some(budget)));
+    let gw_hedged = gateway(fleet.members(), 0xF10, Some(budget));
     let mut hedged_ms = replay_reads(&gw_hedged, &fleet, &keys, segment, victim, delay, window);
-    let (g50, g99, g999) = p3(&mut hedged_ms);
+    let [g50, g99, g999] = ranks(&mut hedged_ms, P3);
 
     let shed_total: u64 = (0..NODES)
         .filter_map(|i| fleet.handle(i))
@@ -361,60 +265,58 @@ fn main() {
         }
     );
 
-    emit(
-        "fig10_replay",
-        [
-            ("requests", Json::from(requests)),
-            ("reads", Json::from(reads_total)),
-            ("catalog", Json::from(catalog)),
-            ("replicas", Json::from(REPLICAS)),
-            ("segment_reads", Json::from(seg_len)),
-            ("victim_primary_share", Json::from(victim_share)),
-            ("injected_delay_ms", Json::from(delay.as_secs_f64() * 1e3)),
-            ("hedge_budget_ms", Json::from(budget.as_secs_f64() * 1e3)),
-            (
-                "healthy",
-                Json::obj([
-                    ("read_p50_ms", Json::from(h50)),
-                    ("read_p99_ms", Json::from(h99)),
-                    ("read_p999_ms", Json::from(h999)),
-                    ("write_p50_ms", Json::from(w50)),
-                    ("write_p99_ms", Json::from(w99)),
-                ]),
-            ),
-            (
-                "incident_serial",
-                Json::obj([
-                    ("read_p50_ms", Json::from(s50)),
-                    ("read_p99_ms", Json::from(s99)),
-                    ("read_p999_ms", Json::from(s999)),
-                ]),
-            ),
-            (
-                "incident_hedged",
-                Json::obj([
-                    ("read_p50_ms", Json::from(g50)),
-                    ("read_p99_ms", Json::from(g99)),
-                    ("read_p999_ms", Json::from(g999)),
-                    ("hedged_reads", Json::from(hedged_reads)),
-                    ("hedge_wins", Json::from(hedge_wins)),
-                    ("hedge_cancellations", Json::from(hedge_cancels)),
-                ]),
-            ),
-            ("shed", Json::from(shed_total)),
-            ("serial_p99_over_healthy", Json::from(serial_ratio)),
-            ("hedged_p99_over_healthy", Json::from(hedged_ratio)),
-            (
-                "degraded",
-                Json::from(gw.degraded() || gw_hedged.degraded()),
-            ),
-            ("telemetry_serial", snapshot_json(&gw.snapshot())),
-            ("telemetry_hedged", snapshot_json(&gw_hedged.snapshot())),
-        ],
-    );
+    let record = vec![
+        ("requests", Json::from(requests)),
+        ("reads", Json::from(reads_total)),
+        ("catalog", Json::from(catalog)),
+        ("replicas", Json::from(REPLICAS)),
+        ("segment_reads", Json::from(seg_len)),
+        ("victim_primary_share", Json::from(victim_share)),
+        ("injected_delay_ms", Json::from(delay.as_secs_f64() * 1e3)),
+        ("hedge_budget_ms", Json::from(budget.as_secs_f64() * 1e3)),
+        (
+            "healthy",
+            Json::obj([
+                ("read_p50_ms", Json::from(h50)),
+                ("read_p99_ms", Json::from(h99)),
+                ("read_p999_ms", Json::from(h999)),
+                ("write_p50_ms", Json::from(w50)),
+                ("write_p99_ms", Json::from(w99)),
+            ]),
+        ),
+        (
+            "incident_serial",
+            Json::obj([
+                ("read_p50_ms", Json::from(s50)),
+                ("read_p99_ms", Json::from(s99)),
+                ("read_p999_ms", Json::from(s999)),
+            ]),
+        ),
+        (
+            "incident_hedged",
+            Json::obj([
+                ("read_p50_ms", Json::from(g50)),
+                ("read_p99_ms", Json::from(g99)),
+                ("read_p999_ms", Json::from(g999)),
+                ("hedged_reads", Json::from(hedged_reads)),
+                ("hedge_wins", Json::from(hedge_wins)),
+                ("hedge_cancellations", Json::from(hedge_cancels)),
+            ]),
+        ),
+        ("shed", Json::from(shed_total)),
+        ("serial_p99_over_healthy", Json::from(serial_ratio)),
+        ("hedged_p99_over_healthy", Json::from(hedged_ratio)),
+        (
+            "degraded",
+            Json::from(gw.degraded() || gw_hedged.degraded()),
+        ),
+        ("telemetry_serial", snapshot_json(&gw.snapshot())),
+        ("telemetry_hedged", snapshot_json(&gw_hedged.snapshot())),
+    ];
 
     drop(gw);
     drop(gw_hedged);
     drop(fleet);
     let _ = std::fs::remove_dir_all(&root);
+    Some(record)
 }

@@ -94,6 +94,38 @@ pub fn dc_beyond_model_range() -> Vec<u8> {
     v
 }
 
+/// A legal file whose DC differences swing across a restart: a 64x8
+/// grayscale frame with `DRI 5` whose differences are +2000 five times,
+/// then `RST0`, then -2000 three times. The restart resets the scan's
+/// DC predictor, so the DCs run 2000 … 10000, then -2000 … -6000. A
+/// coder that carries its own predictor across the restart sees a
+/// difference of -12000. Lepton encodes this file, so it is not one of
+/// [`crate::hostile_cases`], which must all be refused.
+pub fn dc_swing_across_restart() -> Vec<u8> {
+    let mut v = single_code_header(0x0B, 0x00, 64, 8);
+    v.extend_from_slice(&[0xFF, 0xDD, 0x00, 0x04, 0x00, 0x05]); // DRI = 5
+    v.extend_from_slice(&sos_gray());
+    // Per block: DC code `0`, the 11 magnitude bits (+2000 is 2000,
+    // -2000 is 2047 - 2000 = 47), then AC code `0` (EOB) — 13 bits.
+    // Each interval pads with `1` bits to a byte; no run of `1` bits
+    // reaches 8, so no byte needs 0xFF stuffing.
+    let interval = |bits: u128, blocks: usize| {
+        let mut acc = 0u128;
+        for _ in 0..blocks {
+            acc = (acc << 13) | (bits << 1);
+        }
+        let len = 13 * blocks;
+        let padded = len.div_ceil(8) * 8;
+        acc = (acc << (padded - len)) | ((1 << (padded - len)) - 1);
+        acc.to_be_bytes()[16 - padded / 8..].to_vec()
+    };
+    v.extend(interval(2000, 5));
+    v.extend_from_slice(&[0xFF, 0xD0]);
+    v.extend(interval(47, 3));
+    v.extend_from_slice(&[0xFF, 0xD9]);
+    v
+}
+
 /// "AC values out of range": DC decodes cleanly to size 0, then the
 /// first AC symbol is run 0 / size 11 — past the baseline 10.
 pub fn ac_out_of_range() -> Vec<u8> {
@@ -259,6 +291,7 @@ mod tests {
             ("trunc", truncated_header()),
             ("png", not_a_jpeg()),
             ("eoi", eoi_before_scan()),
+            ("swing", dc_swing_across_restart()),
         ];
         for (name, bytes) in &all {
             assert!(!bytes.is_empty(), "{name}");

@@ -12,7 +12,17 @@
 
 use lepton_arith::{Branch, Coder};
 
-/// Code `v` with `|v| < 2^max_exp`; returns the value coded.
+/// Does `v` lie in the range [`code_value`] codes at `max_exp`, that is
+/// `|v| < 2^max_exp`? The one definition of that range: a walk whose
+/// input can leave it checks with this before it codes, and refuses.
+#[inline(always)]
+pub fn fits(v: i32, max_exp: usize) -> bool {
+    // The bit length of `|v|`, the expression `code_value` codes.
+    (32 - v.unsigned_abs().leading_zeros()) as usize <= max_exp
+}
+
+/// Code `v` with `|v| < 2^max_exp` (see [`fits`]); returns the value
+/// coded.
 ///
 /// `exp_bins` must hold at least `max_exp` bins, `resid_bins` at least
 /// `max_exp - 1`. An encoder's `v` out of range is a caller bug and
@@ -30,14 +40,14 @@ pub fn code_value<C: Coder>(
     sign_bin: &mut Branch,
     resid_bins: &mut [Branch],
 ) -> i32 {
-    let mag = v.unsigned_abs();
-    let len = (32 - mag.leading_zeros()) as usize;
     if C::ENCODES {
         assert!(
-            len <= max_exp,
+            fits(v, max_exp),
             "value {v} exceeds Exp-Golomb range 2^{max_exp}"
         );
     }
+    let mag = v.unsigned_abs();
+    let len = (32 - mag.leading_zeros()) as usize;
     assert!(exp_bins.len() >= max_exp);
     let mut exp = 0usize;
     while exp < max_exp && c.code(len > exp, &mut exp_bins[exp]) {
@@ -124,6 +134,12 @@ mod tests {
     fn extremes() {
         roundtrip_values(&[2047, -2047, 1024, -1024], 11);
         roundtrip_values(&[4095, -4095, 8191, -8191], 13);
+    }
+
+    #[test]
+    fn fits_is_the_coded_range() {
+        assert!(fits(8191, 13) && fits(-8191, 13) && fits(0, 0));
+        assert!(!fits(8192, 13) && !fits(-8192, 13) && !fits(i32::MIN, 13));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! which is why `new()` is cheap and explicit.
 
 use crate::bins::{log159_bucket, magnitude_bucket, BinGrid};
-use crate::coef_coder::{code_tree, code_value};
+use crate::coef_coder::{code_tree, code_value, fits};
 use crate::context::{
     lakhani_col, lakhani_row, nonzero_counts, predict_dc_gradient, weighted_abs_at,
     weighted_signed_at, BlockEdges, BlockNeighbors, CodedBlock, DcPrediction, INTERIOR_ZZ,
@@ -322,7 +322,7 @@ impl ComponentModel {
         let ac = idct_ac_borders(&out.deq);
         let pred = dc_prediction(&ac, nbr);
         let delta = out.coefs[0] as i32 - pred.value;
-        if delta.unsigned_abs() >> DC_MAX_EXP != 0 {
+        if !fits(delta, DC_MAX_EXP) {
             return Err(JpegError::DcOutOfRange);
         }
         let delta = code_value(
