@@ -151,12 +151,6 @@ impl Branch {
     pub fn counts(&self) -> (u8, u8) {
         (self.counts[0], self.counts[1])
     }
-
-    /// True if this bin has never been updated.
-    #[inline]
-    pub fn is_fresh(&self) -> bool {
-        self.counts == [1, 1]
-    }
 }
 
 #[cfg(test)]
@@ -165,10 +159,13 @@ mod tests {
 
     #[test]
     fn fresh_branch_is_even() {
-        let b = Branch::new();
+        let mut b = Branch::new();
         let p = b.prob_false();
         assert!((32700..=32800).contains(&p), "p = {p}");
-        assert!(b.is_fresh());
+        assert_eq!(b.counts(), (1, 1));
+        // A fresh bin is told apart from a used one by equality.
+        b.record(true);
+        assert_ne!(b, Branch::new());
     }
 
     #[test]

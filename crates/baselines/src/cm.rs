@@ -8,6 +8,7 @@
 //! [`crate::PaqCodec`] fallback path for non-JPEG data.
 
 use lepton_arith::{BoolDecoder, BoolEncoder, Coder, SliceSource};
+use lepton_model::bins::{grid, Fresh};
 
 /// One counter pair (like `Branch` but exposing confidence).
 #[derive(Clone, Copy)]
@@ -16,11 +17,13 @@ struct Counter {
     c1: u16,
 }
 
-impl Counter {
-    const fn new() -> Self {
+impl Fresh for Counter {
+    fn fresh() -> Self {
         Counter { c0: 0, c1: 0 }
     }
+}
 
+impl Counter {
     fn prob_false_and_weight(&self) -> (u32, u32) {
         let n = (self.c0 + self.c1) as u32;
         if n == 0 {
@@ -50,9 +53,12 @@ const O2_BITS: usize = 16;
 
 /// The mixing model: order-0, order-1, order-2 (hashed) bit predictors.
 struct Mixer {
-    o0: Vec<Counter>,
-    o1: Vec<Counter>,
-    o2: Vec<Counter>,
+    /// [tree node].
+    o0: [Counter; 256],
+    /// [previous byte][tree node].
+    o1: Box<[[Counter; 256]; 256]>,
+    /// [hash of the two bytes before][tree node].
+    o2: Box<[[Counter; 256]; 1 << O2_BITS]>,
     /// Sliding byte context.
     h1: u8,
     h2: u16,
@@ -61,40 +67,23 @@ struct Mixer {
 impl Mixer {
     fn new() -> Self {
         Mixer {
-            o0: vec![Counter::new(); 256],
-            o1: vec![Counter::new(); 256 * 256],
-            o2: vec![Counter::new(); (1 << O2_BITS) * 256],
+            o0: Fresh::fresh(),
+            o1: grid(),
+            o2: grid(),
             h1: 0,
             h2: 0,
         }
     }
 
-    fn ctxs(&self, node: usize) -> (usize, usize, usize) {
+    /// The counters of `node` under each order's context.
+    fn counters(&mut self, node: usize) -> [&mut Counter; 3] {
         let o2h =
             ((self.h2 as usize).wrapping_mul(0x9E3779B1) >> (32 - O2_BITS)) & ((1 << O2_BITS) - 1);
-        (node, self.h1 as usize * 256 + node, o2h * 256 + node)
-    }
-
-    fn predict(&self, node: usize) -> u16 {
-        let (i0, i1, i2) = self.ctxs(node);
-        let (p0, w0) = self.o0[i0].prob_false_and_weight();
-        let (p1, w1) = self.o1[i1].prob_false_and_weight();
-        let (p2, w2) = self.o2[i2].prob_false_and_weight();
-        // Confidence-weighted average with a weak uniform prior; higher
-        // orders get a 4x voice per observation.
-        let num = (1 << 15) as u64
-            + (p0 as u64 * w0 as u64)
-            + (p1 as u64 * (w1 as u64 * 4))
-            + (p2 as u64 * (w2 as u64 * 16));
-        let den = 1u64 + w0 as u64 + w1 as u64 * 4 + w2 as u64 * 16;
-        ((num / den) as u32).clamp(1, 65535) as u16
-    }
-
-    fn update(&mut self, node: usize, bit: bool) {
-        let (i0, i1, i2) = self.ctxs(node);
-        self.o0[i0].record(bit);
-        self.o1[i1].record(bit);
-        self.o2[i2].record(bit);
+        [
+            &mut self.o0[node],
+            &mut self.o1[self.h1 as usize][node],
+            &mut self.o2[o2h][node],
+        ]
     }
 
     /// Code one byte (ignored when decoding), most-significant bit
@@ -102,9 +91,11 @@ impl Mixer {
     fn code_byte<C: Coder>(&mut self, c: &mut C, byte: u8) -> u8 {
         let mut node = 1usize;
         for i in (0..8).rev() {
-            let p = self.predict(node);
-            let bit = c.code_with_prob((byte >> i) & 1 == 1, p);
-            self.update(node, bit);
+            let counters = self.counters(node);
+            let bit = c.code_with_prob((byte >> i) & 1 == 1, mix(&counters));
+            for counter in counters {
+                counter.record(bit);
+            }
             node = node * 2 + bit as usize;
         }
         // `node` is now `256 + byte`.
@@ -113,6 +104,21 @@ impl Mixer {
         self.h1 = byte;
         byte
     }
+}
+
+/// The mixed probability that the next bit is `false`: a
+/// confidence-weighted average of the order-0, -1 and -2 counters with a
+/// weak uniform prior; higher orders get a 4x voice per observation.
+fn mix([o0, o1, o2]: &[&mut Counter; 3]) -> u16 {
+    let (p0, w0) = o0.prob_false_and_weight();
+    let (p1, w1) = o1.prob_false_and_weight();
+    let (p2, w2) = o2.prob_false_and_weight();
+    let num = (1 << 15) as u64
+        + (p0 as u64 * w0 as u64)
+        + (p1 as u64 * (w1 as u64 * 4))
+        + (p2 as u64 * (w2 as u64 * 16));
+    let den = 1u64 + w0 as u64 + w1 as u64 * 4 + w2 as u64 * 16;
+    ((num / den) as u32).clamp(1, 65535) as u16
 }
 
 /// Compress bytes with the context mixer.

@@ -11,7 +11,7 @@
 //! | [`LzFastCodec`] | Zstandard speed class | greedy LZ, byte-oriented, very fast |
 //! | [`RangeLzCodec`] | LZMA class | LZ + adaptive range-coded entropy, slower, denser |
 //! | [`JpegRescanCodec`] | JPEGrescan/jpegtran | optimal Huffman tables, pixel-exact, reversible |
-//! | [`MozArithCodec`] | MozJPEG arithmetic | ~300-bin spec-style arithmetic JPEG |
+//! | [`MozArithCodec`] | MozJPEG arithmetic | 132-bin spec-style arithmetic JPEG (the spec's ~300-bin order) |
 //! | [`PackJpgCodec`] | PackJPG | *global* band-sorted context model, single-threaded, whole-file |
 //! | [`PaqCodec`] | PAQ8PX | context-mixing fallback for non-JPEGs + best-ratio JPEG path, very slow |
 //! | [`LeptonCodec`] | this paper | local contexts, streaming, multithreaded |

@@ -9,6 +9,7 @@
 use crate::codec::{varint, Codec, CodecError};
 use lepton_arith::{BoolDecoder, BoolEncoder, Branch, Coder, SliceSource};
 use lepton_deflate::lz77::{Matcher, MatcherConfig, Token};
+use lepton_model::bins::{grid, Fresh};
 use lepton_model::coef_coder::code_tree;
 
 /// Fast byte-oriented LZ (Zstandard speed class): tokens are emitted in
@@ -104,35 +105,34 @@ pub struct RangeLzCodec;
 
 struct LitModel {
     /// Order-1 bitwise contexts: [prev byte][tree node].
-    bins: Vec<Branch>,
+    bins: Box<[[Branch; 256]; 256]>,
 }
 
 impl LitModel {
     fn new() -> Self {
-        LitModel {
-            bins: vec![Branch::new(); 256 * 256],
-        }
+        LitModel { bins: grid() }
     }
 
     /// Code `byte` (ignored when decoding) after `prev`; returns the
     /// byte coded.
     fn code<C: Coder>(&mut self, c: &mut C, prev: u8, byte: u8) -> u8 {
-        let base = prev as usize * 256;
-        code_tree(c, byte as u32, 8, &mut self.bins[base..base + 256]) as u8
+        code_tree(c, byte as u32, 8, &mut self.bins[prev as usize]) as u8
     }
 }
 
 /// Adaptive Exp-Golomb-ish coder for lengths/distances.
 struct NumModel {
-    exp: Vec<Branch>,
-    bits: Vec<Branch>,
+    /// Unary exponent: [pos].
+    exp: [Branch; 32],
+    /// Bits below the leading one: [pos].
+    bits: [Branch; 32],
 }
 
 impl NumModel {
     fn new() -> Self {
         NumModel {
-            exp: vec![Branch::new(); 32],
-            bits: vec![Branch::new(); 32],
+            exp: Fresh::fresh(),
+            bits: Fresh::fresh(),
         }
     }
 

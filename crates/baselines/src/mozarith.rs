@@ -13,9 +13,10 @@
 use crate::codec::{decode_carried, encode_carried, Codec, CodecError, OutOfRange};
 use lepton_arith::{Branch, Coder};
 use lepton_jpeg::{CoefPlanes, ZIGZAG};
+use lepton_model::bins::Fresh;
 use lepton_model::coef_coder::{code_value, fits};
 
-/// The ~300-bin arithmetic JPEG codec.
+/// The spec-class arithmetic JPEG codec (132 bins per component class).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MozArithCodec;
 
@@ -35,37 +36,33 @@ const NBANDS: usize = 4;
 const DC_EXP: usize = 13;
 const AC_EXP: usize = 11;
 
-/// Small-model state: ≈ (5 DC ctx × 13 + 13) + 8 bands × (eob + exp 11 +
-/// sign + resid) ≈ 300 bins, matching the spec's order of magnitude.
+/// Small-model state: 5 DC contexts × (13 exponent + 1 sign) + 13
+/// residual bins, and 4 bands × (1 end-of-block + 11 exponent) + 1
+/// sign bin: 132 bins, the spec's order of magnitude.
 struct SmallModel {
-    dc_exp: Vec<Branch>,   // [5 prev-diff ctx][13]
-    dc_sign: Vec<Branch>,  // [5]
-    dc_resid: Vec<Branch>, // [13]
-    eob: Vec<Branch>,      // [NBANDS]
-    exp: Vec<Branch>,      // [NBANDS][11]
-    sign: Branch,          // shared: the spec codes AC signs near 50-50
+    /// DC difference exponent: [prev-diff ctx][pos].
+    dc_exp: [[Branch; DC_EXP]; 5],
+    /// DC sign: [prev-diff ctx].
+    dc_sign: [Branch; 5],
+    dc_resid: [Branch; DC_EXP],
+    /// End of block: [band].
+    eob: [Branch; NBANDS],
+    /// AC exponent: [band][pos].
+    exp: [[Branch; AC_EXP]; NBANDS],
+    /// Shared: the spec codes AC signs near 50-50.
+    sign: Branch,
 }
 
 impl SmallModel {
     fn new() -> Self {
         SmallModel {
-            dc_exp: vec![Branch::new(); 5 * DC_EXP],
-            dc_sign: vec![Branch::new(); 5],
-            dc_resid: vec![Branch::new(); DC_EXP],
-            eob: vec![Branch::new(); NBANDS],
-            exp: vec![Branch::new(); NBANDS * AC_EXP],
-            sign: Branch::new(),
+            dc_exp: Fresh::fresh(),
+            dc_sign: Fresh::fresh(),
+            dc_resid: Fresh::fresh(),
+            eob: Fresh::fresh(),
+            exp: Fresh::fresh(),
+            sign: Fresh::fresh(),
         }
-    }
-
-    #[cfg(test)]
-    fn bin_count(&self) -> usize {
-        self.dc_exp.len()
-            + self.dc_sign.len()
-            + self.dc_resid.len()
-            + self.eob.len()
-            + self.exp.len()
-            + 1
     }
 }
 
@@ -133,7 +130,7 @@ fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOf
                     c,
                     diff,
                     DC_EXP,
-                    &mut m.dc_exp[ctx * DC_EXP..(ctx + 1) * DC_EXP],
+                    &mut m.dc_exp[ctx],
                     &mut m.dc_sign[ctx],
                     &mut m.dc_resid,
                 );
@@ -148,12 +145,7 @@ fn code_planes<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOf
                         break;
                     }
                     let coef = &mut block[ZIGZAG[k]];
-                    let v = code_ac(
-                        c,
-                        *coef as i32,
-                        &mut m.exp[b * AC_EXP..(b + 1) * AC_EXP],
-                        &mut m.sign,
-                    );
+                    let v = code_ac(c, *coef as i32, &mut m.exp[b], &mut m.sign);
                     *coef = v.clamp(-2047, 2047) as i16;
                 }
             }
@@ -232,6 +224,7 @@ mod tests {
 
     #[test]
     fn model_is_small() {
-        assert!(SmallModel::new().bin_count() <= 350);
+        let bins = std::mem::size_of::<SmallModel>() / std::mem::size_of::<Branch>();
+        assert_eq!(bins, 132);
     }
 }

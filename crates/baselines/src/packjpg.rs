@@ -14,6 +14,7 @@
 use crate::codec::{decode_carried, encode_carried, Codec, CodecError, OutOfRange};
 use lepton_arith::{Branch, Coder};
 use lepton_jpeg::{CoefPlanes, ZIGZAG};
+use lepton_model::bins::{grid, log159_bucket, magnitude_bucket, sign_ctx, Fresh};
 use lepton_model::coef_coder::{code_tree, code_value, fits};
 
 /// The PackJPG-class codec.
@@ -25,54 +26,37 @@ const DC_EXP: usize = 13;
 
 /// Per-component-class bins for the band-major model.
 struct BandModel {
-    /// DC delta: [pred bucket 12][exp 13].
-    dc_exp: Vec<Branch>,
-    dc_sign: Vec<Branch>,
-    dc_resid: Vec<Branch>,
-    /// AC: [band 63][neighbor bucket 12][exp 11].
-    ac_exp: Vec<Branch>,
-    /// AC sign: [band 63][sign ctx 3].
-    ac_sign: Vec<Branch>,
-    ac_resid: Vec<Branch>,
-    /// Per-block AC nonzero count: [neighbor bucket 10][6-bit tree].
-    nz: Vec<Branch>,
+    /// DC delta exponent: [pred bucket][pos].
+    dc_exp: [[Branch; DC_EXP]; 12],
+    /// DC sign: [pred sign ctx].
+    dc_sign: [Branch; 3],
+    dc_resid: [Branch; DC_EXP],
+    /// AC exponent: [band][neighbor bucket][pos].
+    ac_exp: Box<[[[Branch; AC_EXP]; 12]; 63]>,
+    /// AC sign: [band][neighbor sign ctx].
+    ac_sign: [[Branch; 3]; 63],
+    ac_resid: [Branch; AC_EXP],
+    /// Per-block AC nonzero count: [neighbor bucket][6-bit tree].
+    nz: [[Branch; 64]; 10],
 }
 
 impl BandModel {
     fn new() -> Self {
         BandModel {
-            dc_exp: vec![Branch::new(); 12 * DC_EXP],
-            dc_sign: vec![Branch::new(); 3],
-            dc_resid: vec![Branch::new(); DC_EXP],
-            ac_exp: vec![Branch::new(); 63 * 12 * AC_EXP],
-            ac_sign: vec![Branch::new(); 63 * 3],
-            ac_resid: vec![Branch::new(); AC_EXP],
-            nz: vec![Branch::new(); 10 * 64],
+            dc_exp: Fresh::fresh(),
+            dc_sign: Fresh::fresh(),
+            dc_resid: Fresh::fresh(),
+            ac_exp: grid(),
+            ac_sign: Fresh::fresh(),
+            ac_resid: Fresh::fresh(),
+            nz: Fresh::fresh(),
         }
     }
-}
-
-/// `⌊log1.59⌋`-style bucket of a nonzero count (0..=9).
-fn nz_bucket(x: u32) -> usize {
-    const THRESH: [u32; 9] = [2, 3, 5, 7, 11, 17, 26, 41, 65];
-    THRESH.iter().take_while(|&&t| x >= t).count()
 }
 
 /// Count nonzero AC coefficients in a block (0..=63).
 fn count_ac(block: &[i16; 64]) -> u32 {
     (1..64).filter(|&r| block[r] != 0).count() as u32
-}
-
-fn bucket(x: u32) -> usize {
-    (32 - x.leading_zeros()).min(11) as usize
-}
-
-fn sign3(v: i32) -> usize {
-    match v.signum() {
-        -1 => 0,
-        0 => 1,
-        _ => 2,
-    }
 }
 
 /// The band-major walk over every plane, for both directions: `planes`
@@ -96,7 +80,7 @@ fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOf
                     (None, None) => 0,
                 }
                 .clamp(-2047, 2047);
-                let pb = bucket(pred.unsigned_abs());
+                let pb = magnitude_bucket(pred.unsigned_abs(), 11);
                 let dc = &mut plane.block_mut(bx, by)[0];
                 let delta = *dc as i32 - pred;
                 if !fits(delta, DC_EXP) {
@@ -106,8 +90,8 @@ fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOf
                     c,
                     delta,
                     DC_EXP,
-                    &mut m.dc_exp[pb * DC_EXP..(pb + 1) * DC_EXP],
-                    &mut m.dc_sign[sign3(pred)],
+                    &mut m.dc_exp[pb],
+                    &mut m.dc_sign[sign_ctx(pred)],
                     &mut m.dc_resid,
                 );
                 *dc = (pred + delta).clamp(i16::MIN as i32, i16::MAX as i32) as i16;
@@ -131,9 +115,9 @@ fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOf
                 } else {
                     0
                 };
-                let ctx = nz_bucket((na + nl) / 2);
+                let ctx = log159_bucket((na + nl) / 2);
                 let n = count_ac(plane.block(bx, by));
-                let n = code_tree(c, n, 6, &mut m.nz[ctx * 64..(ctx + 1) * 64]);
+                let n = code_tree(c, n, 6, &mut m.nz[ctx]);
                 remaining[by * plane.blocks_w + bx] = n.min(63);
             }
         }
@@ -156,16 +140,15 @@ fn code_global<C: Coder>(c: &mut C, planes: &mut CoefPlanes) -> Result<(), OutOf
                     } else {
                         0
                     };
-                    let nb = bucket((a.unsigned_abs() + l.unsigned_abs()) / 2);
-                    let sctx = sign3((a + l) / 2);
-                    let base = ((k - 1) * 12 + nb) * AC_EXP;
+                    let nb = magnitude_bucket((a.unsigned_abs() + l.unsigned_abs()) / 2, 11);
+                    let sctx = sign_ctx((a + l) / 2);
                     let coef = &mut plane.block_mut(bx, by)[r];
                     let v = code_value(
                         c,
                         *coef as i32,
                         AC_EXP,
-                        &mut m.ac_exp[base..base + AC_EXP],
-                        &mut m.ac_sign[(k - 1) * 3 + sctx],
+                        &mut m.ac_exp[k - 1][nb],
+                        &mut m.ac_sign[k - 1][sctx],
                         &mut m.ac_resid,
                     );
                     *coef = v.clamp(-2047, 2047) as i16;

@@ -1,214 +1,146 @@
-//! Bounds-checked statistic-bin storage.
+//! Statistic bins: the grids the model keeps them in, and the context
+//! buckets that index them.
 //!
 //! The paper's §6.1 incident — a reversed multidimensional index that
 //! compiled fine and silently produced nondeterministic output under one
 //! compiler — led the authors to wrap every bin array in a class that
-//! enforces bounds checks, at a measured ~10% cost they chose to keep.
-//! [`BinGrid`] is that abstraction: a flat `Vec<Branch>` with explicit
-//! (inline, rank ≤ 4) dimensions, where every lookup asserts each
-//! coordinate against its axis (not just the flattened offset, which is
-//! what the reversed index defeated).
-//!
-//! Two generations of accessors coexist:
-//!
-//! * the original slice-indexed [`BinGrid::at`] / [`BinGrid::row`]
-//!   (rank-checked, coordinate slice walked per call) — kept for tests
-//!   and generic tooling;
-//! * typed fixed-arity accessors ([`BinGrid::at1`]/[`BinGrid::at2`],
-//!   [`BinGrid::row0`]–[`BinGrid::row3`]) used by the codec hot path.
-//!   They keep the §6.1 *per-axis* bounds checks — that is the check
-//!   that caught the reversed index, and the paper's lesson we refuse
-//!   to unlearn — but drop what the incident does **not** require: the
-//!   runtime rank assert (arity is now in the signature, so a rank
-//!   mismatch is a compile-visible bug and only `debug_assert`ed), the
-//!   temporary coordinate slice, and the per-call walk over `dims`.
-//!   Offsets come from precomputed strides instead.
+//! checks each axis, at a measured ~10% cost they chose to keep. Here a
+//! grid's type is its shape: every model keeps its bins in nested
+//! fixed-size arrays, such as `[[[[Branch; 11]; 10]; 12]; 49]`. Each
+//! index is checked against its own axis by the language, so a reversed
+//! index that lands inside the allocation still panics, and an index of
+//! the wrong rank does not compile.
 
 use lepton_arith::Branch;
+use std::mem::size_of;
 
-/// Highest grid rank the model uses; `dims`/`strides` are stored inline
-/// at this length so a hot-path lookup reads them without a pointer
-/// chase or a slice bounds check.
-const MAX_RANK: usize = 4;
+/// Widest Exp-Golomb exponent of an AC coefficient (baseline range
+/// ±1023, with headroom to ±2047): the last axis of the AC exponent and
+/// residual grids.
+pub(crate) const AC_MAX_EXP: usize = 11;
+/// Widest exponent of the DC delta (±8191).
+pub(crate) const DC_MAX_EXP: usize = 13;
 
-/// A dense N-dimensional grid (N ≤ 4) of adaptive bins with per-axis
-/// checking.
-#[derive(Clone, Debug)]
-pub struct BinGrid {
-    rank: usize,
-    /// Axis lengths; axes at and beyond `rank` have length 1.
-    dims: [usize; MAX_RANK],
-    /// `strides[i]` = number of bins spanned by one step along axis `i`
-    /// (`strides[rank - 1] == 1`). Precomputed so hot-path offset math
-    /// is a few multiplies instead of a walk over `dims`.
-    strides: [usize; MAX_RANK],
-    bins: Vec<Branch>,
+/// A bin, or a nested array of bins, in the state it starts from.
+pub trait Fresh: Copy {
+    /// The state before any bit is coded. Built at run time, not a
+    /// `const`: a constant row would be an image in the binary.
+    fn fresh() -> Self;
 }
 
-impl BinGrid {
-    /// Allocate a grid with the given dimensions, all bins fresh (50-50).
-    pub fn new(shape: &[usize]) -> Self {
-        let rank = shape.len();
-        assert!((1..=MAX_RANK).contains(&rank), "bin grid rank {rank}");
-        let mut dims = [1usize; MAX_RANK];
-        dims[..rank].copy_from_slice(shape);
-        let n: usize = dims.iter().product();
-        assert!(n > 0, "empty bin grid");
-        let mut strides = [1usize; MAX_RANK];
-        for i in (0..rank - 1).rev() {
-            strides[i] = strides[i + 1] * dims[i + 1];
-        }
-        BinGrid {
-            rank,
-            dims,
-            strides,
-            bins: vec![Branch::new(); n],
-        }
+impl Fresh for Branch {
+    /// The 50-50 prior.
+    fn fresh() -> Self {
+        Branch::new()
     }
+}
 
-    /// Number of bins.
-    pub fn len(&self) -> usize {
-        self.bins.len()
+impl<T: Fresh, const N: usize> Fresh for [T; N] {
+    fn fresh() -> Self {
+        [T::fresh(); N]
     }
+}
 
-    /// Always false; grids are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
+/// A fresh grid of `N` rows on the heap, cloned from one row built at
+/// run time: no image of the grid lands in the binary, and only one row
+/// passes through the stack.
+pub fn grid<T: Fresh, const N: usize>() -> Box<[T; N]> {
+    let rows = vec![T::fresh(); N].into_boxed_slice();
+    rows.try_into().unwrap_or_else(|_| unreachable!("{N} rows"))
+}
 
-    /// Reset every bin to the fresh 50-50 prior without reallocating —
-    /// the arena-reuse path: a pooled model is reset between jobs
-    /// instead of being rebuilt allocation by allocation.
+/// One edge strip's exponent bins: [edge coef][pred bucket][remaining][pos].
+type StripExp = [[[[Branch; AC_MAX_EXP]; 8]; 12]; 7];
+
+/// The statistic bins of one [`ComponentModel`](crate::ComponentModel),
+/// one boxed grid per context.
+#[derive(PartialEq)]
+pub(crate) struct Bins {
+    /// 7x7 nonzero count: [neighbor-count bucket][6-bit tree].
+    pub nz77: Box<[[Branch; 64]; 10]>,
+    /// Edge-strip nonzero count: [row/col][nz77 bucket][3-bit tree].
+    pub nz_edge: Box<[[[Branch; 8]; 10]; 2]>,
+    /// 7x7 exponent unary bits: [coef][pred bucket][remaining bucket][pos].
+    pub exp77: Box<[[[[Branch; AC_MAX_EXP]; 10]; 12]; 49]>,
+    /// 7x7 sign: [coef][neighbor sign ctx].
+    pub sign77: Box<[[Branch; 3]; 49]>,
+    /// 7x7 residual bits: [coef][pos].
+    pub resid77: Box<[[Branch; AC_MAX_EXP]; 49]>,
+    /// Edge exponent: [row/col][edge coef][pred bucket][remaining][pos].
+    pub exp_edge: Box<[StripExp; 2]>,
+    /// Edge sign: [row/col][edge coef][pred sign ctx].
+    pub sign_edge: Box<[[[Branch; 3]; 7]; 2]>,
+    /// Edge residual: [row/col][edge coef][pos].
+    pub resid_edge: Box<[[[Branch; AC_MAX_EXP]; 7]; 2]>,
+    /// DC delta exponent: [confidence bucket][pos].
+    pub exp_dc: Box<[[Branch; DC_MAX_EXP]; 13]>,
+    /// DC sign: [pred sign ctx].
+    pub sign_dc: Box<[Branch; 3]>,
+    /// DC residual bits: [pos].
+    pub resid_dc: Box<[Branch; DC_MAX_EXP]>,
+}
+
+impl Bins {
+    /// Heap bytes of all the grids: the size of each field's array type.
+    pub const BYTES: usize = size_of::<[[Branch; 64]; 10]>()
+        + size_of::<[[[Branch; 8]; 10]; 2]>()
+        + size_of::<[[[[Branch; AC_MAX_EXP]; 10]; 12]; 49]>()
+        + size_of::<[[Branch; 3]; 49]>()
+        + size_of::<[[Branch; AC_MAX_EXP]; 49]>()
+        + size_of::<[StripExp; 2]>()
+        + size_of::<[[[Branch; 3]; 7]; 2]>()
+        + size_of::<[[[Branch; AC_MAX_EXP]; 7]; 2]>()
+        + size_of::<[[Branch; DC_MAX_EXP]; 13]>()
+        + size_of::<[Branch; 3]>()
+        + size_of::<[Branch; DC_MAX_EXP]>();
+
+    /// Every bin back at its fresh state, in place: no grid is
+    /// reallocated. The destructuring names every field, so a grid added
+    /// to the struct and left out here does not compile.
     pub fn reset(&mut self) {
-        self.bins.fill(Branch::new());
+        let Bins {
+            nz77,
+            nz_edge,
+            exp77,
+            sign77,
+            resid77,
+            exp_edge,
+            sign_edge,
+            resid_edge,
+            exp_dc,
+            sign_dc,
+            resid_dc,
+        } = self;
+        nz77.fill(Fresh::fresh());
+        nz_edge.fill(Fresh::fresh());
+        exp77.fill(Fresh::fresh());
+        sign77.fill(Fresh::fresh());
+        resid77.fill(Fresh::fresh());
+        exp_edge.fill(Fresh::fresh());
+        sign_edge.fill(Fresh::fresh());
+        resid_edge.fill(Fresh::fresh());
+        exp_dc.fill(Fresh::fresh());
+        sign_dc.fill(Fresh::fresh());
+        resid_dc.fill(Fresh::fresh());
     }
+}
 
-    #[inline]
-    fn flatten(&self, idx: &[usize]) -> usize {
-        assert_eq!(
-            idx.len(),
-            self.rank,
-            "bin index rank {} != grid rank {}",
-            idx.len(),
-            self.rank
-        );
-        let mut off = 0usize;
-        for (i, (&x, &d)) in idx.iter().zip(self.dims.iter()).enumerate() {
-            assert!(x < d, "bin axis {i} out of bounds: {x} >= {d}");
-            off = off * d + x;
+impl Default for Bins {
+    /// Every bin at its fresh state.
+    fn default() -> Self {
+        Bins {
+            nz77: grid(),
+            nz_edge: grid(),
+            exp77: grid(),
+            sign77: grid(),
+            resid77: grid(),
+            exp_edge: grid(),
+            sign_edge: grid(),
+            resid_edge: grid(),
+            exp_dc: grid(),
+            sign_dc: grid(),
+            resid_dc: grid(),
         }
-        off
-    }
-
-    #[inline]
-    #[track_caller]
-    fn check_axis(&self, axis: usize, x: usize) {
-        assert!(
-            x < self.dims[axis],
-            "bin axis {axis} out of bounds: {x} >= {}",
-            self.dims[axis]
-        );
-    }
-
-    /// Mutable bin at the given coordinates (asserts each axis).
-    #[inline]
-    pub fn at(&mut self, idx: &[usize]) -> &mut Branch {
-        let off = self.flatten(idx);
-        &mut self.bins[off]
-    }
-
-    /// Read-only bin access (for inspection/tests).
-    #[inline]
-    pub fn get(&self, idx: &[usize]) -> &Branch {
-        let off = self.flatten(idx);
-        &self.bins[off]
-    }
-
-    /// Mutable bin of a rank-1 grid (per-axis checked, stride-free).
-    #[inline]
-    pub fn at1(&mut self, a: usize) -> &mut Branch {
-        debug_assert_eq!(self.rank, 1, "at1 on rank-{} grid", self.rank);
-        self.check_axis(0, a);
-        &mut self.bins[a]
-    }
-
-    /// Mutable bin of a rank-2 grid (per-axis checked, strided offset).
-    #[inline]
-    pub fn at2(&mut self, a: usize, b: usize) -> &mut Branch {
-        debug_assert_eq!(self.rank, 2, "at2 on rank-{} grid", self.rank);
-        self.check_axis(0, a);
-        self.check_axis(1, b);
-        let off = a * self.strides[0] + b;
-        &mut self.bins[off]
-    }
-
-    /// The whole bin row of a rank-1 grid.
-    #[inline]
-    pub fn row0(&mut self) -> &mut [Branch] {
-        debug_assert_eq!(self.rank, 1, "row0 on rank-{} grid", self.rank);
-        &mut self.bins
-    }
-
-    /// Last-axis row of a rank-2 grid with the leading axis fixed
-    /// (per-axis checked, strided offset).
-    #[inline]
-    pub fn row1(&mut self, a: usize) -> &mut [Branch] {
-        debug_assert_eq!(self.rank, 2, "row1 on rank-{} grid", self.rank);
-        self.check_axis(0, a);
-        let start = a * self.strides[0];
-        let len = self.strides[0];
-        &mut self.bins[start..start + len]
-    }
-
-    /// Last-axis row of a rank-3 grid with both leading axes fixed.
-    #[inline]
-    pub fn row2(&mut self, a: usize, b: usize) -> &mut [Branch] {
-        debug_assert_eq!(self.rank, 3, "row2 on rank-{} grid", self.rank);
-        self.check_axis(0, a);
-        self.check_axis(1, b);
-        let start = a * self.strides[0] + b * self.strides[1];
-        let len = self.strides[1];
-        &mut self.bins[start..start + len]
-    }
-
-    /// Last-axis row of a rank-4 grid with the three leading axes fixed.
-    #[inline]
-    pub fn row3(&mut self, a: usize, b: usize, c: usize) -> &mut [Branch] {
-        debug_assert_eq!(self.rank, 4, "row3 on rank-{} grid", self.rank);
-        self.check_axis(0, a);
-        self.check_axis(1, b);
-        self.check_axis(2, c);
-        let start = a * self.strides[0] + b * self.strides[1] + c * self.strides[2];
-        let len = self.strides[2];
-        &mut self.bins[start..start + len]
-    }
-
-    /// Mutable slice over the last axis, with all leading axes fixed by
-    /// `prefix` (each checked). Generic-rank counterpart of
-    /// [`row1`](Self::row1)–[`row3`](Self::row3).
-    #[inline]
-    pub fn row(&mut self, prefix: &[usize]) -> &mut [Branch] {
-        assert_eq!(
-            prefix.len() + 1,
-            self.rank,
-            "row prefix rank {} != grid rank {} - 1",
-            prefix.len(),
-            self.rank
-        );
-        let mut off = 0usize;
-        for (i, (&x, &d)) in prefix.iter().zip(self.dims.iter()).enumerate() {
-            assert!(x < d, "bin axis {i} out of bounds: {x} >= {d}");
-            off = off * d + x;
-        }
-        let last = self.dims[self.rank - 1];
-        let start = off * last;
-        &mut self.bins[start..start + last]
-    }
-
-    /// Count of bins that have adapted away from the 50-50 prior
-    /// (instrumentation: how much of the model a file actually touches).
-    pub fn touched(&self) -> usize {
-        self.bins.iter().filter(|b| !b.is_fresh()).count()
     }
 }
 
@@ -220,7 +152,7 @@ impl BinGrid {
 /// nonzero-count domain; larger inputs take the arithmetic path.
 #[inline]
 pub fn log159_bucket(x: u32) -> usize {
-    // Thresholds: 1.59^b for b = 1..=9, precomputed and rounded.
+    // Thresholds: ⌈1.59^b⌉ for b = 1..=9.
     const THRESH: [u32; 9] = [2, 3, 5, 7, 11, 17, 26, 41, 65];
     const DIRECT: [u8; 66] = {
         let mut t = [0u8; 66];
@@ -249,103 +181,78 @@ pub fn magnitude_bucket(x: u32, max: usize) -> usize {
     ((32 - x.leading_zeros()) as usize).min(max)
 }
 
+/// Sign context: 0 for negative, 1 for zero, 2 for positive.
+#[inline]
+pub fn sign_ctx(v: i32) -> usize {
+    match v.signum() {
+        -1 => 0,
+        0 => 1,
+        _ => 2,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
     #[test]
     fn grid_shape_and_independence() {
-        let mut g = BinGrid::new(&[3, 4, 5]);
-        assert_eq!(g.len(), 60);
-        g.at(&[2, 3, 4]).record(true);
-        g.at(&[0, 0, 0]).record(false);
-        assert_eq!(g.touched(), 2);
-        assert!(g.get(&[1, 1, 1]).is_fresh());
+        assert_eq!(Bins::BYTES, 81_331 * size_of::<Branch>());
+        // Recording one bin moves that bin only.
+        let mut b = Bins::default();
+        b.exp77[48][11][9][10].record(true);
+        assert_ne!(b.exp77[48][11][9][10], Branch::new());
+        b.exp77[48][11][9][10] = Branch::new();
+        assert!(b == Bins::default());
     }
 
     #[test]
-    #[should_panic(expected = "axis 1 out of bounds")]
+    #[should_panic(expected = "index out of bounds")]
     fn per_axis_bounds_checked() {
         // The §6.1 bug: swapped indices that still land in the flat
-        // allocation. Per-axis checks catch it.
-        let mut g = BinGrid::new(&[10, 2]);
-        let _ = g.at(&[1, 9]);
+        // allocation (bin 46 of 147). The axis check catches it.
+        let (ki, sc) = black_box((40, 2));
+        Bins::default().sign77[sc][ki].record(true);
     }
 
     #[test]
-    #[should_panic(expected = "axis 1 out of bounds")]
+    #[should_panic(expected = "index out of bounds")]
     fn typed_accessors_keep_per_axis_checks() {
-        // Same reversed-index scenario through the strided fast path:
-        // the offset 1*2 + 9 = 11 is inside the 20-bin allocation, so
-        // only the per-axis check can catch it.
-        let mut g = BinGrid::new(&[10, 2]);
-        let _ = g.at2(1, 9);
+        // The same reversal on the inner axes of a rank-4 grid: the
+        // prediction bucket (up to 11) in the remaining-count axis (10).
+        let (ki, pb, nzb) = black_box((3, 11, 2));
+        Bins::default().exp77[ki][nzb][pb][0].record(true);
     }
 
     #[test]
-    #[should_panic(expected = "axis 0 out of bounds")]
+    #[should_panic(expected = "index out of bounds")]
     fn typed_rows_keep_per_axis_checks() {
-        let mut g = BinGrid::new(&[4, 3, 5]);
-        let _ = g.row2(4, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank")]
-    fn rank_checked() {
-        let mut g = BinGrid::new(&[4, 4]);
-        let _ = g.at(&[1]);
-    }
-
-    #[test]
-    fn typed_accessors_match_generic() {
-        let mut g = BinGrid::new(&[3, 4, 5, 6]);
-        // Touch through the typed path, observe through the generic one.
-        g.row3(2, 3, 4)[5].record(true);
-        assert!(!g.get(&[2, 3, 4, 5]).is_fresh());
-        assert_eq!(g.touched(), 1);
-
-        let mut g2 = BinGrid::new(&[7, 3]);
-        g2.at2(6, 2).record(false);
-        assert!(!g2.get(&[6, 2]).is_fresh());
-        g2.row1(5)[1].record(true);
-        assert!(!g2.get(&[5, 1]).is_fresh());
-
-        let mut g1 = BinGrid::new(&[9]);
-        g1.at1(8).record(true);
-        assert!(!g1.get(&[8]).is_fresh());
-        g1.row0()[0].record(true);
-        assert!(!g1.get(&[0]).is_fresh());
-
-        let mut g3 = BinGrid::new(&[2, 5, 4]);
-        g3.row2(1, 4)[3].record(true);
-        assert!(!g3.get(&[1, 4, 3]).is_fresh());
+        // A whole row taken one past the leading axis.
+        let _ = &mut Bins::default().resid77[black_box(49)];
     }
 
     #[test]
     fn rows_cover_exactly_the_last_axis() {
-        let mut g = BinGrid::new(&[2, 3, 4, 5]);
-        assert_eq!(g.row3(1, 2, 3).len(), 5);
-        let mut g = BinGrid::new(&[2, 3, 4]);
-        assert_eq!(g.row2(1, 2).len(), 4);
-        let mut g = BinGrid::new(&[2, 3]);
-        assert_eq!(g.row1(1).len(), 3);
-        let mut g = BinGrid::new(&[13]);
-        assert_eq!(g.row0().len(), 13);
+        // What the walk hands `code_value` and `code_tree`: exponent and
+        // residual rows of the coded range, and whole trees.
+        let b = Bins::default();
+        assert_eq!(b.exp77[0][0][0].len(), AC_MAX_EXP);
+        assert_eq!(b.resid_edge[1][6].len(), AC_MAX_EXP);
+        assert_eq!(b.exp_dc[12].len(), DC_MAX_EXP);
+        assert_eq!((b.nz77[9].len(), b.nz_edge[1][9].len()), (1 << 6, 1 << 3));
     }
 
     #[test]
     fn reset_restores_fresh_state() {
-        let mut g = BinGrid::new(&[4, 4]);
-        for a in 0..4 {
-            for b in 0..4 {
-                g.at2(a, b).record(a % 2 == 0);
-            }
+        let mut b = Bins::default();
+        for row in b.exp_edge.iter_mut().flatten().flatten().flatten() {
+            row[0].record(true);
         }
-        assert_eq!(g.touched(), 16);
-        g.reset();
-        assert_eq!(g.touched(), 0);
-        assert_eq!(g.len(), 16);
-        assert_eq!(*g.get(&[3, 3]), Branch::new());
+        b.resid_dc[12].record(false);
+        assert!(b != Bins::default());
+        b.reset();
+        assert!(b == Bins::default());
     }
 
     #[test]

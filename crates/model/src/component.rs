@@ -7,7 +7,7 @@
 //! each start from fresh 50-50 bins and adapt independently (§3.4),
 //! which is why `new()` is cheap and explicit.
 
-use crate::bins::{log159_bucket, magnitude_bucket, BinGrid};
+use crate::bins::{log159_bucket, magnitude_bucket, sign_ctx, Bins, AC_MAX_EXP, DC_MAX_EXP};
 use crate::coef_coder::{code_tree, code_value, fits};
 use crate::context::{
     lakhani_col, lakhani_row, nonzero_counts, predict_dc_gradient, weighted_abs_at,
@@ -17,21 +17,6 @@ use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource, Coder};
 use lepton_jpeg::dct::{idct_ac_borders, AcBorders};
 use lepton_jpeg::scan::nonzero_mask;
 use lepton_jpeg::{CoefBlock, JpegError, ZIGZAG_INV};
-
-/// Maximum Exp-Golomb exponent for AC coefficients (baseline range
-/// ±1023, with headroom to ±2047).
-const AC_MAX_EXP: usize = 11;
-/// Maximum exponent for the DC delta (±8191).
-const DC_MAX_EXP: usize = 13;
-
-#[inline]
-fn sign_ctx(v: i32) -> usize {
-    match v.signum() {
-        -1 => 0,
-        0 => 1,
-        _ => 2,
-    }
-}
 
 /// Compressed-output attribution by coefficient category (drives the
 /// Fig. 4 breakdown). Byte counts are measured from encoder output
@@ -66,80 +51,30 @@ impl CategoryBytes {
 
 /// Adaptive model state for one component class within one thread
 /// segment.
+#[derive(Default, PartialEq)]
 pub struct ComponentModel {
     /// Output-byte attribution accumulated across encoded blocks.
     stats: CategoryBytes,
-    /// 7x7 nonzero count: [neighbor-count bucket][6-bit tree].
-    nz77: BinGrid,
-    /// Edge-strip nonzero count: [row/col][nz77 bucket][3-bit tree].
-    nz_edge: BinGrid,
-    /// 7x7 exponent unary bits: [coef][pred bucket][remaining bucket][pos].
-    exp77: BinGrid,
-    /// 7x7 sign: [coef][neighbor sign ctx].
-    sign77: BinGrid,
-    /// 7x7 residual bits: [coef][pos].
-    resid77: BinGrid,
-    /// Edge exponent: [edge coef 0..14][pred bucket][remaining 0..8][pos].
-    exp_edge: BinGrid,
-    /// Edge sign: [edge coef][pred sign ctx].
-    sign_edge: BinGrid,
-    /// Edge residual: [edge coef][pos].
-    resid_edge: BinGrid,
-    /// DC delta exponent: [confidence bucket][pos].
-    exp_dc: BinGrid,
-    /// DC sign: [pred sign ctx].
-    sign_dc: BinGrid,
-    /// DC residual bits: [pos].
-    resid_dc: BinGrid,
+    /// The adaptive statistic bins.
+    bins: Bins,
 }
-
-impl Default for ComponentModel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Dimensions of every bin grid of a [`ComponentModel`], in field order.
-const GRID_DIMS: [&[usize]; 11] = [
-    &[10, 64],
-    &[2, 10, 8],
-    &[49, 12, 10, AC_MAX_EXP],
-    &[49, 3],
-    &[49, AC_MAX_EXP],
-    &[14, 12, 8, AC_MAX_EXP],
-    &[14, 3],
-    &[14, AC_MAX_EXP],
-    &[13, DC_MAX_EXP],
-    &[3],
-    &[DC_MAX_EXP],
-];
 
 impl ComponentModel {
     /// Fresh model, all bins at 50-50 (the per-thread starting state).
     pub fn new() -> Self {
-        let [nz77, nz_edge, exp77, sign77, resid77, exp_edge, sign_edge, resid_edge, exp_dc, sign_dc, resid_dc] =
-            GRID_DIMS.map(BinGrid::new);
-        ComponentModel {
-            stats: CategoryBytes::default(),
-            nz77,
-            nz_edge,
-            exp77,
-            sign77,
-            resid77,
-            exp_edge,
-            sign_edge,
-            resid_edge,
-            exp_dc,
-            sign_dc,
-            resid_dc,
-        }
+        Self::default()
     }
 
     /// Heap bytes one model's bins occupy — what a job's memory meter
     /// is charged per model it resets, and what sizing plans with.
     pub fn arena_bytes() -> usize {
-        let bins: usize = GRID_DIMS.iter().map(|d| d.iter().product::<usize>()).sum();
-        bins * std::mem::size_of::<Branch>()
+        Bins::BYTES
+    }
+
+    /// Total statistic bins (for the §3.2 comparison: the paper's model
+    /// uses 721,564; ours is the same order of magnitude).
+    pub fn bin_count() -> usize {
+        Bins::BYTES / std::mem::size_of::<Branch>()
     }
 
     /// Reset to the per-thread starting state — every bin back at the
@@ -152,48 +87,7 @@ impl ComponentModel {
     /// one, which the engine-reuse tests enforce byte-for-byte.
     pub fn reset(&mut self) {
         self.stats = CategoryBytes::default();
-        self.nz77.reset();
-        self.nz_edge.reset();
-        self.exp77.reset();
-        self.sign77.reset();
-        self.resid77.reset();
-        self.exp_edge.reset();
-        self.sign_edge.reset();
-        self.resid_edge.reset();
-        self.exp_dc.reset();
-        self.sign_dc.reset();
-        self.resid_dc.reset();
-    }
-
-    /// Total statistic bins allocated (for the §3.2 comparison: the
-    /// paper's model uses 721,564; ours is the same order of magnitude).
-    pub fn bin_count(&self) -> usize {
-        self.nz77.len()
-            + self.nz_edge.len()
-            + self.exp77.len()
-            + self.sign77.len()
-            + self.resid77.len()
-            + self.exp_edge.len()
-            + self.sign_edge.len()
-            + self.resid_edge.len()
-            + self.exp_dc.len()
-            + self.sign_dc.len()
-            + self.resid_dc.len()
-    }
-
-    /// Bins that have adapted away from the prior.
-    pub fn bins_touched(&self) -> usize {
-        self.nz77.touched()
-            + self.nz_edge.touched()
-            + self.exp77.touched()
-            + self.sign77.touched()
-            + self.resid77.touched()
-            + self.exp_edge.touched()
-            + self.sign_edge.touched()
-            + self.resid_edge.touched()
-            + self.exp_dc.touched()
-            + self.sign_dc.touched()
-            + self.resid_dc.touched()
+        self.bins.reset();
     }
 
     /// Output attribution accumulated so far (encode side only).
@@ -256,7 +150,8 @@ impl ComponentModel {
         // 1. Interior nonzero count.
         let mark = c.bytes_so_far();
         let nz_bucket = log159_bucket(nbr.nz_context());
-        let nz = code_tree(c, nz77_in, 6, self.nz77.row1(nz_bucket)).min(49);
+        let b = &mut self.bins;
+        let nz = code_tree(c, nz77_in, 6, &mut b.nz77[nz_bucket]).min(49);
         self.stats.nz += (c.bytes_so_far() - mark) as u64;
         let mark = c.bytes_so_far();
 
@@ -276,9 +171,9 @@ impl ComponentModel {
                 c,
                 out.coefs[r] as i32,
                 AC_MAX_EXP,
-                self.exp77.row3(ki, pb, nzb),
-                self.sign77.at2(ki, sc),
-                self.resid77.row1(ki),
+                &mut b.exp77[ki][pb][nzb],
+                &mut b.sign77[ki][sc],
+                &mut b.resid77[ki],
             );
             if v != 0 {
                 set(out, r, v);
@@ -291,21 +186,20 @@ impl ComponentModel {
         // 3. Edge strips (row then column).
         let nz77b = log159_bucket(nz);
         for (strip, count) in [nz_row, nz_col].into_iter().enumerate() {
-            let mut rem = code_tree(c, count, 3, self.nz_edge.row2(strip, nz77b)) as usize;
+            let mut rem = code_tree(c, count, 3, &mut b.nz_edge[strip][nz77b]) as usize;
             for i in 1..8usize {
                 if rem == 0 {
                     break;
                 }
                 let r = edge_raster(strip, i);
                 let (pb, sc) = edge_ctx(strip, i, &out.deq, nbr);
-                let idx = strip * 7 + i - 1;
                 let v = code_value(
                     c,
                     out.coefs[r] as i32,
                     AC_MAX_EXP,
-                    self.exp_edge.row3(idx, pb, rem),
-                    self.sign_edge.at2(idx, sc),
-                    self.resid_edge.row1(idx),
+                    &mut b.exp_edge[strip][i - 1][pb][rem],
+                    &mut b.sign_edge[strip][i - 1][sc],
+                    &mut b.resid_edge[strip][i - 1],
                 );
                 if v != 0 {
                     set(out, r, v);
@@ -329,9 +223,9 @@ impl ComponentModel {
             c,
             delta,
             DC_MAX_EXP,
-            self.exp_dc.row1(pred.confidence),
-            self.sign_dc.at1(pred.sign_ctx),
-            self.resid_dc.row0(),
+            &mut b.exp_dc[pred.confidence],
+            &mut b.sign_dc[pred.sign_ctx],
+            &mut *b.resid_dc,
         );
         self.stats.dc += (c.bytes_so_far() - mark) as u64;
         let dc = (pred.value + delta).clamp(i16::MIN as i32, i16::MAX as i32);
@@ -547,17 +441,13 @@ mod tests {
 
     #[test]
     fn model_size_is_paper_order_of_magnitude() {
-        let m = ComponentModel::new();
         // Paper: 721,564 bins across the model. One component class
         // should be within (coarsely) the same order.
-        assert!(m.bin_count() > 50_000, "bins: {}", m.bin_count());
-        assert!(m.bin_count() < 1_000_000, "bins: {}", m.bin_count());
-        assert_eq!(m.bins_touched(), 0);
-        // What the memory meter charges per model is what `new` allocated.
-        assert_eq!(
-            ComponentModel::arena_bytes(),
-            m.bin_count() * std::mem::size_of::<Branch>()
-        );
+        let bins = ComponentModel::bin_count();
+        assert!(bins > 50_000, "bins: {bins}");
+        assert!(bins < 1_000_000, "bins: {bins}");
+        // What the memory meter charges per model: 81 331 4-byte bins.
+        assert_eq!(ComponentModel::arena_bytes(), 325_324);
     }
 
     #[test]
@@ -567,15 +457,24 @@ mod tests {
         let encode_plane = |model: &mut ComponentModel| encode_plane(&plane, &quant, model).0;
         let mut fresh = ComponentModel::new();
         let reference = encode_plane(&mut fresh);
-        assert!(fresh.bins_touched() > 0);
+        assert!(fresh != ComponentModel::new());
 
         // Dirty the same model heavily, then reset: output must be
         // byte-identical.
         let _ = encode_plane(&mut fresh);
         fresh.reset();
-        assert_eq!(fresh.bins_touched(), 0);
-        assert_eq!(fresh.stats(), CategoryBytes::default());
         assert_eq!(encode_plane(&mut fresh), reference);
+    }
+
+    #[test]
+    fn reset_model_equals_fresh() {
+        // Every bin and the attribution, not only the bytes one plane
+        // reaches: a dirtied model, reset, is a fresh one.
+        let mut model = ComponentModel::new();
+        let _ = encode_plane(&synthetic_plane(6, 5, 7), &[2u16; 64], &mut model);
+        assert!(model != ComponentModel::new());
+        model.reset();
+        assert!(model == ComponentModel::new());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! any platform, any thread count) compute bit-identical contexts — the
 //! determinism requirement of §5.2 built in by construction.
 
+use crate::bins::sign_ctx;
 use lepton_jpeg::dct::{AcBorders, BASIS_FIX, DC_ACC_GAIN, SCALE_BITS};
 use lepton_jpeg::CoefBlock;
 use lepton_jpeg::ZIGZAG;
@@ -292,14 +293,6 @@ pub fn predict_dc_gradient(
         }
     }
     finish_dc_prediction(&preds[..n], quant)
-}
-
-fn sign_ctx(v: i32) -> usize {
-    match v.signum() {
-        -1 => 0,
-        0 => 1,
-        _ => 2,
-    }
 }
 
 fn finish_dc_prediction(preds: &[i64], quant: &[u16; 64]) -> DcPrediction {

@@ -21,9 +21,10 @@
 //!    the neighbors' border pixels, binned by prediction confidence
 //!    (App. A.2.3).
 //!
-//! All bin lookups go through bounds-checked [`bins::BinGrid`] indices —
-//! the paper adopted exactly this abstraction after the reversed-index
-//! incident (§6.1).
+//! Every bin grid is a nested fixed-size array whose type is its shape
+//! ([`bins`]), so each index is checked against its own axis — the
+//! paper adopted per-axis checks after the reversed-index incident
+//! (§6.1) — and an index of the wrong rank does not compile.
 //!
 //! The decoder must repeat every bin choice of the encoder. Each model
 //! here is therefore written once, generic over [`lepton_arith::Coder`]:
