@@ -1,22 +1,20 @@
 //! Statistic bins: the grids the model keeps them in, and the context
 //! buckets that index them.
 //!
-//! The paper's §6.1 incident — a reversed multidimensional index that
-//! compiled fine and silently produced nondeterministic output under one
-//! compiler — led the authors to wrap every bin array in a class that
-//! checks each axis, at a measured ~10% cost they chose to keep. Here a
-//! grid's type is its shape: every model keeps its bins in nested
-//! fixed-size arrays, such as `[[[[Branch; 11]; 10]; 12]; 49]`. Each
-//! index is checked against its own axis by the language, so a reversed
-//! index that lands inside the allocation still panics, and an index of
+//! After the paper's §6.1 incident — a reversed multidimensional index
+//! that compiled fine and silently produced nondeterministic output
+//! under one compiler — the authors checked every bin index per axis, at
+//! a measured ~10% cost they chose to keep. Here a grid's type is its
+//! shape, a nested fixed-size array such as `[[[[Branch; 11]; 10]; 12];
+//! 49]`: the language checks each index against its own axis, so a
+//! reversed index inside the allocation still panics, and an index of
 //! the wrong rank does not compile.
 
 use lepton_arith::Branch;
 use std::mem::size_of;
 
-/// Widest Exp-Golomb exponent of an AC coefficient (baseline range
-/// ±1023, with headroom to ±2047): the last axis of the AC exponent and
-/// residual grids.
+/// Widest Exp-Golomb exponent of an AC coefficient (±1023, headroom to
+/// ±2047): the last axis of the AC exponent and residual grids.
 pub(crate) const AC_MAX_EXP: usize = 11;
 /// Widest exponent of the DC delta (±8191).
 pub(crate) const DC_MAX_EXP: usize = 13;
@@ -26,6 +24,11 @@ pub trait Fresh: Copy {
     /// The state before any bit is coded. Built at run time, not a
     /// `const`: a constant row would be an image in the binary.
     fn fresh() -> Self;
+
+    /// Back to the fresh state, in place.
+    fn refill(&mut self) {
+        *self = Self::fresh();
+    }
 }
 
 impl Fresh for Branch {
@@ -38,6 +41,11 @@ impl Fresh for Branch {
 impl<T: Fresh, const N: usize> Fresh for [T; N] {
     fn fresh() -> Self {
         [T::fresh(); N]
+    }
+
+    /// Bin by bin: no fresh copy of the grid is built on the stack.
+    fn refill(&mut self) {
+        self.iter_mut().for_each(T::refill);
     }
 }
 
@@ -111,17 +119,17 @@ impl Bins {
             sign_dc,
             resid_dc,
         } = self;
-        nz77.fill(Fresh::fresh());
-        nz_edge.fill(Fresh::fresh());
-        exp77.fill(Fresh::fresh());
-        sign77.fill(Fresh::fresh());
-        resid77.fill(Fresh::fresh());
-        exp_edge.fill(Fresh::fresh());
-        sign_edge.fill(Fresh::fresh());
-        resid_edge.fill(Fresh::fresh());
-        exp_dc.fill(Fresh::fresh());
-        sign_dc.fill(Fresh::fresh());
-        resid_dc.fill(Fresh::fresh());
+        nz77.refill();
+        nz_edge.refill();
+        exp77.refill();
+        sign77.refill();
+        resid77.refill();
+        exp_edge.refill();
+        sign_edge.refill();
+        resid_edge.refill();
+        exp_dc.refill();
+        sign_dc.refill();
+        resid_dc.refill();
     }
 }
 

@@ -22,9 +22,8 @@
 //!    (App. A.2.3).
 //!
 //! Every bin grid is a nested fixed-size array whose type is its shape
-//! ([`bins`]), so each index is checked against its own axis — the
-//! paper adopted per-axis checks after the reversed-index incident
-//! (§6.1) — and an index of the wrong rank does not compile.
+//! ([`bins`]): each index is checked against its own axis, as the paper
+//! required after the reversed-index incident (§6.1).
 //!
 //! The decoder must repeat every bin choice of the encoder. Each model
 //! here is therefore written once, generic over [`lepton_arith::Coder`]:
