@@ -75,7 +75,9 @@ pub(crate) struct Bins {
     /// 7x7 residual bits: [coef][pos].
     pub resid77: Box<[[Branch; AC_MAX_EXP]; 49]>,
     /// Edge exponent: [row/col][edge coef][pred bucket][remaining][pos].
-    pub exp_edge: Box<[StripExp; 2]>,
+    /// One box per strip, so the row [`grid`] builds on the stack is one
+    /// edge coefficient's (4 KB), not a whole strip's (30 KB).
+    pub exp_edge: [Box<StripExp>; 2],
     /// Edge sign: [row/col][edge coef][pred sign ctx].
     pub sign_edge: Box<[[[Branch; 3]; 7]; 2]>,
     /// Edge residual: [row/col][edge coef][pos].
@@ -95,7 +97,7 @@ impl Bins {
         + size_of::<[[[[Branch; AC_MAX_EXP]; 10]; 12]; 49]>()
         + size_of::<[[Branch; 3]; 49]>()
         + size_of::<[[Branch; AC_MAX_EXP]; 49]>()
-        + size_of::<[StripExp; 2]>()
+        + 2 * size_of::<StripExp>()
         + size_of::<[[[Branch; 3]; 7]; 2]>()
         + size_of::<[[[Branch; AC_MAX_EXP]; 7]; 2]>()
         + size_of::<[[Branch; DC_MAX_EXP]; 13]>()
@@ -124,7 +126,7 @@ impl Bins {
         exp77.refill();
         sign77.refill();
         resid77.refill();
-        exp_edge.refill();
+        exp_edge.iter_mut().for_each(|strip| strip.refill());
         sign_edge.refill();
         resid_edge.refill();
         exp_dc.refill();
@@ -142,7 +144,7 @@ impl Default for Bins {
             exp77: grid(),
             sign77: grid(),
             resid77: grid(),
-            exp_edge: grid(),
+            exp_edge: [grid(), grid()],
             sign_edge: grid(),
             resid_edge: grid(),
             exp_dc: grid(),
@@ -254,8 +256,10 @@ mod tests {
     #[test]
     fn reset_restores_fresh_state() {
         let mut b = Bins::default();
-        for row in b.exp_edge.iter_mut().flatten().flatten().flatten() {
-            row[0].record(true);
+        for strip in &mut b.exp_edge {
+            for row in strip.iter_mut().flatten().flatten() {
+                row[0].record(true);
+            }
         }
         b.resid_dc[12].record(false);
         assert!(b != Bins::default());

@@ -13,7 +13,7 @@ use crate::context::{
     lakhani_col, lakhani_row, nonzero_counts, predict_dc_gradient, weighted_abs_at,
     weighted_signed_at, BlockEdges, BlockNeighbors, CodedBlock, DcPrediction, INTERIOR_ZZ,
 };
-use lepton_arith::{BoolDecoder, BoolEncoder, Branch, ByteSource, Coder};
+use lepton_arith::{BoolDecoder, BoolEncoder, ByteSource, Coder};
 use lepton_jpeg::dct::{idct_ac_borders, AcBorders};
 use lepton_jpeg::scan::nonzero_mask;
 use lepton_jpeg::{CoefBlock, JpegError, ZIGZAG_INV};
@@ -69,12 +69,6 @@ impl ComponentModel {
     /// is charged per model it resets, and what sizing plans with.
     pub fn arena_bytes() -> usize {
         Bins::BYTES
-    }
-
-    /// Total statistic bins (for the §3.2 comparison: the paper's model
-    /// uses 721,564; ours is the same order of magnitude).
-    pub fn bin_count() -> usize {
-        Bins::BYTES / std::mem::size_of::<Branch>()
     }
 
     /// Reset to the per-thread starting state — every bin back at the
@@ -442,11 +436,8 @@ mod tests {
     #[test]
     fn model_size_is_paper_order_of_magnitude() {
         // Paper: 721,564 bins across the model. One component class
-        // should be within (coarsely) the same order.
-        let bins = ComponentModel::bin_count();
-        assert!(bins > 50_000, "bins: {bins}");
-        assert!(bins < 1_000_000, "bins: {bins}");
-        // What the memory meter charges per model: 81 331 4-byte bins.
+        // holds 81 331 4-byte bins, the same order of magnitude, and the
+        // memory meter charges that much per model.
         assert_eq!(ComponentModel::arena_bytes(), 325_324);
     }
 
