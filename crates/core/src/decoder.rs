@@ -24,9 +24,8 @@ use crate::error::LeptonError;
 use crate::format::{packets, read_container, Container, ContainerHeader, SegmentInfo};
 use crate::security::{JobMeter, ResourceBudget};
 use lepton_arith::{BoolDecoder, ByteSource, VecSource};
-use lepton_jpeg::bitio::ScanWriter;
 use lepton_jpeg::parser::{parse_with_limits, ParseLimits, ParsedJpeg};
-use lepton_jpeg::scan::ScanEncoders;
+use lepton_jpeg::scan::{EncodeParams, ScanEncoder};
 use lepton_model::context::{BlockNeighbors, CodedBlock};
 use lepton_model::ComponentModel;
 use std::io;
@@ -167,22 +166,14 @@ impl SegSink for DirectSink<'_> {
     }
 }
 
-/// Decode one thread segment: model-decode each block and Huffman-encode
-/// it into the resumable scan writer, draining output incrementally.
-/// The model pair is borrowed from the executing worker's arena.
+/// Decode one thread segment: model-decode each block and push it into
+/// the segment's scan encoder, draining output incrementally. The model
+/// pair is borrowed from the executing worker's arena.
 struct SegDecoder<'a, S: ByteSource, T: SegSink> {
-    parsed: &'a ParsedJpeg,
-    /// Per-component Huffman encoders, resolved once per container
-    /// (not per segment job) and shared by every segment.
-    huff: &'a ScanEncoders<'a>,
     dec: BoolDecoder<S>,
     models: &'a mut [ComponentModel; 2],
-    writer: ScanWriter,
-    prev_dc: [i16; 4],
-    rst_emitted: u32,
-    rst_limit: u32,
-    pad_bit: bool,
-    interval: u32,
+    /// Resumed from the segment's handover word.
+    scan: ScanEncoder<'a>,
     /// Output budget (exact bytes this segment owes).
     budget: usize,
     sent: usize,
@@ -202,10 +193,10 @@ impl<S: ByteSource, T: SegSink> SegDecoder<'_, S, T> {
         } else {
             DRAIN_BYTES
         };
-        if !force && self.writer.pending_len() < threshold {
+        if !force && self.scan.pending_len() < threshold {
             return Ok(());
         }
-        let mut bytes = self.writer.take_bytes();
+        let mut bytes = self.scan.take_bytes();
         if self.sent + bytes.len() > self.budget {
             bytes.truncate(self.budget - self.sent);
         }
@@ -220,23 +211,9 @@ impl<S: ByteSource, T: SegSink> SegDecoder<'_, S, T> {
 impl<S: ByteSource, T: SegSink> BlockOp for SegDecoder<'_, S, T> {
     type Error = DecodeError;
 
-    fn mcu_start(&mut self, mcu: u32) -> Result<(), DecodeError> {
-        if self.interval > 0
-            && mcu > 0
-            && mcu.is_multiple_of(self.interval)
-            && self.rst_emitted < self.rst_limit
-        {
-            self.writer.align(self.pad_bit);
-            self.writer.write_rst((self.rst_emitted % 8) as u8);
-            self.rst_emitted += 1;
-            self.prev_dc = [0; 4];
-        }
-        Ok(())
-    }
-
     fn block(
         &mut self,
-        scan_idx: usize,
+        _scan_idx: usize,
         class: usize,
         _bx: usize,
         _gy: usize,
@@ -244,15 +221,8 @@ impl<S: ByteSource, T: SegSink> BlockOp for SegDecoder<'_, S, T> {
         out: &mut CodedBlock,
     ) -> Result<(), DecodeError> {
         self.models[class].decode_block(&mut self.dec, nbr, out);
-        let comp_index = self.parsed.scan.components[scan_idx].comp_index;
-        self.huff
-            .component(scan_idx)
-            .encode_masked(
-                &mut self.writer,
-                &out.coefs,
-                out.nz_mask,
-                &mut self.prev_dc[comp_index],
-            )
+        self.scan
+            .push(&out.coefs, out.nz_mask)
             .map_err(|e| LeptonError::Jpeg(e).into())
     }
 
@@ -528,11 +498,9 @@ fn decompress_traced(
 /// stream `src` — a demuxed buffer, or (admission verify) a stream its
 /// encoder is still writing — forwarding produced bytes through `tx`.
 /// Returns the bytes sent.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_segment_job<S: ByteSource, T: SegSink>(
     scratch: &mut Scratch,
     parsed: &ParsedJpeg,
-    huff: &ScanEncoders<'_>,
     header: &ContainerHeader,
     seg: &SegmentInfo,
     src: S,
@@ -548,20 +516,17 @@ pub(crate) fn decode_segment_job<S: ByteSource, T: SegSink>(
     // — the figure `decode_working_set` plans with) and the walk's row
     // rings.
     meter.charge(crate::security::model_pair_bytes() + crate::driver::ring_bytes(parsed))?;
-    let pad_bit = header.pad_bit != 0; // "unknown" defaults to 1s
+    let params = EncodeParams {
+        pad_bit: header.pad_bit != 0, // "unknown" defaults to 1s
+        rst_limit: header.rst_count,
+    };
     let handover = seg.handover.to_handover(seg.mcu_start);
+    let scan = ScanEncoder::resume(parsed, params, &handover).map_err(LeptonError::Jpeg)?;
     let (models, rings) = scratch.walk_arenas();
     let mut op = SegDecoder {
-        parsed,
-        huff,
         dec: BoolDecoder::new(src),
         models,
-        writer: ScanWriter::resume(handover.partial, handover.bits_used),
-        prev_dc: handover.prev_dc,
-        rst_emitted: handover.rst_so_far,
-        rst_limit: header.rst_count,
-        pad_bit,
-        interval: parsed.restart_interval as u32,
+        scan,
         budget: seg.out_bytes as usize,
         sent: 0,
         tx,
@@ -569,7 +534,7 @@ pub(crate) fn decode_segment_job<S: ByteSource, T: SegSink>(
     walk_segment(parsed, seg.mcu_start, seg.mcu_end, rings, &mut op)?;
     // Final flush with padding; truncation caps the tail
     // spill-over of non-final chunks.
-    op.writer.align(pad_bit);
+    op.scan.align();
     op.drain(true)?;
     if op.sent != op.budget {
         return Err(LeptonError::CorruptContainer("segment produced wrong byte count").into());
@@ -591,10 +556,6 @@ fn decode_segments(
     if nseg == 0 {
         return Ok(0);
     }
-    // Huffman table refs resolve once per container; every segment job
-    // shares them instead of rebuilding the per-component Vec.
-    let huff = ScanEncoders::resolve(parsed).map_err(LeptonError::Jpeg)?;
-
     if nseg == 1 {
         // Inline fast path: decode on the calling thread with a pooled
         // arena, pushing bytes straight into the sink.
@@ -604,7 +565,6 @@ fn decode_segments(
             decode_segment_job(
                 scratch,
                 parsed,
-                &huff,
                 header,
                 seg,
                 VecSource::new(stream),
@@ -625,7 +585,7 @@ fn decode_segments(
     let cancel = AtomicBool::new(false);
     let mut results: Vec<Option<Result<usize, DecodeError>>> = (0..nseg).map(|_| None).collect();
     let slots = results.iter_mut();
-    let (huff, cancel) = (&huff, &cancel);
+    let cancel = &cancel;
     let (forwarded, refused) = engine.scope(|batch| {
         let mut receivers = Vec::with_capacity(nseg);
         for ((stream, seg), slot) in streams.into_iter().zip(&header.segments).zip(slots) {
@@ -635,7 +595,7 @@ fn decode_segments(
                 let tx = PoolSink { tx, cancel };
                 let src = VecSource::new(stream);
                 *slot = Some(decode_segment_job(
-                    scratch, parsed, huff, header, seg, src, tx, meter,
+                    scratch, parsed, header, seg, src, tx, meter,
                 ));
             }));
         }
@@ -720,22 +680,12 @@ mod tests {
         let container = read_container(&lep).unwrap();
         let header = &container.header;
         let (parsed, meter) = admit(header, &DecompressOptions::default()).unwrap();
-        let huff = ScanEncoders::resolve(&parsed).unwrap();
         let seg = &header.segments[0];
         let mcus = seg.mcu_end - seg.mcu_start;
         let mut scratch = Scratch::default();
         let mut run = |consumer: &mut GoneAfterOne| {
             let stream = VecSource::new(demux(&container, &meter).unwrap().remove(0));
-            decode_segment_job(
-                &mut scratch,
-                &parsed,
-                &huff,
-                header,
-                seg,
-                stream,
-                consumer,
-                &meter,
-            )
+            decode_segment_job(&mut scratch, &parsed, header, seg, stream, consumer, &meter)
         };
 
         let mut consumer = GoneAfterOne {

@@ -157,12 +157,6 @@ pub trait BlockOp {
         out: &mut CodedBlock,
     ) -> Result<(), Self::Error>;
 
-    /// Called at the start of each MCU (restart handling hooks here).
-    fn mcu_start(&mut self, mcu: u32) -> Result<(), Self::Error> {
-        let _ = mcu;
-        Ok(())
-    }
-
     /// Called after each MCU completes (streaming flush hooks here).
     fn mcu_end(&mut self, mcu: u32) -> Result<(), Self::Error> {
         let _ = mcu;
@@ -196,7 +190,6 @@ pub fn walk_segment<O: BlockOp>(
         .collect();
 
     for mcu in start_mcu..end_mcu {
-        op.mcu_start(mcu)?;
         let mx = (mcu % mcus_x) as usize;
         let my = (mcu / mcus_x) as usize;
         for (si, sc) in parsed.scan.components.iter().enumerate() {

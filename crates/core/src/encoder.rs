@@ -57,7 +57,7 @@ use crate::security::{JobMeter, ResourceBudget};
 use lepton_arith::{BoolEncoder, ByteSource};
 use lepton_jpeg::bitio::PadState;
 use lepton_jpeg::parser::{parse, ParsedJpeg};
-use lepton_jpeg::scan::{Handover, ScanDecoder, ScanEncoders, ScanEnd, ScanStats};
+use lepton_jpeg::scan::{Handover, ScanDecoder, ScanEnd, ScanStats};
 use lepton_jpeg::{CoefBlock, JpegError};
 use lepton_model::component::CategoryBytes;
 use lepton_model::context::{BlockNeighbors, CodedBlock};
@@ -736,7 +736,6 @@ fn verify_segment_job(
     k: usize,
     slot: &SegSlot,
 ) -> Result<(), LeptonError> {
-    let huff = ScanEncoders::resolve(&plan.parsed).map_err(LeptonError::Jpeg)?;
     let sink = CompareSink {
         expected: plan.expected(k),
         slot,
@@ -746,7 +745,6 @@ fn verify_segment_job(
     decode_segment_job(
         scratch,
         &plan.parsed,
-        &huff,
         &plan.header,
         seg,
         src,

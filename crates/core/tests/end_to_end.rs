@@ -156,6 +156,40 @@ fn roundtrip_with_restarts() {
     }
 }
 
+/// App. A.3: a file whose restart markers stop early (a zero-run tail)
+/// round-trips, with thread segments that start past the last marker
+/// writing none.
+#[test]
+fn roundtrip_with_restarts_stopping_early() {
+    use lepton_jpeg::scan::{decode_scan, encode_scan_whole, EncodeParams};
+    let opts_jpg = EncodeOptions {
+        restart_interval: 2,
+        ..Default::default()
+    };
+    let full = photo_gray(128, 64, 8, &opts_jpg);
+    let parsed = lepton_jpeg::parse(&full).unwrap();
+    let (sd, _) = decode_scan(&full, &parsed, &[]).unwrap();
+    assert_eq!(sd.rst_count, 63);
+    // Keep 21 markers: the last precedes MCU 42 of 128.
+    let params = EncodeParams {
+        pad_bit: sd.pad.bit_or_default(),
+        rst_limit: 21,
+    };
+    let scan = encode_scan_whole(&sd.coefs, &parsed, &params).unwrap();
+    let jpg = [&full[..parsed.header_len], &scan, &full[sd.scan_end..]].concat();
+    for n in [1usize, 4] {
+        let opts = CompressOptions {
+            threads: ThreadPolicy::Fixed(n),
+            ..Default::default()
+        };
+        let lepton = compress(&jpg, &opts).unwrap();
+        let header = lepton_core::format::read_container(&lepton).unwrap().header;
+        assert_eq!(header.rst_count, 21, "threads={n}");
+        assert_eq!(header.segments.len(), n);
+        assert_eq!(decompress(&lepton).unwrap(), jpg, "threads={n}");
+    }
+}
+
 #[test]
 fn roundtrip_trailing_garbage() {
     let mut jpg = photo_gray(40, 40, 6, &EncodeOptions::default());

@@ -19,9 +19,10 @@
 //!   [`scan::Handover`]-style state ("Huffman handover words").
 //! * [`scan`] — scan decode (bytes → [`coeffs::CoefBlock`]s in coding
 //!   order via [`scan::ScanDecoder`], or frame-shaped
-//!   [`coeffs::CoefPlanes`] via [`scan::decode_scan`]) and the bit-exact
-//!   scan encoder (planes → bytes), both resumable at arbitrary MCU
-//!   boundaries with explicit handover state.
+//!   [`coeffs::CoefPlanes`] via [`scan::decode_scan`]) and its mirror,
+//!   the bit-exact [`scan::ScanEncoder`] (blocks in coding order →
+//!   bytes), both resumable at arbitrary MCU boundaries with explicit
+//!   handover state.
 //! * [`dct`] — deterministic fixed-point IDCT (used by Lepton's DC
 //!   prediction) and a float FDCT for the pixel-level encoder.
 //! * [`encoder`] — a complete pixel-level baseline JPEG encoder
@@ -54,5 +55,5 @@ pub mod types;
 pub use coeffs::{CoefBlock, CoefPlanes};
 pub use error::JpegError;
 pub use parser::{parse, ParsedJpeg};
-pub use scan::{decode_scan, encode_scan, Handover, ScanData, ScanDecoder, ScanEncoders};
+pub use scan::{decode_scan, encode_scan_whole, Handover, ScanData, ScanDecoder, ScanEncoder};
 pub use types::{Component, FrameInfo, ScanInfo, ZIGZAG, ZIGZAG_INV};

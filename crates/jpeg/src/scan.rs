@@ -4,9 +4,11 @@
 //! [`ScanDecoder`] turns the entropy-coded segment into coefficient
 //! blocks in coding order ([`decode_scan`] lays them out as planes) and
 //! can snapshot [`Handover`] state before any MCU — the
-//! "Huffman handover words" of paper §3.4. [`encode_scan`] regenerates
-//! the scan bytes for any MCU range from such a snapshot. The invariant
-//! the Lepton codec is built on:
+//! "Huffman handover words" of paper §3.4. [`ScanEncoder`] is its
+//! mirror: from such a snapshot it takes blocks in coding order and
+//! writes the scan bytes, restart markers and pad bits included
+//! ([`encode_scan_whole`] drives it over frame-shaped planes). The
+//! invariant the Lepton codec is built on:
 //!
 //! > decoding a scan, then re-encoding every MCU range [mᵢ, mᵢ₊₁) from
 //! > its snapshot and concatenating the outputs, reproduces the original
@@ -134,7 +136,10 @@ fn is_edge_zigzag(k: usize) -> bool {
     EDGE[k]
 }
 
-struct BlockDecode<'t> {
+/// One scan component's binding, the same in both directions: its
+/// Huffman tables, its DC predictor slot and its blocks per MCU.
+#[derive(Clone, Copy)]
+struct ScanComp<'t> {
     dc: &'t HuffTable,
     ac: &'t HuffTable,
     /// The scan component's frame index (its DC predictor slot).
@@ -143,7 +148,29 @@ struct BlockDecode<'t> {
     blocks: usize,
 }
 
-impl BlockDecode<'_> {
+/// Resolve every scan component's tables — once per [`ScanDecoder`] or
+/// [`ScanEncoder`], not per block.
+fn scan_comps(parsed: &ParsedJpeg) -> Result<Vec<ScanComp<'_>>, JpegError> {
+    parsed
+        .scan
+        .components
+        .iter()
+        .map(|sc| {
+            Ok(ScanComp {
+                dc: parsed.dc_tables[sc.dc_table as usize]
+                    .as_ref()
+                    .ok_or(JpegError::BadHuffman("missing DC table"))?,
+                ac: parsed.ac_tables[sc.ac_table as usize]
+                    .as_ref()
+                    .ok_or(JpegError::BadHuffman("missing AC table"))?,
+                comp: sc.comp_index,
+                blocks: parsed.frame.blocks_per_mcu(sc.comp_index),
+            })
+        })
+        .collect()
+}
+
+impl ScanComp<'_> {
     /// Decode one block into `out` (raster order, absolute DC) — the
     /// Annex F reference path, one bounds/marker-checked bit at a time.
     ///
@@ -344,7 +371,7 @@ pub fn decode_block_for_tests(
     stats: &mut ScanStats,
     path: u8,
 ) -> Result<(), JpegError> {
-    let d = BlockDecode {
+    let d = ScanComp {
         dc,
         ac,
         comp: 0,
@@ -384,7 +411,7 @@ pub struct ScanEnd {
 /// driver over it that lays the blocks out as frame-shaped planes.
 pub struct ScanDecoder<'a> {
     reader: ScanReader<'a>,
-    decoders: Vec<BlockDecode<'a>>,
+    comps: Vec<ScanComp<'a>>,
     /// Blocks per MCU ([`ParsedJpeg::blocks_per_mcu`]).
     bpm: usize,
     prev_dc: [i16; 4],
@@ -398,29 +425,10 @@ pub struct ScanDecoder<'a> {
 
 impl<'a> ScanDecoder<'a> {
     /// Start decoding the entropy-coded scan of `parsed` (from `data`).
-    /// Huffman table references are resolved once here, not per block
-    /// or per segment.
     pub fn new(data: &'a [u8], parsed: &'a ParsedJpeg) -> Result<Self, JpegError> {
-        let decoders: Vec<BlockDecode> = parsed
-            .scan
-            .components
-            .iter()
-            .map(|sc| {
-                Ok(BlockDecode {
-                    dc: parsed.dc_tables[sc.dc_table as usize]
-                        .as_ref()
-                        .ok_or(JpegError::BadHuffman("missing DC table"))?,
-                    ac: parsed.ac_tables[sc.ac_table as usize]
-                        .as_ref()
-                        .ok_or(JpegError::BadHuffman("missing AC table"))?,
-                    comp: sc.comp_index,
-                    blocks: parsed.frame.blocks_per_mcu(sc.comp_index),
-                })
-            })
-            .collect::<Result<_, JpegError>>()?;
         Ok(ScanDecoder {
             reader: ScanReader::new(data, parsed.header_len),
-            decoders,
+            comps: scan_comps(parsed)?,
             bpm: parsed.blocks_per_mcu(),
             prev_dc: [0; 4],
             rst_count: 0,
@@ -481,7 +489,7 @@ impl<'a> ScanDecoder<'a> {
                 // reproduces this on re-encode.
             }
             let mut out = mcu_blocks.iter_mut();
-            for d in &self.decoders {
+            for d in &self.comps {
                 let prev_dc = &mut self.prev_dc[d.comp];
                 for block in out.by_ref().take(d.blocks) {
                     if self.fast {
@@ -559,67 +567,33 @@ pub fn decode_scan(
     ))
 }
 
-/// Copy MCU `mcu`'s coding-order blocks to their plane positions.
-fn scatter_mcu(parsed: &ParsedJpeg, mcu: u32, blocks: &[CoefBlock], coefs: &mut CoefPlanes) {
+/// Plane positions `(frame component, bx, by)` of MCU `mcu`'s blocks,
+/// in coding order.
+fn mcu_blocks(parsed: &ParsedJpeg, mcu: u32) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
     let frame = &parsed.frame;
     let (mx, my) = (mcu as usize % frame.mcus_x, mcu as usize / frame.mcus_x);
-    let mut next = blocks.iter();
-    for sc in &parsed.scan.components {
+    parsed.scan.components.iter().flat_map(move |sc| {
         let comp = &frame.components[sc.comp_index];
         let (ch, cv) = (comp.h as usize, comp.v as usize);
-        for by in 0..cv {
-            for bx in 0..ch {
-                *coefs.planes[sc.comp_index].block_mut(mx * ch + bx, my * cv + by) =
-                    *next.next().expect("one block per position");
-            }
-        }
+        (0..cv)
+            .flat_map(move |by| (0..ch).map(move |bx| (sc.comp_index, mx * ch + bx, my * cv + by)))
+    })
+}
+
+/// Copy MCU `mcu`'s coding-order blocks to their plane positions.
+fn scatter_mcu(parsed: &ParsedJpeg, mcu: u32, blocks: &[CoefBlock], coefs: &mut CoefPlanes) {
+    for ((c, bx, by), block) in mcu_blocks(parsed, mcu).zip(blocks) {
+        *coefs.planes[c].block_mut(bx, by) = *block;
     }
 }
 
-/// Huffman encoder for single blocks, usable standalone by the Lepton
-/// decoder pipeline (arithmetic-decode a block, immediately Huffman-
-/// encode it into the output stream).
-pub struct BlockHuffEncoder<'t> {
-    dc: &'t HuffTable,
-    ac: &'t HuffTable,
-}
-
-impl<'t> BlockHuffEncoder<'t> {
-    /// Pair a DC and an AC table.
-    pub fn new(dc: &'t HuffTable, ac: &'t HuffTable) -> Self {
-        BlockHuffEncoder { dc, ac }
-    }
-
-    /// Resolve the tables a scan component uses.
-    pub fn for_component(parsed: &'t ParsedJpeg, scan_comp: usize) -> Result<Self, JpegError> {
-        let sc = &parsed.scan.components[scan_comp];
-        Ok(BlockHuffEncoder {
-            dc: parsed.dc_tables[sc.dc_table as usize]
-                .as_ref()
-                .ok_or(JpegError::BadHuffman("missing DC table"))?,
-            ac: parsed.ac_tables[sc.ac_table as usize]
-                .as_ref()
-                .ok_or(JpegError::BadHuffman("missing AC table"))?,
-        })
-    }
-
-    /// Encode one block (raster order, absolute DC) against `prev_dc`.
-    pub fn encode(
-        &self,
-        w: &mut ScanWriter,
-        block: &CoefBlock,
-        prev_dc: &mut i16,
-    ) -> Result<(), JpegError> {
-        self.encode_masked(w, block, nonzero_mask(block), prev_dc)
-    }
-
-    /// [`Self::encode`] for a caller that already knows which
-    /// coefficients are nonzero (`nz_mask` as [`nonzero_mask`] would
-    /// compute it; the Lepton decoder builds it while decoding): the AC
-    /// loop then visits only the set bits instead of testing all 63
-    /// positions, and each symbol's code and magnitude bits leave in
-    /// one write.
-    pub fn encode_masked(
+impl ScanComp<'_> {
+    /// Huffman-encode one block (raster order, absolute DC) against
+    /// `prev_dc`. `nz_mask` is the block's [`nonzero_mask`] (the Lepton
+    /// decoder builds it while decoding): the AC loop visits only the
+    /// set bits instead of testing all 63 positions, and each symbol's
+    /// code and magnitude bits leave in one write.
+    fn encode(
         &self,
         w: &mut ScanWriter,
         block: &CoefBlock,
@@ -676,6 +650,27 @@ impl<'t> BlockHuffEncoder<'t> {
     }
 }
 
+/// Encode one block the way [`ScanEncoder::push`] does — the
+/// equivalence harness entry point for the block encoder, not part of
+/// the codec API.
+#[doc(hidden)]
+pub fn encode_block_for_tests(
+    dc: &HuffTable,
+    ac: &HuffTable,
+    w: &mut ScanWriter,
+    block: &CoefBlock,
+    nz_mask: u64,
+    prev_dc: &mut i16,
+) -> Result<(), JpegError> {
+    let e = ScanComp {
+        dc,
+        ac,
+        comp: 0,
+        blocks: 1,
+    };
+    e.encode(w, block, nz_mask, prev_dc)
+}
+
 /// Bit `k` set iff the coefficient at zigzag position `k` is nonzero
 /// (bit 0 is the DC).
 pub fn nonzero_mask(block: &CoefBlock) -> u64 {
@@ -689,33 +684,6 @@ fn magnitude_bits(v: i32, s: u8) -> u32 {
     (v + (v >> 31)) as u32 & ((1u32 << s) - 1)
 }
 
-/// Pre-resolved [`BlockHuffEncoder`]s for every scan component.
-///
-/// Resolve once per job, not per segment: re-encoding a scan as N
-/// segments (or streaming it segment-by-segment) used to rebuild this
-/// `Vec` — walking the table options and re-checking presence — on
-/// every [`encode_scan`] call.
-pub struct ScanEncoders<'t> {
-    comps: Vec<BlockHuffEncoder<'t>>,
-}
-
-impl<'t> ScanEncoders<'t> {
-    /// Resolve the DC/AC tables of every scan component of `parsed`.
-    pub fn resolve(parsed: &'t ParsedJpeg) -> Result<Self, JpegError> {
-        Ok(ScanEncoders {
-            comps: (0..parsed.scan.components.len())
-                .map(|si| BlockHuffEncoder::for_component(parsed, si))
-                .collect::<Result<_, JpegError>>()?,
-        })
-    }
-
-    /// The encoder for scan component `si`.
-    #[inline]
-    pub fn component(&self, si: usize) -> &BlockHuffEncoder<'t> {
-        &self.comps[si]
-    }
-}
-
 /// Parameters for scan re-encoding.
 #[derive(Clone, Copy, Debug)]
 pub struct EncodeParams {
@@ -726,111 +694,138 @@ pub struct EncodeParams {
     pub rst_limit: u32,
 }
 
-/// Re-encode MCUs `[handover.mcu, to_mcu)` starting from `handover`.
+/// Stepwise scan encoder, the mirror of [`ScanDecoder`]: resumes from a
+/// [`Handover`] and takes blocks in coding order — per MCU, per scan
+/// component, `v` rows of `h` blocks.
 ///
-/// Returns the completed output bytes (the partial byte at the segment's
-/// end is carried in the returned [`Handover`], not the bytes) and the
-/// end-state handover. When `last_segment` is true the final partial
-/// byte is flushed with padding instead.
-pub fn encode_scan(
-    coefs: &CoefPlanes,
-    parsed: &ParsedJpeg,
-    params: &EncodeParams,
-    handover: &Handover,
-    to_mcu: u32,
-    last_segment: bool,
-) -> Result<(Vec<u8>, Handover), JpegError> {
-    let encoders = ScanEncoders::resolve(parsed)?;
-    encode_scan_prepared(
-        coefs,
-        parsed,
-        &encoders,
-        params,
-        handover,
-        to_mcu,
-        last_segment,
-    )
+/// It is the only code that writes restart markers: before the first
+/// block of each restart interval it pads with the scan's pad bit,
+/// writes the next marker and resets the DC predictors — until
+/// [`EncodeParams::rst_limit`] markers are out (App. A.3: a file whose
+/// markers stop early re-encodes with them stopping at the same MCU).
+/// The Lepton decoder drives one per thread segment, pushing each block
+/// as the model decodes it and draining the completed bytes as they
+/// accumulate; [`encode_scan_whole`] is a thin driver over it.
+pub struct ScanEncoder<'a> {
+    writer: ScanWriter,
+    /// The binding of each block of an MCU, in coding order.
+    slots: Vec<ScanComp<'a>>,
+    /// Position of the next block within its MCU.
+    at: usize,
+    params: EncodeParams,
+    interval: u32,
+    prev_dc: [i16; 4],
+    rst_so_far: u32,
+    /// MCU of the next block.
+    mcu: u32,
 }
 
-/// [`encode_scan`] with the per-component Huffman encoders already
-/// resolved — the per-segment entry point (resolve once per job via
-/// [`ScanEncoders::resolve`], then call this for every segment).
-pub fn encode_scan_prepared(
-    coefs: &CoefPlanes,
-    parsed: &ParsedJpeg,
-    encoders: &ScanEncoders<'_>,
-    params: &EncodeParams,
-    handover: &Handover,
-    to_mcu: u32,
-    last_segment: bool,
-) -> Result<(Vec<u8>, Handover), JpegError> {
-    let frame = &parsed.frame;
-    let mut w = ScanWriter::resume(handover.partial, handover.bits_used);
-    let mut prev_dc = handover.prev_dc;
-    let mut rst = handover.rst_so_far;
-    let interval = parsed.restart_interval as u32;
+impl<'a> ScanEncoder<'a> {
+    /// Encode the scan of `parsed` from `from` (the MCU it names, its
+    /// partial byte, DC predictors and restart count).
+    pub fn resume(
+        parsed: &'a ParsedJpeg,
+        params: EncodeParams,
+        from: &Handover,
+    ) -> Result<Self, JpegError> {
+        let slots = scan_comps(parsed)?
+            .into_iter()
+            .flat_map(|c| std::iter::repeat_n(c, c.blocks))
+            .collect();
+        Ok(ScanEncoder {
+            writer: ScanWriter::resume(from.partial, from.bits_used),
+            slots,
+            at: 0,
+            params,
+            interval: parsed.restart_interval as u32,
+            prev_dc: from.prev_dc,
+            rst_so_far: from.rst_so_far,
+            mcu: from.mcu,
+        })
+    }
 
-    for mcu in handover.mcu..to_mcu {
-        if interval > 0 && mcu > 0 && mcu % interval == 0 && rst < params.rst_limit {
-            w.align(params.pad_bit);
-            w.write_rst((rst % 8) as u8);
-            rst += 1;
-            prev_dc = [0; 4];
+    /// Encode the next block in coding order (raster order, absolute
+    /// DC), given its [`nonzero_mask`].
+    #[inline]
+    pub fn push(&mut self, block: &CoefBlock, nz_mask: u64) -> Result<(), JpegError> {
+        if self.at == 0 {
+            self.restart();
         }
-        let (mx, my) = (
-            (mcu % frame.mcus_x as u32) as usize,
-            (mcu / frame.mcus_x as u32) as usize,
-        );
-        for (si, sc) in parsed.scan.components.iter().enumerate() {
-            let comp = &frame.components[sc.comp_index];
-            let (ch, cv) = (comp.h as usize, comp.v as usize);
-            for by in 0..cv {
-                for bx in 0..ch {
-                    let (gx, gy) = (mx * ch + bx, my * cv + by);
-                    let block = coefs.planes[sc.comp_index].block(gx, gy);
-                    encoders
-                        .component(si)
-                        .encode(&mut w, block, &mut prev_dc[sc.comp_index])?;
-                }
-            }
+        let c = &self.slots[self.at];
+        c.encode(&mut self.writer, block, nz_mask, &mut self.prev_dc[c.comp])?;
+        self.at += 1;
+        if self.at == self.slots.len() {
+            self.at = 0;
+            self.mcu += 1;
+        }
+        Ok(())
+    }
+
+    /// Before MCU `self.mcu`'s first block: the restart marker, if an
+    /// interval starts here and the file still had markers.
+    fn restart(&mut self) {
+        let m = self.mcu;
+        if self.interval > 0
+            && m > 0
+            && m.is_multiple_of(self.interval)
+            && self.rst_so_far < self.params.rst_limit
+        {
+            self.writer.align(self.params.pad_bit);
+            self.writer.write_rst((self.rst_so_far % 8) as u8);
+            self.rst_so_far += 1;
+            self.prev_dc = [0; 4];
         }
     }
 
-    if last_segment {
-        let bytes = w.finish_scan(params.pad_bit);
-        let end = Handover {
-            partial: 0,
-            bits_used: 0,
-            prev_dc,
-            mcu: to_mcu,
-            rst_so_far: rst,
-            byte_offset: 0,
-        };
-        Ok((bytes, end))
-    } else {
-        let (partial, bits_used) = w.partial_state();
-        let bytes = w.finish_segment();
-        let end = Handover {
+    /// Completed bytes not yet taken.
+    pub fn pending_len(&self) -> usize {
+        self.writer.pending_len()
+    }
+
+    /// Take the completed bytes, leaving the partial byte in place.
+    pub fn take_bytes(&mut self) -> Vec<u8> {
+        self.writer.take_bytes()
+    }
+
+    /// Pad the partial byte with the scan's pad bit, completing it —
+    /// the end of the scan, or of a thread segment whose last byte the
+    /// next segment also writes.
+    pub fn align(&mut self) {
+        self.writer.align(self.params.pad_bit);
+    }
+
+    /// The state at the current MCU boundary, before any restart marker
+    /// there: what the segment that resumes here starts from.
+    pub fn handover(&self) -> Handover {
+        debug_assert_eq!(self.at, 0, "handover inside an MCU");
+        let (partial, bits_used) = self.writer.partial_state();
+        Handover {
             partial,
             bits_used,
-            prev_dc,
-            mcu: to_mcu,
-            rst_so_far: rst,
+            prev_dc: self.prev_dc,
+            mcu: self.mcu,
+            rst_so_far: self.rst_so_far,
             byte_offset: 0,
-        };
-        Ok((bytes, end))
+        }
     }
 }
 
-/// Convenience: re-encode the whole scan in one segment.
+/// Re-encode the whole scan from frame-shaped planes.
 pub fn encode_scan_whole(
     coefs: &CoefPlanes,
     parsed: &ParsedJpeg,
     params: &EncodeParams,
 ) -> Result<Vec<u8>, JpegError> {
     let start = Handover::start_of_scan(parsed.header_len);
-    let mcus = parsed.frame.mcu_count() as u32;
-    Ok(encode_scan(coefs, parsed, params, &start, mcus, true)?.0)
+    let mut enc = ScanEncoder::resume(parsed, *params, &start)?;
+    for mcu in 0..parsed.frame.mcu_count() as u32 {
+        for (c, bx, by) in mcu_blocks(parsed, mcu) {
+            let block = coefs.planes[c].block(bx, by);
+            enc.push(block, nonzero_mask(block))?;
+        }
+    }
+    enc.align();
+    Ok(enc.take_bytes())
 }
 
 #[cfg(test)]

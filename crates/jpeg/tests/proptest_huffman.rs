@@ -17,7 +17,7 @@
 use lepton_jpeg::bitio::{ScanReader, ScanWriter};
 use lepton_jpeg::error::JpegError;
 use lepton_jpeg::huffman::{std_ac_chroma, std_ac_luma, std_dc_chroma, std_dc_luma, HuffTable};
-use lepton_jpeg::scan::{nonzero_mask, BlockHuffEncoder};
+use lepton_jpeg::scan::{encode_block_for_tests, nonzero_mask};
 use lepton_jpeg::ZIGZAG;
 use proptest::prelude::*;
 
@@ -202,7 +202,7 @@ proptest! {
     }
 }
 
-/// The block encoder [`BlockHuffEncoder::encode_masked`] replaced: test
+/// The block encoder `ScanEncoder::push`'s mask walk replaced: test
 /// all 63 zigzag positions, write code and magnitude separately.
 fn encode_block_reference(
     dc: &HuffTable,
@@ -251,26 +251,22 @@ fn encode_block_reference(
 }
 
 /// Encode `blocks` back to back through the reference and through the
-/// mask-driven encoder (mask given, and mask computed): same result per
-/// block, same bytes.
+/// mask-driven encoder: same result per block, same bytes.
 fn assert_block_encoders_agree(blocks: &[[i16; 64]]) {
     let (dc, ac) = (std_dc_luma(), std_ac_luma());
-    let enc = BlockHuffEncoder::new(&dc, &ac);
-    let mut writers = [ScanWriter::new(), ScanWriter::new(), ScanWriter::new()];
-    let mut prev = [0i16; 3];
+    let mut writers = [ScanWriter::new(), ScanWriter::new()];
+    let mut prev = [0i16; 2];
     for (i, block) in blocks.iter().enumerate() {
-        let [wr, wm, we] = &mut writers;
+        let [wr, wm] = &mut writers;
         let want = encode_block_reference(&dc, &ac, wr, block, &mut prev[0]);
-        let masked = enc.encode_masked(wm, block, nonzero_mask(block), &mut prev[1]);
+        let masked = encode_block_for_tests(&dc, &ac, wm, block, nonzero_mask(block), &mut prev[1]);
         assert_eq!(masked, want, "block {i}: {block:?}");
-        assert_eq!(enc.encode(we, block, &mut prev[2]), want, "block {i}");
         if want.is_err() {
             break;
         }
     }
-    let [wr, wm, we] = writers.map(|w| w.finish_scan(true));
+    let [wr, wm] = writers.map(|w| w.finish_scan(true));
     assert_eq!(wm, wr, "masked encode bytes");
-    assert_eq!(we, wr, "self-masking encode bytes");
 }
 
 /// The shapes the mask walk has to get right, one by one.

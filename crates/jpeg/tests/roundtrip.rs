@@ -5,7 +5,7 @@
 use lepton_jpeg::encoder::{encode_jpeg, EncodeOptions, Image, PixelData, Subsampling};
 use lepton_jpeg::parser::parse;
 use lepton_jpeg::scan::{
-    decode_scan, encode_scan_prepared, encode_scan_whole, EncodeParams, ScanEncoders,
+    decode_scan, encode_scan_whole, nonzero_mask, EncodeParams, ScanDecoder, ScanEncoder,
 };
 
 /// Deterministic pseudo-random bytes (xorshift64*).
@@ -96,47 +96,55 @@ fn assert_segmented_roundtrip(jpg: &[u8], nseg: u32) {
     let mcus = parsed.frame.mcu_count() as u32;
     let nseg = nseg.min(mcus.max(1));
     let bounds: Vec<u32> = (0..=nseg).map(|i| i * mcus / nseg).collect();
-    let (sd, handovers) = decode_scan(jpg, &parsed, &bounds[..nseg as usize]).expect("decode");
-    assert_eq!(handovers.len(), nseg as usize);
+    assert_split_roundtrip(jpg, &bounds);
+}
+
+/// Decode the scan into coding-order blocks with a handover at each of
+/// `bounds` (ascending, from 0 to the MCU count), re-encode each range
+/// `[bounds[i], bounds[i + 1])` from its handover, and assert the
+/// concatenation is the original scan.
+fn assert_split_roundtrip(jpg: &[u8], bounds: &[u32]) {
+    let parsed = parse(jpg).expect("parse");
+    let bpm = parsed.blocks_per_mcu();
+    let nseg = bounds.len() - 1;
+    let mut blocks = vec![[0i16; 64]; parsed.frame.mcu_count() * bpm];
+    let mut dec = ScanDecoder::new(jpg, &parsed).expect("decoder");
+    let mut handovers = Vec::with_capacity(nseg);
+    for &to in &bounds[1..] {
+        handovers.push(dec.handover());
+        let at = handovers.last().unwrap().mcu as usize * bpm;
+        dec.decode_to(to, &mut blocks[at..]).expect("decode");
+    }
+    let end = dec.finish().expect("finish");
     let params = EncodeParams {
-        pad_bit: sd.pad.bit_or_default(),
-        rst_limit: sd.rst_count,
+        pad_bit: end.pad.bit_or_default(),
+        rst_limit: end.rst_count,
     };
 
-    // Resolve the Huffman encoders once for the whole job; every
-    // segment call reuses them (the per-segment rebuild this replaced
-    // walked the table options on each call).
-    let encoders = ScanEncoders::resolve(&parsed).expect("resolve encoders");
     let mut cat = Vec::new();
-    for i in 0..nseg as usize {
-        let last = i == nseg as usize - 1;
-        let (bytes, end) = encode_scan_prepared(
-            &sd.coefs,
-            &parsed,
-            &encoders,
-            &params,
-            &handovers[i],
-            bounds[i + 1],
-            last,
-        )
-        .expect("encode segment");
-        // Cross-check the decoder's snapshot against the encoder's
-        // handover chain.
-        if !last {
-            let next = &handovers[i + 1];
+    for i in 0..nseg {
+        let mut enc = ScanEncoder::resume(&parsed, params, &handovers[i]).expect("encoder");
+        let range = bounds[i] as usize * bpm..bounds[i + 1] as usize * bpm;
+        for block in &blocks[range] {
+            enc.push(block, nonzero_mask(block)).expect("encode block");
+        }
+        if i + 1 < nseg {
+            // Cross-check the decoder's snapshot against the encoder's
+            // handover chain; the straddling byte stays with the next
+            // segment.
+            let (end, next) = (enc.handover(), &handovers[i + 1]);
             assert_eq!(end.prev_dc, next.prev_dc, "segment {i} DC chain");
             assert_eq!(end.mcu, next.mcu);
             assert_eq!(end.rst_so_far, next.rst_so_far, "segment {i} RST chain");
             assert_eq!(end.partial, next.partial, "segment {i} partial byte");
             assert_eq!(end.bits_used, next.bits_used, "segment {i} bit offset");
+        } else {
+            enc.align();
         }
-        cat.extend(bytes);
+        cat.extend(enc.take_bytes());
     }
-    let original_scan = &jpg[parsed.header_len..sd.scan_end];
-    assert_eq!(
-        cat, original_scan,
-        "segmented scan differs ({nseg} segments)"
-    );
+    let original_scan = &jpg[parsed.header_len..end.scan_end];
+    assert_eq!(cat, original_scan, "scan differs split at {bounds:?}");
 }
 
 #[test]
@@ -261,49 +269,42 @@ fn segmented_every_mcu() {
     assert_segmented_roundtrip(&jpg, mcus);
 }
 
+/// `jpg` with its scan re-encoded so that only the first `kept` restart
+/// markers are written: what a file looks like whose tail was zero-run
+/// corrupted and still decodes (App. A.3).
+fn with_restarts_stopping_after(jpg: &[u8], kept: u32) -> Vec<u8> {
+    let parsed = parse(jpg).expect("parse");
+    let (sd, _) = decode_scan(jpg, &parsed, &[]).expect("decode scan");
+    assert!(sd.rst_count > kept, "the file has more markers to drop");
+    let params = EncodeParams {
+        pad_bit: sd.pad.bit_or_default(),
+        rst_limit: kept,
+    };
+    let scan = encode_scan_whole(&sd.coefs, &parsed, &params).expect("encode scan");
+    [&jpg[..parsed.header_len], &scan, &jpg[sd.scan_end..]].concat()
+}
+
 #[test]
 fn zero_run_missing_rst_roundtrip() {
-    // Appendix A.3: a file whose tail was zero-filled loses its restart
-    // markers but still decodes (zeros are valid entropy data). The
-    // recorded RST count must stop re-insertion at the right point.
+    // Appendix A.3: a file whose restart markers stop before the
+    // interval says they should. The decoder counts the markers that
+    // are there, and the re-encode stops inserting them at that count,
+    // whole and split at MCUs past the last one.
     let opts = EncodeOptions {
         restart_interval: 2,
-        quality: 30,
         ..Default::default()
     };
-    let jpg = encode_jpeg(&photo_like_gray(64, 32, 31), &opts).unwrap();
+    let jpg = encode_jpeg(&photo_like_gray(128, 64, 31), &opts).unwrap();
     let parsed = parse(&jpg).unwrap();
-
-    // Find the *last* restart marker in the scan and zero everything
-    // after it (simulating an unsynced page of zeros), keeping length.
-    let scan_start = parsed.header_len;
-    let mut last_rst = None;
-    for i in scan_start..jpg.len() - 1 {
-        if jpg[i] == 0xFF && (0xD0..=0xD7).contains(&jpg[i + 1]) {
-            last_rst = Some(i);
-        }
-    }
-    let last_rst = last_rst.expect("has restarts");
-    let mut corrupt = jpg.clone();
-    for b in corrupt[last_rst..].iter_mut() {
-        *b = 0;
-    }
-
-    // The corrupted file should still decode (zeros decode as data) and
-    // re-encode to ... something deterministic. A full byte-exact
-    // round-trip is NOT guaranteed for arbitrary corruption (the paper
-    // rejects those via the round-trip check); what we verify here is
-    // that decoding doesn't panic and reports fewer restarts than the
-    // interval implies.
-    match lepton_jpeg::scan::decode_scan(&corrupt, &parsed, &[]) {
-        Ok((sd, _)) => {
-            let expected_full = (parsed.frame.mcu_count() as u32 - 1) / 2;
-            assert!(sd.rst_count < expected_full, "rst count should drop");
-        }
-        Err(_) => {
-            // Also acceptable: corruption detected and rejected.
-        }
-    }
+    let mcus = parsed.frame.mcu_count() as u32;
+    assert_eq!((mcus - 1) / 2, 63, "markers the interval implies");
+    let file = with_restarts_stopping_after(&jpg, 21);
+    let (sd, _) = decode_scan(&file, &parse(&file).unwrap(), &[]).expect("decodes");
+    assert_eq!(sd.rst_count, 21);
+    assert_whole_roundtrip(&file);
+    // Marker 21 precedes MCU 42: split before and after it, at interval
+    // starts that lost their marker, and mid-interval.
+    assert_split_roundtrip(&file, &[0, 42, 43, 44, 90, 101, mcus]);
 }
 
 #[test]
