@@ -218,6 +218,11 @@ impl ContainerHeader {
                 return Err(LeptonError::CorruptContainer("bad handover bit offset"));
             }
             let partial = r.u8()?;
+            // Canonical form: the bits no earlier MCU produced are zero
+            // (what every writer stores, and what resuming relies on).
+            if partial & (0xFF >> bits_used) != 0 {
+                return Err(LeptonError::CorruptContainer("bad handover partial byte"));
+            }
             let mut prev_dc = [0i16; 4];
             for dc in prev_dc.iter_mut() {
                 *dc = r.i16()?;

@@ -10,15 +10,17 @@
 use lepton_core::format::{
     read_container, write_container, ContainerHeader, SegmentInfo, SerializedHandover,
 };
-use lepton_core::{compress, decompress, CompressOptions};
+use lepton_core::{compress, decompress, CompressOptions, LeptonError};
 use lepton_corpus::builder::{clean_jpeg, CorpusSpec};
 use proptest::prelude::*;
 
+/// A handover in canonical form: only the `bits_used` high bits of the
+/// partial byte may be set.
 fn arb_handover() -> impl Strategy<Value = SerializedHandover> {
     (0u8..8, any::<u8>(), any::<[i16; 4]>(), any::<u32>()).prop_map(
         |(bits_used, partial, prev_dc, rst_so_far)| SerializedHandover {
             bits_used,
-            partial,
+            partial: partial & !(0xFF >> bits_used),
             prev_dc,
             rst_so_far,
         },
@@ -86,6 +88,29 @@ proptest! {
         let blob = header.serialize_blob();
         let parsed = ContainerHeader::parse_blob(&blob).expect("own blob parses");
         prop_assert_eq!(parsed, header);
+    }
+
+    /// A partial byte with a bit set below `bits_used` is refused: no
+    /// writer stores one, and resuming from it is undefined.
+    #[test]
+    fn non_canonical_partial_is_refused(
+        header in arb_header(),
+        pick in any::<usize>(),
+        low in any::<u8>(),
+    ) {
+        if header.segments.is_empty() {
+            return Ok(());
+        }
+        let mut header = header;
+        let n = header.segments.len();
+        let seg = &mut header.segments[pick % n];
+        // A nonzero value within the bits below `bits_used`.
+        let unused = 0xFF >> seg.handover.bits_used;
+        seg.handover.partial |= 1 + low % unused;
+        prop_assert_eq!(
+            ContainerHeader::parse_blob(&header.serialize_blob()),
+            Err(LeptonError::CorruptContainer("bad handover partial byte"))
+        );
     }
 
     /// Truncating a header blob anywhere must produce a clean error.
@@ -198,5 +223,37 @@ fn container_section_iteration_matches_segments() {
         decompress(&rewritten).unwrap(),
         jpg,
         "rewritten container decodes to the same JPEG"
+    );
+}
+
+/// A forged handover byte — segment 1's partial with a bit set below
+/// its `bits_used` — is refused as a corrupt container, not handed to
+/// the scan writer.
+#[test]
+fn forged_handover_partial_is_refused() {
+    let jpg = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/landscape-422-trailing.jpg"
+    ))
+    .unwrap();
+    let opts = CompressOptions {
+        threads: lepton_core::ThreadPolicy::Fixed(2),
+        ..Default::default()
+    };
+    let data = compress(&jpg, &opts).unwrap();
+    let container = read_container(&data).unwrap();
+    let mut header = container.header.clone();
+    let mut streams = vec![Vec::new(); header.segments.len()];
+    for packet in lepton_core::format::packets(container.arith_section) {
+        let (sid, payload) = packet.unwrap();
+        streams[sid as usize].extend_from_slice(payload);
+    }
+    let handover = &mut header.segments[1].handover;
+    assert_eq!((handover.partial, handover.bits_used), (0x60, 5));
+    handover.partial |= 1;
+    let forged = write_container(&header, &streams);
+    assert_eq!(
+        decompress(&forged),
+        Err(LeptonError::CorruptContainer("bad handover partial byte"))
     );
 }
