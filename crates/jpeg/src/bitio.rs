@@ -433,8 +433,6 @@ pub struct ScanWriter {
     acc: u64,
     /// Pending bits in `acc`; below 32 between calls.
     nbits: u32,
-    /// Bytes already handed out via [`ScanWriter::take_bytes`].
-    drained: usize,
 }
 
 impl ScanWriter {
@@ -453,7 +451,6 @@ impl ScanWriter {
             out: Vec::new(),
             acc: partial as u64 >> (8 - bits_used),
             nbits: bits_used as u32,
-            drained: 0,
         }
     }
 
@@ -479,12 +476,6 @@ impl ScanWriter {
         (1..=self.nbits / 8)
             .map(|i| 1 + ((self.acc >> (self.nbits - 8 * i)) as u8 == 0xFF) as usize)
             .sum()
-    }
-
-    /// Write one bit.
-    #[inline]
-    pub fn put_bit(&mut self, bit: bool) {
-        self.put_bits(bit as u32, 1);
     }
 
     /// Write the low `n` bits of `v` (n ≤ 32), MSB-first. This is the
@@ -525,18 +516,11 @@ impl ScanWriter {
         self.out.push(0xD0 + idx);
     }
 
-    /// Completed bytes so far (stuffing and markers included; drained
-    /// bytes are counted).
-    pub fn byte_len(&self) -> usize {
-        self.drained + self.pending_len()
-    }
-
     /// Drain the completed bytes accumulated so far, leaving the partial
     /// byte intact. Lets a streaming decoder emit output while the scan
     /// is still being written (time-to-first-byte, §3.4).
     pub fn take_bytes(&mut self) -> Vec<u8> {
         self.flush_bytes();
-        self.drained += self.out.len();
         std::mem::take(&mut self.out)
     }
 
@@ -802,6 +786,6 @@ mod tests {
     fn writer_byte_len_counts_stuffing() {
         let mut w = ScanWriter::new();
         w.put_bits(0xFF, 8);
-        assert_eq!(w.byte_len(), 2);
+        assert_eq!(w.pending_len(), 2);
     }
 }
