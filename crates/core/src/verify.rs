@@ -64,10 +64,11 @@ pub fn verify_roundtrip(jpeg: &[u8], opts: &CompressOptions) -> Verdict {
 }
 
 /// Check that `container` decompresses to exactly `original`: the §5.7
-/// admission predicate as a standalone helper, for callers that already
-/// hold a container (read-repair, backfill audits, the torture rig).
-/// Returns [`LeptonError::RoundtripFailed`] on a byte mismatch and
-/// passes decode errors through.
+/// admission predicate as a standalone helper for a caller that already
+/// holds a container. Only `tests/error_taxonomy.rs` calls it, to reach
+/// the `RoundtripFailed` row with a constructed input. Returns
+/// [`LeptonError::RoundtripFailed`] on a byte mismatch and passes decode
+/// errors through.
 pub fn check_roundtrip(
     original: &[u8],
     container: &[u8],
